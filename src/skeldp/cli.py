@@ -5,7 +5,8 @@ Every run writes a manifest.json (config hash, seed, versions) beside its
 outputs; outputs are deterministic for a fixed (config, seed) regardless of
 --threads, and floats are serialized with 17 significant digits.
 
-Exit codes: 1 configuration error, 2 numerical failure, 3 resource cap.
+Exit codes: 1 configuration error, 2 numerical failure (including a
+non-finite user functional), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import time
 import numpy as np
 
 from . import __version__, density, evaluate, kernel, skeleton, solver, structures
-from .errors import ConfigurationError, NumericalError, ResourceCapError
+from .errors import (ConfigurationError, EvaluationError, NumericalError,
+                     ResourceCapError)
 
 
 def _fmt(x) -> str:
@@ -274,6 +276,7 @@ def _policy_from_csv(path: str, tree: "solver.Tree") -> solver.SolveResult:
             (int(key_s), float(value_s), float(action_s) if action_s else math.nan))
     depth_max = max(per_depth)
     value_layers, policy_layers = [], []
+    tree.layers, tree.lattices = [], []
     for depth in range(depth_max + 1):
         entries = sorted(per_depth.get(depth, []))
         packed = np.array([e[0] for e in entries], dtype=np.int64)
@@ -281,10 +284,9 @@ def _policy_from_csv(path: str, tree: "solver.Tree") -> solver.SolveResult:
         if depth < depth_max:
             policy_layers.append((packed, np.array([e[2] for e in entries])))
         # the tree layers drive nearest-bin lookups during evaluation
-        if depth < len(tree.layers):
-            tree.layers[depth] = (packed, solver._unpack(packed, len(tree.bin_widths)),
-                                  solver._reps(solver._unpack(packed, len(tree.bin_widths)),
-                                               tree.bin_widths))
+        layer, lattice = solver.layer_from_keys(packed, tree.bin_widths)
+        tree.layers.append(layer)
+        tree.lattices.append(lattice)
     rep = solver.SolveReport(
         root_value=float(value_layers[0][1][0]),
         root_action=float(policy_layers[0][1][0]) if policy_layers else math.nan,
@@ -312,8 +314,7 @@ def cmd_evaluate(args) -> int:
         tree = solver.Tree(structure, payoff, solver.discretize_kernel(
             np.zeros(skel.d), skel.epsilon_k, scfg.Q, scfg.rule), scfg,
             skel.epsilon_k, "collapse",
-            _collapse_widths(structure, scfg, skel.epsilon_k),
-            [None] * (scfg.depth + 1))
+            _collapse_widths(structure, scfg, skel.epsilon_k))
         res = _policy_from_csv(esec["policy_csv"], tree)
         if res.report.depth != scfg.depth:
             raise ConfigurationError(
@@ -493,7 +494,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

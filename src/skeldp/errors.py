@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes map onto these: ConfigurationError -> 1,
-NumericalError -> 2, ResourceCapError -> 3.
+NumericalError and EvaluationError -> 2, ResourceCapError -> 3.
 """
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -283,13 +283,7 @@ def merton_oracle(spec: PortfolioSpec, eps_k: float | None = None,
 def q_slack(structure, payoff, eps_k: float, cfg: SolveConfig) -> float:
     """Kernel-discretization slack: |root(Q) - root(2Q)| on the same problem."""
     res_q = backward_dp(build_tree(structure, payoff, eps_k, cfg))
-    cfg2 = SolveConfig(action_grid=cfg.action_grid, depth=cfg.depth, Q=2 * cfg.Q,
-                       epsilon_total=cfg.epsilon_total, collapse=cfg.collapse,
-                       rule=cfg.rule, refine=cfg.refine,
-                       refine_iters=cfg.refine_iters, node_cap=cfg.node_cap,
-                       time_bin_width=cfg.time_bin_width,
-                       state_bin_width=cfg.state_bin_width,
-                       holder_c=cfg.holder_c, holder_gamma=cfg.holder_gamma)
+    cfg2 = replace(cfg, Q=2 * cfg.Q)
     res_2q = backward_dp(build_tree(structure, payoff, eps_k, cfg2))
     return abs(res_q.report.root_value - res_2q.report.root_value)
 

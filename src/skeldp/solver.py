@@ -13,6 +13,13 @@ with ties broken toward the smallest grid index:
   (time component on an absolute grid of width eps^2/4, state components on
   the structure's own scale, relative 1e-3 for wealth-like quantities) and
   runs the recursion over layers of bins, vectorized per (action, atom).
+  Each layer is a dense lattice: a row-major box over its bins whose cells
+  map to node indices.  The forward pass marks child cells in a boolean
+  box and reads the layer's nodes off it; the backward pass finds each
+  child's node by its cell.  Row-major box order is the packed-key order,
+  so a layer's packed keys (computed once, as its identity column) are
+  sorted, and off-grid probes that land on an empty cell fall back to the
+  packed-order nearest populated bin.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -151,7 +158,8 @@ class Tree:
     eps_k: float
     mode: str
     bin_widths: np.ndarray | None = None
-    layers: list = field(default_factory=list)   # collapse: per-depth bin arrays
+    layers: list = field(default_factory=list)   # collapse: per-depth (packed, bins, reps)
+    lattices: list = field(default_factory=list)  # collapse: per-depth Lattice
 
     @property
     def n_atoms(self) -> int:
@@ -240,44 +248,167 @@ def _unpack(packed: np.ndarray, k: int) -> np.ndarray:
 
 
 def _quantize(stats: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    return np.floor(stats / widths).astype(np.int64)
+    scaled = stats / widths
+    return np.floor(scaled, out=scaled).astype(np.int64)
 
 
 def _reps(bins: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return (bins + 0.5) * widths
 
 
+def _pack_weights(k: int) -> np.ndarray:
+    """Packed-key distance of one unit step in each bin component."""
+    shifts = 63 - np.cumsum(_PACK_BITS[k])
+    return np.left_shift(np.int64(1), shifts.astype(np.int64))
+
+
+def _cells(bins: np.ndarray, origin: np.ndarray, shape: tuple) -> np.ndarray:
+    """Row-major index of bins in the box at origin; ValueError if one is off it."""
+    return np.ravel_multi_index(
+        tuple(bins[:, c] - origin[c] for c in range(len(shape))), shape)
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Dense row-major box over one collapse layer's distinct bins.
+
+    Row-major box order is the packed-key order, so the layer's node i is
+    its i-th populated cell.
+    """
+
+    origin: np.ndarray          # (k,) lowest bin index per component
+    shape: tuple                # box extent per component
+    bins: np.ndarray            # (n, k) populated bins, in box order
+    rank: np.ndarray            # (cells,) node index of each cell, -1 if empty
+    before: np.ndarray          # (cells + 1,) populated cells ahead of each cell
+
+    @classmethod
+    def over(cls, bins: np.ndarray) -> "Lattice":
+        if len(bins) == 0:
+            raise ConfigurationError("a collapse layer needs at least one bin")
+        origin = bins.min(axis=0)
+        shape = tuple(int(e) for e in bins.max(axis=0) - origin + 1)
+        cells = _cells(bins, origin, shape)
+        if np.any(np.diff(cells) <= 0):
+            raise ConfigurationError("layer bins must be distinct and in packed order")
+        size = math.prod(shape)
+        rank = np.full(size, -1, dtype=np.int64)
+        rank[cells] = np.arange(len(bins))
+        before = np.zeros(size + 1, dtype=np.int64)
+        before[cells + 1] = 1
+        return cls(origin, shape, bins, rank, np.cumsum(before))
+
+    def locate(self, bins: np.ndarray) -> np.ndarray:
+        """Node index of each bin row; -1 where the cell is empty or off the box."""
+        try:
+            return self.rank[_cells(bins, self.origin, self.shape)]
+        except ValueError:
+            rel = bins - self.origin
+            inside = np.all((rel >= 0) & (rel < self.shape), axis=1)
+            idx = np.full(len(bins), -1, dtype=np.int64)
+            idx[inside] = self.rank[_cells(bins[inside], self.origin, self.shape)]
+            return idx
+
+    def nearest(self, bins: np.ndarray) -> np.ndarray:
+        """Nearest populated bin of each row in packed-key distance.
+
+        The neighbours are the populated bins just before and after the
+        query in packed order; the one before wins ties.  A query off the
+        box is placed where packed order puts it: the first component that
+        leaves the box clamps it and every later component to that edge.
+        """
+        first = self.origin
+        last = self.origin + self.shape - 1
+        clamped = bins.copy()
+        after = np.zeros(len(bins), dtype=np.int64)
+        free = np.ones(len(bins), dtype=bool)
+        for c in range(len(self.shape)):
+            low = free & (bins[:, c] < first[c])
+            high = free & (bins[:, c] > last[c])
+            clamped[low, c:] = first[c:]
+            clamped[high, c:] = last[c:]
+            after[high] = 1
+            free &= ~(low | high)
+        ahead = self.before[_cells(clamped, self.origin, self.shape) + after]
+        n = len(self.bins)
+        pred = np.clip(ahead - 1, 0, n - 1)
+        succ = np.clip(ahead, 0, n - 1)
+        weights = _pack_weights(bins.shape[1])
+        d_pred = (bins - self.bins[pred]) @ weights
+        d_succ = (self.bins[succ] - bins) @ weights
+        return np.where(d_pred <= d_succ, pred, succ)
+
+
+def collapse_layer(bins: np.ndarray, widths: np.ndarray):
+    """Layer arrays (packed, bins, reps) and lattice of distinct bins in packed order."""
+    return (_pack(bins), bins, _reps(bins, widths)), Lattice.over(bins)
+
+
+def layer_from_keys(packed: np.ndarray, widths: np.ndarray):
+    """collapse_layer of the bins behind sorted packed keys."""
+    return collapse_layer(_unpack(packed, len(widths)), widths)
+
+
+def _child_bins(tree: Tree, ops, reps: np.ndarray, action, m: int) -> np.ndarray:
+    return _quantize(ops.step_stats(reps, action, float(tree.atoms.delta_t[m]),
+                                    int(tree.atoms.signs[m])), tree.bin_widths)
+
+
+def _grow_box(origin: np.ndarray, occupied: np.ndarray, bins: np.ndarray,
+              max_cells: int):
+    """Widen a boolean occupancy box to cover bins, keeping its marks."""
+    lo = np.minimum(origin, bins.min(axis=0))
+    hi = np.maximum(origin + occupied.shape - 1, bins.max(axis=0))
+    shape = tuple(int(e) for e in hi - lo + 1)
+    if math.prod(shape) > max_cells:
+        raise ResourceCapError("collapse layer bin box too large",
+                               estimate=math.prod(shape))
+    grown = np.zeros(shape, dtype=bool)
+    at = origin - lo
+    grown[tuple(slice(a, a + e) for a, e in zip(at, occupied.shape))] = occupied
+    return lo, grown
+
+
 def _forward_layers(tree: Tree, ops):
-    """Enumerate reachable statistic bins layer by layer."""
+    """Enumerate reachable statistic bins layer by layer.
+
+    Child bins are marked in a boolean box, grown whenever a child falls
+    off it; the populated cells in row-major order are the next layer.
+    """
     cfg = tree.cfg
     widths = tree.bin_widths
-    stat0 = ops.stat0()[None, :]
-    bins0 = _quantize(stat0, widths)
-    tree.layers = [(_pack(bins0), bins0, _reps(bins0, widths))]
-    k = ops.n_stats
+    max_cells = 40 * cfg.node_cap
+    layer, lattice = collapse_layer(_quantize(ops.stat0()[None, :], widths), widths)
+    tree.layers, tree.lattices = [layer], [lattice]
     for depth in range(cfg.depth):
-        _, bins, reps = tree.layers[depth]
-        if len(reps) * len(cfg.action_grid) * tree.n_atoms > 40 * cfg.node_cap:
+        reps = layer[2]
+        if len(reps) * len(cfg.action_grid) * tree.n_atoms > max_cells:
             raise ResourceCapError(
                 f"collapse layer {depth} expansion too large",
                 estimate=len(reps) * len(cfg.action_grid) * tree.n_atoms)
-        pieces = []
+        origin = lattice.origin
+        occupied = np.zeros(lattice.shape, dtype=bool)
         for a in cfg.action_grid:
             for m in range(tree.n_atoms):
-                child = ops.step_stats(reps, float(a),
-                                       float(tree.atoms.delta_t[m]),
-                                       int(tree.atoms.signs[m]))
-                pieces.append(_pack(_quantize(child, widths)))
-        uniq = np.unique(np.concatenate(pieces))
-        if len(uniq) > cfg.node_cap:
+                child = _child_bins(tree, ops, reps, float(a), m)
+                try:
+                    cells = _cells(child, origin, occupied.shape)
+                except ValueError:
+                    origin, occupied = _grow_box(origin, occupied, child, max_cells)
+                    cells = _cells(child, origin, occupied.shape)
+                occupied.reshape(-1)[cells] = True
+        cells = np.flatnonzero(occupied)
+        if len(cells) > cfg.node_cap:
             raise ResourceCapError(f"collapse layer {depth + 1} exceeds node cap",
-                                   estimate=len(uniq))
-        ubins = _unpack(uniq, k)
-        tree.layers.append((uniq, ubins, _reps(ubins, widths)))
+                                   estimate=len(cells))
+        bins = np.column_stack(np.unravel_index(cells, occupied.shape)) + origin
+        layer, lattice = collapse_layer(bins, widths)
+        tree.layers.append(layer)
+        tree.lattices.append(lattice)
 
 
 def _collapse_stage_values(tree: Tree, ops, reps: np.ndarray, action,
-                           next_packed: np.ndarray, next_values: np.ndarray,
+                           lattice: Lattice, next_values: np.ndarray,
                            allow_miss: bool = False) -> np.ndarray:
     """sum_atoms w * V_{n+1}(child) for one action (scalar or per-node array).
 
@@ -287,29 +418,17 @@ def _collapse_stage_values(tree: Tree, ops, reps: np.ndarray, action,
     nearest populated bin instead.
     """
     acc = np.zeros(len(reps))
-    widths = tree.bin_widths
     for m in range(tree.n_atoms):
-        child = ops.step_stats(reps, action, float(tree.atoms.delta_t[m]),
-                               int(tree.atoms.signs[m]))
-        keys = _pack(_quantize(child, widths))
-        idx = np.searchsorted(next_packed, keys)
-        idx = np.clip(idx, 0, len(next_packed) - 1)
-        exact = next_packed[idx] == keys
-        if not np.all(exact):
+        bins = _child_bins(tree, ops, reps, action, m)
+        idx = lattice.locate(bins)
+        miss = idx < 0
+        if miss.any():
             if not allow_miss:
                 raise NumericalError(
                     "forward/backward bin mismatch on a grid action")
-            idx = np.where(exact, idx, _nearest_sorted(next_packed, keys, idx))
+            idx[miss] = lattice.nearest(bins[miss])
         acc += tree.atoms.weights[m] * next_values[idx]
     return acc
-
-
-def _nearest_sorted(packed: np.ndarray, keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    left = np.clip(idx - 1, 0, len(packed) - 1)
-    right = np.clip(idx, 0, len(packed) - 1)
-    dl = np.abs(packed[left] - keys)
-    dr = np.abs(packed[right] - keys)
-    return np.where(dl <= dr, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +499,12 @@ def _backward_collapse(tree: Tree) -> SolveResult:
 
     for depth in range(cfg.depth - 1, -1, -1):
         packed, _, reps = tree.layers[depth]
-        next_packed, next_values = value_layers[depth + 1]
+        lattice = tree.lattices[depth + 1]
+        next_values = value_layers[depth + 1][1]
         stage = np.empty((len(grid), len(reps)))
         for ai, a in enumerate(grid):
             stage[ai] = _collapse_stage_values(tree, ops, reps, float(a),
-                                               next_packed, next_values)
+                                               lattice, next_values)
         best_idx = np.argmax(stage, axis=0)          # ties: smallest index
         best_val = stage[best_idx, np.arange(len(reps))]
         best_act = grid[best_idx]
@@ -394,7 +514,7 @@ def _backward_collapse(tree: Tree) -> SolveResult:
             hi = np.minimum(best_act + h, grid[-1])
             ref_act, ref_val = _golden_refine(
                 lambda act: _collapse_stage_values(tree, ops, reps, act,
-                                                   next_packed, next_values,
+                                                   lattice, next_values,
                                                    allow_miss=True),
                 lo, hi, cfg.refine_iters)
             take = ref_val > best_val
@@ -458,10 +578,10 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, key, action_idx: int
     i = int(np.searchsorted(packed, key))
     if i >= len(packed) or packed[i] != key:
         raise KeyError(key)
-    next_packed, next_values = values.layers[depth + 1]
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
     stage = _collapse_stage_values(tree, ops, reps[i:i + 1], a,
-                                   next_packed, next_values,
+                                   tree.lattices[depth + 1],
+                                   values.layers[depth + 1][1],
                                    allow_miss=action_value is not None)
     return float((stage[0] - values.layers[depth][1][i]) / tree.eps_k**2)
 

@@ -240,7 +240,7 @@ def fbm_drift_step(spec: FbmSpec, state: FbmState, action, delta_t: float,
     path_now = PathView(state.times, state.values)
     t_arg = t_prev if clamp_T is None else min(t_prev, clamp_T)
     try:
-        a_term = float(spec.drift(t_arg, path_now, action))
+        a_term = float(np.asarray(spec.drift(t_arg, path_now, action)).reshape(-1)[0])
     except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
         raise EvaluationError(f"drift evaluation failed at step {len(times)}: {exc}",
                               step=len(times)) from exc

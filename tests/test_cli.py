@@ -91,6 +91,44 @@ def test_resource_cap_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_overflowing_functional_exit_2(tmp_path, capsys):
+    cfg = {
+        "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
+        "problem": {"kind": "pd_sde", "drift": {"name": "linear", "scale": 1e308},
+                    "diffusion": "constant", "x0": [1.0]},
+        "solve": {"action_grid": [0.0], "depth": 2, "Q": 2},
+    }
+    with np.errstate(over="ignore"):
+        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_fbm_solve_subcommand(tmp_path):
+    from skeldp.solver import SolveConfig, backward_dp, build_tree
+    from skeldp.structures import FbmSpec, FbmStructure, _payoff_from_config
+
+    cfg = {
+        "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
+        "problem": {"kind": "fbm", "H": 0.75, "d_H": 1.0, "sigma": 0.5,
+                    "drift": {"name": "action_linear", "scale": 1.0}, "x0": 0.0},
+        "solve": {"action_grid": [-1.0, 0.0, 1.0], "depth": 2, "Q": 2},
+    }
+    out = str(tmp_path / "fb")
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out-dir", out,
+                 "--quiet"]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["node_counts"] == [1, 12, 144]
+    # the registry drift returns arrays; a scalar drift gives the same tree
+    spec = FbmSpec(H=0.75, sigma=0.5, drift=lambda t, path, a: float(a), x0=0.0)
+    res = backward_dp(build_tree(
+        FbmStructure(spec, 0.5, 1.0), _payoff_from_config("terminal_tanh", 1.0),
+        0.5, SolveConfig(action_grid=np.array([-1.0, 0.0, 1.0]), depth=2, Q=2)))
+    assert summary["root_value"] == res.report.root_value
+
+
 def test_solve_threads_byte_identical(tmp_path):
     cfg_path = write_cfg(tmp_path, MERTON_CFG)
     out1, out8 = str(tmp_path / "t1"), str(tmp_path / "t8")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -221,3 +222,23 @@ def test_merton_sweep_cauchy_module_scale():
     acts = [r.root_action for r in rep["rows"]]
     # root action drifts toward the Merton fraction 0.444
     assert abs(acts[-1] - 0.4444) <= abs(acts[0] - 0.4444) + 0.101
+
+
+def test_q_slack_doubles_only_Q(monkeypatch):
+    seen = []
+    real_build = evaluate.build_tree
+
+    def spy(structure, payoff, eps_k, cfg):
+        seen.append(cfg)
+        return real_build(structure, payoff, eps_k, cfg)
+
+    monkeypatch.setattr(evaluate, "build_tree", spy)
+    struct, payoff = pstruct(a_bar=0.5)
+    cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
+                      collapse=True, refine=True, refine_iters=5,
+                      state_bin_width=2e-3, holder_c=0.5, a_bar=0.5)
+    assert q_slack(struct, payoff, 1.0 / 3, cfg) >= 0.0
+    assert [c.Q for c in seen] == [2, 4]
+    for f in dataclasses.fields(SolveConfig):
+        if f.name != "Q":
+            assert np.array_equal(getattr(seen[1], f.name), getattr(cfg, f.name)), f.name

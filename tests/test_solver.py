@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -259,3 +260,59 @@ def test_dp_dominates_any_fixed_action_sequence(seed):
         return acc
 
     assert fold(struct.init(), 0) <= res.report.root_value + 1e-12
+
+
+def test_collapse_depth3_merton_pinned():
+    """Depth-3 desk Merton collapse solve: root, layer sizes and every array."""
+    struct, payoff = pstruct(a_bar=1.0)
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 41), depth=3, Q=8,
+                      collapse=True, refine=True, node_cap=3_000_000)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    assert res.report.root_value == 2.012545351249231
+    assert res.report.node_counts == [1, 476, 6332, 15970]
+    digest = hashlib.sha256()
+    for depth in range(cfg.depth + 1):
+        digest.update(tree.layers[depth][0].tobytes())
+        digest.update(res.values.layers[depth][1].tobytes())
+        if depth < cfg.depth:
+            digest.update(res.policy.layers[depth][1].tobytes())
+    # recorded from the packed-key solver this lattice replaced
+    assert digest.hexdigest() == (
+        "f584b30ef7a2b781b33de23195aeded4db812666cc17d1315b012d0fd4e46891")
+
+
+def _packed_order_nearest(packed, key):
+    """Reference miss rule: the closer packed-order neighbour, left on ties."""
+    i = min(int(np.searchsorted(packed, key)), len(packed) - 1)
+    left = max(i - 1, 0)
+    return left if abs(packed[left] - key) <= abs(packed[i] - key) else i
+
+
+def test_lattice_miss_rule_matches_packed_order():
+    # rows of unequal extent, a hole with equidistant neighbours in row 1
+    bins = np.array([[0, 0], [0, 1], [1, -3], [1, 1], [2, -5]], dtype=np.int64)
+    widths = np.array([0.25, 1e-3])
+    (packed, layer_bins, _), lattice = solver.collapse_layer(bins, widths)
+    assert np.all(np.diff(packed) > 0)
+    # far off the box the next row can be nearer in packed distance
+    states = list(range(-6, 6)) + [-2**30, 2**30 - 1]
+    queries = np.array([[t, s] for t in range(-1, 4) for s in states],
+                       dtype=np.int64)
+    located = lattice.locate(queries)
+    nearest = lattice.nearest(queries)
+    for q, hit, near in zip(queries, located, nearest):
+        key = solver._pack(q[None, :])[0]
+        on_layer = np.flatnonzero(packed == key)
+        assert hit == (on_layer[0] if len(on_layer) else -1)
+        assert near == _packed_order_nearest(packed, key), q
+    # left of the box in row 1 goes to row 1's first bin, right of it in
+    # row 0 stays in row 0, the tie at (1, -1) goes left, and far right in
+    # row 1 the next row's first bin is nearer
+    picks = lattice.nearest(np.array([[1, -6], [0, 5], [1, -1], [1, 2**30 - 1]]))
+    assert [tuple(layer_bins[i]) for i in picks] == [(1, -3), (0, 1), (1, -3),
+                                                     (2, -5)]
+    # a layer rebuilt from its keys carries the same lattice
+    (packed2, bins2, _), lattice2 = solver.layer_from_keys(packed, widths)
+    assert np.array_equal(bins2, bins)
+    assert np.array_equal(lattice2.rank, lattice.rank)
