@@ -314,7 +314,7 @@ def cmd_evaluate(args) -> int:
         tree = solver.Tree(structure, payoff, solver.discretize_kernel(
             np.zeros(skel.d), skel.epsilon_k, scfg.Q, scfg.rule), scfg,
             skel.epsilon_k, "collapse",
-            _collapse_widths(structure, scfg, skel.epsilon_k))
+            solver.collapse_widths(structure, scfg, skel.epsilon_k))
         res = _policy_from_csv(esec["policy_csv"], tree)
         if res.report.depth != scfg.depth:
             raise ConfigurationError(
@@ -348,15 +348,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _collapse_widths(structure, scfg: solver.SolveConfig, eps_k: float) -> np.ndarray:
-    ops = structure.collapse_ops()
-    if ops is None:
-        raise ConfigurationError("structure exposes no sufficient statistic")
-    widths = np.empty(ops.n_stats)
-    widths[0] = (scfg.time_bin_width if scfg.time_bin_width is not None
-                 else eps_k**2 / 4.0)
-    widths[1:] = scfg.state_bin_width
-    return widths
 
 
 def cmd_sweep(args) -> int:

@@ -269,11 +269,7 @@ def merton_oracle(spec: PortfolioSpec, eps_k: float | None = None,
         structure = PortfolioStructure(spec, eps_k)
         payoff = power_utility_payoff(spec)
         for a in cfg.action_grid:
-            sub = SolveConfig(action_grid=np.array([a]), depth=cfg.depth, Q=cfg.Q,
-                              epsilon_total=cfg.epsilon_total, collapse=True,
-                              rule=cfg.rule, node_cap=cfg.node_cap,
-                              time_bin_width=cfg.time_bin_width,
-                              state_bin_width=cfg.state_bin_width)
+            sub = replace(cfg, action_grid=np.array([a]), collapse=True)
             res = backward_dp(build_tree(structure, payoff, eps_k, sub))
             if res.report.root_value > best_v:
                 best_v, best_a = res.report.root_value, float(a)
@@ -358,7 +354,7 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
     """
     if tree.mode != "collapse":
         raise ConfigurationError("vectorized rollouts need a collapsed tree")
-    ops = tree.structure.collapse_ops()
+    ops = PortfolioStructure(spec, eps_k).collapse_ops()
     depth = tree.cfg.depth
     widths = tree.bin_widths
     chunks = [(c, min(_CHUNK, n_paths - c * _CHUNK))
@@ -383,18 +379,7 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
                 for i in np.flatnonzero(miss):
                     idx[i] = nearest_bin_index(packed, layer_bins, bins[i])
             acts = np.asarray(result.policy.layers[n][1])[idx]
-            # per-path actions/increments: elementwise version of step_stats
-            t = stats[:, 0]
-            lw = stats[:, 1]
-            live = t < spec.horizon_T
-            al = spec.alpha_k(t)
-            sg = spec.sigma_k(t)
-            mult = (acts * (al - spec.r) + spec.r) * dts[:, n] \
-                - 0.5 * (acts * sg) ** 2 * dts[:, n] + acts * sg * eps_k * sgns[:, n]
-            crossed = live & (t + dts[:, n] > spec.horizon_T)
-            t_new = np.where(live, np.minimum(t + dts[:, n], spec.horizon_T), t)
-            lw_new = np.where(live & ~crossed, lw + mult, lw)
-            stats = np.column_stack([t_new, lw_new])
+            stats = ops.step_stats(stats, acts, dts[:, n], sgns[:, n])
         return ops.payoff_stats(stats)
 
     if threads > 1:

@@ -12,14 +12,20 @@ with ties broken toward the smallest grid index:
 * collapse mode quantizes the structure's sufficient statistic into bins
   (time component on an absolute grid of width eps^2/4, state components on
   the structure's own scale, relative 1e-3 for wealth-like quantities) and
-  runs the recursion over layers of bins, vectorized per (action, atom).
-  Each layer is a dense lattice: a row-major box over its bins whose cells
-  map to node indices.  The forward pass marks child cells in a boolean
-  box and reads the layer's nodes off it; the backward pass finds each
-  child's node by its cell.  Row-major box order is the packed-key order,
-  so a layer's packed keys (computed once, as its identity column) are
-  sorted, and off-grid probes that land on an empty cell fall back to the
-  packed-order nearest populated bin.
+  runs the recursion over layers of bins.  Each layer is a dense lattice:
+  a row-major box of time rows x state columns whose cells map to node
+  indices.  A node's statistic is a function of its row and its column,
+  and the structure's step splits into a per-row time step and a per-row
+  ln-wealth increment, so each grid (action, atom) child map is computed
+  once per row and once per (distinct increment, column), not per node,
+  and cut into rectangles of cells that share one (row, column) shift.
+  The forward pass ORs each rectangle's occupied cells, shifted, into the
+  next layer's box; the backward pass adds the weighted, shifted block of
+  the next layer's value box into a box accumulator.  Row-major box order
+  is the packed-key order, so a layer's packed keys (computed once, as its
+  identity column) are sorted.  Off-grid probes (golden refinement,
+  residual checks) step each node at its own action and fall back to the
+  packed-order nearest populated bin when a child lands on an empty cell.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -160,6 +166,7 @@ class Tree:
     bin_widths: np.ndarray | None = None
     layers: list = field(default_factory=list)   # collapse: per-depth (packed, bins, reps)
     lattices: list = field(default_factory=list)  # collapse: per-depth Lattice
+    blocks: list = field(default_factory=list)    # collapse: per-depth (rects, starts)
 
     @property
     def n_atoms(self) -> int:
@@ -197,6 +204,14 @@ def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
                     f"(branching {n_children}, depth {cfg.depth})", estimate=total)
             level *= n_children
         return Tree(structure, payoff, atoms, cfg, eps_k, "full")
+    tree = Tree(structure, payoff, atoms, cfg, eps_k, "collapse",
+                collapse_widths(structure, cfg, eps_k))
+    _forward_layers(tree, structure.collapse_ops())
+    return tree
+
+
+def collapse_widths(structure, cfg: SolveConfig, eps_k: float) -> np.ndarray:
+    """Bin width per statistic component: time, then the state components."""
     ops = structure.collapse_ops()
     if ops is None:
         raise ConfigurationError("collapse mode needs the structure to expose "
@@ -204,9 +219,7 @@ def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
     widths = np.empty(ops.n_stats)
     widths[0] = cfg.time_bin_width if cfg.time_bin_width is not None else eps_k**2 / 4.0
     widths[1:] = cfg.state_bin_width
-    tree = Tree(structure, payoff, atoms, cfg, eps_k, "collapse", widths)
-    _forward_layers(tree, ops)
-    return tree
+    return widths
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +311,28 @@ class Lattice:
         before[cells + 1] = 1
         return cls(origin, shape, bins, rank, np.cumsum(before))
 
+    @property
+    def cells(self) -> np.ndarray:
+        """Box cell of each node."""
+        return np.flatnonzero(self.rank >= 0)
+
+    @property
+    def occupied(self) -> np.ndarray:
+        """Boolean box of the populated cells."""
+        return (self.rank >= 0).reshape(self.shape)
+
+    def find(self, *components: np.ndarray) -> np.ndarray:
+        """Node index of each bin, given one index array per component;
+        -1 where the cell is empty or off the box."""
+        rel = tuple(c - o for c, o in zip(components, self.origin))
+        inside = np.logical_and.reduce(
+            [(r >= 0) & (r < e) for r, e in zip(rel, self.shape)])
+        idx = self.rank[np.ravel_multi_index(rel, self.shape, mode="clip")]
+        return np.where(inside, idx, -1)
+
     def locate(self, bins: np.ndarray) -> np.ndarray:
         """Node index of each bin row; -1 where the cell is empty or off the box."""
-        try:
-            return self.rank[_cells(bins, self.origin, self.shape)]
-        except ValueError:
-            rel = bins - self.origin
-            inside = np.all((rel >= 0) & (rel < self.shape), axis=1)
-            idx = np.full(len(bins), -1, dtype=np.int64)
-            idx[inside] = self.rank[_cells(bins[inside], self.origin, self.shape)]
-            return idx
+        return self.find(*bins.T)
 
     def nearest(self, bins: np.ndarray) -> np.ndarray:
         """Nearest populated bin of each row in packed-key distance.
@@ -349,84 +374,220 @@ def layer_from_keys(packed: np.ndarray, widths: np.ndarray):
     return collapse_layer(_unpack(packed, len(widths)), widths)
 
 
-def _child_bins(tree: Tree, ops, reps: np.ndarray, action, m: int) -> np.ndarray:
-    return _quantize(ops.step_stats(reps, action, float(tree.atoms.delta_t[m]),
-                                    int(tree.atoms.signs[m])), tree.bin_widths)
+def _axis(lattice: Lattice, c: int, width: float):
+    """Bin indices of the box along component c, and their representatives."""
+    idx = lattice.origin[c] + np.arange(lattice.shape[c])
+    return idx, (idx + 0.5) * width
 
 
-def _grow_box(origin: np.ndarray, occupied: np.ndarray, bins: np.ndarray,
-              max_cells: int):
-    """Widen a boolean occupancy box to cover bins, keeping its marks."""
-    lo = np.minimum(origin, bins.min(axis=0))
-    hi = np.maximum(origin + occupied.shape - 1, bins.max(axis=0))
-    shape = tuple(int(e) for e in hi - lo + 1)
-    if math.prod(shape) > max_cells:
-        raise ResourceCapError("collapse layer bin box too large",
-                               estimate=math.prod(shape))
-    grown = np.zeros(shape, dtype=bool)
-    at = origin - lo
-    grown[tuple(slice(a, a + e) for a, e in zip(at, occupied.shape))] = occupied
-    return lo, grown
+def _time_children(tree: Tree, ops, t_rows: np.ndarray) -> list:
+    """Per atom: child time bin of each time row, and whether its wealth moves."""
+    out = []
+    for dt in tree.atoms.delta_t:
+        t_new, moves = ops.time_step(t_rows, float(dt))
+        out.append((_quantize(t_new, tree.bin_widths[0]), moves))
+    return out
+
+
+def _runs(*keys: np.ndarray):
+    """(start, stop) of the maximal runs along which every key is constant."""
+    change = np.zeros(len(keys[0]) - 1, dtype=bool)
+    for k in keys:
+        change |= k[1:] != k[:-1]
+    cut = (np.flatnonzero(change) + 1).tolist()
+    return list(zip([0] + cut, cut + [len(keys[0])]))
+
+
+def _trim(occupied: np.ndarray, i0: int, i1: int, j0: int, j1: int):
+    """Bounding box (i0, i1, j0, j1) of the populated cells of a block, or None."""
+    block = occupied[i0:i1, j0:j1]
+    rows = np.flatnonzero(block.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(block[rows[0]:rows[-1] + 1].any(axis=0))
+    return (i0 + int(rows[0]), i0 + int(rows[-1]) + 1,
+            j0 + int(cols[0]), j0 + int(cols[-1]) + 1)
+
+
+def _rectangles(occupied: np.ndarray, trimmed: dict, row_shift: np.ndarray,
+                row_class: np.ndarray, col_shifts: list) -> np.ndarray:
+    """Split a child map over the box into rectangles of one shift each.
+
+    Row i of the box moves by row_shift[i] bins and its columns by
+    col_shifts[row_class[i]]; every maximal run of rows sharing both,
+    crossed with every maximal run of columns sharing a shift, is one
+    rectangle, trimmed to the populated cells inside it (memoized in
+    trimmed, since most pairs of a layer cut the box alike).  Returns rows
+    (i0, i1, j0, j1, dr, dc): box cells [i0, i1) x [j0, j1) have their
+    children dr time bins and dc state bins away.
+    """
+    col_runs = {}
+    rects = []
+    for i0, i1 in _runs(row_shift, row_class):
+        cls = int(row_class[i0])
+        shift = col_shifts[cls]
+        if cls not in col_runs:
+            col_runs[cls] = _runs(shift)
+        for j0, j1 in col_runs[cls]:
+            key = (i0, i1, j0, j1)
+            if key not in trimmed:
+                trimmed[key] = _trim(occupied, *key)
+            if trimmed[key] is not None:
+                rects.append(trimmed[key] + (int(row_shift[i0]), int(shift[j0])))
+    return np.array(rects, dtype=np.int64).reshape(-1, 6)
+
+
+def _layer_blocks(tree: Tree, ops, lattice: Lattice):
+    """Children of one collapse layer as shifted rectangles.
+
+    Returns (rects, starts): the rectangles of (action ai, atom m) are
+    rects[starts[p]:starts[p + 1]] with p = ai * n_atoms + m.
+
+    A node's statistic is a function of its time row and its state column,
+    so each (action, atom) step is evaluated once per row (the time step
+    and the ln-wealth increment) and once per (distinct increment, column),
+    with the same float expressions as a per-node step: the child bins are
+    those of the per-node step, and a map that is not a shift just yields
+    more, smaller rectangles.
+    """
+    widths = tree.bin_widths
+    occupied = lattice.occupied
+    rows, t_rows = _axis(lattice, 0, widths[0])
+    cols, lw_cols = _axis(lattice, 1, widths[1])
+    static = _quantize(lw_cols, widths[1]) - cols    # column shift of rows that do not move
+    blocks = [[None] * tree.n_atoms for _ in tree.cfg.action_grid]
+    trimmed = {}
+    for m, (child_rows, moves) in enumerate(_time_children(tree, ops, t_rows)):
+        dt, sign = float(tree.atoms.delta_t[m]), int(tree.atoms.signs[m])
+        for ai, a in enumerate(tree.cfg.action_grid):
+            inc = ops.log_increment(t_rows, float(a), dt, sign)
+            classes = np.where(moves, 0, -1)
+            if np.ndim(inc) == 0:                    # constant coefficients
+                values = [inc]
+            else:
+                values, classes[moves] = np.unique(inc[moves], return_inverse=True)
+            col_shifts = [_quantize(lw_cols + v, widths[1]) - cols for v in values]
+            blocks[ai][m] = _rectangles(occupied, trimmed, child_rows - rows,
+                                        classes, col_shifts + [static])
+    parts = [r for per_atom in blocks for r in per_atom]
+    return np.concatenate(parts), np.cumsum([0] + [len(r) for r in parts]).tolist()
+
+
+def _targets(rects: np.ndarray):
+    """First and past-last (row, column) of the rectangles' children,
+    relative to the layer's box origin."""
+    return rects[:, [0, 2]] + rects[:, 4:], rects[:, [1, 3]] + rects[:, 4:]
 
 
 def _forward_layers(tree: Tree, ops):
     """Enumerate reachable statistic bins layer by layer.
 
-    Child bins are marked in a boolean box, grown whenever a child falls
-    off it; the populated cells in row-major order are the next layer.
+    Each (action, atom) rectangle of a layer ORs its populated cells,
+    shifted, into the next layer's occupancy box; the populated cells in
+    row-major order are the next layer.
     """
     cfg = tree.cfg
     widths = tree.bin_widths
     max_cells = 40 * cfg.node_cap
     layer, lattice = collapse_layer(_quantize(ops.stat0()[None, :], widths), widths)
-    tree.layers, tree.lattices = [layer], [lattice]
+    tree.layers, tree.lattices, tree.blocks = [layer], [lattice], []
     for depth in range(cfg.depth):
-        reps = layer[2]
-        if len(reps) * len(cfg.action_grid) * tree.n_atoms > max_cells:
+        n = len(layer[0])
+        if n * len(cfg.action_grid) * tree.n_atoms > max_cells:
             raise ResourceCapError(
                 f"collapse layer {depth} expansion too large",
-                estimate=len(reps) * len(cfg.action_grid) * tree.n_atoms)
-        origin = lattice.origin
-        occupied = np.zeros(lattice.shape, dtype=bool)
-        for a in cfg.action_grid:
-            for m in range(tree.n_atoms):
-                child = _child_bins(tree, ops, reps, float(a), m)
-                try:
-                    cells = _cells(child, origin, occupied.shape)
-                except ValueError:
-                    origin, occupied = _grow_box(origin, occupied, child, max_cells)
-                    cells = _cells(child, origin, occupied.shape)
-                occupied.reshape(-1)[cells] = True
+                estimate=n * len(cfg.action_grid) * tree.n_atoms)
+        rects, starts = _layer_blocks(tree, ops, lattice)
+        first, stop = _targets(rects)
+        lo = lattice.origin + first.min(axis=0)
+        shape = tuple(int(e) for e in lattice.origin + stop.max(axis=0) - lo)
+        if math.prod(shape) > max_cells:
+            raise ResourceCapError("collapse layer bin box too large",
+                                   estimate=math.prod(shape))
+        source = lattice.occupied
+        occupied = np.zeros(shape, dtype=bool)
+        di, dj = (lattice.origin - lo).tolist()
+        for i0, i1, j0, j1, dr, dc in rects.tolist():
+            occupied[i0 + dr + di:i1 + dr + di, j0 + dc + dj:j1 + dc + dj] |= \
+                source[i0:i1, j0:j1]
         cells = np.flatnonzero(occupied)
         if len(cells) > cfg.node_cap:
             raise ResourceCapError(f"collapse layer {depth + 1} exceeds node cap",
                                    estimate=len(cells))
-        bins = np.column_stack(np.unravel_index(cells, occupied.shape)) + origin
+        bins = np.column_stack(np.unravel_index(cells, shape)) + lo
         layer, lattice = collapse_layer(bins, widths)
         tree.layers.append(layer)
         tree.lattices.append(lattice)
+        tree.blocks.append((rects, starts))
 
 
-def _collapse_stage_values(tree: Tree, ops, reps: np.ndarray, action,
-                           lattice: Lattice, next_values: np.ndarray,
-                           allow_miss: bool = False) -> np.ndarray:
-    """sum_atoms w * V_{n+1}(child) for one action (scalar or per-node array).
+def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray) -> np.ndarray:
+    """sum_atoms w * V_{n+1}(child) of every grid action at every node of a layer.
 
-    Children of on-grid actions were enumerated by the forward pass, so a
-    lookup miss there is an internal inconsistency; off-grid probes
-    (refinement, residual checks at recorded actions) project misses to the
-    nearest populated bin instead.
+    Each rectangle of the layer adds its weighted, shifted block of the
+    next layer's value box into a box accumulator, atom by atom.  A
+    rectangle that leaves the next box, or a node whose child cell is
+    empty (NaN in the value box), is a forward/backward inconsistency.
     """
-    acc = np.zeros(len(reps))
-    for m in range(tree.n_atoms):
-        bins = _child_bins(tree, ops, reps, action, m)
-        idx = lattice.locate(bins)
+    lattice, nxt = tree.lattices[depth], tree.lattices[depth + 1]
+    rects, starts = tree.blocks[depth]
+    v_box = np.full(nxt.rank.shape, np.nan)
+    v_box[nxt.cells] = next_values
+    v_box = v_box.reshape(nxt.shape)
+    offset = lattice.origin - nxt.origin
+    first, stop = _targets(rects)
+    if np.any(first + offset < 0) or np.any(stop + offset > nxt.shape):
+        raise NumericalError("forward/backward bin mismatch on a grid action")
+    di, dj = offset.tolist()
+    rows = rects.tolist()
+    cells = lattice.cells
+    stage = np.empty((len(tree.cfg.action_grid), len(cells)))
+    acc = np.empty(lattice.shape)
+    for ai in range(len(stage)):
+        acc.fill(0.0)
+        for m, w in enumerate(tree.atoms.weights):
+            p = ai * tree.n_atoms + m
+            for i0, i1, j0, j1, dr, dc in rows[starts[p]:starts[p + 1]]:
+                acc[i0:i1, j0:j1] += w * v_box[i0 + dr + di:i1 + dr + di,
+                                               j0 + dc + dj:j1 + dc + dj]
+        stage[ai] = acc.reshape(-1)[cells]
+    if np.isnan(stage.min()):                        # min propagates NaN
+        raise NumericalError("forward/backward bin mismatch on a grid action")
+    return stage
+
+
+def _node_probe(tree: Tree, ops, depth: int, nodes=slice(None)):
+    """Per-node inputs of probes at arbitrary actions: elapsed time, ln
+    wealth, time row, and per atom the time rows' child bins and moves."""
+    lattice = tree.lattices[depth]
+    reps = tree.layers[depth][2][nodes]
+    _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
+    return (reps[:, 0], reps[:, 1], lattice.bins[nodes, 0] - lattice.origin[0],
+            _time_children(tree, ops, t_rows))
+
+
+def _probe_stage_values(tree: Tree, ops, probe, action, lattice: Lattice,
+                        next_values: np.ndarray, allow_miss: bool) -> np.ndarray:
+    """sum_atoms w * V_{n+1}(child) for one action per node (or a scalar).
+
+    Off-grid probes (refinement, residual checks at recorded actions)
+    project children that miss the next layer to the nearest populated
+    bin; at a grid action a miss is an internal inconsistency.
+    """
+    t, lw, rows, steps = probe
+    acc = np.zeros(len(t))
+    for m, (child_rows, moves) in enumerate(steps):
+        inc = ops.log_increment(t, action, float(tree.atoms.delta_t[m]),
+                                int(tree.atoms.signs[m]))
+        tb = child_rows[rows]
+        wb = _quantize(np.where(moves[rows], lw + inc, lw), tree.bin_widths[1])
+        idx = lattice.find(tb, wb)
         miss = idx < 0
         if miss.any():
             if not allow_miss:
                 raise NumericalError(
                     "forward/backward bin mismatch on a grid action")
-            idx[miss] = lattice.nearest(bins[miss])
+            idx[miss] = lattice.nearest(np.column_stack([tb[miss], wb[miss]]))
         acc += tree.atoms.weights[m] * next_values[idx]
     return acc
 
@@ -498,24 +659,21 @@ def _backward_collapse(tree: Tree) -> SolveResult:
     refined_gain_max = 0.0
 
     for depth in range(cfg.depth - 1, -1, -1):
-        packed, _, reps = tree.layers[depth]
-        lattice = tree.lattices[depth + 1]
+        packed = tree.layers[depth][0]
         next_values = value_layers[depth + 1][1]
-        stage = np.empty((len(grid), len(reps)))
-        for ai, a in enumerate(grid):
-            stage[ai] = _collapse_stage_values(tree, ops, reps, float(a),
-                                               lattice, next_values)
+        stage = _grid_stage_values(tree, depth, next_values)
         best_idx = np.argmax(stage, axis=0)          # ties: smallest index
-        best_val = stage[best_idx, np.arange(len(reps))]
+        best_val = stage[best_idx, np.arange(len(packed))]
         best_act = grid[best_idx]
         if cfg.refine and len(grid) > 1:
             h = cfg.grid_spacing
             lo = np.maximum(best_act - h, grid[0])
             hi = np.minimum(best_act + h, grid[-1])
+            probe = _node_probe(tree, ops, depth)
             ref_act, ref_val = _golden_refine(
-                lambda act: _collapse_stage_values(tree, ops, reps, act,
-                                                   lattice, next_values,
-                                                   allow_miss=True),
+                lambda act: _probe_stage_values(tree, ops, probe, act,
+                                                tree.lattices[depth + 1],
+                                                next_values, allow_miss=True),
                 lo, hi, cfg.refine_iters)
             take = ref_val > best_val
             refined_gain_max = max(refined_gain_max,
@@ -574,15 +732,15 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, key, action_idx: int
                                                         key + ((action_idx, m),))
         return (acc - values.value(depth, key)) / tree.eps_k**2
     ops = tree.structure.collapse_ops()
-    packed, _, reps = tree.layers[depth]
+    packed = tree.layers[depth][0]
     i = int(np.searchsorted(packed, key))
     if i >= len(packed) or packed[i] != key:
         raise KeyError(key)
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
-    stage = _collapse_stage_values(tree, ops, reps[i:i + 1], a,
-                                   tree.lattices[depth + 1],
-                                   values.layers[depth + 1][1],
-                                   allow_miss=action_value is not None)
+    probe = _node_probe(tree, ops, depth, slice(i, i + 1))
+    stage = _probe_stage_values(tree, ops, probe, a, tree.lattices[depth + 1],
+                                values.layers[depth + 1][1],
+                                allow_miss=action_value is not None)
     return float((stage[0] - values.layers[depth][1][i]) / tree.eps_k**2)
 
 

@@ -388,21 +388,34 @@ class _PortfolioCollapse:
     def stat0(self) -> np.ndarray:
         return np.array([0.0, math.log(self.spec.x0)])
 
-    def step_stats(self, stats: np.ndarray, action: float, delta_t: float,
-                   sign: int) -> np.ndarray:
-        t = stats[:, 0]
-        lw = stats[:, 1]
+    def time_step(self, t: np.ndarray, delta_t):
+        """Clipped elapsed time after a step, and whether the step moves wealth.
+
+        Wealth moves only on live steps (t < T) that land inside the
+        horizon; a step straddling T freezes it, an absorbed state keeps it.
+        """
         live = t < self.T
+        crossed = live & (t + delta_t > self.T)
+        return np.where(live, np.minimum(t + delta_t, self.T), t), live & ~crossed
+
+    def log_increment(self, t: np.ndarray, action, delta_t, sign):
+        """ln-wealth change of a moving step: a scalar under constant
+        coefficients, else one value per elapsed time."""
         # alpha/sigma must broadcast over arrays of elapsed times
         al = self.spec.alpha_k(t)
         sg = self.spec.sigma_k(t)
         a = np.asarray(action, dtype=float)  # scalar or one value per node
-        mult = (a * (al - self.spec.r) + self.spec.r) * delta_t \
+        return (a * (al - self.spec.r) + self.spec.r) * delta_t \
             - 0.5 * (a * sg) ** 2 * delta_t + a * sg * self.eps * sign
-        crossed = live & (t + delta_t > self.T)
-        t_new = np.where(live, np.minimum(t + delta_t, self.T), t)
-        lw_new = np.where(live & ~crossed, lw + mult, lw)
-        return np.column_stack([t_new, lw_new])
+
+    def step_stats(self, stats: np.ndarray, action, delta_t, sign) -> np.ndarray:
+        """Statistics after one step; action, delta_t and sign are scalars
+        or one value per row."""
+        t = stats[:, 0]
+        lw = stats[:, 1]
+        mult = self.log_increment(t, action, delta_t, sign)
+        t_new, moves = self.time_step(t, delta_t)
+        return np.column_stack([t_new, np.where(moves, lw + mult, lw)])
 
     def payoff_stats(self, stats: np.ndarray) -> np.ndarray:
         g = self.spec.gamma_util

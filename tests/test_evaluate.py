@@ -242,3 +242,27 @@ def test_q_slack_doubles_only_Q(monkeypatch):
     for f in dataclasses.fields(SolveConfig):
         if f.name != "Q":
             assert np.array_equal(getattr(seen[1], f.name), getattr(cfg, f.name)), f.name
+
+
+def test_merton_oracle_keeps_every_other_field(monkeypatch):
+    seen = []
+    real_build = evaluate.build_tree
+
+    def spy(structure, payoff, eps_k, cfg):
+        seen.append(cfg)
+        return real_build(structure, payoff, eps_k, cfg)
+
+    monkeypatch.setattr(evaluate, "build_tree", spy)
+    struct, _ = pstruct(a_bar=0.5)
+    cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
+                      collapse=False, refine=True, refine_iters=5,
+                      state_bin_width=2e-3, time_bin_width=0.03,
+                      holder_c=0.5, holder_gamma=0.75, a_bar=0.5)
+    ref = merton_oracle(struct.spec, 1.0 / 3, cfg)
+    assert ref.const_grid_action in cfg.action_grid
+    assert [c.action_grid.tolist() for c in seen] == [[a] for a in cfg.action_grid]
+    for sub in seen:
+        assert sub.collapse
+        for f in dataclasses.fields(SolveConfig):
+            if f.name not in ("action_grid", "collapse"):
+                assert getattr(sub, f.name) == getattr(cfg, f.name), f.name

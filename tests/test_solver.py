@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeldp import solver
-from skeldp.errors import ConfigurationError, ResourceCapError
+from skeldp.errors import ConfigurationError, NumericalError, ResourceCapError
 from skeldp.kernel import discretize_kernel
 from skeldp.skeleton import SkeletonConfig, sample_skeleton
 from skeldp.solver import (Policy, SolveConfig, ValueTable, backward_dp,
@@ -316,3 +316,121 @@ def test_lattice_miss_rule_matches_packed_order():
     (packed2, bins2, _), lattice2 = solver.layer_from_keys(packed, widths)
     assert np.array_equal(bins2, bins)
     assert np.array_equal(lattice2.rank, lattice.rank)
+
+
+def _per_node_reference(struct, eps, cfg):
+    """Collapse DP with every child from a per-node step_stats + _quantize.
+
+    Layers are the distinct child bins in packed order; children are found
+    by packed key, and refinement probes that miss fall back to the
+    lattice's nearest rule.  Returns per-depth (keys, values, policy).
+    """
+    ops = struct.collapse_ops()
+    widths = solver.collapse_widths(struct, cfg, eps)
+    atoms = discretize_kernel(np.zeros(1), eps, cfg.Q, cfg.rule)
+    grid = cfg.action_grid
+
+    def children(reps, a, m):
+        return solver._quantize(ops.step_stats(reps, a, float(atoms.delta_t[m]),
+                                               int(atoms.signs[m])), widths)
+
+    bins = [solver._quantize(ops.stat0()[None, :], widths)]
+    for _ in range(cfg.depth):
+        reps = solver._reps(bins[-1], widths)
+        kids = [children(reps, float(a), m) for a in grid for m in range(len(atoms))]
+        bins.append(np.unique(np.concatenate(kids), axis=0))
+    keys = [solver._pack(b) for b in bins]
+    values = [None] * (cfg.depth + 1)
+    policy = [None] * cfg.depth
+    values[-1] = ops.payoff_stats(solver._reps(bins[-1], widths))
+    for d in range(cfg.depth - 1, -1, -1):
+        reps = solver._reps(bins[d], widths)
+        lattice = solver.collapse_layer(bins[d + 1], widths)[1]
+
+        def stage(a, grid_action):
+            acc = np.zeros(len(reps))
+            for m in range(len(atoms)):
+                child = children(reps, a, m)
+                key = solver._pack(child)
+                idx = np.clip(np.searchsorted(keys[d + 1], key), 0, len(keys[d + 1]) - 1)
+                miss = keys[d + 1][idx] != key
+                assert not (grid_action and miss.any())
+                idx[miss] = lattice.nearest(child[miss])
+                acc += atoms.weights[m] * values[d + 1][idx]
+            return acc
+
+        table = np.array([stage(float(a), True) for a in grid])
+        best = np.argmax(table, axis=0)
+        val, act = table[best, np.arange(len(reps))], grid[best]
+        if cfg.refine:
+            h = cfg.grid_spacing
+            ref_act, ref_val = solver._golden_refine(
+                lambda a: stage(a, False), np.maximum(act - h, grid[0]),
+                np.minimum(act + h, grid[-1]), cfg.refine_iters)
+            val, act = (np.where(ref_val > val, ref_val, val),
+                        np.where(ref_val > val, ref_act, act))
+        values[d], policy[d] = val, act
+    return keys, values, policy
+
+
+def test_collapse_matches_per_node_reference_time_dependent():
+    """Rows with several increment classes still give the per-node bins."""
+    spec = PortfolioSpec(r=0.03, alpha_k=lambda t: 0.05 + 0.02 * np.cos(3.0 * t),
+                         sigma_k=lambda t: 0.3 + 0.05 * np.sin(2.0 * t),
+                         gamma_util=0.5, x0=1.0, horizon_T=1.0)
+    struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 9), depth=3, Q=4,
+                      collapse=True, refine=True, refine_iters=6)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    keys, values, policy = _per_node_reference(struct, 1.0 / 3, cfg)
+    for d in range(cfg.depth + 1):
+        assert np.array_equal(tree.layers[d][0], keys[d])
+        assert np.array_equal(res.values.layers[d][1], values[d])
+        if d < cfg.depth:
+            assert np.array_equal(res.policy.layers[d][1], policy[d])
+    # the layer's time rows carry more than one ln-wealth increment
+    t_rows = np.unique(tree.layers[2][2][:, 0])
+    incs = struct.collapse_ops().log_increment(t_rows, 0.5, 0.1, 1)
+    assert len(np.unique(incs[t_rows < 1.0])) > 1
+
+
+def test_rectangles_cover_a_non_shift_map_exactly():
+    rng = np.random.default_rng(3)
+    occupied = rng.random((6, 9)) < 0.6
+    occupied[2] = False                                  # an empty row
+    row_shift = np.array([1, 1, 1, 2, 0, 0])
+    row_class = np.array([0, 0, 1, 1, -1, 0])
+    col_shifts = [np.array([0, 0, 1, 1, 1, -2, -2, 0, 0]),
+                  np.array([3, 2, 1, 0, -1, -2, -3, -4, -5]),
+                  np.zeros(9, dtype=np.int64)]
+    rects = solver._rectangles(occupied, {}, row_shift, row_class, col_shifts)
+    covered = {}
+    for i0, i1, j0, j1, dr, dc in rects.tolist():
+        block = occupied[i0:i1, j0:j1]
+        # trimmed: every edge row and column of a rectangle is populated
+        assert block[0].any() and block[-1].any()
+        assert block[:, 0].any() and block[:, -1].any()
+        for i, j in zip(*np.nonzero(block)):
+            cell = (i0 + i, j0 + j)
+            assert cell not in covered
+            covered[cell] = (cell[0] + dr, cell[1] + dc)
+    per_node = {(i, j): (i + row_shift[i], j + col_shifts[row_class[i]][j])
+                for i, j in zip(*np.nonzero(occupied))}
+    assert covered == per_node
+
+
+@pytest.mark.parametrize("drop", ["interior", "edge"])
+def test_corrupted_next_layer_raises_on_grid_action(drop):
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=2, Q=2,
+                      collapse=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    bins = tree.layers[2][1]
+    # an interior node leaves a hole in the box; the last one shrinks it
+    gone = len(bins) // 2 if drop == "interior" else len(bins) - 1
+    layer, lattice = solver.collapse_layer(np.delete(bins, gone, axis=0),
+                                           tree.bin_widths)
+    tree.layers[2], tree.lattices[2] = layer, lattice
+    with pytest.raises(NumericalError, match="mismatch"):
+        backward_dp(tree)
