@@ -102,47 +102,9 @@ def rollout(structure, control, path: SkeletonPath, payoff=None,
 
 def mc_value(structure, payoff, control, skel_cfg: SkeletonConfig, N: int,
              seed: int, threads: int = 1, antithetic: bool = False) -> MCResult:
-    """Sample mean and standard error of the payoff under a control.
-
-    Work is split into fixed-size chunks keyed by (seed, chunk index); the
-    reduction runs in chunk order, so the result is bit-identical for any
-    thread count.
-    """
-    if N < 2:
-        raise ConfigurationError("mc_value needs N >= 2")
-    chunks = [(c, min(_CHUNK, N - c * _CHUNK)) for c in range((N + _CHUNK - 1) // _CHUNK)]
-
-    def run_chunk(arg):
-        cidx, size = arg
-        s = 0.0
-        s2 = 0.0
-        for i in range(size):
-            path_seed = (seed * 1_000_003 + cidx * _CHUNK + i) % 2**63
-            path = sample_skeleton(skel_cfg, path_seed)
-            if antithetic:
-                flipped = SkeletonPath(path.epsilon_k, path.d, path.delta_t,
-                                       path.coords, -path.signs)
-                v = 0.5 * (rollout(structure, control, path, payoff).payoff
-                           + rollout(structure, control, flipped, payoff).payoff)
-            else:
-                v = rollout(structure, control, path, payoff).payoff
-            s += v
-            s2 += v * v
-        return s, s2
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(c) for c in chunks]
-    total = 0.0
-    total2 = 0.0
-    for s, s2 in parts:          # fixed order regardless of executor
-        total += s
-        total2 += s2
-    mean = total / N
-    var = max(total2 / N - mean * mean, 0.0) * N / (N - 1)
-    return MCResult(mean, math.sqrt(var / N), N)
+    """Sample mean and standard error of the payoff under a control."""
+    return _mc_value(structure, payoff, lambda path: control, skel_cfg, N, seed,
+                     threads, antithetic)
 
 
 def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
@@ -162,14 +124,25 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
         acts = extract_policy_control(result, tree, path)
         return lambda depth, state, s: float(acts[min(depth, len(acts) - 1)])
 
-    return _mc_value_per_path(structure, payoff, control_factory, skel_cfg,
-                              N, seed, threads)
+    return _mc_value(structure, payoff, control_factory, skel_cfg, N, seed,
+                     threads)
 
 
-def _mc_value_per_path(structure, payoff, control_factory,
-                       skel_cfg: SkeletonConfig, N: int, seed: int,
-                       threads: int) -> MCResult:
+def _mc_value(structure, payoff, control_factory, skel_cfg: SkeletonConfig,
+              N: int, seed: int, threads: int,
+              antithetic: bool = False) -> MCResult:
+    """Chunked Monte Carlo of rollouts under control_factory(path).
+
+    Work is split into fixed-size chunks keyed by (seed, chunk index); the
+    reduction runs in chunk order, so the result is bit-identical for any
+    thread count.
+    """
+    if N < 2:
+        raise ConfigurationError("mc_value needs N >= 2")
     chunks = [(c, min(_CHUNK, N - c * _CHUNK)) for c in range((N + _CHUNK - 1) // _CHUNK)]
+
+    def value(path):
+        return rollout(structure, control_factory(path), path, payoff).payoff
 
     def run_chunk(arg):
         cidx, size = arg
@@ -177,7 +150,12 @@ def _mc_value_per_path(structure, payoff, control_factory,
         for i in range(size):
             path_seed = (seed * 1_000_003 + cidx * _CHUNK + i) % 2**63
             path = sample_skeleton(skel_cfg, path_seed)
-            v = rollout(structure, control_factory(path), path, payoff).payoff
+            if antithetic:
+                flipped = SkeletonPath(path.epsilon_k, path.d, path.delta_t,
+                                       path.coords, -path.signs)
+                v = 0.5 * (value(path) + value(flipped))
+            else:
+                v = value(path)
             s += v
             s2 += v * v
         return s, s2
@@ -188,7 +166,7 @@ def _mc_value_per_path(structure, payoff, control_factory,
     else:
         parts = [run_chunk(c) for c in chunks]
     total = total2 = 0.0
-    for s, s2 in parts:
+    for s, s2 in parts:          # fixed order regardless of executor
         total += s
         total2 += s2
     mean = total / N

@@ -20,7 +20,13 @@ and one pair of tables Phi/Omega on (0, 1] serves every evaluation.  The
 (u-s)^{H-3/2} endpoint singularities are removed exactly by the power
 substitution w = (u-s)^{H-1/2} (the integrand becomes analytic), and the
 s -> 0 blow-up never enters because step paths vanish before their first
-event.
+event.  Each Phi value is one array evaluation: the Gauss nodes of all
+panels (and, inside them, of every inner integral) form one array, and the
+panel totals are added in panel order.  Powers of a single number per node,
+(t-s)^{H-1/2} and w^{-H-1/2}, go through libm pow element by element
+(_libm_pow): numpy's SIMD array power can differ from libm in the last bit,
+and the table is kept bit-identical to one built with a scalar pow per node.
+Powers taken over node arrays, w^q and u^{H-1/2}, stay array powers.
 
 Against a piecewise-constant skeleton path A (jumps eps*sigma_n at T_n):
 
@@ -31,6 +37,8 @@ and W^k_H freezes B^k_H at skeleton times.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +54,33 @@ def _check_H(H: float):
         raise ConfigurationError(f"H must lie in (1/2, 1), got {H}")
 
 
-def inner_kernel_integral(t: float, s: float, H: float) -> float:
-    """int_s^t u^{H-1/2} (u-s)^{H-3/2} du, regularized by w = (u-s)^{H-1/2}."""
+def _libm_pow(x, p: float) -> np.ndarray:
+    """x**p element by element through libm pow, as a scalar power computes it."""
+    x = np.asarray(x, dtype=float)
+    vals = map(math.pow, x.ravel().tolist(), itertools.repeat(p))
+    return np.fromiter(vals, float, x.size).reshape(x.shape)
+
+
+def inner_kernel_integral(t: float, s, H: float):
+    """int_s^t u^{H-1/2} (u-s)^{H-3/2} du, regularized by w = (u-s)^{H-1/2}.
+
+    s may be an array of lower limits: every Gauss node of every s is
+    evaluated in one (..., 64) expression.  Zero wherever t <= s.
+    """
     _check_H(H)
-    if t <= s:
-        return 0.0
+    s = np.asarray(s, dtype=float)
     q = 1.0 / (H - 0.5)
-    wmax = (t - s) ** (H - 0.5)
-    w = 0.5 * wmax * (1.0 + _GX)
-    u = s + w**q
-    return float(0.5 * wmax * q * np.sum(_GW * u ** (H - 0.5)))
+    wmax = _libm_pow(np.maximum(t - s, 0.0), H - 0.5)
+    # u = s + w^q at the nodes w = wmax (1 + x) / 2, weighted u^{H-1/2};
+    # in place, since these temporaries are (..., 64) times larger than s
+    u = (0.5 * wmax)[..., None] * (1.0 + _GX)
+    np.power(u, q, out=u)
+    u += s[..., None]
+    np.power(u, H - 0.5, out=u)
+    u *= _GW
+    val = 0.5 * wmax * q * np.sum(u, axis=-1)
+    val = np.where(t > s, val, 0.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def rho_H(t: float, s: float, H: float, d_H: float = 1.0) -> float:
@@ -68,6 +93,13 @@ def rho_H(t: float, s: float, H: float, d_H: float = 1.0) -> float:
                   - s ** (-H - 0.5) * t ** (H + 0.5) * (t - s) ** (H - 1.5))
 
 
+def _panel_nodes(edges: np.ndarray):
+    """Gauss nodes of every panel between consecutive edges, and half-widths."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * _GX, half
+
+
 def _phi_exact(x: float, H: float, d_H: float) -> float:
     """Phi(x) = int_x^1 rho_H(1, w) dw with both singular ends handled."""
     if x >= 1.0:
@@ -76,25 +108,23 @@ def _phi_exact(x: float, H: float, d_H: float) -> float:
     q = 1.0 / (H - 0.5)
     # singular piece: -dph int_x^1 w^{-H-1/2}(1-w)^{H-3/2} dw, sub 1-w = z^q
     zmax = (1.0 - x) ** (H - 0.5)
-    edges = np.linspace(0.0, zmax, 9)
+    z, half = _panel_nodes(np.linspace(0.0, zmax, 9))
+    w = np.maximum(1.0 - z**q, x)
+    sums = np.sum(_GW * w ** (-H - 0.5), axis=-1)
     tot_s = 0.0
-    for i in range(8):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        z = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
-        w = np.maximum(1.0 - z**q, x)
-        tot_s += half * float(np.sum(_GW * w ** (-H - 0.5)))
+    for h, s in zip(half.tolist(), sums.tolist()):   # panel order
+        tot_s += h * s
     sing = -dph * q * tot_s
     # regular piece: dph (H-1/2) w^{-H-1/2} * inner(1, w); graded toward w = 0
     npan = 24
     lo = max(x, 1e-14)
     edges = np.geomspace(lo, 1.0, npan + 1) if lo < 0.25 else np.linspace(lo, 1.0, npan + 1)
+    w, half = _panel_nodes(edges)
+    vals = _libm_pow(w, -H - 0.5) * inner_kernel_integral(1.0, w, H)
+    sums = np.sum(_GW * vals, axis=-1)
     tot_r = 0.0
-    for i in range(npan):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        w = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
-        vals = np.array([w_i ** (-H - 0.5) * inner_kernel_integral(1.0, w_i, H)
-                         for w_i in w])
-        tot_r += half * float(np.sum(_GW * vals))
+    for h, s in zip(half.tolist(), sums.tolist()):
+        tot_r += h * s
     return sing + dph * (H - 0.5) * tot_r
 
 
@@ -216,9 +246,13 @@ def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times,
     table = get_table(H, d_H)
     t_fine = np.asarray(t_fine, dtype=float)
     b_fine = np.asarray(b_fine, dtype=float)
+    eval_times = np.asarray(eval_times, dtype=float)
+    if np.any(eval_times > t_fine[-1]):
+        raise ConfigurationError(
+            f"eval time {eval_times.max()} lies past the fine path's end {t_fine[-1]}")
     slopes = np.diff(b_fine) / np.diff(t_fine)
     out = np.zeros(len(eval_times))
-    for i, t in enumerate(np.asarray(eval_times, dtype=float)):
+    for i, t in enumerate(eval_times):
         if t <= t_fine[0]:
             continue
         k = int(np.searchsorted(t_fine, t, side="left"))

@@ -506,12 +506,7 @@ def stage_g_truncated(a: float, t_elapsed: float, spec: PortfolioSpec, eps: floa
     """g with the density replaced by its n-term partial sum."""
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    T = spec.horizon_T
-    g = spec.gamma_util
-    sg = spec.sigma_k(t_elapsed)
-    upper = (T - t_elapsed) * eps**-2
-    q = stage_p(a, t_elapsed, spec) * eps**2
-    return math.cosh(g * sg * eps * a) / g * _exp_weighted_integral(q, upper, n)
+    return stage_g(a, t_elapsed, spec, eps, n_terms=n)
 
 
 def stage_truncation_gap(a: float, t_elapsed: float, spec: PortfolioSpec,

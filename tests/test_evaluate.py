@@ -8,13 +8,14 @@ from skeldp import evaluate
 from skeldp.errors import ConfigurationError, ResourceCapError
 from skeldp.evaluate import (MertonRef, PolicyControl, convergence_sweep,
                              enumerate_oracle, mc_value, merton_oracle,
-                             portfolio_policy_rollouts, project_control, q_slack,
-                             rollout)
+                             policy_mc_value, portfolio_policy_rollouts,
+                             project_control, q_slack, rollout)
 from skeldp.kernel import discretize_kernel
 from skeldp.skeleton import SkeletonConfig, sample_skeleton
 from skeldp.solver import SolveConfig, backward_dp, build_tree
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
-                               PortfolioStructure, power_utility_payoff)
+                               PortfolioStructure, power_utility_payoff,
+                               structure_from_config)
 
 
 def pstruct(eps=1.0 / 3, **kw):
@@ -80,6 +81,45 @@ def test_mc_antithetic_consistent():
     plain = mc_value(struct, payoff, 0.5, cfg, 6000, seed=21)
     anti = mc_value(struct, payoff, 0.5, cfg, 6000, seed=21, antithetic=True)
     assert abs(anti.mean - plain.mean) <= 3 * (plain.se + anti.se)
+
+
+def test_mc_antithetic_threads_bit_identical(monkeypatch):
+    monkeypatch.setattr(evaluate, "_CHUNK", 64)    # 300 paths in 5 chunks
+    struct, payoff = pstruct()
+    cfg = SkeletonConfig(1.0 / 3, 1, 1.0, 4)
+    got = [mc_value(struct, payoff, 0.5, cfg, 300, seed=9, threads=t, antithetic=True)
+           for t in (1, 2)]
+    # recorded before mc_value and the per-path loop were merged
+    want = (2.0153002453962507, 0.0003563908691518748, 300)
+    assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
+
+
+def test_policy_mc_value_threads_bit_identical_both_modes(monkeypatch):
+    monkeypatch.setattr(evaluate, "_CHUNK", 64)    # 300 paths in 5 chunks
+    struct, payoff = pstruct()
+    eps = 1.0 / 3
+    tree = build_tree(struct, payoff, eps, SolveConfig(
+        action_grid=np.linspace(-1, 1, 5), depth=3, Q=2, collapse=True))
+    res = backward_dp(tree)
+    skel = SkeletonConfig(eps, 1, 1.0, 3)
+    col = [policy_mc_value(struct, payoff, res, tree, skel, 300, 4, threads=t)
+           for t in (1, 2)]
+    sde, sde_payoff = structure_from_config(
+        {"kind": "pd_sde", "drift": {"name": "linear", "scale": 0.2},
+         "diffusion": {"name": "constant", "value": 0.6}, "x0": [0.5],
+         "payoff": {"name": "running_max_tanh"}}, 0.5, 2.0)
+    ftree = build_tree(sde, sde_payoff, 0.5, SolveConfig(
+        action_grid=np.array([-1.0, 0.0, 1.0]), depth=3, Q=2))
+    fres = backward_dp(ftree)
+    fskel = SkeletonConfig(0.5, 1, 2.0, 3)
+    full = [policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 300, 7, threads=t)
+            for t in (1, 2)]
+    # recorded before mc_value and the per-path loop were merged
+    for got, want in ((col, (2.00480373762468, 0.004934212022353944, 300)),
+                      (full, (0.6553076496027984, 0.009124625201747436, 300))):
+        assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
+    with pytest.raises(ConfigurationError):
+        policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 1, 7)
 
 
 def test_enumerate_depth_one_by_hand():

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from skeldp import fbm
 from skeldp.errors import ConfigurationError
@@ -13,6 +15,52 @@ def unit(s):
     return np.array([s], dtype=np.int64)
 
 
+# SHA-256 of FbmTable(0.75)._phi.tobytes(), recorded on the scalar
+# per-node quadrature below before the table was batched.
+PHI_075_SHA256 = "c5a8b846f4ec5485ce67828dc25627d9f8e4d808e2552639ec16c3b150091803"
+
+_GX, _GW = leggauss(64)
+
+
+def scalar_inner_kernel_integral(t, s, H):
+    """Reference: the inner integral for one lower limit, one node at a time."""
+    if t <= s:
+        return 0.0
+    q = 1.0 / (H - 0.5)
+    wmax = (t - s) ** (H - 0.5)
+    w = 0.5 * wmax * (1.0 + _GX)
+    u = s + w**q
+    return float(0.5 * wmax * q * np.sum(_GW * u ** (H - 0.5)))
+
+
+def scalar_phi_exact(x, H, d_H):
+    """Reference: Phi(x) panel by panel with scalar inner integrals."""
+    if x >= 1.0:
+        return 0.0
+    dph = (H - 0.5) * d_H
+    q = 1.0 / (H - 0.5)
+    zmax = (1.0 - x) ** (H - 0.5)
+    edges = np.linspace(0.0, zmax, 9)
+    tot_s = 0.0
+    for i in range(8):
+        half = 0.5 * (edges[i + 1] - edges[i])
+        z = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
+        w = np.maximum(1.0 - z**q, x)
+        tot_s += half * float(np.sum(_GW * w ** (-H - 0.5)))
+    sing = -dph * q * tot_s
+    npan = 24
+    lo = max(x, 1e-14)
+    edges = np.geomspace(lo, 1.0, npan + 1) if lo < 0.25 else np.linspace(lo, 1.0, npan + 1)
+    tot_r = 0.0
+    for i in range(npan):
+        half = 0.5 * (edges[i + 1] - edges[i])
+        w = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
+        vals = np.array([w_i ** (-H - 0.5) * scalar_inner_kernel_integral(1.0, w_i, H)
+                         for w_i in w])
+        tot_r += half * float(np.sum(_GW * vals))
+    return sing + dph * (H - 0.5) * tot_r
+
+
 def test_rho_domain_checks():
     with pytest.raises(ConfigurationError):
         fbm.rho_H(1.0, 0.5, H=0.4)
@@ -21,6 +69,38 @@ def test_rho_domain_checks():
     with pytest.raises(ConfigurationError):
         fbm.rho_H(0.5, 0.0, H=0.75)
     assert math.isfinite(fbm.rho_H(1.0, 0.5, H=0.75))
+
+
+def test_phi_table_bits_pinned():
+    phi = fbm.get_table(0.75)._phi
+    assert len(phi) == 1201
+    assert hashlib.sha256(phi.tobytes()).hexdigest() == PHI_075_SHA256
+
+
+# x < 0.25 grades the regular panels geometrically, x >= 0.25 linearly
+PHI_POINTS = np.array([0.0, 1e-10, 3e-7, 1e-4, 0.01, 0.1, 0.2, 0.2499,
+                       0.25, 0.31, 0.5, 0.77, 0.95, 1 - 1e-5, 1 - 1e-8])
+
+
+@pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
+def test_phi_exact_bit_identical_to_scalar_quadrature(H):
+    for x in PHI_POINTS:
+        assert fbm._phi_exact(x, H, 1.3) == scalar_phi_exact(x, H, 1.3), x
+
+
+@pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
+def test_inner_kernel_integral_array_matches_scalar_calls(H):
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.0, 1.2, size=(4, 50))    # some s past t = 1: zero
+    s[0, 0] = 1.0
+    got = fbm.inner_kernel_integral(1.0, s, H)
+    assert got.shape == s.shape
+    for idx, s_i in np.ndenumerate(s):
+        assert got[idx] == fbm.inner_kernel_integral(1.0, s_i, H)
+        assert got[idx] == scalar_inner_kernel_integral(1.0, s_i, H)
+    assert np.all(got[s >= 1.0] == 0.0) and np.all(got[s < 1.0] > 0.0)
+    with pytest.raises(ConfigurationError):
+        fbm.inner_kernel_integral(1.0, s, 1.0)
 
 
 def test_phi_table_matches_pointwise_kernel():
@@ -48,6 +128,15 @@ def test_representation_reproduces_fbm_covariance():
         cov = np.trapezoid(table.phi(gs) * u**(H - 0.5) * table.phi(gs / u), gs)
         expect = 0.5 * (1 + u**(2 * H) - (1 - u)**(2 * H))
         assert cov / var1 == pytest.approx(expect, abs=2e-3)
+
+
+def test_fine_reference_refuses_eval_past_path_end():
+    t_fine = np.linspace(0.0, 1.0, 11)
+    b_fine = np.cos(t_fine)
+    out = fbm.fbm_ref_from_fine_path(t_fine, b_fine, 0.75, [0.5, 1.0])
+    assert np.all(np.isfinite(out))
+    with pytest.raises(ConfigurationError, match="past the fine path"):
+        fbm.fbm_ref_from_fine_path(t_fine, b_fine, 0.75, [0.5, 1.05])
 
 
 def test_w_starts_at_zero():

@@ -317,6 +317,13 @@ def test_stage_g_time_domain_errors():
         stage_g_truncated(0.0, 0.5, spec, 0.5, 0)
 
 
+def test_stage_g_truncated_refuses_horizon():
+    spec = pspec()
+    for t in (spec.horizon_T, spec.horizon_T + 0.5):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            stage_g_truncated(0.0, t, spec, 0.5, 3)
+
+
 # ---------------------------------------------------------------------------
 # non-anticipativity (all structures)
 # ---------------------------------------------------------------------------
