@@ -25,7 +25,7 @@ from . import density
 from .errors import ConfigurationError, ResourceCapError
 from .skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from .solver import (SolveConfig, SolveResult, Tree, backward_dp, build_tree,
-                     extract_policy_control, nearest_bin_index, _pack, _quantize)
+                     extract_policy_control, nearest_bin_index, _quantize)
 from .structures import PortfolioSpec, PortfolioStructure, power_utility_payoff
 
 __all__ = [
@@ -75,9 +75,9 @@ class PolicyControl:
             return float(self.result.policy.layers[-1][1][0])
         if self.tree.mode == "collapse":
             stat = np.asarray(structure.sufficient_statistic(state), dtype=float)
-            bins = _quantize(stat[None, :], self.tree.bin_widths)[0]
+            bins = _quantize(stat[None, :], self.tree.bin_widths)
             packed, layer_bins, _ = self.tree.layers[depth]
-            i = nearest_bin_index(packed, layer_bins, bins)
+            i = nearest_bin_index(packed, layer_bins, bins)[0]
             return float(self.result.policy.layers[depth][1][i])
         raise ConfigurationError("PolicyControl requires a collapsed tree; "
                                  "use extract_policy_control for full trees")
@@ -328,10 +328,16 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
 
     Statistics evolve exactly (continuous delta-t draws); only the policy
     lookup passes through the solve-time bins, with nearest-populated-bin
-    fallback.  Matches scalar rollout() with a PolicyControl bit for bit.
+    fallback.  On the same draws, scalar rollout() with a PolicyControl
+    reaches bit-identical terminal statistics (so the same lookups and
+    actions); the payoffs agree to a few ulps, as payoff_stats takes
+    exp(gamma * lw) / gamma where power_utility_payoff takes
+    exp(lw)**gamma / gamma.
     """
     if tree.mode != "collapse":
         raise ConfigurationError("vectorized rollouts need a collapsed tree")
+    if n_paths < 2:
+        raise ConfigurationError("portfolio_policy_rollouts needs n_paths >= 2")
     ops = PortfolioStructure(spec, eps_k).collapse_ops()
     depth = tree.cfg.depth
     widths = tree.bin_widths
@@ -348,14 +354,8 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
         sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
         stats = np.tile(ops.stat0(), (size, 1))
         for n in range(depth):
-            bins = _quantize(stats, widths)
             packed, layer_bins, _ = tree.layers[n]
-            keys = _pack(bins)
-            idx = np.clip(np.searchsorted(packed, keys), 0, len(packed) - 1)
-            miss = packed[idx] != keys
-            if miss.any():
-                for i in np.flatnonzero(miss):
-                    idx[i] = nearest_bin_index(packed, layer_bins, bins[i])
+            idx = nearest_bin_index(packed, layer_bins, _quantize(stats, widths))
             acts = np.asarray(result.policy.layers[n][1])[idx]
             stats = ops.step_stats(stats, acts, dts[:, n], sgns[:, n])
         return ops.payoff_stats(stats)

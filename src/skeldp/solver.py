@@ -759,18 +759,27 @@ def vertical_gradient(F_n: float, F_prev: float, sign_vec, j: int,
 # ---------------------------------------------------------------------------
 
 def nearest_bin_index(layer_packed: np.ndarray, layer_bins: np.ndarray,
-                      query_bins: np.ndarray) -> int:
-    """Index of the populated bin closest to query (time-major, then state)."""
-    key = _pack(query_bins[None, :])[0]
-    i = int(np.searchsorted(layer_packed, key))
-    if i < len(layer_packed) and layer_packed[i] == key:
-        return i
-    # candidate window around the insertion point plus same-time extremes
-    cand = np.unique(np.clip(np.arange(i - 4, i + 5), 0, len(layer_packed) - 1))
-    diffs = layer_bins[cand].astype(float) - query_bins.astype(float)
-    # time mismatch dominates state mismatch
-    score = np.abs(diffs[:, 0]) * 1e6 + np.sum(np.abs(diffs[:, 1:]), axis=1)
-    return int(cand[np.argmin(score)])
+                      query_bins: np.ndarray) -> np.ndarray:
+    """Node index of the populated bin closest to each (M, k) query row.
+
+    A query bin on the layer returns its own node.  A miss scores the nine
+    keys around its insertion point (clipped to the layer) by
+    |dt| * 1e6 + L1 state distance, so time mismatch dominates, and takes
+    the first minimum; the window is sorted, so the duplicates clipping
+    makes never change the pick.
+    """
+    keys = _pack(query_bins)
+    at = np.searchsorted(layer_packed, keys)
+    last = len(layer_packed) - 1
+    idx = np.minimum(at, last)
+    miss = np.flatnonzero(layer_packed[idx] != keys)
+    if len(miss):
+        cand = np.clip(at[miss, None] + np.arange(-4, 5), 0, last)
+        diffs = np.abs(layer_bins[cand].astype(float)
+                       - query_bins[miss, None, :].astype(float))
+        score = diffs[:, :, 0] * 1e6 + np.sum(diffs[:, :, 1:], axis=2)
+        idx[miss] = cand[np.arange(len(miss)), np.argmin(score, axis=1)]
+    return idx
 
 
 def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
@@ -801,9 +810,9 @@ def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
     state = tree.structure.init()
     for n in range(depth):
         stat = np.asarray(tree.structure.sufficient_statistic(state), dtype=float)
-        bins = _quantize(stat[None, :], widths)[0]
+        bins = _quantize(stat[None, :], widths)
         packed, layer_bins, _ = tree.layers[n]
-        i = nearest_bin_index(packed, layer_bins, bins)
+        i = nearest_bin_index(packed, layer_bins, bins)[0]
         actions[n] = float(result.policy.layers[n][1][i])
         state = tree.structure.step(state, actions[n], float(path.delta_t[n]),
                                     _unit(int(path.coords[n]), int(path.signs[n]),

@@ -178,6 +178,19 @@ def test_portfolio_epsilon_flag_sets_budget(tmp_path):
     assert summary["eps_k"] == pytest.approx(1.0 / 3)
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_portfolio_too_few_paths_exit_1(tmp_path, capsys, n_paths):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["evaluate"]["n_paths"] = n_paths
+    out = str(tmp_path / "p")
+    assert main(["portfolio", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "n_paths" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "portfolio_summary.json"))
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["sweep"] = {"eps_list": [0.5, 1.0 / 3]}

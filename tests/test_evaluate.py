@@ -1,18 +1,20 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from skeldp import evaluate
+from skeldp import density, evaluate, structures
 from skeldp.errors import ConfigurationError, ResourceCapError
 from skeldp.evaluate import (MertonRef, PolicyControl, convergence_sweep,
                              enumerate_oracle, mc_value, merton_oracle,
                              policy_mc_value, portfolio_policy_rollouts,
                              project_control, q_slack, rollout)
 from skeldp.kernel import discretize_kernel
-from skeldp.skeleton import SkeletonConfig, sample_skeleton
-from skeldp.solver import SolveConfig, backward_dp, build_tree
+from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
+from skeldp.solver import (SolveConfig, _pack, backward_dp, build_tree,
+                           extract_policy_control)
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
                                PortfolioStructure, power_utility_payoff,
                                structure_from_config)
@@ -67,7 +69,8 @@ def test_mc_ci_scaling():
     assert m2.ci_half == pytest.approx(0.5 * m1.ci_half, rel=0.2)
 
 
-def test_mc_threads_bit_identical():
+def test_mc_threads_bit_identical(monkeypatch):
+    monkeypatch.setattr(evaluate, "_CHUNK", 64)    # 600 paths in 10 chunks
     struct, payoff = pstruct()
     cfg = SkeletonConfig(1.0 / 3, 1, 1.0, 4)
     a = mc_value(struct, payoff, 0.5, cfg, 600, seed=9, threads=1)
@@ -188,6 +191,73 @@ def test_policy_rollout_against_root_value_module_scale():
     se = pay.std(ddof=1) / math.sqrt(len(pay))
     slack = q_slack(struct, payoff, eps, cfg)
     assert res.report.root_value - pay.mean() <= 0.01 + 3 * se + slack + 2e-3
+
+
+@pytest.fixture(scope="module")
+def desk5():
+    eps = 1.0 / 3
+    struct, payoff = pstruct(eps)
+    tree = build_tree(struct, payoff, eps, SolveConfig(
+        action_grid=np.linspace(-1, 1, 21), depth=5, Q=4, collapse=True))
+    return struct, payoff, tree, backward_dp(tree)
+
+
+def test_policy_rollouts_pinned(desk5):
+    struct, _, tree, res = desk5
+    pay = portfolio_policy_rollouts(struct.spec, 1.0 / 3, res, tree, 20_000, seed=3)
+    # recorded while misses were still looked up one path at a time
+    assert hashlib.sha256(pay.tobytes()).hexdigest() == (
+        "9c229fd5781e3898a2aee91556acee583e29d8d5f7d0261c6aebcebd096a5411")
+
+
+def test_policy_rollouts_match_scalar_policy_control(desk5, monkeypatch):
+    struct, payoff, tree, res = desk5
+    eps, n, seed, depth = 1.0 / 3, 500, 3, tree.cfg.depth
+    misses = {"vector": 0, "scalar": 0}
+    side = "vector"
+    lookup = evaluate.nearest_bin_index
+
+    def counting_lookup(packed, bins, queries):
+        misses[side] += int(np.sum(~np.isin(_pack(queries), packed)))
+        return lookup(packed, bins, queries)
+
+    monkeypatch.setattr(evaluate, "nearest_bin_index", counting_lookup)
+    final = []
+    payoff_stats = structures._PortfolioCollapse.payoff_stats
+
+    def keeping_payoff_stats(ops, stats):
+        final.append(stats)
+        return payoff_stats(ops, stats)
+
+    monkeypatch.setattr(structures._PortfolioCollapse, "payoff_stats",
+                        keeping_payoff_stats)
+    pay = portfolio_policy_rollouts(struct.spec, eps, res, tree, n, seed)
+    # the same draws as the rollouts' chunk 0
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 40_000], dtype=np.uint64)))
+    u = gen.random((n, depth, 2))
+    dts = eps**2 * density.inverse_cdf_tau(np.clip(u[:, :, 0], 1e-16, 1 - 1e-16))
+    sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
+    side = "scalar"
+    control = PolicyControl(res, tree)
+    paths = [SkeletonPath(eps, 1, dts[p], np.ones(depth, dtype=np.int64), sgns[p])
+             for p in range(n)]
+    runs = [rollout(struct, control, path, payoff) for path in paths]
+    for path, run in zip(paths, runs):
+        assert np.array_equal(extract_policy_control(res, tree, path), run.actions)
+    stats = np.array([struct.sufficient_statistic(r.state) for r in runs])
+    assert np.array_equal(stats, final[0])
+    scalar_pay = np.array([r.payoff for r in runs])
+    # exp(g * lw) / g against exp(lw)**g / g
+    assert np.all(np.abs(scalar_pay - pay) <= 4 * np.spacing(pay))
+    assert misses["vector"] == misses["scalar"] > 0
+
+
+def test_policy_rollouts_refuse_fewer_than_two_paths(desk5):
+    struct, _, tree, res = desk5
+    for n in (1, 0, -3):
+        with pytest.raises(ConfigurationError, match="n_paths >= 2"):
+            portfolio_policy_rollouts(struct.spec, 1.0 / 3, res, tree, n, seed=3)
 
 
 def test_sweep_no_noise_root_independent_of_eps():

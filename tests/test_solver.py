@@ -318,6 +318,61 @@ def test_lattice_miss_rule_matches_packed_order():
     assert np.array_equal(lattice2.rank, lattice.rank)
 
 
+def _scalar_nearest_bin_index(layer_packed, layer_bins, query_bins):
+    """One query at a time, as nearest_bin_index did before it was batched."""
+    key = solver._pack(query_bins[None, :])[0]
+    i = int(np.searchsorted(layer_packed, key))
+    if i < len(layer_packed) and layer_packed[i] == key:
+        return i
+    cand = np.unique(np.clip(np.arange(i - 4, i + 5), 0, len(layer_packed) - 1))
+    diffs = layer_bins[cand].astype(float) - query_bins.astype(float)
+    score = np.abs(diffs[:, 0]) * 1e6 + np.sum(np.abs(diffs[:, 1:]), axis=1)
+    return int(cand[np.argmin(score)])
+
+
+def _nearest_queries(rng, bins):
+    """Hits, near misses, and queries off the layer's box on every side."""
+    lo, hi = bins.min(axis=0), bins.max(axis=0)
+    pick = bins[rng.integers(0, len(bins), 300)]
+    near = pick + rng.integers(-3, 4, pick.shape)
+    off = []
+    for c in range(bins.shape[1]):
+        for edge, sign in ((lo, -1), (hi, 1)):
+            q = bins[rng.integers(0, len(bins), 60)].copy()
+            q[:, c] = edge[c] + sign * rng.integers(1, 40, 60)
+            off.append(q)
+    return np.concatenate([pick, near, bins[:3], bins[-3:],
+                           bins[:3] - 1, bins[-3:] + 1] + off)
+
+
+def test_batched_nearest_bin_index_matches_scalar_rule():
+    rng = np.random.default_rng(17)
+    struct, payoff = pstruct()
+    tree = build_tree(struct, payoff, 1.0 / 3, SolveConfig(
+        action_grid=np.linspace(-1, 1, 9), depth=4, Q=2, collapse=True))
+    layers = [(packed, bins) for packed, bins, _ in tree.layers]
+    assert len(layers[0][0]) == 1                       # the one-node root layer
+    # three statistic components, in packed order
+    bins3 = np.unique(rng.integers(-6, 7, (150, 3)), axis=0)
+    layers.append((solver._pack(bins3), bins3))
+    hits = misses = clipped_low = clipped_high = 0
+    for packed, bins in layers:
+        assert np.all(np.diff(packed) > 0)
+        queries = _nearest_queries(rng, bins)
+        got = solver.nearest_bin_index(packed, bins, queries)
+        want = [_scalar_nearest_bin_index(packed, bins, q) for q in queries]
+        assert got.shape == (len(queries),)
+        assert np.array_equal(got, want)
+        keys = solver._pack(queries)
+        at = np.searchsorted(packed, keys)
+        miss = ~np.isin(keys, packed)
+        hits += np.sum(~miss)
+        misses += np.sum(miss)
+        clipped_low += np.sum(miss & (at < 4))
+        clipped_high += np.sum(miss & (at > len(packed) - 5))
+    assert min(hits, misses, clipped_low, clipped_high) > 0
+
+
 def _per_node_reference(struct, eps, cfg):
     """Collapse DP with every child from a per-node step_stats + _quantize.
 
