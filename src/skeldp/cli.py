@@ -123,6 +123,14 @@ def _solve_cfg(section: dict, eps_total_override: float | None = None) -> solver
     return solver.SolveConfig(action_grid=grid, **kwargs)
 
 
+def _n_paths(esec: dict) -> int:
+    """evaluate.n_paths, refused below 2 before any solve runs."""
+    n_paths = int(esec.get("n_paths", 10_000))
+    if n_paths < 2:
+        raise ConfigurationError(f"evaluate needs n_paths >= 2, got {n_paths}")
+    return n_paths
+
+
 def _problem(cfg: dict, skel: skeleton.SkeletonConfig):
     return structures.structure_from_config(cfg, skel.epsilon_k, skel.horizon_T)
 
@@ -204,8 +212,9 @@ def cmd_kernel(args) -> int:
 def _dump_tables(out: str, res: solver.SolveResult, tree: solver.Tree):
     rows = [["depth", "node_key", "value", "action"]]
     if tree.mode == "collapse":
-        for depth, (packed, values) in enumerate(res.values.layers):
-            actions = (res.policy.layers[depth][1]
+        for depth, values in enumerate(res.values.layers):
+            packed = solver._pack(tree.layers[depth].bins)
+            actions = (res.policy.layers[depth]
                        if depth < len(res.policy.layers) else None)
             for i in range(len(packed)):
                 rows.append([depth, int(packed[i]), _fmt(values[i]),
@@ -276,23 +285,22 @@ def _policy_from_csv(path: str, tree: "solver.Tree") -> solver.SolveResult:
             (int(key_s), float(value_s), float(action_s) if action_s else math.nan))
     depth_max = max(per_depth)
     value_layers, policy_layers = [], []
-    tree.layers, tree.lattices = [], []
+    tree.layers = []
     for depth in range(depth_max + 1):
         entries = sorted(per_depth.get(depth, []))
         packed = np.array([e[0] for e in entries], dtype=np.int64)
-        value_layers.append((packed, np.array([e[1] for e in entries])))
+        value_layers.append(np.array([e[1] for e in entries]))
         if depth < depth_max:
-            policy_layers.append((packed, np.array([e[2] for e in entries])))
+            policy_layers.append(np.array([e[2] for e in entries]))
         # the tree layers drive nearest-bin lookups during evaluation
-        layer, lattice = solver.layer_from_keys(packed, tree.bin_widths)
-        tree.layers.append(layer)
-        tree.lattices.append(lattice)
+        tree.layers.append(solver.Lattice.over(
+            solver._unpack(packed, len(tree.bin_widths))))
     rep = solver.SolveReport(
-        root_value=float(value_layers[0][1][0]),
-        root_action=float(policy_layers[0][1][0]) if policy_layers else math.nan,
+        root_value=float(value_layers[0][0]),
+        root_action=float(policy_layers[0][0]) if policy_layers else math.nan,
         certified_epsilon=math.nan, stage_slack=math.nan, grid_term=math.nan,
         refined_gain_max=math.nan,
-        node_counts=[len(v[0]) for v in value_layers],
+        node_counts=[len(v) for v in value_layers],
         depth=depth_max, Q=tree.cfg.Q, eps_k=tree.eps_k)
     return solver.SolveResult(solver.ValueTable("collapse", value_layers),
                               solver.Policy("collapse", policy_layers), rep)
@@ -307,7 +315,7 @@ def cmd_evaluate(args) -> int:
     scfg = _solve_cfg(cfg["solve"], args.epsilon)
     esec = cfg.get("evaluate", {})
     _require_keys(esec, {"n_paths", "antithetic", "policy_csv"}, "evaluate")
-    n_paths = int(esec.get("n_paths", 10_000))
+    n_paths = _n_paths(esec)
     if esec.get("policy_csv"):
         if not scfg.collapse:
             raise ConfigurationError("policy_csv evaluation needs collapse mode")
@@ -398,7 +406,7 @@ def cmd_portfolio(args) -> int:
     scfg = _solve_cfg(cfg["solve"], args.epsilon)
     esec = cfg.get("evaluate", {})
     _require_keys(esec, {"n_paths", "antithetic", "g_terms"}, "evaluate")
-    n_paths = int(esec.get("n_paths", 10_000))
+    n_paths = _n_paths(esec)
 
     t0 = time.monotonic()
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
@@ -433,8 +441,8 @@ def cmd_portfolio(args) -> int:
         "mc_mean": mc_mean, "mc_se": mc_se, "n_paths": n_paths,
         "stage_argmax_policy": g_actions,
     }, timing=wall if args.timing else None)
+    _dump_tables(out, res, tree)        # first: the node_key codec may refuse
     _write_json(os.path.join(out, "portfolio_summary.json"), payload)
-    _dump_tables(out, res, tree)
     _write_manifest(out, args, cfg)
     _say(args, f"root {res.report.root_value:.6f}, fraction "
                f"{res.report.root_action:.4f} (merton {merton.fraction:.4f}), "

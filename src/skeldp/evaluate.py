@@ -72,13 +72,12 @@ class PolicyControl:
 
     def __call__(self, depth: int, state, structure):
         if depth >= self.tree.cfg.depth:
-            return float(self.result.policy.layers[-1][1][0])
+            return float(self.result.policy.layers[-1][0])
         if self.tree.mode == "collapse":
             stat = np.asarray(structure.sufficient_statistic(state), dtype=float)
             bins = _quantize(stat[None, :], self.tree.bin_widths)
-            packed, layer_bins, _ = self.tree.layers[depth]
-            i = nearest_bin_index(packed, layer_bins, bins)[0]
-            return float(self.result.policy.layers[depth][1][i])
+            i = nearest_bin_index(self.tree.layers[depth], bins)[0]
+            return float(self.result.policy.layers[depth][i])
         raise ConfigurationError("PolicyControl requires a collapsed tree; "
                                  "use extract_policy_control for full trees")
 
@@ -128,24 +127,35 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
                      threads)
 
 
+def _run_chunks(n: int, threads: int, run_chunk) -> list:
+    """run_chunk(chunk_index, size) over fixed-size chunks of n items.
+
+    Chunks are keyed by index, not by thread, and the results come back in
+    chunk order, so whatever the caller reduces them to is bit-identical
+    for any thread count.
+    """
+    chunks = [(c, min(_CHUNK, n - c * _CHUNK)) for c in range((n + _CHUNK - 1) // _CHUNK)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda chunk: run_chunk(*chunk), chunks))
+    return [run_chunk(*chunk) for chunk in chunks]
+
+
 def _mc_value(structure, payoff, control_factory, skel_cfg: SkeletonConfig,
               N: int, seed: int, threads: int,
               antithetic: bool = False) -> MCResult:
     """Chunked Monte Carlo of rollouts under control_factory(path).
 
-    Work is split into fixed-size chunks keyed by (seed, chunk index); the
-    reduction runs in chunk order, so the result is bit-identical for any
-    thread count.
+    Each chunk's paths are keyed by (seed, chunk index), so the result is
+    bit-identical for any thread count.
     """
     if N < 2:
         raise ConfigurationError("mc_value needs N >= 2")
-    chunks = [(c, min(_CHUNK, N - c * _CHUNK)) for c in range((N + _CHUNK - 1) // _CHUNK)]
 
     def value(path):
         return rollout(structure, control_factory(path), path, payoff).payoff
 
-    def run_chunk(arg):
-        cidx, size = arg
+    def run_chunk(cidx, size):
         s = s2 = 0.0
         for i in range(size):
             path_seed = (seed * 1_000_003 + cidx * _CHUNK + i) % 2**63
@@ -160,13 +170,8 @@ def _mc_value(structure, payoff, control_factory, skel_cfg: SkeletonConfig,
             s2 += v * v
         return s, s2
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(c) for c in chunks]
     total = total2 = 0.0
-    for s, s2 in parts:          # fixed order regardless of executor
+    for s, s2 in _run_chunks(N, threads, run_chunk):     # chunk order
         total += s
         total2 += s2
     mean = total / N
@@ -341,11 +346,8 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
     ops = PortfolioStructure(spec, eps_k).collapse_ops()
     depth = tree.cfg.depth
     widths = tree.bin_widths
-    chunks = [(c, min(_CHUNK, n_paths - c * _CHUNK))
-              for c in range((n_paths + _CHUNK - 1) // _CHUNK)]
 
-    def run_chunk(arg):
-        cidx, size = arg
+    def run_chunk(cidx, size):
         key = np.array([np.uint64(seed), np.uint64(40_000 + cidx)], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         u = gen.random((size, depth, 2))
@@ -354,15 +356,9 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
         sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
         stats = np.tile(ops.stat0(), (size, 1))
         for n in range(depth):
-            packed, layer_bins, _ = tree.layers[n]
-            idx = nearest_bin_index(packed, layer_bins, _quantize(stats, widths))
-            acts = np.asarray(result.policy.layers[n][1])[idx]
+            idx = nearest_bin_index(tree.layers[n], _quantize(stats, widths))
+            acts = np.asarray(result.policy.layers[n])[idx]
             stats = ops.step_stats(stats, acts, dts[:, n], sgns[:, n])
         return ops.payoff_stats(stats)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(c) for c in chunks]
-    return np.concatenate(parts)
+    return np.concatenate(_run_chunks(n_paths, threads, run_chunk))

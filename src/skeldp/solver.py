@@ -21,11 +21,11 @@ with ties broken toward the smallest grid index:
   and cut into rectangles of cells that share one (row, column) shift.
   The forward pass ORs each rectangle's occupied cells, shifted, into the
   next layer's box; the backward pass adds the weighted, shifted block of
-  the next layer's value box into a box accumulator.  Row-major box order
-  is the packed-key order, so a layer's packed keys (computed once, as its
-  identity column) are sorted.  Off-grid probes (golden refinement,
-  residual checks) step each node at its own action and fall back to the
-  packed-order nearest populated bin when a child lands on an empty cell.
+  the next layer's value box into a box accumulator.  A node is its index
+  in the layer, and value and policy layers are arrays in node order.
+  Off-grid probes (golden refinement, residual checks) step each node at
+  its own action and fall back to the packed-order nearest populated bin
+  when a child lands on an empty cell.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -90,41 +90,29 @@ class SolveConfig:
 
 @dataclass
 class ValueTable:
-    """Per-depth map from node key to value."""
+    """Per-depth map from node key to value.
+
+    Full mode keys a node by its history; collapse mode by its node index
+    in the tree's layer.
+    """
 
     mode: str
-    layers: list                     # full: dict[key,float]; collapse: (packed, values)
+    layers: list                     # full: dict[key,float]; collapse: values in node order
 
     def value(self, depth: int, key):
-        if self.mode == "full":
-            return self.layers[depth][key]
-        packed, values = self.layers[depth]
-        idx = np.searchsorted(packed, key)
-        if idx >= len(packed) or packed[idx] != key:
-            raise KeyError(key)
-        return values[idx]
-
-    def root_value(self) -> float:
-        if self.mode == "full":
-            return self.layers[0][()]
-        return float(self.layers[0][1][0])
+        return self.layers[depth][key]
 
 
 @dataclass
 class Policy:
-    """Per-depth map from node key to the selected action."""
+    """Per-depth map from node key (as in ValueTable) to the selected action."""
 
     mode: str
-    layers: list                     # full: dict[key,(action, action_idx)]; collapse: arrays
+    layers: list                     # full: dict[key,(action, action_idx)]; collapse: actions
 
     def action(self, depth: int, key):
-        if self.mode == "full":
-            return self.layers[depth][key][0]
-        packed, actions = self.layers[depth]
-        idx = np.searchsorted(packed, key)
-        if idx >= len(packed) or packed[idx] != key:
-            raise KeyError(key)
-        return float(actions[idx])
+        entry = self.layers[depth][key]
+        return entry[0] if self.mode == "full" else float(entry)
 
 
 @dataclass
@@ -147,9 +135,6 @@ class SolveResult:
     policy: Policy
     report: SolveReport
 
-    def __iter__(self):  # allow `tables, policy = backward_dp(...)`
-        return iter((self.values, self.policy))
-
 
 # ---------------------------------------------------------------------------
 # Tree handle
@@ -164,8 +149,7 @@ class Tree:
     eps_k: float
     mode: str
     bin_widths: np.ndarray | None = None
-    layers: list = field(default_factory=list)   # collapse: per-depth (packed, bins, reps)
-    lattices: list = field(default_factory=list)  # collapse: per-depth Lattice
+    layers: list = field(default_factory=list)   # collapse: per-depth Lattice
     blocks: list = field(default_factory=list)    # collapse: per-depth (rects, starts)
 
     @property
@@ -230,7 +214,8 @@ _PACK_BITS = {1: (62,), 2: (31, 31), 3: (21, 21, 20)}
 
 
 def _pack(bins: np.ndarray) -> np.ndarray:
-    """Lexicographic int64 encoding of small integer bin vectors."""
+    """Lexicographic int64 encoding of small integer bin vectors (the node
+    key of the value/policy CSV)."""
     k = bins.shape[1]
     if k not in _PACK_BITS:
         raise ConfigurationError(f"collapse supports at most 3 statistic components, got {k}")
@@ -283,7 +268,7 @@ def _cells(bins: np.ndarray, origin: np.ndarray, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Dense row-major box over one collapse layer's distinct bins.
+    """One collapse layer: a dense row-major box over its distinct bins.
 
     Row-major box order is the packed-key order, so the layer's node i is
     its i-th populated cell.
@@ -334,13 +319,13 @@ class Lattice:
         """Node index of each bin row; -1 where the cell is empty or off the box."""
         return self.find(*bins.T)
 
-    def nearest(self, bins: np.ndarray) -> np.ndarray:
-        """Nearest populated bin of each row in packed-key distance.
+    def ahead(self, bins: np.ndarray) -> np.ndarray:
+        """Populated bins ahead of each row in packed order: its node index
+        if populated, else where it would be inserted.
 
-        The neighbours are the populated bins just before and after the
-        query in packed order; the one before wins ties.  A query off the
-        box is placed where packed order puts it: the first component that
-        leaves the box clamps it and every later component to that edge.
+        A query off the box is placed where packed order puts it: the first
+        component that leaves the box clamps it and every later component
+        to that edge.
         """
         first = self.origin
         last = self.origin + self.shape - 1
@@ -354,7 +339,15 @@ class Lattice:
             clamped[high, c:] = last[c:]
             after[high] = 1
             free &= ~(low | high)
-        ahead = self.before[_cells(clamped, self.origin, self.shape) + after]
+        return self.before[_cells(clamped, self.origin, self.shape) + after]
+
+    def nearest(self, bins: np.ndarray) -> np.ndarray:
+        """Nearest populated bin of each row in packed-key distance.
+
+        The neighbours are the populated bins just before and after the
+        query in packed order; the one before wins ties.
+        """
+        ahead = self.ahead(bins)
         n = len(self.bins)
         pred = np.clip(ahead - 1, 0, n - 1)
         succ = np.clip(ahead, 0, n - 1)
@@ -362,16 +355,6 @@ class Lattice:
         d_pred = (bins - self.bins[pred]) @ weights
         d_succ = (self.bins[succ] - bins) @ weights
         return np.where(d_pred <= d_succ, pred, succ)
-
-
-def collapse_layer(bins: np.ndarray, widths: np.ndarray):
-    """Layer arrays (packed, bins, reps) and lattice of distinct bins in packed order."""
-    return (_pack(bins), bins, _reps(bins, widths)), Lattice.over(bins)
-
-
-def layer_from_keys(packed: np.ndarray, widths: np.ndarray):
-    """collapse_layer of the bins behind sorted packed keys."""
-    return collapse_layer(_unpack(packed, len(widths)), widths)
 
 
 def _axis(lattice: Lattice, c: int, width: float):
@@ -489,10 +472,10 @@ def _forward_layers(tree: Tree, ops):
     cfg = tree.cfg
     widths = tree.bin_widths
     max_cells = 40 * cfg.node_cap
-    layer, lattice = collapse_layer(_quantize(ops.stat0()[None, :], widths), widths)
-    tree.layers, tree.lattices, tree.blocks = [layer], [lattice], []
+    lattice = Lattice.over(_quantize(ops.stat0()[None, :], widths))
+    tree.layers, tree.blocks = [lattice], []
     for depth in range(cfg.depth):
-        n = len(layer[0])
+        n = len(lattice.bins)
         if n * len(cfg.action_grid) * tree.n_atoms > max_cells:
             raise ResourceCapError(
                 f"collapse layer {depth} expansion too large",
@@ -514,10 +497,8 @@ def _forward_layers(tree: Tree, ops):
         if len(cells) > cfg.node_cap:
             raise ResourceCapError(f"collapse layer {depth + 1} exceeds node cap",
                                    estimate=len(cells))
-        bins = np.column_stack(np.unravel_index(cells, shape)) + lo
-        layer, lattice = collapse_layer(bins, widths)
-        tree.layers.append(layer)
-        tree.lattices.append(lattice)
+        lattice = Lattice.over(np.column_stack(np.unravel_index(cells, shape)) + lo)
+        tree.layers.append(lattice)
         tree.blocks.append((rects, starts))
 
 
@@ -529,7 +510,7 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray) -> np.nd
     rectangle that leaves the next box, or a node whose child cell is
     empty (NaN in the value box), is a forward/backward inconsistency.
     """
-    lattice, nxt = tree.lattices[depth], tree.lattices[depth + 1]
+    lattice, nxt = tree.layers[depth], tree.layers[depth + 1]
     rects, starts = tree.blocks[depth]
     v_box = np.full(nxt.rank.shape, np.nan)
     v_box[nxt.cells] = next_values
@@ -559,8 +540,8 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray) -> np.nd
 def _node_probe(tree: Tree, ops, depth: int, nodes=slice(None)):
     """Per-node inputs of probes at arbitrary actions: elapsed time, ln
     wealth, time row, and per atom the time rows' child bins and moves."""
-    lattice = tree.lattices[depth]
-    reps = tree.layers[depth][2][nodes]
+    lattice = tree.layers[depth]
+    reps = _reps(lattice.bins[nodes], tree.bin_widths)
     _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
     return (reps[:, 0], reps[:, 1], lattice.bins[nodes, 0] - lattice.origin[0],
             _time_children(tree, ops, t_rows))
@@ -649,21 +630,19 @@ def _backward_collapse(tree: Tree) -> SolveResult:
     cfg = tree.cfg
     ops = tree.structure.collapse_ops()
     grid = cfg.action_grid
-    packed_d, _, reps_d = tree.layers[cfg.depth]
-    vals = ops.payoff_stats(reps_d)
+    vals = ops.payoff_stats(_reps(tree.layers[cfg.depth].bins, tree.bin_widths))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("payoff not finite on a terminal bin")
     value_layers = [None] * (cfg.depth + 1)
     policy_layers = [None] * cfg.depth
-    value_layers[cfg.depth] = (packed_d, vals)
+    value_layers[cfg.depth] = vals
     refined_gain_max = 0.0
 
     for depth in range(cfg.depth - 1, -1, -1):
-        packed = tree.layers[depth][0]
-        next_values = value_layers[depth + 1][1]
+        next_values = value_layers[depth + 1]
         stage = _grid_stage_values(tree, depth, next_values)
         best_idx = np.argmax(stage, axis=0)          # ties: smallest index
-        best_val = stage[best_idx, np.arange(len(packed))]
+        best_val = stage[best_idx, np.arange(stage.shape[1])]
         best_act = grid[best_idx]
         if cfg.refine and len(grid) > 1:
             h = cfg.grid_spacing
@@ -672,7 +651,7 @@ def _backward_collapse(tree: Tree) -> SolveResult:
             probe = _node_probe(tree, ops, depth)
             ref_act, ref_val = _golden_refine(
                 lambda act: _probe_stage_values(tree, ops, probe, act,
-                                                tree.lattices[depth + 1],
+                                                tree.layers[depth + 1],
                                                 next_values, allow_miss=True),
                 lo, hi, cfg.refine_iters)
             take = ref_val > best_val
@@ -680,17 +659,17 @@ def _backward_collapse(tree: Tree) -> SolveResult:
                                    float(np.max(ref_val - best_val, initial=0.0)))
             best_val = np.where(take, ref_val, best_val)
             best_act = np.where(take, ref_act, best_act)
-        value_layers[depth] = (packed, best_val)
-        policy_layers[depth] = (packed, best_act)
+        value_layers[depth] = best_val
+        policy_layers[depth] = best_act
 
     grid_term = cfg.holder_c * cfg.grid_spacing**cfg.holder_gamma
     report = SolveReport(
-        root_value=float(value_layers[0][1][0]),
-        root_action=float(policy_layers[0][1][0]) if cfg.depth > 0 else math.nan,
+        root_value=float(value_layers[0][0]),
+        root_action=float(policy_layers[0][0]) if cfg.depth > 0 else math.nan,
         certified_epsilon=grid_term,
         stage_slack=0.0, grid_term=grid_term,
         refined_gain_max=refined_gain_max,
-        node_counts=[len(layer[0]) for layer in tree.layers],
+        node_counts=[len(layer.bins) for layer in tree.layers],
         depth=cfg.depth, Q=cfg.Q, eps_k=tree.eps_k)
     return SolveResult(ValueTable("collapse", value_layers),
                        Policy("collapse", policy_layers), report)
@@ -724,7 +703,11 @@ def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray, iters: int):
 
 def hamiltonian(tree: Tree, values: ValueTable, depth: int, key, action_idx: int,
                 action_value: float | None = None) -> float:
-    """U V at (node, action): kernel-averaged forward difference over eps^2."""
+    """U V at (node, action): kernel-averaged forward difference over eps^2.
+
+    key is the node's ValueTable key: its history in full mode, its node
+    index in the layer in collapse mode.
+    """
     if tree.mode == "full":
         acc = 0.0
         for m in range(tree.n_atoms):
@@ -732,16 +715,12 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, key, action_idx: int
                                                         key + ((action_idx, m),))
         return (acc - values.value(depth, key)) / tree.eps_k**2
     ops = tree.structure.collapse_ops()
-    packed = tree.layers[depth][0]
-    i = int(np.searchsorted(packed, key))
-    if i >= len(packed) or packed[i] != key:
-        raise KeyError(key)
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
-    probe = _node_probe(tree, ops, depth, slice(i, i + 1))
-    stage = _probe_stage_values(tree, ops, probe, a, tree.lattices[depth + 1],
-                                values.layers[depth + 1][1],
+    probe = _node_probe(tree, ops, depth, slice(key, key + 1))
+    stage = _probe_stage_values(tree, ops, probe, a, tree.layers[depth + 1],
+                                values.layers[depth + 1],
                                 allow_miss=action_value is not None)
-    return float((stage[0] - values.layers[depth][1][i]) / tree.eps_k**2)
+    return float((stage[0] - values.value(depth, key)) / tree.eps_k**2)
 
 
 def vertical_gradient(F_n: float, F_prev: float, sign_vec, j: int,
@@ -758,24 +737,21 @@ def vertical_gradient(F_n: float, F_prev: float, sign_vec, j: int,
 # policy extraction
 # ---------------------------------------------------------------------------
 
-def nearest_bin_index(layer_packed: np.ndarray, layer_bins: np.ndarray,
-                      query_bins: np.ndarray) -> np.ndarray:
+def nearest_bin_index(lattice: Lattice, query_bins: np.ndarray) -> np.ndarray:
     """Node index of the populated bin closest to each (M, k) query row.
 
     A query bin on the layer returns its own node.  A miss scores the nine
-    keys around its insertion point (clipped to the layer) by
+    nodes around its packed-order insertion point (clipped to the layer) by
     |dt| * 1e6 + L1 state distance, so time mismatch dominates, and takes
     the first minimum; the window is sorted, so the duplicates clipping
     makes never change the pick.
     """
-    keys = _pack(query_bins)
-    at = np.searchsorted(layer_packed, keys)
-    last = len(layer_packed) - 1
-    idx = np.minimum(at, last)
-    miss = np.flatnonzero(layer_packed[idx] != keys)
+    idx = lattice.locate(query_bins)
+    miss = np.flatnonzero(idx < 0)
     if len(miss):
-        cand = np.clip(at[miss, None] + np.arange(-4, 5), 0, last)
-        diffs = np.abs(layer_bins[cand].astype(float)
+        cand = np.clip(lattice.ahead(query_bins[miss])[:, None] + np.arange(-4, 5),
+                       0, len(lattice.bins) - 1)
+        diffs = np.abs(lattice.bins[cand].astype(float)
                        - query_bins[miss, None, :].astype(float))
         score = diffs[:, :, 0] * 1e6 + np.sum(diffs[:, :, 1:], axis=2)
         idx[miss] = cand[np.arange(len(miss)), np.argmin(score, axis=1)]
@@ -811,9 +787,8 @@ def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
     for n in range(depth):
         stat = np.asarray(tree.structure.sufficient_statistic(state), dtype=float)
         bins = _quantize(stat[None, :], widths)
-        packed, layer_bins, _ = tree.layers[n]
-        i = nearest_bin_index(packed, layer_bins, bins)[0]
-        actions[n] = float(result.policy.layers[n][1][i])
+        i = nearest_bin_index(tree.layers[n], bins)[0]
+        actions[n] = float(result.policy.layers[n][i])
         state = tree.structure.step(state, actions[n], float(path.delta_t[n]),
                                     _unit(int(path.coords[n]), int(path.signs[n]),
                                           path.d))

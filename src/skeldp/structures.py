@@ -108,21 +108,15 @@ class PdSdeSpec:
     """Coefficients of the controlled path-dependent SDE.
 
     drift(t, path, a) -> (n,) array; diffusion(t, path, a) -> (n, d) array.
-    Lipschitz constants are carried only for test-time growth checks.
     """
 
     drift: Callable
     diffusion: Callable
     x0: np.ndarray
     d: int = 1
-    k_lip: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-
-    @property
-    def n_dim(self) -> int:
-        return len(self.x0)
 
 
 @dataclass(frozen=True)

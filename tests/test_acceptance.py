@@ -254,14 +254,13 @@ def test_criterion_5_hjb_residual(merton_solution):
     ms = merton_solution
     tree, res = ms["tree"], ms["res"]
     for depth in [0, 4, 8]:
-        packed = tree.layers[depth][0]
-        probe = range(0, len(packed), max(1, len(packed) // 40))
+        n = len(tree.layers[depth].bins)
+        probe = range(0, n, max(1, n // 40))
         for i in probe:
-            key = int(packed[i])
-            us = [hamiltonian(tree, res.values, depth, key, ai)
+            us = [hamiltonian(tree, res.values, depth, i, ai)
                   for ai in range(0, 41, 5)]
-            a_pol = float(res.policy.layers[depth][1][i])
-            us.append(hamiltonian(tree, res.values, depth, key, 0,
+            a_pol = float(res.policy.layers[depth][i])
+            us.append(hamiltonian(tree, res.values, depth, i, 0,
                                   action_value=a_pol))
             worst_max = max(worst_max, abs(max(us)))
             worst_pos = max(worst_pos, max(us))

@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from skeldp import density
+from skeldp import density, solver
 from skeldp.cli import main
 
 MERTON_CFG = {
@@ -178,17 +179,45 @@ def test_portfolio_epsilon_flag_sets_budget(tmp_path):
     assert summary["eps_k"] == pytest.approx(1.0 / 3)
 
 
-@pytest.mark.parametrize("n_paths", [0, 1])
-def test_portfolio_too_few_paths_exit_1(tmp_path, capsys, n_paths):
+def _too_few_paths_exit_1(tmp_path, capsys, monkeypatch, command, n_paths, output):
+    def refuse(*args, **kwargs):
+        pytest.fail("n_paths must be refused before the solve")
+
+    monkeypatch.setattr(solver, "build_tree", refuse)
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["evaluate"]["n_paths"] = n_paths
-    out = str(tmp_path / "p")
-    assert main(["portfolio", "--config", write_cfg(tmp_path, cfg),
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
                  "--out-dir", out, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "n_paths" in err
     assert "Traceback" not in err
-    assert not os.path.exists(os.path.join(out, "portfolio_summary.json"))
+    assert not os.path.exists(os.path.join(out, output))
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_portfolio_too_few_paths_exit_1(tmp_path, capsys, monkeypatch, n_paths):
+    _too_few_paths_exit_1(tmp_path, capsys, monkeypatch, "portfolio", n_paths,
+                          "portfolio_summary.json")
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_evaluate_too_few_paths_exit_1(tmp_path, capsys, monkeypatch, n_paths):
+    _too_few_paths_exit_1(tmp_path, capsys, monkeypatch, "evaluate", n_paths,
+                          "evaluate_metrics.json")
+
+
+@pytest.mark.parametrize("command", ["solve", "portfolio"])
+def test_node_key_overflow_exit_3_without_outputs(tmp_path, capsys, command):
+    # time bins past 2^30 fit the lattice but not the CSV's node_key
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"].update(action_grid=[0.0], depth=2, Q=1, time_bin_width=1e-11)
+    cfg["evaluate"]["n_paths"] = 2
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 3
+    assert "bin index overflow" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_sweep_subcommand(tmp_path):
@@ -280,3 +309,32 @@ def test_evaluate_from_policy_csv(tmp_path):
         ref = json.load(fh)
     assert metrics["mc_mean"] == pytest.approx(ref["mc_mean"], rel=1e-12)
     assert metrics["root_value"] == pytest.approx(ref["root_value"], rel=1e-12)
+
+
+def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
+    """The node_key column, the summary and a CSV-driven evaluation."""
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"].update(depth=3, Q=4, refine=True,
+                        action_grid={"lo": -1, "hi": 1, "n": 21})
+    cfg["evaluate"]["n_paths"] = 600
+    out_solve = str(tmp_path / "s")
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out-dir",
+                 out_solve, "--seed", "5", "--quiet"]) == 0
+    cfg["evaluate"]["policy_csv"] = os.path.join(out_solve, "value_policy.csv")
+    out_eval = str(tmp_path / "e")
+    assert main(["evaluate", "--config", write_cfg(tmp_path, cfg, "ev.json"),
+                 "--out-dir", out_eval, "--seed", "5", "--quiet"]) == 0
+    solved, evaluated = read_all(out_solve), read_all(out_eval)
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in [
+        ("value_policy.csv", solved["value_policy.csv"]),
+        ("summary.json", solved["summary.json"]),
+        ("evaluate_metrics.json", evaluated["evaluate_metrics.json"])]}
+    # recorded on the solver that still stored packed keys per layer
+    assert digests == {
+        "value_policy.csv":
+            "a5818cbd989236d917d42e5c662c9c905a3208c124e2221b99b5da04f0eba7f7",
+        "summary.json":
+            "f13a27766d3e21c1632e10cfc4bb2a4d0249ad9396c62457371bdba05af3e09d",
+        "evaluate_metrics.json":
+            "df294c55b18465f38c47bf4ef078d53d1ad74bcf40e68442409493b832365616",
+    }

@@ -13,7 +13,7 @@ from skeldp.evaluate import (MertonRef, PolicyControl, convergence_sweep,
                              project_control, q_slack, rollout)
 from skeldp.kernel import discretize_kernel
 from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
-from skeldp.solver import (SolveConfig, _pack, backward_dp, build_tree,
+from skeldp.solver import (SolveConfig, backward_dp, build_tree,
                            extract_policy_control)
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
                                PortfolioStructure, power_utility_payoff,
@@ -217,9 +217,9 @@ def test_policy_rollouts_match_scalar_policy_control(desk5, monkeypatch):
     side = "vector"
     lookup = evaluate.nearest_bin_index
 
-    def counting_lookup(packed, bins, queries):
-        misses[side] += int(np.sum(~np.isin(_pack(queries), packed)))
-        return lookup(packed, bins, queries)
+    def counting_lookup(lattice, queries):
+        misses[side] += int(np.sum(lattice.locate(queries) < 0))
+        return lookup(lattice, queries)
 
     monkeypatch.setattr(evaluate, "nearest_bin_index", counting_lookup)
     final = []

@@ -133,13 +133,14 @@ def test_determinism_exact():
     struct, payoff = pstruct()
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 7), depth=4, Q=2,
                       collapse=True, refine=True)
-    r1 = backward_dp(build_tree(struct, payoff, 1.0 / 3, cfg))
-    r2 = backward_dp(build_tree(struct, payoff, 1.0 / 3, cfg))
-    for l1, l2 in zip(r1.values.layers, r2.values.layers):
-        assert np.array_equal(l1[0], l2[0])
-        assert np.array_equal(l1[1], l2[1])
+    t1 = build_tree(struct, payoff, 1.0 / 3, cfg)
+    t2 = build_tree(struct, payoff, 1.0 / 3, cfg)
+    r1, r2 = backward_dp(t1), backward_dp(t2)
+    for b1, b2, l1, l2 in zip(t1.layers, t2.layers, r1.values.layers, r2.values.layers):
+        assert np.array_equal(b1.bins, b2.bins)
+        assert np.array_equal(l1, l2)
     for p1, p2 in zip(r1.policy.layers, r2.policy.layers):
-        assert np.array_equal(p1[1], p2[1])
+        assert np.array_equal(p1, p2)
 
 
 def test_refinement_never_hurts():
@@ -173,11 +174,11 @@ def test_extract_policy_constant_coefficients_flat_per_depth():
     res = backward_dp(tree)
     # well inside the horizon every bin at a given depth picks one action
     for depth in range(cfg.depth):
-        actions = np.unique(res.policy.layers[depth][1])
+        actions = np.unique(res.policy.layers[depth])
         assert len(actions) == 1
     path = sample_skeleton(SkeletonConfig(1.0 / 3, 1, 1.0, 4), 12)
     acts = extract_policy_control(res, tree, path)
-    assert np.array_equal(acts, [res.policy.layers[d][1][0] for d in range(4)])
+    assert np.array_equal(acts, [res.policy.layers[d][0] for d in range(4)])
 
 
 def test_node_cap_refusal():
@@ -273,10 +274,10 @@ def test_collapse_depth3_merton_pinned():
     assert res.report.node_counts == [1, 476, 6332, 15970]
     digest = hashlib.sha256()
     for depth in range(cfg.depth + 1):
-        digest.update(tree.layers[depth][0].tobytes())
-        digest.update(res.values.layers[depth][1].tobytes())
+        digest.update(solver._pack(tree.layers[depth].bins).tobytes())
+        digest.update(res.values.layers[depth].tobytes())
         if depth < cfg.depth:
-            digest.update(res.policy.layers[depth][1].tobytes())
+            digest.update(res.policy.layers[depth].tobytes())
     # recorded from the packed-key solver this lattice replaced
     assert digest.hexdigest() == (
         "f584b30ef7a2b781b33de23195aeded4db812666cc17d1315b012d0fd4e46891")
@@ -292,8 +293,8 @@ def _packed_order_nearest(packed, key):
 def test_lattice_miss_rule_matches_packed_order():
     # rows of unequal extent, a hole with equidistant neighbours in row 1
     bins = np.array([[0, 0], [0, 1], [1, -3], [1, 1], [2, -5]], dtype=np.int64)
-    widths = np.array([0.25, 1e-3])
-    (packed, layer_bins, _), lattice = solver.collapse_layer(bins, widths)
+    packed, lattice = solver._pack(bins), solver.Lattice.over(bins)
+    layer_bins = lattice.bins
     assert np.all(np.diff(packed) > 0)
     # far off the box the next row can be nearer in packed distance
     states = list(range(-6, 6)) + [-2**30, 2**30 - 1]
@@ -313,7 +314,8 @@ def test_lattice_miss_rule_matches_packed_order():
     assert [tuple(layer_bins[i]) for i in picks] == [(1, -3), (0, 1), (1, -3),
                                                      (2, -5)]
     # a layer rebuilt from its keys carries the same lattice
-    (packed2, bins2, _), lattice2 = solver.layer_from_keys(packed, widths)
+    lattice2 = solver.Lattice.over(solver._unpack(packed, 2))
+    bins2 = lattice2.bins
     assert np.array_equal(bins2, bins)
     assert np.array_equal(lattice2.rank, lattice.rank)
 
@@ -350,7 +352,7 @@ def test_batched_nearest_bin_index_matches_scalar_rule():
     struct, payoff = pstruct()
     tree = build_tree(struct, payoff, 1.0 / 3, SolveConfig(
         action_grid=np.linspace(-1, 1, 9), depth=4, Q=2, collapse=True))
-    layers = [(packed, bins) for packed, bins, _ in tree.layers]
+    layers = [(solver._pack(lat.bins), lat.bins) for lat in tree.layers]
     assert len(layers[0][0]) == 1                       # the one-node root layer
     # three statistic components, in packed order
     bins3 = np.unique(rng.integers(-6, 7, (150, 3)), axis=0)
@@ -359,7 +361,7 @@ def test_batched_nearest_bin_index_matches_scalar_rule():
     for packed, bins in layers:
         assert np.all(np.diff(packed) > 0)
         queries = _nearest_queries(rng, bins)
-        got = solver.nearest_bin_index(packed, bins, queries)
+        got = solver.nearest_bin_index(solver.Lattice.over(bins), queries)
         want = [_scalar_nearest_bin_index(packed, bins, q) for q in queries]
         assert got.shape == (len(queries),)
         assert np.array_equal(got, want)
@@ -400,7 +402,7 @@ def _per_node_reference(struct, eps, cfg):
     values[-1] = ops.payoff_stats(solver._reps(bins[-1], widths))
     for d in range(cfg.depth - 1, -1, -1):
         reps = solver._reps(bins[d], widths)
-        lattice = solver.collapse_layer(bins[d + 1], widths)[1]
+        lattice = solver.Lattice.over(bins[d + 1])
 
         def stage(a, grid_action):
             acc = np.zeros(len(reps))
@@ -440,12 +442,12 @@ def test_collapse_matches_per_node_reference_time_dependent():
     res = backward_dp(tree)
     keys, values, policy = _per_node_reference(struct, 1.0 / 3, cfg)
     for d in range(cfg.depth + 1):
-        assert np.array_equal(tree.layers[d][0], keys[d])
-        assert np.array_equal(res.values.layers[d][1], values[d])
+        assert np.array_equal(solver._pack(tree.layers[d].bins), keys[d])
+        assert np.array_equal(res.values.layers[d], values[d])
         if d < cfg.depth:
-            assert np.array_equal(res.policy.layers[d][1], policy[d])
+            assert np.array_equal(res.policy.layers[d], policy[d])
     # the layer's time rows carry more than one ln-wealth increment
-    t_rows = np.unique(tree.layers[2][2][:, 0])
+    t_rows = np.unique(solver._reps(tree.layers[2].bins, tree.bin_widths)[:, 0])
     incs = struct.collapse_ops().log_increment(t_rows, 0.5, 0.1, 1)
     assert len(np.unique(incs[t_rows < 1.0])) > 1
 
@@ -481,11 +483,55 @@ def test_corrupted_next_layer_raises_on_grid_action(drop):
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=2, Q=2,
                       collapse=True)
     tree = build_tree(struct, payoff, 1.0 / 3, cfg)
-    bins = tree.layers[2][1]
+    bins = tree.layers[2].bins
     # an interior node leaves a hole in the box; the last one shrinks it
     gone = len(bins) // 2 if drop == "interior" else len(bins) - 1
-    layer, lattice = solver.collapse_layer(np.delete(bins, gone, axis=0),
-                                           tree.bin_widths)
-    tree.layers[2], tree.lattices[2] = layer, lattice
+    tree.layers[2] = solver.Lattice.over(np.delete(bins, gone, axis=0))
     with pytest.raises(NumericalError, match="mismatch"):
         backward_dp(tree)
+
+
+def test_collapse_keys_are_node_indices():
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=3, Q=2,
+                      collapse=True, refine=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    ops, widths = struct.collapse_ops(), tree.bin_widths
+    for d in range(cfg.depth):
+        n = len(tree.layers[d].bins)
+        assert len(res.values.layers[d]) == len(res.policy.layers[d]) == n
+        for i in sorted({0, n // 3, n - 1}):
+            assert res.values.value(d, i) == res.values.layers[d][i]
+            assert res.policy.action(d, i) == res.policy.layers[d][i]
+            # U V from the layer arrays: children located on the next lattice
+            rep = solver._reps(tree.layers[d].bins[i:i + 1], widths)
+            for ai, a in enumerate(cfg.action_grid):
+                acc = 0.0
+                for m in range(tree.n_atoms):
+                    child = solver._quantize(ops.step_stats(
+                        rep, float(a), float(tree.atoms.delta_t[m]),
+                        int(tree.atoms.signs[m])), widths)
+                    j = tree.layers[d + 1].locate(child)[0]
+                    assert j >= 0
+                    acc += tree.atoms.weights[m] * res.values.layers[d + 1][j]
+                want = (acc - res.values.layers[d][i]) / tree.eps_k**2
+                assert hamiltonian(tree, res.values, d, i, ai) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_node_key_codec_round_trips(k):
+    rng = np.random.default_rng(k)
+    half = [1 << (b - 1) for b in solver._PACK_BITS[k]]
+    bins = np.column_stack([rng.integers(-h, h, 200) for h in half])
+    bins = np.concatenate([bins, [[-h for h in half]], [[h - 1 for h in half]]])
+    assert np.array_equal(solver._unpack(solver._pack(bins), k), bins)
+    # packed order is lexicographic bin order
+    order = np.lexsort(bins.T[::-1])
+    assert np.all(np.diff(solver._pack(bins[order])) > 0)
+
+
+@pytest.mark.parametrize("bad", [[0, 1 << 30], [-(1 << 30) - 1, 0]])
+def test_node_key_codec_refuses_bins_past_31_bits(bad):
+    with pytest.raises(ResourceCapError, match="overflow"):
+        solver._pack(np.array([bad], dtype=np.int64))
