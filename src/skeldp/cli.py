@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -210,21 +211,24 @@ def cmd_kernel(args) -> int:
 
 
 def _dump_tables(out: str, res: solver.SolveResult, tree: solver.Tree):
+    """value_policy.csv: one row per node, in node order.
+
+    node_key is the packed bin in collapse mode, and in full mode the repr
+    of the node's history of (action index, atom index) pairs: node order
+    is lexicographic history order, as itertools.product yields it.
+    """
+    pairs = [(ai, m) for ai in range(len(tree.cfg.action_grid))
+             for m in range(tree.n_atoms)]
     rows = [["depth", "node_key", "value", "action"]]
-    if tree.mode == "collapse":
-        for depth, values in enumerate(res.values.layers):
-            packed = solver._pack(tree.layers[depth].bins)
-            actions = (res.policy.layers[depth]
-                       if depth < len(res.policy.layers) else None)
-            for i in range(len(packed)):
-                rows.append([depth, int(packed[i]), _fmt(values[i]),
-                             _fmt(actions[i]) if actions is not None else ""])
-    else:
-        for depth, layer in enumerate(res.values.layers):
-            for key, v in layer.items():
-                act = (_fmt(res.policy.layers[depth][key][0])
-                       if depth < len(res.policy.layers) else "")
-                rows.append([depth, repr(key), _fmt(v), act])
+    for depth, values in enumerate(res.values.layers):
+        keys = (solver._pack(tree.layers[depth].bins).tolist()
+                if tree.mode == "collapse"
+                else map(repr, itertools.product(pairs, repeat=depth)))
+        actions = (res.policy.layers[depth]
+                   if depth < len(res.policy.layers) else None)
+        for i, key in enumerate(keys):
+            rows.append([depth, key, _fmt(values[i]),
+                         _fmt(actions[i]) if actions is not None else ""])
     with open(os.path.join(out, "value_policy.csv"), "w", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
@@ -302,8 +306,8 @@ def _policy_from_csv(path: str, tree: "solver.Tree") -> solver.SolveResult:
         refined_gain_max=math.nan,
         node_counts=[len(v) for v in value_layers],
         depth=depth_max, Q=tree.cfg.Q, eps_k=tree.eps_k)
-    return solver.SolveResult(solver.ValueTable("collapse", value_layers),
-                              solver.Policy("collapse", policy_layers), rep)
+    return solver.SolveResult(solver.ValueTable(value_layers),
+                              solver.Policy(policy_layers), rep)
 
 
 def cmd_evaluate(args) -> int:
@@ -330,18 +334,11 @@ def cmd_evaluate(args) -> int:
     else:
         tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
         res = solver.backward_dp(tree)
-    if esec.get("antithetic", False) and tree.mode == "collapse":
-        mc = evaluate.mc_value(structure, payoff, evaluate.PolicyControl(res, tree),
-                               skeleton.SkeletonConfig(skel.epsilon_k, skel.d,
-                                                       skel.horizon_T, scfg.depth),
-                               n_paths, args.seed, threads=args.threads,
-                               antithetic=True)
-    else:
-        mc = evaluate.policy_mc_value(
-            structure, payoff, res, tree,
-            skeleton.SkeletonConfig(skel.epsilon_k, skel.d, skel.horizon_T,
-                                    scfg.depth),
-            n_paths, args.seed, threads=args.threads)
+    mc = evaluate.policy_mc_value(
+        structure, payoff, res, tree,
+        skeleton.SkeletonConfig(skel.epsilon_k, skel.d, skel.horizon_T, scfg.depth),
+        n_paths, args.seed, threads=args.threads,
+        antithetic=bool(esec.get("antithetic", False)))
     cert = res.report.certified_epsilon
     payload = {
         "mc_mean": mc.mean, "mc_se": mc.se, "mc_ci_half": mc.ci_half,
@@ -405,7 +402,8 @@ def cmd_portfolio(args) -> int:
     spec = structure.spec
     scfg = _solve_cfg(cfg["solve"], args.epsilon)
     esec = cfg.get("evaluate", {})
-    _require_keys(esec, {"n_paths", "antithetic", "g_terms"}, "evaluate")
+    # the vectorized rollouts have no antithetic path, so the key is refused
+    _require_keys(esec, {"n_paths", "g_terms"}, "evaluate")
     n_paths = _n_paths(esec)
 
     t0 = time.monotonic()

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import density
 from .errors import ConfigurationError, ResourceCapError
-from .skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
+from .skeleton import SkeletonConfig, SkeletonPath, _sign_vec, sample_skeleton
 from .solver import (SolveConfig, SolveResult, Tree, backward_dp, build_tree,
                      extract_policy_control, nearest_bin_index, _quantize)
 from .structures import PortfolioSpec, PortfolioStructure, power_utility_payoff
@@ -92,9 +92,8 @@ def rollout(structure, control, path: SkeletonPath, payoff=None,
     for n in range(depth):
         a = ctrl(n, state, structure)
         actions[n] = np.asarray(a, dtype=float).reshape(-1)[0]
-        sv = np.zeros(path.d, dtype=np.int64)
-        sv[path.coords[n] - 1] = path.signs[n]
-        state = structure.step(state, a, float(path.delta_t[n]), sv)
+        state = structure.step(state, a, float(path.delta_t[n]),
+                               _sign_vec(int(path.coords[n]), int(path.signs[n]), path.d))
     value = float(payoff(structure.payoff_input(state))) if payoff is not None else math.nan
     return RolloutResult(value, state, actions)
 
@@ -108,23 +107,25 @@ def mc_value(structure, payoff, control, skel_cfg: SkeletonConfig, N: int,
 
 def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
                     skel_cfg: SkeletonConfig, N: int, seed: int,
-                    threads: int = 1) -> MCResult:
+                    threads: int = 1, antithetic: bool = False) -> MCResult:
     """Monte Carlo value of a solved policy, either tree mode.
 
     Collapse mode reads the policy through statistic bins step by step; full
     mode extracts the action sequence along each path by nearest-atom
-    projection before rolling it out.
+    projection before rolling it out.  With antithetic, each path is
+    averaged with its sign-flipped twin, along which the policy is read
+    afresh.
     """
     if tree.mode == "collapse":
         return mc_value(structure, payoff, PolicyControl(result, tree),
-                        skel_cfg, N, seed, threads=threads)
+                        skel_cfg, N, seed, threads, antithetic)
 
     def control_factory(path):
         acts = extract_policy_control(result, tree, path)
         return lambda depth, state, s: float(acts[min(depth, len(acts) - 1)])
 
     return _mc_value(structure, payoff, control_factory, skel_cfg, N, seed,
-                     threads)
+                     threads, antithetic)
 
 
 def _run_chunks(n: int, threads: int, run_chunk) -> list:

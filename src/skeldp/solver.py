@@ -5,10 +5,12 @@ Two tree representations share one recursion
     V_n(node) = max_a sum_atoms w * V_{n+1}(child(node, a, atom)),
     V_depth(leaf) = payoff(gamma(leaf)),
 
-with ties broken toward the smallest grid index:
+with ties broken toward the smallest grid index.  In both modes a node is
+its index in the layer, and value and policy layers are arrays in node order:
 
-* full mode enumerates exact histories (tuples of (action_idx, atom_idx));
+* full mode enumerates exact histories of grid (action ai, atom m) pairs;
   feasible only for desk-scale trees and used as the reference solver.
+  With A actions and M atoms, node i has child (i * A + ai) * M + m.
 * collapse mode quantizes the structure's sufficient statistic into bins
   (time component on an absolute grid of width eps^2/4, state components on
   the structure's own scale, relative 1e-3 for wealth-like quantities) and
@@ -21,11 +23,10 @@ with ties broken toward the smallest grid index:
   and cut into rectangles of cells that share one (row, column) shift.
   The forward pass ORs each rectangle's occupied cells, shifted, into the
   next layer's box; the backward pass adds the weighted, shifted block of
-  the next layer's value box into a box accumulator.  A node is its index
-  in the layer, and value and policy layers are arrays in node order.
-  Off-grid probes (golden refinement, residual checks) step each node at
-  its own action and fall back to the packed-order nearest populated bin
-  when a child lands on an empty cell.
+  the next layer's value box into a box accumulator.  Off-grid probes
+  (golden refinement, residual checks) step each node at its own action and
+  fall back to the packed-order nearest populated bin when a child lands on
+  an empty cell.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ResourceCapError
 from .kernel import DiscretizedKernel, discretize_kernel
-from .skeleton import SkeletonPath
+from .skeleton import SkeletonPath, _sign_vec
 
 __all__ = [
     "SolveConfig", "ValueTable", "Policy", "SolveResult",
@@ -88,31 +89,31 @@ class SolveConfig:
         return float(np.max(np.diff(g))) if len(g) > 1 else 0.0
 
 
+def _entry(layers: list, depth: int, node: int):
+    layer = layers[depth]
+    if not 0 <= node < len(layer):
+        raise KeyError(f"no node {node} at depth {depth} ({len(layer)} nodes)")
+    return layer[node]
+
+
 @dataclass
 class ValueTable:
-    """Per-depth map from node key to value.
+    """Per-depth node values, arrays in node order (see the module docstring)."""
 
-    Full mode keys a node by its history; collapse mode by its node index
-    in the tree's layer.
-    """
+    layers: list
 
-    mode: str
-    layers: list                     # full: dict[key,float]; collapse: values in node order
-
-    def value(self, depth: int, key):
-        return self.layers[depth][key]
+    def value(self, depth: int, node: int):
+        return _entry(self.layers, depth, node)
 
 
 @dataclass
 class Policy:
-    """Per-depth map from node key (as in ValueTable) to the selected action."""
+    """Per-depth selected actions, arrays in node order (as in ValueTable)."""
 
-    mode: str
-    layers: list                     # full: dict[key,(action, action_idx)]; collapse: actions
+    layers: list
 
-    def action(self, depth: int, key):
-        entry = self.layers[depth][key]
-        return entry[0] if self.mode == "full" else float(entry)
+    def action(self, depth: int, node: int) -> float:
+        return float(_entry(self.layers, depth, node))
 
 
 @dataclass
@@ -157,10 +158,8 @@ class Tree:
         return len(self.atoms)
 
     def sign_vec(self, atom_idx: int) -> np.ndarray:
-        d = int(self.atoms.coords.max())
-        v = np.zeros(d, dtype=np.int64)
-        v[self.atoms.coords[atom_idx] - 1] = self.atoms.signs[atom_idx]
-        return v
+        return _sign_vec(int(self.atoms.coords[atom_idx]),
+                         int(self.atoms.signs[atom_idx]), int(self.atoms.coords.max()))
 
 
 def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
@@ -467,12 +466,15 @@ def _forward_layers(tree: Tree, ops):
 
     Each (action, atom) rectangle of a layer ORs its populated cells,
     shifted, into the next layer's occupancy box; the populated cells in
-    row-major order are the next layer.
+    row-major order are the next layer.  Box corners that the node_key
+    codec cannot encode are refused here, before any backward work.
     """
     cfg = tree.cfg
     widths = tree.bin_widths
     max_cells = 40 * cfg.node_cap
-    lattice = Lattice.over(_quantize(ops.stat0()[None, :], widths))
+    root = _quantize(ops.stat0()[None, :], widths)
+    _pack(root)
+    lattice = Lattice.over(root)
     tree.layers, tree.blocks = [lattice], []
     for depth in range(cfg.depth):
         n = len(lattice.bins)
@@ -484,6 +486,7 @@ def _forward_layers(tree: Tree, ops):
         first, stop = _targets(rects)
         lo = lattice.origin + first.min(axis=0)
         shape = tuple(int(e) for e in lattice.origin + stop.max(axis=0) - lo)
+        _pack(np.array([lo, lo + shape - 1]))
         if math.prod(shape) > max_cells:
             raise ResourceCapError("collapse layer bin box too large",
                                    estimate=math.prod(shape))
@@ -586,44 +589,45 @@ def backward_dp(tree: Tree) -> SolveResult:
 def _backward_full(tree: Tree) -> SolveResult:
     cfg = tree.cfg
     structure, payoff = tree.structure, tree.payoff
-    values = [dict() for _ in range(cfg.depth + 1)]
-    policy = [dict() for _ in range(cfg.depth)]
     grid = cfg.action_grid
     atoms = tree.atoms
+    n_a, n_m = len(grid), len(atoms)
+    values = [np.empty((n_a * n_m)**n) for n in range(cfg.depth + 1)]
+    policy = [np.empty((n_a * n_m)**n) for n in range(cfg.depth)]
+    signs = [tree.sign_vec(m) for m in range(n_m)]
 
-    def solve(key, state, depth):
+    def solve(i, state, depth):
         if depth == cfg.depth:
             v = float(payoff(structure.payoff_input(state)))
             if not math.isfinite(v):
-                raise NumericalError(f"payoff is not finite at leaf {key}")
-            values[depth][key] = v
+                raise NumericalError(f"payoff is not finite at leaf {i}")
+            values[depth][i] = v
             return v
         best_v, best_i = -math.inf, 0
         for ai, a in enumerate(grid):
             acc = 0.0
-            for m in range(len(atoms)):
+            for m in range(n_m):
                 child_state = structure.step(state, float(a),
-                                             float(atoms.delta_t[m]),
-                                             tree.sign_vec(m))
-                acc += atoms.weights[m] * solve(key + ((ai, m),), child_state,
-                                                depth + 1)
+                                             float(atoms.delta_t[m]), signs[m])
+                acc += atoms.weights[m] * solve((i * n_a + ai) * n_m + m,
+                                                child_state, depth + 1)
             if acc > best_v:
                 best_v, best_i = acc, ai
-        values[depth][key] = best_v
-        policy[depth][key] = (float(grid[best_i]), best_i)
+        values[depth][i] = best_v
+        policy[depth][i] = grid[best_i]
         return best_v
 
-    root = solve((), structure.init(), 0)
+    root = solve(0, structure.init(), 0)
     grid_term = cfg.holder_c * cfg.grid_spacing**cfg.holder_gamma
     report = SolveReport(
         root_value=root,
-        root_action=policy[0][()][0] if cfg.depth > 0 else math.nan,
+        root_action=float(policy[0][0]) if cfg.depth > 0 else math.nan,
         certified_epsilon=grid_term,
         stage_slack=0.0, grid_term=grid_term,
         refined_gain_max=0.0,
         node_counts=[len(v) for v in values], depth=cfg.depth, Q=cfg.Q,
         eps_k=tree.eps_k)
-    return SolveResult(ValueTable("full", values), Policy("full", policy), report)
+    return SolveResult(ValueTable(values), Policy(policy), report)
 
 
 def _backward_collapse(tree: Tree) -> SolveResult:
@@ -671,8 +675,7 @@ def _backward_collapse(tree: Tree) -> SolveResult:
         refined_gain_max=refined_gain_max,
         node_counts=[len(layer.bins) for layer in tree.layers],
         depth=cfg.depth, Q=cfg.Q, eps_k=tree.eps_k)
-    return SolveResult(ValueTable("collapse", value_layers),
-                       Policy("collapse", policy_layers), report)
+    return SolveResult(ValueTable(value_layers), Policy(policy_layers), report)
 
 
 def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray, iters: int):
@@ -701,26 +704,27 @@ def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray, iters: int):
 # differential operators
 # ---------------------------------------------------------------------------
 
-def hamiltonian(tree: Tree, values: ValueTable, depth: int, key, action_idx: int,
-                action_value: float | None = None) -> float:
+def hamiltonian(tree: Tree, values: ValueTable, depth: int, node: int,
+                action_idx: int, action_value: float | None = None) -> float:
     """U V at (node, action): kernel-averaged forward difference over eps^2.
 
-    key is the node's ValueTable key: its history in full mode, its node
-    index in the layer in collapse mode.
+    node is the node's index in its layer.  Full mode reads the children
+    (node * A + ai) * M + m of the next layer and ignores action_value.
     """
+    own = values.value(depth, node)
     if tree.mode == "full":
+        first = (node * len(tree.cfg.action_grid) + action_idx) * tree.n_atoms
         acc = 0.0
         for m in range(tree.n_atoms):
-            acc += tree.atoms.weights[m] * values.value(depth + 1,
-                                                        key + ((action_idx, m),))
-        return (acc - values.value(depth, key)) / tree.eps_k**2
+            acc += tree.atoms.weights[m] * values.value(depth + 1, first + m)
+        return (acc - own) / tree.eps_k**2
     ops = tree.structure.collapse_ops()
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
-    probe = _node_probe(tree, ops, depth, slice(key, key + 1))
+    probe = _node_probe(tree, ops, depth, slice(node, node + 1))
     stage = _probe_stage_values(tree, ops, probe, a, tree.layers[depth + 1],
                                 values.layers[depth + 1],
                                 allow_miss=action_value is not None)
-    return float((stage[0] - values.value(depth, key)) / tree.eps_k**2)
+    return float((stage[0] - own) / tree.eps_k**2)
 
 
 def vertical_gradient(F_n: float, F_prev: float, sign_vec, j: int,
@@ -763,24 +767,25 @@ def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
     """Step-by-step actions along a realized skeleton path.
 
     Off-tree increments are projected: full mode snaps each realized delta_t
-    to the nearest kernel atom of the same (coord, sign); collapse mode bins
-    the realized statistic and falls back to the nearest populated bin.
+    to the nearest kernel atom m of the same (coord, sign) and walks to child
+    (i * A + ai) * M + m, ai the first grid index of the recorded action (it
+    never refines); collapse mode bins the realized statistic and falls back
+    to the nearest populated bin.
     """
     cfg = tree.cfg
     depth = min(cfg.depth, len(path)) if depth is None else min(depth, cfg.depth,
                                                                 len(path))
     actions = np.empty(depth)
     if tree.mode == "full":
-        key = ()
-        state = tree.structure.init()
+        grid, atoms = cfg.action_grid, tree.atoms
+        i = 0
         for n in range(depth):
-            a, ai = result.policy.layers[n][key]
-            actions[n] = a
+            actions[n] = result.policy.action(n, i)
+            ai = int(np.flatnonzero(grid == actions[n])[0])
             dt, c, s = float(path.delta_t[n]), int(path.coords[n]), int(path.signs[n])
-            same = np.flatnonzero((tree.atoms.coords == c) & (tree.atoms.signs == s))
-            m = int(same[np.argmin(np.abs(tree.atoms.delta_t[same] - dt))])
-            state = tree.structure.step(state, a, dt, _unit(c, s, path.d))
-            key = key + ((ai, m),)
+            same = np.flatnonzero((atoms.coords == c) & (atoms.signs == s))
+            m = int(same[np.argmin(np.abs(atoms.delta_t[same] - dt))])
+            i = (i * len(grid) + ai) * tree.n_atoms + m
         return actions
     widths = tree.bin_widths
     state = tree.structure.init()
@@ -790,12 +795,6 @@ def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
         i = nearest_bin_index(tree.layers[n], bins)[0]
         actions[n] = float(result.policy.layers[n][i])
         state = tree.structure.step(state, actions[n], float(path.delta_t[n]),
-                                    _unit(int(path.coords[n]), int(path.signs[n]),
-                                          path.d))
+                                    _sign_vec(int(path.coords[n]), int(path.signs[n]),
+                                              path.d))
     return actions
-
-
-def _unit(coord: int, sign: int, d: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.int64)
-    v[coord - 1] = sign
-    return v

@@ -245,7 +245,7 @@ def test_criterion_5_hjb_residual(merton_solution):
         tree = build_tree(struct, payoff, eps, cfg)
         res = backward_dp(tree)
         for depth in range(cfg.depth):
-            for key in res.values.layers[depth]:
+            for key in range(len(res.values.layers[depth])):
                 us = [hamiltonian(tree, res.values, depth, key, ai)
                       for ai in range(len(cfg.action_grid))]
                 worst_max = max(worst_max, abs(max(us)))

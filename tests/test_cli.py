@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from skeldp import density, solver
+from skeldp import density, evaluate, skeleton, solver, structures
 from skeldp.cli import main
 
 MERTON_CFG = {
@@ -208,7 +208,13 @@ def test_evaluate_too_few_paths_exit_1(tmp_path, capsys, monkeypatch, n_paths):
 
 
 @pytest.mark.parametrize("command", ["solve", "portfolio"])
-def test_node_key_overflow_exit_3_without_outputs(tmp_path, capsys, command):
+def test_node_key_overflow_exit_3_without_outputs(tmp_path, capsys, monkeypatch,
+                                                   command):
+    def refuse(*args, **kwargs):
+        pytest.fail("node_key range must be refused before the backward pass")
+
+    monkeypatch.setattr(solver, "backward_dp", refuse)
+    monkeypatch.setattr(evaluate, "backward_dp", refuse)
     # time bins past 2^30 fit the lattice but not the CSV's node_key
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update(action_grid=[0.0], depth=2, Q=1, time_bin_width=1e-11)
@@ -338,3 +344,92 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
         "evaluate_metrics.json":
             "df294c55b18465f38c47bf4ef078d53d1ad74bcf40e68442409493b832365616",
     }
+
+
+PDSDE_CFG = {
+    "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 2.0},
+    "problem": {"kind": "pd_sde", "drift": {"name": "linear", "scale": 0.2},
+                "diffusion": {"name": "constant", "value": 0.6}, "x0": [0.5],
+                "payoff": {"name": "running_max_tanh"}},
+    "solve": {"action_grid": [-1.0, 0.0, 1.0], "depth": 3, "Q": 2},
+    "evaluate": {"n_paths": 300},
+}
+
+FBM_CFG = {
+    "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
+    "problem": {"kind": "fbm", "H": 0.75, "d_H": 1.0, "sigma": 0.5,
+                "drift": {"name": "action_linear", "scale": 1.0}, "x0": 0.0},
+    "solve": {"action_grid": [-1.0, 0.0, 1.0], "depth": 2, "Q": 2},
+}
+
+
+def _digests(tmp_path, command, cfg, name):
+    out = str(tmp_path / name)
+    assert main([command, "--config", write_cfg(tmp_path, cfg, name + ".json"),
+                 "--out-dir", out, "--seed", "5", "--quiet"]) == 0
+    return {f: hashlib.sha256(blob).hexdigest()
+            for f, blob in read_all(out).items() if f != "manifest.json"}
+
+
+def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
+    """value_policy.csv's history keys, the summaries and a full-mode MC."""
+    # recorded on the solver that still keyed full-mode nodes by history tuples
+    assert _digests(tmp_path, "solve", PDSDE_CFG, "pd") == {
+        "value_policy.csv":
+            "b0ca88ad81c1a288664ae56695316662755b0911a4f34ea5a71de5e08108a7dc",
+        "summary.json":
+            "ade04b0bbcbb9af99d2ae0d1f7d1758edd84a5d163062396642371ba16efed7c",
+    }
+    assert _digests(tmp_path, "solve", FBM_CFG, "fbm") == {
+        "value_policy.csv":
+            "0d90eb5aafb232e9a06019ed3ec102d87bcf7d9f953093f0d9b5dfd1a0b8cc3f",
+        "summary.json":
+            "d64e479dfdd8458299a3e32a69eb78d4ce26982ea2fd5c8a234395479ea5c4c7",
+    }
+    assert _digests(tmp_path, "evaluate", PDSDE_CFG, "pde") == {
+        "evaluate_metrics.json":
+            "41be8f2fc9ae84148bb60546f78fac223214098f2554587b678bff07a803a427",
+    }
+
+
+def test_evaluate_antithetic_takes_effect_in_both_modes(tmp_path):
+    cfg = json.loads(json.dumps(PDSDE_CFG))
+    cfg["evaluate"]["antithetic"] = True
+    out = str(tmp_path / "a")
+    assert main(["evaluate", "--config", write_cfg(tmp_path, cfg), "--out-dir", out,
+                 "--seed", "5", "--quiet"]) == 0
+    with open(os.path.join(out, "evaluate_metrics.json")) as fh:
+        anti = json.load(fh)
+    skel = cfg["skeleton"]
+    struct, payoff = structures.structure_from_config(
+        cfg["problem"], skel["epsilon_k"], skel["horizon_T"])
+    tree = solver.build_tree(struct, payoff, skel["epsilon_k"], solver.SolveConfig(
+        action_grid=np.array(cfg["solve"]["action_grid"]), depth=3, Q=2))
+    res = solver.backward_dp(tree)
+    skel_cfg = skeleton.SkeletonConfig(skel["epsilon_k"], 1, skel["horizon_T"], 3)
+    mc = {flag: evaluate.policy_mc_value(struct, payoff, res, tree, skel_cfg, 300, 5,
+                                         antithetic=flag) for flag in (False, True)}
+    assert (anti["mc_mean"], anti["mc_se"]) == (mc[True].mean, mc[True].se)
+    assert mc[True].mean != mc[False].mean
+    # collapse mode: recorded when evaluate still called mc_value directly
+    col = json.loads(json.dumps(MERTON_CFG))
+    col["evaluate"]["antithetic"] = True
+    assert _digests(tmp_path, "evaluate", col, "col") == {
+        "evaluate_metrics.json":
+            "86e9e8aa35d7458bd01c556bdac426da92ab7f1940b825db691cf42f277851f8",
+    }
+
+
+def test_portfolio_refuses_antithetic_exit_1(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("antithetic must be refused before the solve")
+
+    monkeypatch.setattr(solver, "build_tree", refuse)
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["evaluate"]["antithetic"] = True
+    out = str(tmp_path / "o")
+    assert main(["portfolio", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "antithetic" in err
+    assert not os.path.exists(os.path.join(out, "portfolio_summary.json"))

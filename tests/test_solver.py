@@ -45,10 +45,10 @@ def test_constant_payoff_constant_value_and_tiebreak():
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=3, Q=2)
     res = backward_dp(build_tree(struct, lambda path: 4.25, 1.0 / 3, cfg))
     for layer in res.values.layers:
-        assert all(v == 4.25 for v in layer.values())
+        assert all(v == 4.25 for v in layer)
     # every action ties; the smallest grid index must win everywhere
     for layer in res.policy.layers:
-        assert all(v == (-1.0, 0) for v in layer.values())
+        assert all(v == -1.0 for v in layer)
 
 
 def test_monotone_in_payoff():
@@ -66,11 +66,11 @@ def test_supermartingale_and_boundedness():
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=3, Q=2)
     tree = build_tree(struct, payoff, 1.0 / 3, cfg)
     res = backward_dp(tree)
-    leaf_sup = max(abs(v) for v in res.values.layers[-1].values())
+    leaf_sup = max(abs(v) for v in res.values.layers[-1])
     for depth in range(cfg.depth):
-        for key, v in res.values.layers[depth].items():
+        for key, v in enumerate(res.values.layers[depth]):
             assert abs(v) <= leaf_sup + 1e-12
-            best_ai = res.policy.layers[depth][key][1]
+            best_ai = list(cfg.action_grid).index(res.policy.layers[depth][key])
             for ai in range(len(cfg.action_grid)):
                 u = hamiltonian(tree, res.values, depth, key, ai)
                 assert u <= 1e-10 / tree.eps_k**2
@@ -83,9 +83,8 @@ def test_hamiltonian_of_constant_functional_is_zero():
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2)
     tree = build_tree(struct, payoff, 1.0 / 3, cfg)
     res = backward_dp(tree)
-    const = ValueTable("full", [{k: 1.0 for k in layer}
-                                for layer in res.values.layers])
-    for key in res.values.layers[1]:
+    const = ValueTable([np.ones(len(layer)) for layer in res.values.layers])
+    for key in range(len(res.values.layers[1])):
         assert hamiltonian(tree, const, 1, key, 0) == 0.0
 
 
@@ -535,3 +534,75 @@ def test_node_key_codec_round_trips(k):
 def test_node_key_codec_refuses_bins_past_31_bits(bad):
     with pytest.raises(ResourceCapError, match="overflow"):
         solver._pack(np.array([bad], dtype=np.int64))
+
+
+def _steering(d):
+    """Drift a, payoff -x(T)^2: the best action depends on the history."""
+    spec = PdSdeSpec(drift=lambda t, p, a: 0.8 * np.atleast_1d(a) * np.ones(1),
+                     diffusion=lambda t, p, a: np.array([[1.0, 0.5][:d]]),
+                     x0=np.array([0.3]), d=d)
+    payoff = lambda path: -float(np.atleast_1d(path(4.0))[0]) ** 2  # noqa: E731
+    return CaseAStructure(spec, 0.5, horizon_T=4.0), payoff
+
+
+def _history_walk(struct, payoff, tree, path):
+    """Actions along a path, each the argmax of a fresh fold at the tree
+    node that the path's history reaches (realized delta_t snapped to the
+    nearest atom of its coordinate and sign, first maximum on ties)."""
+    atoms, grid, depth = tree.atoms, tree.cfg.action_grid, tree.cfg.depth
+
+    def fold(state, n):
+        if n == depth:
+            return float(payoff(struct.payoff_input(state))), None
+        best_v, best_a = -math.inf, None
+        for a in grid:
+            acc = 0.0
+            for m in range(tree.n_atoms):
+                child = struct.step(state, float(a), float(atoms.delta_t[m]),
+                                    tree.sign_vec(m))
+                acc += atoms.weights[m] * fold(child, n + 1)[0]
+            if acc > best_v:
+                best_v, best_a = acc, float(a)
+        return best_v, best_a
+
+    state, actions = struct.init(), []
+    for n in range(min(depth, len(path))):
+        actions.append(fold(state, n)[1])
+        same = [m for m in range(tree.n_atoms)
+                if atoms.coords[m] == path.coords[n] and atoms.signs[m] == path.signs[n]]
+        m = min(same, key=lambda m: abs(atoms.delta_t[m] - path.delta_t[n]))
+        state = struct.step(state, actions[-1], float(atoms.delta_t[m]),
+                            tree.sign_vec(m))
+    return actions
+
+
+@pytest.mark.parametrize("d, depth", [(1, 3), (2, 2)])
+def test_full_extract_policy_matches_history_walk(d, depth):
+    struct, payoff = _steering(d)
+    cfg = SolveConfig(action_grid=np.array([-1.0, 0.0, 1.0]), depth=depth, Q=2)
+    tree = build_tree(struct, payoff, 0.5, cfg)
+    res = backward_dp(tree)
+    seen = set()
+    for seed in range(12):
+        path = sample_skeleton(SkeletonConfig(0.5, d, 4.0, depth), seed)
+        acts = extract_policy_control(res, tree, path).tolist()
+        assert acts == _history_walk(struct, payoff, tree, path)
+        seen.add(tuple(acts))
+    assert len(seen) > 1                      # the walk visits different nodes
+
+
+@pytest.mark.parametrize("collapse", [False, True])
+def test_node_index_out_of_range_raises(collapse):
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2,
+                      collapse=collapse)
+    res = backward_dp(build_tree(struct, payoff, 1.0 / 3, cfg))
+    for d in range(cfg.depth + 1):
+        n = len(res.values.layers[d])
+        assert res.values.value(d, n - 1) == res.values.layers[d][-1]
+        for bad in (-1, n):
+            with pytest.raises(KeyError):
+                res.values.value(d, bad)
+            if d < cfg.depth:
+                with pytest.raises(KeyError):
+                    res.policy.action(d, bad)

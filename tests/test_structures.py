@@ -237,8 +237,8 @@ def test_argmax_invariant_under_x0():
         res = backward_dp(build_tree(struct, power_utility_payoff(pspec(x0=x0)),
                                      eps, SolveConfig(grid, depth=3, Q=2)))
         roots[x0] = res
-    acts1 = [v[0] for _, v in sorted(roots[1.0].policy.layers[0].items())]
-    acts7 = [v[0] for _, v in sorted(roots[7.0].policy.layers[0].items())]
+    acts1 = roots[1.0].policy.layers[0].tolist()
+    acts7 = roots[7.0].policy.layers[0].tolist()
     assert acts1 == acts7
     assert roots[7.0].report.root_value == pytest.approx(
         7.0**0.5 * roots[1.0].report.root_value, rel=1e-10)
