@@ -64,7 +64,12 @@ def _as_control(control):
 
 
 class PolicyControl:
-    """Adapted control reading a solved policy along the realized path."""
+    """Adapted control reading a solved policy along the realized path.
+
+    Collapse trees only: the realized statistic is binned and read at its
+    own bin, or through `nearest_bin_index` when that bin is not on the
+    layer.
+    """
 
     def __init__(self, result: SolveResult, tree: Tree):
         self.result = result
@@ -333,11 +338,12 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
     """Payoffs of the solved policy on n_paths exact skeleton draws.
 
     Statistics evolve exactly (continuous delta-t draws); only the policy
-    lookup passes through the solve-time bins, with nearest-populated-bin
-    fallback.  On the same draws, scalar rollout() with a PolicyControl
-    reaches bit-identical terminal statistics (so the same lookups and
-    actions); the payoffs agree to a few ulps, as payoff_stats takes
-    exp(gamma * lw) / gamma where power_utility_payoff takes
+    lookup passes through the solve-time bins, one `nearest_bin_index`
+    call per chunk and layer, so a bin off the layer falls back by the
+    solver's own rule.  On the same draws, scalar rollout() with a
+    PolicyControl reaches bit-identical terminal statistics (so the same
+    lookups and actions); the payoffs agree to a few ulps, as payoff_stats
+    takes exp(gamma * lw) / gamma where power_utility_payoff takes
     exp(lw)**gamma / gamma.
     """
     if tree.mode != "collapse":

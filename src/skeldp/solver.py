@@ -25,8 +25,8 @@ its index in the layer, and value and policy layers are arrays in node order:
   next layer's box; the backward pass adds the weighted, shifted block of
   the next layer's value box into a box accumulator.  Off-grid probes
   (golden refinement, residual checks) step each node at its own action and
-  fall back to the packed-order nearest populated bin when a child lands on
-  an empty cell.
+  send a child that lands on an empty cell to `nearest_bin_index`, the same
+  nearest-populated-bin rule that every policy lookup uses.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -70,14 +70,11 @@ class SolveConfig:
     state_bin_width: float = math.log(1.0 + 1e-3)
     holder_c: float = 1.0
     holder_gamma: float = 1.0
-    a_bar: float | None = None
 
     def __post_init__(self):
         self.action_grid = np.asarray(self.action_grid, dtype=float)
         if self.action_grid.ndim != 1 or len(self.action_grid) == 0:
             raise ConfigurationError("action_grid must be a nonempty 1-d array")
-        if self.a_bar is not None and np.any(np.abs(self.action_grid) > self.a_bar + 1e-12):
-            raise ConfigurationError("action_grid leaves [-a_bar, a_bar]")
         if self.depth < 0:
             raise ConfigurationError(f"depth must be >= 0, got {self.depth}")
         if self.epsilon_total <= 0:
@@ -162,19 +159,18 @@ class Tree:
                          int(self.atoms.signs[atom_idx]), int(self.atoms.coords.max()))
 
 
-def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
-               atoms: DiscretizedKernel | None = None, lags=None) -> Tree:
+def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
     """Assemble the layered tree handle; refuses infeasible enumerations.
 
-    Without explicit atoms/lags the fresh-start kernel is used, with the
-    Brownian dimension read off the structure.
+    The fresh-start kernel is used, with the Brownian dimension read off
+    the structure.  A structure whose spec bounds the actions by a_bar
+    refuses a grid that leaves [-a_bar, a_bar], in either tree mode.
     """
-    if atoms is None:
-        if lags is None:
-            d = getattr(getattr(structure, "spec", None), "d", 1)
-            lags = np.zeros(d)
-        atoms = discretize_kernel(np.asarray(lags, dtype=float), eps_k,
-                                  cfg.Q, cfg.rule)
+    spec = getattr(structure, "spec", None)
+    a_bar = getattr(spec, "a_bar", None)
+    if a_bar is not None and np.any(np.abs(cfg.action_grid) > a_bar + 1e-12):
+        raise ConfigurationError(f"action_grid leaves [-{a_bar}, {a_bar}]")
+    atoms = discretize_kernel(np.zeros(getattr(spec, "d", 1)), eps_k, cfg.Q, cfg.rule)
     n_children = len(cfg.action_grid) * len(atoms)
     if not cfg.collapse:
         total = 0
@@ -253,12 +249,6 @@ def _reps(bins: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return (bins + 0.5) * widths
 
 
-def _pack_weights(k: int) -> np.ndarray:
-    """Packed-key distance of one unit step in each bin component."""
-    shifts = 63 - np.cumsum(_PACK_BITS[k])
-    return np.left_shift(np.int64(1), shifts.astype(np.int64))
-
-
 def _cells(bins: np.ndarray, origin: np.ndarray, shape: tuple) -> np.ndarray:
     """Row-major index of bins in the box at origin; ValueError if one is off it."""
     return np.ravel_multi_index(
@@ -277,7 +267,7 @@ class Lattice:
     shape: tuple                # box extent per component
     bins: np.ndarray            # (n, k) populated bins, in box order
     rank: np.ndarray            # (cells,) node index of each cell, -1 if empty
-    before: np.ndarray          # (cells + 1,) populated cells ahead of each cell
+    cells: np.ndarray           # (n,) box cell of each node, increasing
 
     @classmethod
     def over(cls, bins: np.ndarray) -> "Lattice":
@@ -288,17 +278,9 @@ class Lattice:
         cells = _cells(bins, origin, shape)
         if np.any(np.diff(cells) <= 0):
             raise ConfigurationError("layer bins must be distinct and in packed order")
-        size = math.prod(shape)
-        rank = np.full(size, -1, dtype=np.int64)
+        rank = np.full(math.prod(shape), -1, dtype=np.int64)
         rank[cells] = np.arange(len(bins))
-        before = np.zeros(size + 1, dtype=np.int64)
-        before[cells + 1] = 1
-        return cls(origin, shape, bins, rank, np.cumsum(before))
-
-    @property
-    def cells(self) -> np.ndarray:
-        """Box cell of each node."""
-        return np.flatnonzero(self.rank >= 0)
+        return cls(origin, shape, bins, rank, cells)
 
     @property
     def occupied(self) -> np.ndarray:
@@ -317,43 +299,6 @@ class Lattice:
     def locate(self, bins: np.ndarray) -> np.ndarray:
         """Node index of each bin row; -1 where the cell is empty or off the box."""
         return self.find(*bins.T)
-
-    def ahead(self, bins: np.ndarray) -> np.ndarray:
-        """Populated bins ahead of each row in packed order: its node index
-        if populated, else where it would be inserted.
-
-        A query off the box is placed where packed order puts it: the first
-        component that leaves the box clamps it and every later component
-        to that edge.
-        """
-        first = self.origin
-        last = self.origin + self.shape - 1
-        clamped = bins.copy()
-        after = np.zeros(len(bins), dtype=np.int64)
-        free = np.ones(len(bins), dtype=bool)
-        for c in range(len(self.shape)):
-            low = free & (bins[:, c] < first[c])
-            high = free & (bins[:, c] > last[c])
-            clamped[low, c:] = first[c:]
-            clamped[high, c:] = last[c:]
-            after[high] = 1
-            free &= ~(low | high)
-        return self.before[_cells(clamped, self.origin, self.shape) + after]
-
-    def nearest(self, bins: np.ndarray) -> np.ndarray:
-        """Nearest populated bin of each row in packed-key distance.
-
-        The neighbours are the populated bins just before and after the
-        query in packed order; the one before wins ties.
-        """
-        ahead = self.ahead(bins)
-        n = len(self.bins)
-        pred = np.clip(ahead - 1, 0, n - 1)
-        succ = np.clip(ahead, 0, n - 1)
-        weights = _pack_weights(bins.shape[1])
-        d_pred = (bins - self.bins[pred]) @ weights
-        d_succ = (self.bins[succ] - bins) @ weights
-        return np.where(d_pred <= d_succ, pred, succ)
 
 
 def _axis(lattice: Lattice, c: int, width: float):
@@ -571,7 +516,8 @@ def _probe_stage_values(tree: Tree, ops, probe, action, lattice: Lattice,
             if not allow_miss:
                 raise NumericalError(
                     "forward/backward bin mismatch on a grid action")
-            idx[miss] = lattice.nearest(np.column_stack([tb[miss], wb[miss]]))
+            idx[miss] = nearest_bin_index(lattice,
+                                          np.column_stack([tb[miss], wb[miss]]))
         acc += tree.atoms.weights[m] * next_values[idx]
     return acc
 
@@ -744,21 +690,37 @@ def vertical_gradient(F_n: float, F_prev: float, sign_vec, j: int,
 def nearest_bin_index(lattice: Lattice, query_bins: np.ndarray) -> np.ndarray:
     """Node index of the populated bin closest to each (M, k) query row.
 
-    A query bin on the layer returns its own node.  A miss scores the nine
-    nodes around its packed-order insertion point (clipped to the layer) by
-    |dt| * 1e6 + L1 state distance, so time mismatch dominates, and takes
-    the first minimum; the window is sorted, so the duplicates clipping
-    makes never change the pick.
+    The one nearest-bin rule of a collapse tree, for solver probes and
+    policy lookups alike.  A query bin on the layer returns its own node.
+    A miss goes to the nearest populated time row, the earlier one on
+    ties; within that row it takes the query's node-order predecessor or
+    successor, whichever is nearer in L1 state distance, the predecessor
+    on ties.  With one state component that is the row's nearest bin.
     """
     idx = lattice.locate(query_bins)
     miss = np.flatnonzero(idx < 0)
-    if len(miss):
-        cand = np.clip(lattice.ahead(query_bins[miss])[:, None] + np.arange(-4, 5),
-                       0, len(lattice.bins) - 1)
-        diffs = np.abs(lattice.bins[cand].astype(float)
-                       - query_bins[miss, None, :].astype(float))
-        score = diffs[:, :, 0] * 1e6 + np.sum(diffs[:, :, 1:], axis=2)
-        idx[miss] = cand[np.arange(len(miss)), np.argmin(score, axis=1)]
+    if len(miss) == 0:
+        return idx
+    q = query_bins[miss]
+    t0, row_cells = lattice.origin[0], math.prod(lattice.shape[1:])
+
+    def row_start(rows):         # first node at or after each box row
+        return np.searchsorted(lattice.cells, (rows - t0) * row_cells)
+
+    # the box's first and last rows are populated, so `after` is a node
+    after = row_start(np.clip(q[:, 0], t0, t0 + lattice.shape[0] - 1))
+    succ_row = lattice.bins[after, 0]
+    pred_row = lattice.bins[np.maximum(after - 1, 0), 0]
+    row = np.where(q[:, 0] - pred_row <= succ_row - q[:, 0], pred_row, succ_row)
+    target = np.clip(q, lattice.origin, lattice.origin + lattice.shape - 1)
+    target[:, 0] = row
+    at = np.searchsorted(lattice.cells, _cells(target, lattice.origin, lattice.shape))
+    first, last = row_start(row), row_start(row + 1) - 1
+    pred = np.clip(at - 1, first, last)
+    succ = np.clip(at, first, last)
+    d_pred = np.abs(lattice.bins[pred, 1:] - q[:, 1:]).sum(axis=1)
+    d_succ = np.abs(lattice.bins[succ, 1:] - q[:, 1:]).sum(axis=1)
+    idx[miss] = np.where(d_pred <= d_succ, pred, succ)
     return idx
 
 
@@ -769,8 +731,8 @@ def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
     Off-tree increments are projected: full mode snaps each realized delta_t
     to the nearest kernel atom m of the same (coord, sign) and walks to child
     (i * A + ai) * M + m, ai the first grid index of the recorded action (it
-    never refines); collapse mode bins the realized statistic and falls back
-    to the nearest populated bin.
+    never refines); collapse mode bins the realized statistic and reads it
+    through `nearest_bin_index`.
     """
     cfg = tree.cfg
     depth = min(cfg.depth, len(path)) if depth is None else min(depth, cfg.depth,

@@ -226,6 +226,20 @@ def test_node_key_overflow_exit_3_without_outputs(tmp_path, capsys, monkeypatch,
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("collapse", [False, True])
+@pytest.mark.parametrize("command", ["solve", "portfolio", "evaluate"])
+def test_grid_outside_a_bar_exit_1(tmp_path, capsys, command, collapse):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["problem"]["a_bar"] = 0.5
+    cfg["solve"].update(action_grid=[-1.0, 1.0], depth=2, collapse=collapse)
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: action_grid leaves [-0.5, 0.5]")
+    assert os.listdir(out) == []
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["sweep"] = {"eps_list": [0.5, 1.0 / 3]}
@@ -335,14 +349,16 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
         ("value_policy.csv", solved["value_policy.csv"]),
         ("summary.json", solved["summary.json"]),
         ("evaluate_metrics.json", evaluated["evaluate_metrics.json"])]}
-    # recorded on the solver that still stored packed keys per layer
+    # the CSV and summary recorded on the solver that still stored packed
+    # keys per layer; the evaluation re-recorded when every lookup miss
+    # went to the nearest populated time row, then the nearest state bin
     assert digests == {
         "value_policy.csv":
             "a5818cbd989236d917d42e5c662c9c905a3208c124e2221b99b5da04f0eba7f7",
         "summary.json":
             "f13a27766d3e21c1632e10cfc4bb2a4d0249ad9396c62457371bdba05af3e09d",
         "evaluate_metrics.json":
-            "df294c55b18465f38c47bf4ef078d53d1ad74bcf40e68442409493b832365616",
+            "8f2c59098fcb554132c2ee185df9fb32810aae98c1bca2f79259e4695524914a",
     }
 
 

@@ -11,7 +11,6 @@ from skeldp.evaluate import (MertonRef, PolicyControl, convergence_sweep,
                              enumerate_oracle, mc_value, merton_oracle,
                              policy_mc_value, portfolio_policy_rollouts,
                              project_control, q_slack, rollout)
-from skeldp.kernel import discretize_kernel
 from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from skeldp.solver import (SolveConfig, backward_dp, build_tree,
                            extract_policy_control)
@@ -157,8 +156,7 @@ def test_enumerate_cap():
     # the oracle's own workload cap must still refuse
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=6, Q=4,
                       node_cap=10**11)
-    tree = build_tree(struct, payoff, 1.0 / 3, cfg,
-                      atoms=discretize_kernel(np.zeros(1), 1.0 / 3, 4))
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
     with pytest.raises(ResourceCapError):
         enumerate_oracle(struct, payoff, tree, cap=1000)
 
@@ -205,9 +203,10 @@ def desk5():
 def test_policy_rollouts_pinned(desk5):
     struct, _, tree, res = desk5
     pay = portfolio_policy_rollouts(struct.spec, 1.0 / 3, res, tree, 20_000, seed=3)
-    # recorded while misses were still looked up one path at a time
+    # recorded when every lookup miss went to the nearest populated time
+    # row, then the nearest state bin in it
     assert hashlib.sha256(pay.tobytes()).hexdigest() == (
-        "9c229fd5781e3898a2aee91556acee583e29d8d5f7d0261c6aebcebd096a5411")
+        "27394940a4d46756b1e57c382374ca92e5436c2f8fde69860c611803a29dd17d")
 
 
 def test_policy_rollouts_match_scalar_policy_control(desk5, monkeypatch):
@@ -346,7 +345,7 @@ def test_q_slack_doubles_only_Q(monkeypatch):
     struct, payoff = pstruct(a_bar=0.5)
     cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
                       collapse=True, refine=True, refine_iters=5,
-                      state_bin_width=2e-3, holder_c=0.5, a_bar=0.5)
+                      state_bin_width=2e-3, holder_c=0.5)
     assert q_slack(struct, payoff, 1.0 / 3, cfg) >= 0.0
     assert [c.Q for c in seen] == [2, 4]
     for f in dataclasses.fields(SolveConfig):
@@ -367,7 +366,7 @@ def test_merton_oracle_keeps_every_other_field(monkeypatch):
     cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
                       collapse=False, refine=True, refine_iters=5,
                       state_bin_width=2e-3, time_bin_width=0.03,
-                      holder_c=0.5, holder_gamma=0.75, a_bar=0.5)
+                      holder_c=0.5, holder_gamma=0.75)
     ref = merton_oracle(struct.spec, 1.0 / 3, cfg)
     assert ref.const_grid_action in cfg.action_grid
     assert [c.action_grid.tolist() for c in seen] == [[a] for a in cfg.action_grid]

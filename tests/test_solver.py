@@ -195,9 +195,18 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         SolveConfig(action_grid=np.array([0.0]), depth=-1)
     with pytest.raises(ConfigurationError):
-        SolveConfig(action_grid=np.array([2.0]), depth=2, a_bar=1.0)
-    with pytest.raises(ConfigurationError):
         SolveConfig(action_grid=np.array([0.0]), depth=2, epsilon_total=0.0)
+
+
+@pytest.mark.parametrize("collapse", [False, True])
+def test_build_tree_refuses_actions_outside_a_bar(collapse):
+    struct, payoff = pstruct(a_bar=0.5)
+    with pytest.raises(ConfigurationError, match=r"leaves \[-0.5, 0.5\]"):
+        build_tree(struct, payoff, 1.0 / 3, SolveConfig(
+            np.array([-1.0, 1.0]), depth=2, Q=2, collapse=collapse))
+    tree = build_tree(struct, payoff, 1.0 / 3, SolveConfig(
+        np.array([-0.5, 0.5]), depth=2, Q=2, collapse=collapse))
+    assert backward_dp(tree).report.root_action in (-0.5, 0.5)
 
 
 def test_collapse_needs_statistic():
@@ -282,104 +291,141 @@ def test_collapse_depth3_merton_pinned():
         "f584b30ef7a2b781b33de23195aeded4db812666cc17d1315b012d0fd4e46891")
 
 
-def _packed_order_nearest(packed, key):
-    """Reference miss rule: the closer packed-order neighbour, left on ties."""
-    i = min(int(np.searchsorted(packed, key)), len(packed) - 1)
-    left = max(i - 1, 0)
-    return left if abs(packed[left] - key) <= abs(packed[i] - key) else i
+def _brute_nearest(bins, q):
+    """Reference miss rule: its own bin if populated, else the nearest
+    populated time row, then the nearest state bin in that row, the
+    earlier one on ties (a first minimum over rows and bins in order)."""
+    same = np.flatnonzero(np.all(bins == q, axis=1))
+    if len(same):
+        return int(same[0])
+    rows = np.unique(bins[:, 0])
+    row = rows[np.argmin(np.abs(rows - q[0]))]
+    in_row = np.flatnonzero(bins[:, 0] == row)
+    return int(in_row[np.argmin(np.abs(bins[in_row, 1:] - q[1:]).sum(axis=1))])
 
 
-def test_lattice_miss_rule_matches_packed_order():
-    # rows of unequal extent, a hole with equidistant neighbours in row 1
-    bins = np.array([[0, 0], [0, 1], [1, -3], [1, 1], [2, -5]], dtype=np.int64)
+def test_lattice_miss_rule_by_row_then_state():
+    # rows of unequal extent, a hole with equidistant neighbours in row 1,
+    # and an empty row 3 equidistant from rows 2 and 4
+    bins = np.array([[0, 0], [0, 1], [1, -3], [1, 1], [2, -5], [4, 2]],
+                    dtype=np.int64)
     packed, lattice = solver._pack(bins), solver.Lattice.over(bins)
-    layer_bins = lattice.bins
     assert np.all(np.diff(packed) > 0)
-    # far off the box the next row can be nearer in packed distance
     states = list(range(-6, 6)) + [-2**30, 2**30 - 1]
-    queries = np.array([[t, s] for t in range(-1, 4) for s in states],
+    queries = np.array([[t, s] for t in range(-1, 6) for s in states],
                        dtype=np.int64)
     located = lattice.locate(queries)
-    nearest = lattice.nearest(queries)
+    nearest = solver.nearest_bin_index(lattice, queries)
     for q, hit, near in zip(queries, located, nearest):
         key = solver._pack(q[None, :])[0]
         on_layer = np.flatnonzero(packed == key)
         assert hit == (on_layer[0] if len(on_layer) else -1)
-        assert near == _packed_order_nearest(packed, key), q
+        assert near == _brute_nearest(bins, q), q
     # left of the box in row 1 goes to row 1's first bin, right of it in
-    # row 0 stays in row 0, the tie at (1, -1) goes left, and far right in
-    # row 1 the next row's first bin is nearer
-    picks = lattice.nearest(np.array([[1, -6], [0, 5], [1, -1], [1, 2**30 - 1]]))
-    assert [tuple(layer_bins[i]) for i in picks] == [(1, -3), (0, 1), (1, -3),
-                                                     (2, -5)]
+    # row 0 stays in row 0, the tie at (1, -1) goes to the lower bin, far
+    # right in row 1 stays at row 1's last bin, and row 3 goes to row 2
+    picks = solver.nearest_bin_index(lattice, np.array(
+        [[1, -6], [0, 5], [1, -1], [1, 2**30 - 1], [3, 2], [-7, 9], [9, -9]]))
+    assert [tuple(bins[i]) for i in picks] == [(1, -3), (0, 1), (1, -3), (1, 1),
+                                               (2, -5), (0, 1), (4, 2)]
     # a layer rebuilt from its keys carries the same lattice
     lattice2 = solver.Lattice.over(solver._unpack(packed, 2))
-    bins2 = lattice2.bins
-    assert np.array_equal(bins2, bins)
+    assert np.array_equal(lattice2.bins, bins)
     assert np.array_equal(lattice2.rank, lattice.rank)
 
 
-def _scalar_nearest_bin_index(layer_packed, layer_bins, query_bins):
-    """One query at a time, as nearest_bin_index did before it was batched."""
-    key = solver._pack(query_bins[None, :])[0]
-    i = int(np.searchsorted(layer_packed, key))
-    if i < len(layer_packed) and layer_packed[i] == key:
-        return i
-    cand = np.unique(np.clip(np.arange(i - 4, i + 5), 0, len(layer_packed) - 1))
-    diffs = layer_bins[cand].astype(float) - query_bins.astype(float)
-    score = np.abs(diffs[:, 0]) * 1e6 + np.sum(np.abs(diffs[:, 1:]), axis=1)
-    return int(cand[np.argmin(score)])
-
-
 def _nearest_queries(rng, bins):
-    """Hits, near misses, and queries off the layer's box on every side."""
+    """Hits, near misses, rows between populated rows, and queries off the
+    layer's box on every side."""
     lo, hi = bins.min(axis=0), bins.max(axis=0)
     pick = bins[rng.integers(0, len(bins), 300)]
     near = pick + rng.integers(-3, 4, pick.shape)
+    between = pick.copy()
+    between[:, 0] = rng.integers(lo[0], hi[0] + 1, len(pick))
     off = []
     for c in range(bins.shape[1]):
         for edge, sign in ((lo, -1), (hi, 1)):
             q = bins[rng.integers(0, len(bins), 60)].copy()
             q[:, c] = edge[c] + sign * rng.integers(1, 40, 60)
             off.append(q)
-    return np.concatenate([pick, near, bins[:3], bins[-3:],
+    return np.concatenate([pick, near, between, bins[:3], bins[-3:],
                            bins[:3] - 1, bins[-3:] + 1] + off)
 
 
-def test_batched_nearest_bin_index_matches_scalar_rule():
+def test_nearest_bin_index_matches_brute_force_rule():
     rng = np.random.default_rng(17)
     struct, payoff = pstruct()
     tree = build_tree(struct, payoff, 1.0 / 3, SolveConfig(
         action_grid=np.linspace(-1, 1, 9), depth=4, Q=2, collapse=True))
-    layers = [(solver._pack(lat.bins), lat.bins) for lat in tree.layers]
-    assert len(layers[0][0]) == 1                       # the one-node root layer
-    # three statistic components, in packed order
-    bins3 = np.unique(rng.integers(-6, 7, (150, 3)), axis=0)
-    layers.append((solver._pack(bins3), bins3))
-    hits = misses = clipped_low = clipped_high = 0
-    for packed, bins in layers:
-        assert np.all(np.diff(packed) > 0)
+    layers = [lat.bins for lat in tree.layers]
+    assert len(layers[0]) == 1                          # the one-node root layer
+    # a layer whose box has empty time rows; row 6 is equidistant from 3 and 9
+    sparse = np.unique(np.column_stack([rng.choice([-4, -1, 0, 3, 9], 80),
+                                        rng.integers(-8, 9, 80)]), axis=0)
+    layers.append(sparse)
+    counts = dict.fromkeys(["hit", "populated row", "empty row", "row tie",
+                            "state tie", "off box"], 0)
+    for bins in layers:
         queries = _nearest_queries(rng, bins)
+        queries = np.concatenate([queries, [[-2, 0], [6, -3], [6, 20]]])
         got = solver.nearest_bin_index(solver.Lattice.over(bins), queries)
-        want = [_scalar_nearest_bin_index(packed, bins, q) for q in queries]
         assert got.shape == (len(queries),)
-        assert np.array_equal(got, want)
-        keys = solver._pack(queries)
-        at = np.searchsorted(packed, keys)
-        miss = ~np.isin(keys, packed)
-        hits += np.sum(~miss)
-        misses += np.sum(miss)
-        clipped_low += np.sum(miss & (at < 4))
-        clipped_high += np.sum(miss & (at > len(packed) - 5))
-    assert min(hits, misses, clipped_low, clipped_high) > 0
+        rows = np.unique(bins[:, 0])
+        for q, i in zip(queries, got):
+            assert i == _brute_nearest(bins, q), q
+            dt = np.abs(rows - q[0])
+            in_row = bins[bins[:, 0] == bins[i, 0], 1]
+            ds = np.abs(in_row - q[1])
+            counts["hit"] += bool(np.all(bins[i] == q))
+            counts["populated row"] += dt.min() == 0 and ds.min() > 0
+            counts["empty row"] += dt.min() > 0
+            counts["row tie"] += np.sum(dt == dt.min()) > 1
+            counts["state tie"] += np.sum(ds == ds.min()) > 1
+            counts["off box"] += bool(np.any(q < bins.min(axis=0))
+                                      or np.any(q > bins.max(axis=0)))
+    assert min(counts.values()) > 0, counts
+
+
+def _time_dependent_spec():
+    return PortfolioSpec(r=0.03, alpha_k=lambda t: 0.05 + 0.02 * np.cos(3.0 * t),
+                         sigma_k=lambda t: 0.3 + 0.05 * np.sin(2.0 * t),
+                         gamma_util=0.5, x0=1.0, horizon_T=1.0)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_solver_probe_misses_land_on_populated_rows(time_dependent, monkeypatch):
+    """Refinement probes and off-grid hamiltonian probes never query a time
+    row that the next layer lacks."""
+    spec = _time_dependent_spec() if time_dependent else PortfolioSpec(
+        r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5, x0=1.0, horizon_T=1.0)
+    struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
+    misses = []
+    lookup = solver.nearest_bin_index
+
+    def spy(lattice, queries):
+        assert np.all(lattice.locate(queries) < 0)
+        assert np.all(np.isin(queries[:, 0], lattice.bins[:, 0])), queries
+        misses.append(len(queries))
+        return lookup(lattice, queries)
+
+    monkeypatch.setattr(solver, "nearest_bin_index", spy)
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=3, Q=2,
+                      collapse=True, refine=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    solve_calls = len(misses)
+    for d in range(cfg.depth):
+        for node in range(len(tree.layers[d].bins)):
+            hamiltonian(tree, res.values, d, node, 0, action_value=0.37)
+    assert sum(misses[:solve_calls]) > 0 and sum(misses[solve_calls:]) > 0
 
 
 def _per_node_reference(struct, eps, cfg):
     """Collapse DP with every child from a per-node step_stats + _quantize.
 
     Layers are the distinct child bins in packed order; children are found
-    by packed key, and refinement probes that miss fall back to the
-    lattice's nearest rule.  Returns per-depth (keys, values, policy).
+    by packed key, and refinement probes that miss fall back to
+    _brute_nearest.  Returns per-depth (keys, values, policy).
     """
     ops = struct.collapse_ops()
     widths = solver.collapse_widths(struct, cfg, eps)
@@ -401,7 +447,6 @@ def _per_node_reference(struct, eps, cfg):
     values[-1] = ops.payoff_stats(solver._reps(bins[-1], widths))
     for d in range(cfg.depth - 1, -1, -1):
         reps = solver._reps(bins[d], widths)
-        lattice = solver.Lattice.over(bins[d + 1])
 
         def stage(a, grid_action):
             acc = np.zeros(len(reps))
@@ -411,7 +456,7 @@ def _per_node_reference(struct, eps, cfg):
                 idx = np.clip(np.searchsorted(keys[d + 1], key), 0, len(keys[d + 1]) - 1)
                 miss = keys[d + 1][idx] != key
                 assert not (grid_action and miss.any())
-                idx[miss] = lattice.nearest(child[miss])
+                idx[miss] = [_brute_nearest(bins[d + 1], q) for q in child[miss]]
                 acc += atoms.weights[m] * values[d + 1][idx]
             return acc
 
@@ -431,9 +476,7 @@ def _per_node_reference(struct, eps, cfg):
 
 def test_collapse_matches_per_node_reference_time_dependent():
     """Rows with several increment classes still give the per-node bins."""
-    spec = PortfolioSpec(r=0.03, alpha_k=lambda t: 0.05 + 0.02 * np.cos(3.0 * t),
-                         sigma_k=lambda t: 0.3 + 0.05 * np.sin(2.0 * t),
-                         gamma_util=0.5, x0=1.0, horizon_T=1.0)
+    spec = _time_dependent_spec()
     struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 9), depth=3, Q=4,
                       collapse=True, refine=True, refine_iters=6)
