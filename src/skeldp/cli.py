@@ -5,8 +5,8 @@ Every run writes a manifest.json (config hash, seed, versions) beside its
 outputs; outputs are deterministic for a fixed (config, seed) regardless of
 --threads, and floats are serialized with 17 significant digits.
 
-Exit codes: 1 configuration error, 2 numerical failure (including a
-non-finite user functional), 3 resource cap.
+Exit codes: 1 configuration or usage error, 2 numerical failure (including
+a non-finite user functional), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _skeleton_cfg(section: dict, eps_override: float | None) -> skeleton.Skeleto
         n_steps=section.get("n_steps"))
 
 
-def _solve_cfg(section: dict, eps_total_override: float | None = None) -> solver.SolveConfig:
+def _solve_cfg(section: dict) -> solver.SolveConfig:
     allowed = {"action_grid", "depth", "Q", "epsilon_total", "collapse", "rule",
                "refine", "refine_iters", "node_cap", "time_bin_width",
                "state_bin_width", "holder_c", "holder_gamma"}
@@ -119,8 +119,6 @@ def _solve_cfg(section: dict, eps_total_override: float | None = None) -> solver
     else:
         raise ConfigurationError("solve.action_grid missing")
     kwargs = {k: section[k] for k in allowed & set(section) if k != "action_grid"}
-    if eps_total_override is not None:
-        kwargs["epsilon_total"] = eps_total_override
     return solver.SolveConfig(action_grid=grid, **kwargs)
 
 
@@ -261,7 +259,7 @@ def cmd_solve(args) -> int:
     _require_top(cfg)
     skel = _skeleton_cfg(cfg["skeleton"], None)
     structure, payoff = _problem(cfg["problem"], skel)
-    scfg = _solve_cfg(cfg["solve"], args.epsilon)
+    scfg = _solve_cfg(cfg["solve"])
     t0 = time.monotonic()
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
     res = solver.backward_dp(tree)
@@ -275,8 +273,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _policy_from_csv(path: str, tree: "solver.Tree") -> solver.SolveResult:
-    """Rebuild a collapse-mode policy/value table from a solve CSV dump."""
+def _policy_from_csv(path: str, structure, payoff, eps_k: float,
+                     scfg: solver.SolveConfig):
+    """Rebuild a collapse tree and its policy/value table from a solve CSV
+    dump; the tree gets build_tree's checks, atoms and widths."""
     if not os.path.exists(path):
         raise ConfigurationError(f"policy CSV not found: {path}")
     per_depth: dict = {}
@@ -288,26 +288,26 @@ def _policy_from_csv(path: str, tree: "solver.Tree") -> solver.SolveResult:
         per_depth.setdefault(int(depth_s), []).append(
             (int(key_s), float(value_s), float(action_s) if action_s else math.nan))
     depth_max = max(per_depth)
-    value_layers, policy_layers = [], []
-    tree.layers = []
+    if depth_max != scfg.depth:
+        raise ConfigurationError(
+            f"policy CSV depth {depth_max} != solve.depth {scfg.depth}")
+    value_layers, policy_layers, node_keys = [], [], []
     for depth in range(depth_max + 1):
         entries = sorted(per_depth.get(depth, []))
-        packed = np.array([e[0] for e in entries], dtype=np.int64)
+        node_keys.append(np.array([e[0] for e in entries], dtype=np.int64))
         value_layers.append(np.array([e[1] for e in entries]))
         if depth < depth_max:
             policy_layers.append(np.array([e[2] for e in entries]))
-        # the tree layers drive nearest-bin lookups during evaluation
-        tree.layers.append(solver.Lattice.over(
-            solver._unpack(packed, len(tree.bin_widths))))
+    tree = solver._setup_tree(structure, payoff, eps_k, scfg, node_keys)
     rep = solver.SolveReport(
         root_value=float(value_layers[0][0]),
         root_action=float(policy_layers[0][0]) if policy_layers else math.nan,
         certified_epsilon=math.nan, stage_slack=math.nan, grid_term=math.nan,
         refined_gain_max=math.nan,
         node_counts=[len(v) for v in value_layers],
-        depth=depth_max, Q=tree.cfg.Q, eps_k=tree.eps_k)
-    return solver.SolveResult(solver.ValueTable(value_layers),
-                              solver.Policy(policy_layers), rep)
+        depth=depth_max, Q=scfg.Q, eps_k=eps_k)
+    return tree, solver.SolveResult(solver.ValueTable(value_layers),
+                                    solver.Policy(policy_layers), rep)
 
 
 def cmd_evaluate(args) -> int:
@@ -316,21 +316,15 @@ def cmd_evaluate(args) -> int:
     _require_top(cfg)
     skel = _skeleton_cfg(cfg["skeleton"], None)
     structure, payoff = _problem(cfg["problem"], skel)
-    scfg = _solve_cfg(cfg["solve"], args.epsilon)
+    scfg = _solve_cfg(cfg["solve"])
     esec = cfg.get("evaluate", {})
     _require_keys(esec, {"n_paths", "antithetic", "policy_csv"}, "evaluate")
     n_paths = _n_paths(esec)
     if esec.get("policy_csv"):
         if not scfg.collapse:
             raise ConfigurationError("policy_csv evaluation needs collapse mode")
-        tree = solver.Tree(structure, payoff, solver.discretize_kernel(
-            np.zeros(skel.d), skel.epsilon_k, scfg.Q, scfg.rule), scfg,
-            skel.epsilon_k, "collapse",
-            solver.collapse_widths(structure, scfg, skel.epsilon_k))
-        res = _policy_from_csv(esec["policy_csv"], tree)
-        if res.report.depth != scfg.depth:
-            raise ConfigurationError(
-                f"policy CSV depth {res.report.depth} != solve.depth {scfg.depth}")
+        tree, res = _policy_from_csv(esec["policy_csv"], structure, payoff,
+                                     skel.epsilon_k, scfg)
     else:
         tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
         res = solver.backward_dp(tree)
@@ -351,8 +345,6 @@ def cmd_evaluate(args) -> int:
     _say(args, f"mc mean {mc.mean:.6f} +- {mc.ci_half:.6f} "
                f"(root {res.report.root_value:.6f})")
     return 0
-
-
 
 
 def cmd_sweep(args) -> int:
@@ -400,7 +392,7 @@ def cmd_portfolio(args) -> int:
         raise ConfigurationError("portfolio subcommand needs a portfolio problem")
     structure, payoff = _problem(cfg["problem"], skel)
     spec = structure.spec
-    scfg = _solve_cfg(cfg["solve"], args.epsilon)
+    scfg = _solve_cfg(cfg["solve"])
     esec = cfg.get("evaluate", {})
     # the vectorized rollouts have no antithetic path, so the key is refused
     _require_keys(esec, {"n_paths", "g_terms"}, "evaluate")
@@ -450,8 +442,16 @@ def cmd_portfolio(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2 (numerical failures)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="skeldp")
+    ap = _Parser(prog="skeldp")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, config_required=True):
@@ -460,10 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--out-dir", default="out")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="skeleton/kernel: override epsilon_k; "
-                            "solve/evaluate/portfolio: override the "
-                            "epsilon-optimality budget")
         p.add_argument("--quiet", action="store_true")
         p.add_argument("--timing", action="store_true",
                        help="include wall time in summaries (breaks byte-level "
@@ -480,13 +476,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      ("sweep", cmd_sweep), ("portfolio", cmd_portfolio)]:
         p = sub.add_parser(name)
         common(p)
+        if name in ("skeleton", "kernel"):
+            p.add_argument("--epsilon", type=float, default=None,
+                           help="override skeleton.epsilon_k")
         p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

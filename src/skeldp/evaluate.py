@@ -11,6 +11,10 @@ tautology.  Oracles:
 * merton_oracle -- the classical constant-fraction optimum for power
   utility (external reference) next to a constant-control grid search on
   the same tree (internal, assumption-free).
+
+A collapsed policy has one reader, `_collapse_payoffs`, batched over
+paths; `policy_mc_value` feeds it the skeleton draws of `mc_value`, and
+`portfolio_policy_rollouts` its own Philox draws.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from . import density
 from .errors import ConfigurationError, ResourceCapError
 from .skeleton import SkeletonConfig, SkeletonPath, _sign_vec, sample_skeleton
 from .solver import (SolveConfig, SolveResult, Tree, backward_dp, build_tree,
-                     extract_policy_control, nearest_bin_index, _quantize)
+                     extract_policy_control, nearest_bin_index, _collapse_ops,
+                     _quantize)
 from .structures import PortfolioSpec, PortfolioStructure, power_utility_payoff
 
 __all__ = [
     "RolloutResult", "MCResult", "rollout", "mc_value", "policy_mc_value",
     "enumerate_oracle", "merton_oracle", "convergence_sweep", "project_control",
-    "PolicyControl", "portfolio_policy_rollouts", "q_slack",
+    "portfolio_policy_rollouts", "q_slack",
 ]
 
 _CHUNK = 4096          # fixed chunk size keeps reductions thread-count-free
@@ -63,38 +68,12 @@ def _as_control(control):
     return lambda depth, state, structure: value
 
 
-class PolicyControl:
-    """Adapted control reading a solved policy along the realized path.
-
-    Collapse trees only: the realized statistic is binned and read at its
-    own bin, or through `nearest_bin_index` when that bin is not on the
-    layer.
-    """
-
-    def __init__(self, result: SolveResult, tree: Tree):
-        self.result = result
-        self.tree = tree
-
-    def __call__(self, depth: int, state, structure):
-        if depth >= self.tree.cfg.depth:
-            return float(self.result.policy.layers[-1][0])
-        if self.tree.mode == "collapse":
-            stat = np.asarray(structure.sufficient_statistic(state), dtype=float)
-            bins = _quantize(stat[None, :], self.tree.bin_widths)
-            i = nearest_bin_index(self.tree.layers[depth], bins)[0]
-            return float(self.result.policy.layers[depth][i])
-        raise ConfigurationError("PolicyControl requires a collapsed tree; "
-                                 "use extract_policy_control for full trees")
-
-
-def rollout(structure, control, path: SkeletonPath, payoff=None,
-            depth: int | None = None) -> RolloutResult:
+def rollout(structure, control, path: SkeletonPath, payoff=None) -> RolloutResult:
     """Deterministic forward pass of a control along a realized path."""
     ctrl = _as_control(control)
-    depth = len(path) if depth is None else min(depth, len(path))
     state = structure.init()
-    actions = np.empty(depth)
-    for n in range(depth):
+    actions = np.empty(len(path))
+    for n in range(len(path)):
         a = ctrl(n, state, structure)
         actions[n] = np.asarray(a, dtype=float).reshape(-1)[0]
         state = structure.step(state, a, float(path.delta_t[n]),
@@ -106,8 +85,8 @@ def rollout(structure, control, path: SkeletonPath, payoff=None,
 def mc_value(structure, payoff, control, skel_cfg: SkeletonConfig, N: int,
              seed: int, threads: int = 1, antithetic: bool = False) -> MCResult:
     """Sample mean and standard error of the payoff under a control."""
-    return _mc_value(structure, payoff, lambda path: control, skel_cfg, N, seed,
-                     threads, antithetic)
+    values = _each_path(skel_cfg, lambda path: rollout(structure, control, path, payoff).payoff)
+    return _mc_value(values, skel_cfg, N, seed, threads, antithetic)
 
 
 def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
@@ -115,22 +94,38 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
                     threads: int = 1, antithetic: bool = False) -> MCResult:
     """Monte Carlo value of a solved policy, either tree mode.
 
-    Collapse mode reads the policy through statistic bins step by step; full
-    mode extracts the action sequence along each path by nearest-atom
-    projection before rolling it out.  With antithetic, each path is
-    averaged with its sign-flipped twin, along which the policy is read
-    afresh.
+    The paths are those of `mc_value`, at most tree.cfg.depth steps long.
+    Full mode extracts the action sequence along each path by nearest-atom
+    projection before rolling it out; collapse mode (d = 1, the payoff the
+    statistic computes) reads each chunk through `_collapse_payoffs`.
+    With antithetic, each path is averaged with its sign-flipped twin,
+    along which the policy is read afresh.
     """
+    if skel_cfg.n_steps > tree.cfg.depth:
+        raise ConfigurationError(f"skeleton n_steps {skel_cfg.n_steps} exceeds "
+                                 f"the policy's depth {tree.cfg.depth}")
     if tree.mode == "collapse":
-        return mc_value(structure, payoff, PolicyControl(result, tree),
-                        skel_cfg, N, seed, threads, antithetic)
+        if skel_cfg.d != 1:
+            raise ConfigurationError(f"collapse evaluation is one-dimensional, d={skel_cfg.d}")
+        ops = _collapse_ops(structure, payoff)
 
-    def control_factory(path):
-        acts = extract_policy_control(result, tree, path)
-        return lambda depth, state, s: float(acts[min(depth, len(acts) - 1)])
+        def values(dts, coords, signs):
+            return _collapse_payoffs(ops, result, tree, dts, signs).tolist()
+    else:
+        def value(path):
+            acts = extract_policy_control(result, tree, path)
+            return rollout(structure, lambda n, state, s: float(acts[n]), path,
+                           payoff).payoff
 
-    return _mc_value(structure, payoff, control_factory, skel_cfg, N, seed,
-                     threads, antithetic)
+        values = _each_path(skel_cfg, value)
+    return _mc_value(values, skel_cfg, N, seed, threads, antithetic)
+
+
+def _each_path(skel_cfg: SkeletonConfig, value):
+    """`_mc_value`'s values(delta_t, coords, signs) from a per-path value(path)."""
+    return lambda dts, coords, signs: [
+        value(SkeletonPath(skel_cfg.epsilon_k, skel_cfg.d, *row))
+        for row in zip(dts, coords, signs)]
 
 
 def _run_chunks(n: int, threads: int, run_chunk) -> list:
@@ -147,10 +142,10 @@ def _run_chunks(n: int, threads: int, run_chunk) -> list:
     return [run_chunk(*chunk) for chunk in chunks]
 
 
-def _mc_value(structure, payoff, control_factory, skel_cfg: SkeletonConfig,
-              N: int, seed: int, threads: int,
+def _mc_value(values, skel_cfg: SkeletonConfig, N: int, seed: int, threads: int,
               antithetic: bool = False) -> MCResult:
-    """Chunked Monte Carlo of rollouts under control_factory(path).
+    """Chunked Monte Carlo of values(delta_t, coords, signs): one payoff per
+    row of a chunk's (paths, steps) skeleton draws.
 
     Each chunk's paths are keyed by (seed, chunk index), so the result is
     bit-identical for any thread count.
@@ -158,20 +153,18 @@ def _mc_value(structure, payoff, control_factory, skel_cfg: SkeletonConfig,
     if N < 2:
         raise ConfigurationError("mc_value needs N >= 2")
 
-    def value(path):
-        return rollout(structure, control_factory(path), path, payoff).payoff
-
     def run_chunk(cidx, size):
-        s = s2 = 0.0
+        dts = np.empty((size, skel_cfg.n_steps))
+        coords = np.empty((size, skel_cfg.n_steps), dtype=np.int64)
+        signs = np.empty_like(coords)
         for i in range(size):
-            path_seed = (seed * 1_000_003 + cidx * _CHUNK + i) % 2**63
-            path = sample_skeleton(skel_cfg, path_seed)
-            if antithetic:
-                flipped = SkeletonPath(path.epsilon_k, path.d, path.delta_t,
-                                       path.coords, -path.signs)
-                v = 0.5 * (value(path) + value(flipped))
-            else:
-                v = value(path)
+            path = sample_skeleton(skel_cfg, (seed * 1_000_003 + cidx * _CHUNK + i) % 2**63)
+            dts[i], coords[i], signs[i] = path.delta_t, path.coords, path.signs
+        vals = values(dts, coords, signs)
+        if antithetic:
+            vals = [0.5 * (v + w) for v, w in zip(vals, values(dts, coords, -signs))]
+        s = s2 = 0.0
+        for v in vals:
             s += v
             s2 += v * v
         return s, s2
@@ -337,14 +330,11 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
                               seed: int, threads: int = 1) -> np.ndarray:
     """Payoffs of the solved policy on n_paths exact skeleton draws.
 
-    Statistics evolve exactly (continuous delta-t draws); only the policy
-    lookup passes through the solve-time bins, one `nearest_bin_index`
-    call per chunk and layer, so a bin off the layer falls back by the
-    solver's own rule.  On the same draws, scalar rollout() with a
-    PolicyControl reaches bit-identical terminal statistics (so the same
-    lookups and actions); the payoffs agree to a few ulps, as payoff_stats
-    takes exp(gamma * lw) / gamma where power_utility_payoff takes
-    exp(lw)**gamma / gamma.
+    Statistics evolve exactly (continuous delta-t draws) from one Philox
+    stream per chunk; only the policy lookup passes through the solve-time
+    bins, in `_collapse_payoffs`.  The payoff is the statistic's own,
+    exp(gamma * lw) / gamma, a few ulps from power_utility_payoff's
+    exp(lw)**gamma / gamma on the same wealth.
     """
     if tree.mode != "collapse":
         raise ConfigurationError("vectorized rollouts need a collapsed tree")
@@ -352,7 +342,6 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
         raise ConfigurationError("portfolio_policy_rollouts needs n_paths >= 2")
     ops = PortfolioStructure(spec, eps_k).collapse_ops()
     depth = tree.cfg.depth
-    widths = tree.bin_widths
 
     def run_chunk(cidx, size):
         key = np.array([np.uint64(seed), np.uint64(40_000 + cidx)], dtype=np.uint64)
@@ -361,11 +350,22 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
         dts = eps_k**2 * density.inverse_cdf_tau(
             np.clip(u[:, :, 0], 1e-16, 1 - 1e-16))
         sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
-        stats = np.tile(ops.stat0(), (size, 1))
-        for n in range(depth):
-            idx = nearest_bin_index(tree.layers[n], _quantize(stats, widths))
-            acts = np.asarray(result.policy.layers[n])[idx]
-            stats = ops.step_stats(stats, acts, dts[:, n], sgns[:, n])
-        return ops.payoff_stats(stats)
+        return _collapse_payoffs(ops, result, tree, dts, sgns)
 
     return np.concatenate(_run_chunks(n_paths, threads, run_chunk))
+
+
+def _collapse_payoffs(ops, result: SolveResult, tree: Tree, dts: np.ndarray,
+                      sgns: np.ndarray) -> np.ndarray:
+    """Payoffs of a collapsed policy along (paths, steps) delta_t and signs.
+
+    Per step, one `nearest_bin_index` call reads every path's binned
+    statistic (a bin off the layer falls back by the solver's own rule),
+    then the statistics step as a batch; ops.payoff_stats values the last.
+    """
+    stats = np.tile(ops.stat0(), (len(dts), 1))
+    for n in range(dts.shape[1]):
+        idx = nearest_bin_index(tree.layers[n], _quantize(stats, tree.bin_widths))
+        acts = np.asarray(result.policy.layers[n])[idx]
+        stats = ops.step_stats(stats, acts, dts[:, n], sgns[:, n])
+    return ops.payoff_stats(stats)

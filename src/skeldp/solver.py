@@ -160,11 +160,21 @@ class Tree:
 
 
 def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
-    """Assemble the layered tree handle; refuses infeasible enumerations.
+    """`_setup_tree`, then the forward pass over a collapse tree's layers."""
+    tree = _setup_tree(structure, payoff, eps_k, cfg)
+    if tree.mode == "collapse":
+        _forward_layers(tree, structure.collapse_ops())
+    return tree
 
-    The fresh-start kernel is used, with the Brownian dimension read off
-    the structure.  A structure whose spec bounds the actions by a_bar
-    refuses a grid that leaves [-a_bar, a_bar], in either tree mode.
+
+def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
+                node_keys=None) -> Tree:
+    """Tree handle with its checks, fresh-start kernel atoms and bin widths.
+
+    Refuses a grid outside the spec's [-a_bar, a_bar], a full tree over
+    cfg.node_cap nodes and a payoff the collapse statistic does not
+    compute.  node_keys, per depth the packed bins of a value_policy.csv
+    dump, give a collapse tree its layers without a forward pass.
     """
     spec = getattr(structure, "spec", None)
     a_bar = getattr(spec, "a_bar", None)
@@ -183,22 +193,28 @@ def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
                     f"(branching {n_children}, depth {cfg.depth})", estimate=total)
             level *= n_children
         return Tree(structure, payoff, atoms, cfg, eps_k, "full")
-    tree = Tree(structure, payoff, atoms, cfg, eps_k, "collapse",
-                collapse_widths(structure, cfg, eps_k))
-    _forward_layers(tree, structure.collapse_ops())
-    return tree
+    ops = _collapse_ops(structure, payoff)
+    widths = np.empty(ops.n_stats)
+    widths[0] = cfg.time_bin_width if cfg.time_bin_width is not None else eps_k**2 / 4.0
+    widths[1:] = cfg.state_bin_width
+    layers = [Lattice.over(_unpack(keys, ops.n_stats)) for keys in node_keys or []]
+    return Tree(structure, payoff, atoms, cfg, eps_k, "collapse", widths, layers)
 
 
-def collapse_widths(structure, cfg: SolveConfig, eps_k: float) -> np.ndarray:
-    """Bin width per statistic component: time, then the state components."""
+def _collapse_ops(structure, payoff):
+    """The structure's statistic evolution; collapse mode values paths by
+    ops.payoff_stats, so a payoff off it at the root (relative 1e-12) is
+    refused rather than silently replaced."""
     ops = structure.collapse_ops()
     if ops is None:
         raise ConfigurationError("collapse mode needs the structure to expose "
                                  "a sufficient statistic")
-    widths = np.empty(ops.n_stats)
-    widths[0] = cfg.time_bin_width if cfg.time_bin_width is not None else eps_k**2 / 4.0
-    widths[1:] = cfg.state_bin_width
-    return widths
+    own = float(ops.payoff_stats(ops.stat0()[None, :])[0])
+    given = float(payoff(structure.payoff_input(structure.init())))
+    if not math.isclose(given, own, rel_tol=1e-12):
+        raise ConfigurationError(f"collapse mode values paths by the structure's "
+                                 f"own payoff ({own!r} at the root), not {given!r}")
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -726,37 +742,27 @@ def nearest_bin_index(lattice: Lattice, query_bins: np.ndarray) -> np.ndarray:
 
 def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
                            depth: int | None = None) -> np.ndarray:
-    """Step-by-step actions along a realized skeleton path.
+    """Step-by-step actions of a full tree along a realized skeleton path.
 
-    Off-tree increments are projected: full mode snaps each realized delta_t
-    to the nearest kernel atom m of the same (coord, sign) and walks to child
-    (i * A + ai) * M + m, ai the first grid index of the recorded action (it
-    never refines); collapse mode bins the realized statistic and reads it
-    through `nearest_bin_index`.
+    Each realized delta_t snaps to the nearest kernel atom m of the same
+    (coord, sign), and the walk goes to child (i * A + ai) * M + m, ai the
+    first grid index of the recorded action (full trees never refine).
+    Collapsed policies are read by the rollouts in `evaluate`.
     """
+    if tree.mode != "full":
+        raise ConfigurationError("extract_policy_control needs a full tree; "
+                                 "collapsed policies are read by the rollouts")
     cfg = tree.cfg
     depth = min(cfg.depth, len(path)) if depth is None else min(depth, cfg.depth,
                                                                 len(path))
     actions = np.empty(depth)
-    if tree.mode == "full":
-        grid, atoms = cfg.action_grid, tree.atoms
-        i = 0
-        for n in range(depth):
-            actions[n] = result.policy.action(n, i)
-            ai = int(np.flatnonzero(grid == actions[n])[0])
-            dt, c, s = float(path.delta_t[n]), int(path.coords[n]), int(path.signs[n])
-            same = np.flatnonzero((atoms.coords == c) & (atoms.signs == s))
-            m = int(same[np.argmin(np.abs(atoms.delta_t[same] - dt))])
-            i = (i * len(grid) + ai) * tree.n_atoms + m
-        return actions
-    widths = tree.bin_widths
-    state = tree.structure.init()
+    grid, atoms = cfg.action_grid, tree.atoms
+    i = 0
     for n in range(depth):
-        stat = np.asarray(tree.structure.sufficient_statistic(state), dtype=float)
-        bins = _quantize(stat[None, :], widths)
-        i = nearest_bin_index(tree.layers[n], bins)[0]
-        actions[n] = float(result.policy.layers[n][i])
-        state = tree.structure.step(state, actions[n], float(path.delta_t[n]),
-                                    _sign_vec(int(path.coords[n]), int(path.signs[n]),
-                                              path.d))
+        actions[n] = result.policy.action(n, i)
+        ai = int(np.flatnonzero(grid == actions[n])[0])
+        dt, c, s = float(path.delta_t[n]), int(path.coords[n]), int(path.signs[n])
+        same = np.flatnonzero((atoms.coords == c) & (atoms.signs == s))
+        m = int(same[np.argmin(np.abs(atoms.delta_t[same] - dt))])
+        i = (i * len(grid) + ai) * tree.n_atoms + m
     return actions

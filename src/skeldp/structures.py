@@ -90,10 +90,7 @@ class StateStructure:
         """The pathwise map gamma^k: the frozen path handed to the payoff."""
         raise NotImplementedError
 
-    # optional hooks ----------------------------------------------------
-    def sufficient_statistic(self, state):
-        return None
-
+    # optional hook -----------------------------------------------------
     def collapse_ops(self):
         """Vectorized statistic evolution for the collapsed solver, or None."""
         return None
@@ -361,9 +358,6 @@ class PortfolioStructure(StateStructure):
 
     def payoff_input(self, state):
         return PathView(state.times, tuple(math.exp(v) for v in state.log_wealth))
-
-    def sufficient_statistic(self, state):
-        return (state.t_clip, state.log_payoff_wealth)
 
     def collapse_ops(self):
         return _PortfolioCollapse(self.spec, self.eps)

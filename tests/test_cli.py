@@ -165,18 +165,25 @@ def test_portfolio_summary_fields(tmp_path):
     assert len(summary["stage_argmax_policy"]) == 4
 
 
-def test_portfolio_epsilon_flag_sets_budget(tmp_path):
-    cfg = json.loads(json.dumps(MERTON_CFG))
-    del cfg["solve"]["epsilon_total"]
-    out = str(tmp_path / "pb")
-    assert main(["portfolio", "--config", write_cfg(tmp_path, cfg),
-                 "--out-dir", out, "--epsilon", "0.02", "--quiet"]) == 0
-    with open(os.path.join(out, "manifest.json")) as fh:
-        assert json.load(fh)["config"]["solve"].get("epsilon_total") is None
-    # skeleton resolution must be untouched by the budget flag
-    with open(os.path.join(out, "portfolio_summary.json")) as fh:
-        summary = json.load(fh)
-    assert summary["eps_k"] == pytest.approx(1.0 / 3)
+def test_budget_epsilon_flag_is_a_usage_error_exit_1(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, MERTON_CFG)
+    out = str(tmp_path / "o")
+    # the flag only ever set solve.epsilon_total, which no solve reads
+    for command in ("solve", "evaluate", "sweep", "portfolio"):
+        assert main([command, "--config", cfg_path, "--out-dir", out,
+                     "--epsilon", "0.5", "--quiet"]) == 1
+        assert ("configuration error: unrecognized arguments: --epsilon 0.5"
+                in capsys.readouterr().err)
+    assert main(["solve", "--config", cfg_path, "--out-dir", out, "--bogus", "1"]) == 1
+    assert "configuration error: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # on skeleton and kernel it still overrides skeleton.epsilon_k
+    assert main(["skeleton", "--config", cfg_path, "--out-dir", out, "--seed", "12",
+                 "--epsilon", "0.5", "--quiet"]) == 0
+    with open(os.path.join(out, "skeleton.csv")) as fh:
+        path = skeleton.path_from_csv(fh.read(), 0.5, 1)
+    ref = skeleton.sample_skeleton(skeleton.SkeletonConfig(0.5, 1, 1.0), 12)
+    assert np.array_equal(path.delta_t, ref.delta_t)
 
 
 def _too_few_paths_exit_1(tmp_path, capsys, monkeypatch, command, n_paths, output):
@@ -234,6 +241,22 @@ def test_grid_outside_a_bar_exit_1(tmp_path, capsys, command, collapse):
     cfg["solve"].update(action_grid=[-1.0, 1.0], depth=2, collapse=collapse)
     out = str(tmp_path / "o")
     assert main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: action_grid leaves [-0.5, 0.5]")
+    assert os.listdir(out) == []
+
+
+def test_policy_csv_evaluation_gets_build_tree_checks(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"]["depth"] = 2
+    out_solve = str(tmp_path / "s")
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out-dir",
+                 out_solve, "--quiet"]) == 0
+    cfg["problem"]["a_bar"] = 0.5
+    cfg["evaluate"]["policy_csv"] = os.path.join(out_solve, "value_policy.csv")
+    out = str(tmp_path / "e")
+    assert main(["evaluate", "--config", write_cfg(tmp_path, cfg, "ev.json"),
                  "--out-dir", out, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: action_grid leaves [-0.5, 0.5]")
@@ -350,15 +373,16 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
         ("summary.json", solved["summary.json"]),
         ("evaluate_metrics.json", evaluated["evaluate_metrics.json"])]}
     # the CSV and summary recorded on the solver that still stored packed
-    # keys per layer; the evaluation re-recorded when every lookup miss
-    # went to the nearest populated time row, then the nearest state bin
+    # keys per layer; the evaluation re-recorded when collapse evaluation
+    # took its payoff from the statistic, exp(g * lw) / g (mc_mean
+    # 2.014039308573003, mc_se 2.3271216784799187e-3)
     assert digests == {
         "value_policy.csv":
             "a5818cbd989236d917d42e5c662c9c905a3208c124e2221b99b5da04f0eba7f7",
         "summary.json":
             "f13a27766d3e21c1632e10cfc4bb2a4d0249ad9396c62457371bdba05af3e09d",
         "evaluate_metrics.json":
-            "8f2c59098fcb554132c2ee185df9fb32810aae98c1bca2f79259e4695524914a",
+            "391d0b2a7b6fd188d6cee3b18584643ceb78f752d462fca1cdbc3d053219f382",
     }
 
 
@@ -427,12 +451,14 @@ def test_evaluate_antithetic_takes_effect_in_both_modes(tmp_path):
                                          antithetic=flag) for flag in (False, True)}
     assert (anti["mc_mean"], anti["mc_se"]) == (mc[True].mean, mc[True].se)
     assert mc[True].mean != mc[False].mean
-    # collapse mode: recorded when evaluate still called mc_value directly
+    # collapse mode: re-recorded when collapse evaluation took its payoff
+    # from the statistic (mc_mean 2.0149778633421453, mc_se
+    # 1.4519443167361755e-4)
     col = json.loads(json.dumps(MERTON_CFG))
     col["evaluate"]["antithetic"] = True
     assert _digests(tmp_path, "evaluate", col, "col") == {
         "evaluate_metrics.json":
-            "86e9e8aa35d7458bd01c556bdac426da92ab7f1940b825db691cf42f277851f8",
+            "399a6300ece516596b9c243a5a9c247461a497ec3bba46977ee2d0ea4e2263d8",
     }
 
 

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from skeldp import density, evaluate, structures
+from skeldp import density, evaluate, solver, structures
 from skeldp.errors import ConfigurationError, ResourceCapError
-from skeldp.evaluate import (MertonRef, PolicyControl, convergence_sweep,
-                             enumerate_oracle, mc_value, merton_oracle,
-                             policy_mc_value, portfolio_policy_rollouts,
-                             project_control, q_slack, rollout)
+from skeldp.evaluate import (MertonRef, convergence_sweep, enumerate_oracle,
+                             mc_value, merton_oracle, policy_mc_value,
+                             portfolio_policy_rollouts, project_control, q_slack,
+                             rollout)
 from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
-from skeldp.solver import (SolveConfig, backward_dp, build_tree,
-                           extract_policy_control)
+from skeldp.solver import SolveConfig, backward_dp, build_tree
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
                                PortfolioStructure, power_utility_payoff,
                                structure_from_config)
@@ -209,7 +208,18 @@ def test_policy_rollouts_pinned(desk5):
         "27394940a4d46756b1e57c382374ca92e5436c2f8fde69860c611803a29dd17d")
 
 
-def test_policy_rollouts_match_scalar_policy_control(desk5, monkeypatch):
+def scalar_reader(res, tree):
+    """A collapsed policy read one state at a time: bin the state's
+    (t_clip, ln payoff wealth) and look it up by the nearest-bin rule."""
+    def control(depth, state, structure):
+        stat = np.array([[state.t_clip, state.log_payoff_wealth]])
+        bins = solver._quantize(stat, tree.bin_widths)
+        i = evaluate.nearest_bin_index(tree.layers[depth], bins)[0]
+        return float(res.policy.layers[depth][i])
+    return control
+
+
+def test_policy_rollouts_match_scalar_reader(desk5, monkeypatch):
     struct, payoff, tree, res = desk5
     eps, n, seed, depth = 1.0 / 3, 500, 3, tree.cfg.depth
     misses = {"vector": 0, "scalar": 0}
@@ -238,18 +248,47 @@ def test_policy_rollouts_match_scalar_policy_control(desk5, monkeypatch):
     dts = eps**2 * density.inverse_cdf_tau(np.clip(u[:, :, 0], 1e-16, 1 - 1e-16))
     sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
     side = "scalar"
-    control = PolicyControl(res, tree)
     paths = [SkeletonPath(eps, 1, dts[p], np.ones(depth, dtype=np.int64), sgns[p])
              for p in range(n)]
-    runs = [rollout(struct, control, path, payoff) for path in paths]
-    for path, run in zip(paths, runs):
-        assert np.array_equal(extract_policy_control(res, tree, path), run.actions)
-    stats = np.array([struct.sufficient_statistic(r.state) for r in runs])
+    runs = [rollout(struct, scalar_reader(res, tree), path, payoff) for path in paths]
+    stats = np.array([(r.state.t_clip, r.state.log_payoff_wealth) for r in runs])
     assert np.array_equal(stats, final[0])
     scalar_pay = np.array([r.payoff for r in runs])
     # exp(g * lw) / g against exp(lw)**g / g
     assert np.all(np.abs(scalar_pay - pay) <= 4 * np.spacing(pay))
     assert misses["vector"] == misses["scalar"] > 0
+
+
+def test_collapse_policy_mc_value_matches_scalar_reader(desk5, monkeypatch):
+    monkeypatch.setattr(evaluate, "_CHUNK", 64)    # 300 paths in 5 chunks
+    struct, payoff, tree, res = desk5
+    skel = SkeletonConfig(1.0 / 3, 1, 1.0, tree.cfg.depth)
+    for antithetic in (False, True):
+        for threads in (1, 2):
+            got = policy_mc_value(struct, payoff, res, tree, skel, 300, 8,
+                                  threads=threads, antithetic=antithetic)
+            ref = mc_value(struct, payoff, scalar_reader(res, tree), skel, 300, 8,
+                           threads=threads, antithetic=antithetic)
+            # the payoffs differ by a few ulps (exp(g * lw) / g against
+            # exp(lw)**g / g), and the se's one-pass variance amplifies that
+            assert abs(got.mean - ref.mean) <= 4 * np.spacing(ref.mean)
+            assert got.se == pytest.approx(ref.se, rel=1e-9, abs=0)
+            assert got.n == ref.n == 300
+
+
+def test_policy_mc_value_refuses_what_it_cannot_read(desk5):
+    struct, payoff, tree, res = desk5
+    eps = 1.0 / 3
+    skel = SkeletonConfig(eps, 1, 1.0, 5)
+    with pytest.raises(ConfigurationError, match="own payoff"):
+        policy_mc_value(struct, lambda path: 0.0, res, tree, skel, 10, 0)
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        policy_mc_value(struct, payoff, res, tree, SkeletonConfig(eps, 2, 1.0, 5), 10, 0)
+    full = build_tree(struct, payoff, eps, SolveConfig(
+        action_grid=np.linspace(-1, 1, 3), depth=3, Q=2))
+    for t, r in ((tree, res), (full, backward_dp(full))):
+        with pytest.raises(ConfigurationError, match="n_steps 9 exceeds"):
+            policy_mc_value(struct, payoff, r, t, SkeletonConfig(eps, 1, 1.0, 9), 10, 0)
 
 
 def test_policy_rollouts_refuse_fewer_than_two_paths(desk5):

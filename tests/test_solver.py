@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeldp import solver
+from skeldp.evaluate import rollout
 from skeldp.errors import ConfigurationError, NumericalError, ResourceCapError
 from skeldp.kernel import discretize_kernel
 from skeldp.skeleton import SkeletonConfig, sample_skeleton
@@ -175,9 +176,20 @@ def test_extract_policy_constant_coefficients_flat_per_depth():
     for depth in range(cfg.depth):
         actions = np.unique(res.policy.layers[depth])
         assert len(actions) == 1
+    # so reading the policy along a path gives that action at each depth
+    def reader(depth, state, structure):
+        stat = np.array([[state.t_clip, state.log_payoff_wealth]])
+        bins = solver._quantize(stat, tree.bin_widths)
+        return res.policy.layers[depth][solver.nearest_bin_index(tree.layers[depth],
+                                                                 bins)[0]]
+
     path = sample_skeleton(SkeletonConfig(1.0 / 3, 1, 1.0, 4), 12)
-    acts = extract_policy_control(res, tree, path)
+    acts = rollout(struct, reader, path).actions
     assert np.array_equal(acts, [res.policy.layers[d][0] for d in range(4)])
+    # extraction walks full trees only; collapsed policies are read by the
+    # rollouts
+    with pytest.raises(ConfigurationError, match="needs a full tree"):
+        extract_policy_control(res, tree, path)
 
 
 def test_node_cap_refusal():
@@ -217,6 +229,21 @@ def test_collapse_needs_statistic():
     cfg = SolveConfig(action_grid=np.array([0.0]), depth=2, Q=2, collapse=True)
     with pytest.raises(ConfigurationError):
         build_tree(struct, lambda path: 0.0, 0.5, cfg)
+
+
+def test_collapse_refuses_a_payoff_it_does_not_compute():
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2)
+    zero = lambda path: 0.0                            # noqa: E731
+    assert backward_dp(build_tree(struct, zero, 1.0 / 3, cfg)).report.root_value == 0.0
+    with pytest.raises(ConfigurationError, match="own payoff"):
+        build_tree(struct, zero, 1.0 / 3, SolveConfig(
+            cfg.action_grid, depth=2, Q=2, collapse=True))
+    # at x0 = 7, x0**g / g is one ulp from exp(g ln x0) / g, and passes
+    struct7 = PortfolioStructure(PortfolioSpec(
+        r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5, x0=7.0), 1.0 / 3)
+    build_tree(struct7, power_utility_payoff(struct7.spec), 1.0 / 3, SolveConfig(
+        cfg.action_grid, depth=2, Q=2, collapse=True))
 
 
 def test_two_dimensional_solve_end_to_end():
@@ -428,7 +455,7 @@ def _per_node_reference(struct, eps, cfg):
     _brute_nearest.  Returns per-depth (keys, values, policy).
     """
     ops = struct.collapse_ops()
-    widths = solver.collapse_widths(struct, cfg, eps)
+    widths = np.array([eps**2 / 4.0, cfg.state_bin_width])
     atoms = discretize_kernel(np.zeros(1), eps, cfg.Q, cfg.rule)
     grid = cfg.action_grid
 

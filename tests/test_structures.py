@@ -221,9 +221,8 @@ def test_collapse_ops_match_scalar_steps():
         s = int(rng.choice([-1, 1]))
         stats = ops.step_stats(stats, a, dt, s)
         state = struct.step(state, a, dt, unit(1, s))
-        ref = struct.sufficient_statistic(state)
-        assert stats[0, 0] == ref[0]
-        assert stats[0, 1] == ref[1]
+        assert stats[0, 0] == state.t_clip
+        assert stats[0, 1] == state.log_payoff_wealth
 
 
 def test_argmax_invariant_under_x0():
