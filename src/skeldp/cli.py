@@ -20,7 +20,6 @@ import math
 import os
 import platform
 import sys
-import time
 
 import numpy as np
 
@@ -220,7 +219,7 @@ def _dump_tables(out: str, res: solver.SolveResult, tree: solver.Tree):
     rows = [["depth", "node_key", "value", "action"]]
     for depth, values in enumerate(res.values.layers):
         keys = (solver._pack(tree.layers[depth].bins).tolist()
-                if tree.mode == "collapse"
+                if tree.cfg.collapse
                 else map(repr, itertools.product(pairs, repeat=depth)))
         actions = (res.policy.layers[depth]
                    if depth < len(res.policy.layers) else None)
@@ -231,8 +230,7 @@ def _dump_tables(out: str, res: solver.SolveResult, tree: solver.Tree):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _summary_payload(res: solver.SolveResult, extra: dict | None = None,
-                     timing: float | None = None) -> dict:
+def _summary_payload(res: solver.SolveResult, extra: dict | None = None) -> dict:
     rep = res.report
     payload = {
         "root_value": rep.root_value,
@@ -246,8 +244,6 @@ def _summary_payload(res: solver.SolveResult, extra: dict | None = None,
         "Q": rep.Q,
         "eps_k": rep.eps_k,
     }
-    if timing is not None:
-        payload["wall_time_s"] = timing
     if extra:
         payload.update(extra)
     return payload
@@ -260,13 +256,10 @@ def cmd_solve(args) -> int:
     skel = _skeleton_cfg(cfg["skeleton"], None)
     structure, payoff = _problem(cfg["problem"], skel)
     scfg = _solve_cfg(cfg["solve"])
-    t0 = time.monotonic()
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
     res = solver.backward_dp(tree)
-    wall = time.monotonic() - t0
     _dump_tables(out, res, tree)
-    _write_json(os.path.join(out, "summary.json"),
-                _summary_payload(res, timing=wall if args.timing else None))
+    _write_json(os.path.join(out, "summary.json"), _summary_payload(res))
     _write_manifest(out, args, cfg)
     _say(args, f"root value {res.report.root_value:.6f}, "
                f"root action {res.report.root_action:.4f}")
@@ -282,11 +275,17 @@ def _policy_from_csv(path: str, structure, payoff, eps_k: float,
     per_depth: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if rows[0] != ["depth", "node_key", "value", "action"]:
-        raise ConfigurationError(f"bad policy CSV header: {rows[0]!r}")
-    for depth_s, key_s, value_s, action_s in rows[1:]:
-        per_depth.setdefault(int(depth_s), []).append(
-            (int(key_s), float(value_s), float(action_s) if action_s else math.nan))
+    if rows[:1] != [["depth", "node_key", "value", "action"]]:
+        raise ConfigurationError(f"bad policy CSV header: {rows[:1]!r}")
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            depth_s, key_s, value_s, action_s = row
+            entry = (int(key_s), float(value_s), float(action_s) if action_s else math.nan)
+            per_depth.setdefault(int(depth_s), []).append(entry)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad policy CSV line {line}: {row!r} ({exc})") from exc
+    if not per_depth:
+        raise ConfigurationError(f"policy CSV has no node rows: {path}")
     depth_max = max(per_depth)
     if depth_max != scfg.depth:
         raise ConfigurationError(
@@ -398,10 +397,8 @@ def cmd_portfolio(args) -> int:
     _require_keys(esec, {"n_paths", "g_terms"}, "evaluate")
     n_paths = _n_paths(esec)
 
-    t0 = time.monotonic()
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
     res = solver.backward_dp(tree)
-    wall = time.monotonic() - t0
 
     merton = evaluate.merton_oracle(spec, skel.epsilon_k, scfg)
     payoffs = evaluate.portfolio_policy_rollouts(
@@ -430,7 +427,7 @@ def cmd_portfolio(args) -> int:
         "fraction_gap": abs(res.report.root_action - merton.fraction),
         "mc_mean": mc_mean, "mc_se": mc_se, "n_paths": n_paths,
         "stage_argmax_policy": g_actions,
-    }, timing=wall if args.timing else None)
+    })
     _dump_tables(out, res, tree)        # first: the node_key codec may refuse
     _write_json(os.path.join(out, "portfolio_summary.json"), payload)
     _write_manifest(out, args, cfg)
@@ -461,9 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--out-dir", default="out")
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall time in summaries (breaks byte-level "
-                            "reproducibility across runs)")
 
     p = sub.add_parser("density", help="density/bound/cdf tables")
     common(p, config_required=False)

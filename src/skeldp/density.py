@@ -241,13 +241,15 @@ def inverse_cdf_tau(u, tol: float = 1e-12):
 
 def sample_tau(n: int, seed, stream: int = 0):
     """n i.i.d. copies of tau via inverse transform on a Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
-    return inverse_cdf_tau(gen.random(n) * (1.0 - 2e-16) + 1e-16)
+    return inverse_cdf_tau(_philox(seed, stream).random(n) * (1.0 - 2e-16) + 1e-16)
 
 
-def _philox_key(seed, stream: int):
-    return np.array([np.uint64(seed) & np.uint64(2**64 - 1), np.uint64(stream)],
-                    dtype=np.uint64)
+def _philox(seed, stream: int) -> np.random.Generator:
+    """The counter-based generator keyed (seed, stream): every sampler's
+    random numbers come from one of these, each on its own stream."""
+    key = np.array([np.uint64(seed) & np.uint64(2**64 - 1), np.uint64(stream)],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def scale_to_T1(x, eps_k: float):

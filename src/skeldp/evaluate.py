@@ -104,7 +104,7 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
     if skel_cfg.n_steps > tree.cfg.depth:
         raise ConfigurationError(f"skeleton n_steps {skel_cfg.n_steps} exceeds "
                                  f"the policy's depth {tree.cfg.depth}")
-    if tree.mode == "collapse":
+    if tree.cfg.collapse:
         if skel_cfg.d != 1:
             raise ConfigurationError(f"collapse evaluation is one-dimensional, d={skel_cfg.d}")
         ops = _collapse_ops(structure, payoff)
@@ -336,17 +336,15 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
     exp(gamma * lw) / gamma, a few ulps from power_utility_payoff's
     exp(lw)**gamma / gamma on the same wealth.
     """
-    if tree.mode != "collapse":
+    if not tree.cfg.collapse:
         raise ConfigurationError("vectorized rollouts need a collapsed tree")
     if n_paths < 2:
         raise ConfigurationError("portfolio_policy_rollouts needs n_paths >= 2")
-    ops = PortfolioStructure(spec, eps_k).collapse_ops()
+    ops = PortfolioStructure(spec, eps_k).ops
     depth = tree.cfg.depth
 
     def run_chunk(cidx, size):
-        key = np.array([np.uint64(seed), np.uint64(40_000 + cidx)], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        u = gen.random((size, depth, 2))
+        u = density._philox(seed, 40_000 + cidx).random((size, depth, 2))
         dts = eps_k**2 * density.inverse_cdf_tau(
             np.clip(u[:, :, 0], 1e-16, 1 - 1e-16))
         sgns = np.where(u[:, :, 1] < 0.5, 1, -1)

@@ -113,14 +113,6 @@ class SkeletonPath:
     def cum_times(self) -> np.ndarray:
         return np.cumsum(self.delta_t)
 
-    @property
-    def steps(self):
-        """(delta_t, sign_vec) pairs, sign_vec a d-vector with one +-1."""
-        return [
-            (float(dt), _sign_vec(int(c), int(s), self.d))
-            for dt, c, s in zip(self.delta_t, self.coords, self.signs)
-        ]
-
     def per_coordinate_times(self, j: int) -> np.ndarray:
         """Hitting times of coordinate j (1-based), in increasing order."""
         if not 1 <= j <= self.d:
@@ -167,13 +159,6 @@ class History:
         return list(zip(self.delta_t, self.coords, self.signs))
 
 
-def _coordinate_stream(seed: int, j: int):
-    """Counter-based stream for coordinate j (1-based), independent of others."""
-    key = np.array([np.uint64(seed) & np.uint64(2**64 - 1), np.uint64(j)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_skeleton(cfg: SkeletonConfig, seed: int) -> SkeletonPath:
     """Draw the first cfg.n_steps merged events of the skeleton.
 
@@ -184,7 +169,7 @@ def sample_skeleton(cfg: SkeletonConfig, seed: int) -> SkeletonPath:
     """
     eps2 = cfg.epsilon_k**2
     n = cfg.n_steps
-    gens = [_coordinate_stream(seed, j) for j in range(1, cfg.d + 1)]
+    gens = [density._philox(seed, j) for j in range(1, cfg.d + 1)]
     chunk = max(64, int(1.3 * n / cfg.d) + 8)
     times = [np.empty(0) for _ in range(cfg.d)]
     sgn = [np.empty(0, dtype=np.int64) for _ in range(cfg.d)]
@@ -289,11 +274,34 @@ def elapsed_times(bk, d: int | None = None):
 def brownian_fine_path(d: int, T: float, dt: float, seed: int, stream: int = 0):
     """(t_grid, B) with B of shape (d, len(t_grid)), B[:,0] = 0."""
     n = int(math.ceil(T / dt))
-    key = np.array([np.uint64(seed), np.uint64(10_000 + stream)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    incs = gen.standard_normal((d, n)) * math.sqrt(dt)
+    incs = density._philox(seed, 10_000 + stream).standard_normal((d, n)) * math.sqrt(dt)
     bm = np.concatenate([np.zeros((d, 1)), np.cumsum(incs, axis=1)], axis=1)
     return dt * np.arange(n + 1), bm
+
+
+def _crossings(x: np.ndarray, lev: float, eps: float, start: int = 0):
+    """Level crossings of one observed coordinate, scanned from x[start].
+
+    Each crossing is the first index k with |x[k] - lev| >= eps; the level
+    then moves one eps step toward x[k].  Returns the crossing indices, their
+    signs and the final level, so a path observed in pieces can carry it on.
+    """
+    idx, sgn = [], []
+    block = 4096          # scan window: no per-grid-point Python loop
+    i = start
+    while i < len(x):
+        hi = min(len(x), i + block)
+        exc = np.abs(x[i:hi] - lev) >= eps
+        if not exc.any():
+            i = hi
+            continue
+        k = i + int(np.argmax(exc))
+        sign = 1 if x[k] > lev else -1
+        lev += sign * eps
+        idx.append(k)
+        sgn.append(sign)
+        i = k + 1
+    return np.array(idx, dtype=np.int64), np.array(sgn, dtype=np.int64), lev
 
 
 def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
@@ -304,31 +312,14 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
     reconstruct_A jumps are exactly +-eps; the overshoot at detection time is
     bounded by the fine-grid increment scale.
     """
-    d, n_grid = bm.shape[0], bm.shape[1]
-    out_t, out_c, out_s = [], [], []
-    # per-coordinate forward scan in blocks to avoid a per-grid-point loop
-    block = 4096
-    for j in range(d):
-        lev = 0.0
-        i = 1
-        while i < n_grid:
-            hi = min(n_grid, i + block)
-            seg = bm[j, i:hi]
-            exc = np.abs(seg - lev) >= eps
-            if not exc.any():
-                i = hi
-                continue
-            k = i + int(np.argmax(exc))
-            sign = 1 if bm[j, k] > lev else -1
-            lev += sign * eps
-            out_t.append(t_grid[k])
-            out_c.append(j + 1)
-            out_s.append(sign)
-            i = k + 1
-    order = np.lexsort((out_c, out_t)) if out_t else np.empty(0, np.int64)
-    t = np.asarray(out_t)[order]
-    c = np.asarray(out_c, dtype=np.int64)[order]
-    s = np.asarray(out_s, dtype=np.int64)[order]
+    d = bm.shape[0]
+    per_coord = [_crossings(bm[j], 0.0, eps, start=1) for j in range(d)]
+    t = np.concatenate([t_grid[k] for k, _, _ in per_coord])
+    c = np.concatenate([np.full(len(k), j + 1, dtype=np.int64)
+                        for j, (k, _, _) in enumerate(per_coord)])
+    s = np.concatenate([sgn for _, sgn, _ in per_coord])
+    order = np.lexsort((c, t))
+    t, c, s = t[order], c[order], s[order]
     if n_steps is not None:
         t, c, s = t[:n_steps], c[:n_steps], s[:n_steps]
     dts = np.diff(np.concatenate([[0.0], t]))
@@ -343,34 +334,21 @@ def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
     Streams the fine path in blocks (bounded memory) and returns
     (times, signs) of the +-eps level crossings detected on the grid.
     """
-    key = np.array([np.uint64(seed), np.uint64(20_000 + stream)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = density._philox(seed, 20_000 + stream)
     n_total = int(math.ceil(t_total / dt))
-    out_t, out_s = [], []
+    out_t, out_s = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     lev = 0.0
     b_end = 0.0
     done = 0
-    scan = 4096
     while done < n_total:
         m = min(block, n_total - done)
         seg = b_end + np.cumsum(gen.standard_normal(m) * math.sqrt(dt))
-        base_idx = done
-        i = 0
-        while i < m:
-            hi = min(m, i + scan)
-            exc = np.abs(seg[i:hi] - lev) >= eps
-            if not exc.any():
-                i = hi
-                continue
-            k = i + int(np.argmax(exc))
-            sign = 1 if seg[k] > lev else -1
-            lev += sign * eps
-            out_t.append((base_idx + k + 1) * dt)
-            out_s.append(sign)
-            i = k + 1
+        k, sgn, lev = _crossings(seg, lev, eps)
+        out_t.append((done + k + 1) * dt)
+        out_s.append(sgn)
         b_end = seg[-1]
         done += m
-    return np.asarray(out_t), np.asarray(out_s, dtype=np.int64)
+    return np.concatenate(out_t), np.concatenate(out_s)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class Tree:
     atoms: DiscretizedKernel
     cfg: SolveConfig
     eps_k: float
-    mode: str
+    ops: object = None                            # collapse: the statistic ops
     bin_widths: np.ndarray | None = None
     layers: list = field(default_factory=list)   # collapse: per-depth Lattice
     blocks: list = field(default_factory=list)    # collapse: per-depth (rects, starts)
@@ -162,14 +162,15 @@ class Tree:
 def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
     """`_setup_tree`, then the forward pass over a collapse tree's layers."""
     tree = _setup_tree(structure, payoff, eps_k, cfg)
-    if tree.mode == "collapse":
-        _forward_layers(tree, structure.collapse_ops())
+    if cfg.collapse:
+        _forward_layers(tree)
     return tree
 
 
 def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
                 node_keys=None) -> Tree:
-    """Tree handle with its checks, fresh-start kernel atoms and bin widths.
+    """Tree handle with its checks, fresh-start kernel atoms, and for
+    collapse its statistic ops and bin widths.
 
     Refuses a grid outside the spec's [-a_bar, a_bar], a full tree over
     cfg.node_cap nodes and a payoff the collapse statistic does not
@@ -192,13 +193,13 @@ def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
                     f"full tree needs > {cfg.node_cap} nodes "
                     f"(branching {n_children}, depth {cfg.depth})", estimate=total)
             level *= n_children
-        return Tree(structure, payoff, atoms, cfg, eps_k, "full")
+        return Tree(structure, payoff, atoms, cfg, eps_k)
     ops = _collapse_ops(structure, payoff)
     widths = np.empty(ops.n_stats)
     widths[0] = cfg.time_bin_width if cfg.time_bin_width is not None else eps_k**2 / 4.0
     widths[1:] = cfg.state_bin_width
     layers = [Lattice.over(_unpack(keys, ops.n_stats)) for keys in node_keys or []]
-    return Tree(structure, payoff, atoms, cfg, eps_k, "collapse", widths, layers)
+    return Tree(structure, payoff, atoms, cfg, eps_k, ops, widths, layers)
 
 
 def _collapse_ops(structure, payoff):
@@ -323,11 +324,11 @@ def _axis(lattice: Lattice, c: int, width: float):
     return idx, (idx + 0.5) * width
 
 
-def _time_children(tree: Tree, ops, t_rows: np.ndarray) -> list:
+def _time_children(tree: Tree, t_rows: np.ndarray) -> list:
     """Per atom: child time bin of each time row, and whether its wealth moves."""
     out = []
     for dt in tree.atoms.delta_t:
-        t_new, moves = ops.time_step(t_rows, float(dt))
+        t_new, moves = tree.ops.time_step(t_rows, float(dt))
         out.append((_quantize(t_new, tree.bin_widths[0]), moves))
     return out
 
@@ -380,7 +381,7 @@ def _rectangles(occupied: np.ndarray, trimmed: dict, row_shift: np.ndarray,
     return np.array(rects, dtype=np.int64).reshape(-1, 6)
 
 
-def _layer_blocks(tree: Tree, ops, lattice: Lattice):
+def _layer_blocks(tree: Tree, lattice: Lattice):
     """Children of one collapse layer as shifted rectangles.
 
     Returns (rects, starts): the rectangles of (action ai, atom m) are
@@ -400,10 +401,10 @@ def _layer_blocks(tree: Tree, ops, lattice: Lattice):
     static = _quantize(lw_cols, widths[1]) - cols    # column shift of rows that do not move
     blocks = [[None] * tree.n_atoms for _ in tree.cfg.action_grid]
     trimmed = {}
-    for m, (child_rows, moves) in enumerate(_time_children(tree, ops, t_rows)):
+    for m, (child_rows, moves) in enumerate(_time_children(tree, t_rows)):
         dt, sign = float(tree.atoms.delta_t[m]), int(tree.atoms.signs[m])
         for ai, a in enumerate(tree.cfg.action_grid):
-            inc = ops.log_increment(t_rows, float(a), dt, sign)
+            inc = tree.ops.log_increment(t_rows, float(a), dt, sign)
             classes = np.where(moves, 0, -1)
             if np.ndim(inc) == 0:                    # constant coefficients
                 values = [inc]
@@ -422,7 +423,7 @@ def _targets(rects: np.ndarray):
     return rects[:, [0, 2]] + rects[:, 4:], rects[:, [1, 3]] + rects[:, 4:]
 
 
-def _forward_layers(tree: Tree, ops):
+def _forward_layers(tree: Tree):
     """Enumerate reachable statistic bins layer by layer.
 
     Each (action, atom) rectangle of a layer ORs its populated cells,
@@ -433,7 +434,7 @@ def _forward_layers(tree: Tree, ops):
     cfg = tree.cfg
     widths = tree.bin_widths
     max_cells = 40 * cfg.node_cap
-    root = _quantize(ops.stat0()[None, :], widths)
+    root = _quantize(tree.ops.stat0()[None, :], widths)
     _pack(root)
     lattice = Lattice.over(root)
     tree.layers, tree.blocks = [lattice], []
@@ -443,7 +444,7 @@ def _forward_layers(tree: Tree, ops):
             raise ResourceCapError(
                 f"collapse layer {depth} expansion too large",
                 estimate=n * len(cfg.action_grid) * tree.n_atoms)
-        rects, starts = _layer_blocks(tree, ops, lattice)
+        rects, starts = _layer_blocks(tree, lattice)
         first, stop = _targets(rects)
         lo = lattice.origin + first.min(axis=0)
         shape = tuple(int(e) for e in lattice.origin + stop.max(axis=0) - lo)
@@ -501,17 +502,17 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray) -> np.nd
     return stage
 
 
-def _node_probe(tree: Tree, ops, depth: int, nodes=slice(None)):
+def _node_probe(tree: Tree, depth: int, nodes=slice(None)):
     """Per-node inputs of probes at arbitrary actions: elapsed time, ln
     wealth, time row, and per atom the time rows' child bins and moves."""
     lattice = tree.layers[depth]
     reps = _reps(lattice.bins[nodes], tree.bin_widths)
     _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
     return (reps[:, 0], reps[:, 1], lattice.bins[nodes, 0] - lattice.origin[0],
-            _time_children(tree, ops, t_rows))
+            _time_children(tree, t_rows))
 
 
-def _probe_stage_values(tree: Tree, ops, probe, action, lattice: Lattice,
+def _probe_stage_values(tree: Tree, probe, action, lattice: Lattice,
                         next_values: np.ndarray, allow_miss: bool) -> np.ndarray:
     """sum_atoms w * V_{n+1}(child) for one action per node (or a scalar).
 
@@ -522,8 +523,8 @@ def _probe_stage_values(tree: Tree, ops, probe, action, lattice: Lattice,
     t, lw, rows, steps = probe
     acc = np.zeros(len(t))
     for m, (child_rows, moves) in enumerate(steps):
-        inc = ops.log_increment(t, action, float(tree.atoms.delta_t[m]),
-                                int(tree.atoms.signs[m]))
+        inc = tree.ops.log_increment(t, action, float(tree.atoms.delta_t[m]),
+                                     int(tree.atoms.signs[m]))
         tb = child_rows[rows]
         wb = _quantize(np.where(moves[rows], lw + inc, lw), tree.bin_widths[1])
         idx = lattice.find(tb, wb)
@@ -543,9 +544,9 @@ def _probe_stage_values(tree: Tree, ops, probe, action, lattice: Lattice,
 # ---------------------------------------------------------------------------
 
 def backward_dp(tree: Tree) -> SolveResult:
-    if tree.mode == "full":
-        return _backward_full(tree)
-    return _backward_collapse(tree)
+    if tree.cfg.collapse:
+        return _backward_collapse(tree)
+    return _backward_full(tree)
 
 
 def _backward_full(tree: Tree) -> SolveResult:
@@ -594,9 +595,8 @@ def _backward_full(tree: Tree) -> SolveResult:
 
 def _backward_collapse(tree: Tree) -> SolveResult:
     cfg = tree.cfg
-    ops = tree.structure.collapse_ops()
     grid = cfg.action_grid
-    vals = ops.payoff_stats(_reps(tree.layers[cfg.depth].bins, tree.bin_widths))
+    vals = tree.ops.payoff_stats(_reps(tree.layers[cfg.depth].bins, tree.bin_widths))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("payoff not finite on a terminal bin")
     value_layers = [None] * (cfg.depth + 1)
@@ -614,9 +614,9 @@ def _backward_collapse(tree: Tree) -> SolveResult:
             h = cfg.grid_spacing
             lo = np.maximum(best_act - h, grid[0])
             hi = np.minimum(best_act + h, grid[-1])
-            probe = _node_probe(tree, ops, depth)
+            probe = _node_probe(tree, depth)
             ref_act, ref_val = _golden_refine(
-                lambda act: _probe_stage_values(tree, ops, probe, act,
+                lambda act: _probe_stage_values(tree, probe, act,
                                                 tree.layers[depth + 1],
                                                 next_values, allow_miss=True),
                 lo, hi, cfg.refine_iters)
@@ -674,16 +674,15 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, node: int,
     (node * A + ai) * M + m of the next layer and ignores action_value.
     """
     own = values.value(depth, node)
-    if tree.mode == "full":
+    if not tree.cfg.collapse:
         first = (node * len(tree.cfg.action_grid) + action_idx) * tree.n_atoms
         acc = 0.0
         for m in range(tree.n_atoms):
             acc += tree.atoms.weights[m] * values.value(depth + 1, first + m)
         return (acc - own) / tree.eps_k**2
-    ops = tree.structure.collapse_ops()
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
-    probe = _node_probe(tree, ops, depth, slice(node, node + 1))
-    stage = _probe_stage_values(tree, ops, probe, a, tree.layers[depth + 1],
+    probe = _node_probe(tree, depth, slice(node, node + 1))
+    stage = _probe_stage_values(tree, probe, a, tree.layers[depth + 1],
                                 values.layers[depth + 1],
                                 allow_miss=action_value is not None)
     return float((stage[0] - own) / tree.eps_k**2)
@@ -740,8 +739,8 @@ def nearest_bin_index(lattice: Lattice, query_bins: np.ndarray) -> np.ndarray:
     return idx
 
 
-def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
-                           depth: int | None = None) -> np.ndarray:
+def extract_policy_control(result: SolveResult, tree: Tree,
+                           path: SkeletonPath) -> np.ndarray:
     """Step-by-step actions of a full tree along a realized skeleton path.
 
     Each realized delta_t snaps to the nearest kernel atom m of the same
@@ -749,12 +748,11 @@ def extract_policy_control(result: SolveResult, tree: Tree, path: SkeletonPath,
     first grid index of the recorded action (full trees never refine).
     Collapsed policies are read by the rollouts in `evaluate`.
     """
-    if tree.mode != "full":
+    if tree.cfg.collapse:
         raise ConfigurationError("extract_policy_control needs a full tree; "
                                  "collapsed policies are read by the rollouts")
     cfg = tree.cfg
-    depth = min(cfg.depth, len(path)) if depth is None else min(depth, cfg.depth,
-                                                                len(path))
+    depth = min(cfg.depth, len(path))
     actions = np.empty(depth)
     grid, atoms = cfg.action_grid, tree.atoms
     i = 0

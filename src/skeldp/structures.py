@@ -13,6 +13,12 @@ Three families:
   fraction-of-wealth control, plus the closed-form stage function g and its
   series-truncated counterpart.
 
+Each structure's one-step law is written once, as its `step` method.  The
+portfolio also evolves its sufficient statistic (t clipped at T, ln payoff
+wealth) in batches for the collapsed solver; its scalar `step` and the
+batched `step_stats` share one ln-wealth increment, `log_increment`, of the
+one `_PortfolioCollapse` the structure holds.
+
 A structure is non-anticipative: the state after n steps depends on the
 control only through the actions already supplied.  Path values are step
 functions; payoffs read the path only on [0, T], so wealth accrued by a step
@@ -36,10 +42,9 @@ _GX, _GW = leggauss(64)
 
 __all__ = [
     "PathView", "StateStructure",
-    "PdSdeSpec", "CaseAState", "CaseAStructure", "euler_step_case_a",
-    "FbmSpec", "FbmStructure", "fbm_drift_step",
-    "PortfolioSpec", "PortfolioState", "PortfolioStructure",
-    "portfolio_terminal_wealth", "power_utility_payoff",
+    "PdSdeSpec", "CaseAState", "CaseAStructure",
+    "FbmSpec", "FbmStructure",
+    "PortfolioSpec", "PortfolioState", "PortfolioStructure", "power_utility_payoff",
     "stage_p", "stage_g", "stage_g_truncated", "stage_truncation_gap",
     "drift_registry", "diffusion_registry", "structure_from_config",
 ]
@@ -81,9 +86,6 @@ class StateStructure:
         raise NotImplementedError
 
     def step(self, state, action, delta_t: float, sign_vec):
-        raise NotImplementedError
-
-    def path_value(self, state, t: float):
         raise NotImplementedError
 
     def payoff_input(self, state) -> PathView:
@@ -132,43 +134,6 @@ class CaseAState:
         return self.times[-1] if self.times else 0.0
 
 
-def euler_step_case_a(spec: PdSdeSpec, state: CaseAState, action, delta_t: float,
-                      sign_vec, eps: float, clamp_T: float | None = None) -> CaseAState:
-    """One Euler step on the event partition.
-
-    Drift uses the current time/path/action; the diffusion column of the
-    active coordinate is frozen at that coordinate's last own hit: its time,
-    the path stopped there, and the action in force there.  The freeze is
-    bookkept by step indices, never by float time comparison.
-    """
-    q = state.n_steps + 1
-    j_star, sgn = aleph(sign_vec)
-    t_prev = state.t_now
-    x_prev = state.values[-1]
-    actions = state.actions + (action,)
-    clamp = (lambda t: t) if clamp_T is None else (lambda t: min(t, clamp_T))
-    path_now = PathView(state.times, state.values)
-    try:
-        a_term = np.atleast_1d(np.asarray(
-            spec.drift(clamp(t_prev), path_now, action), dtype=float))
-        p = state.last_hit[j_star - 1]            # wp_j of the pre-step history
-        theta = state.times[p - 1] if p >= 1 else 0.0
-        frozen = PathView(state.times, state.values, stop=p)
-        sig = np.atleast_2d(np.asarray(
-            spec.diffusion(clamp(theta), frozen, actions[p]), dtype=float))
-    except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
-        raise EvaluationError(f"coefficient evaluation failed at step {q}: {exc}",
-                              step=q) from exc
-    x_new = x_prev + a_term * delta_t + sig[:, j_star - 1] * (eps * sgn)
-    if not np.all(np.isfinite(x_new)):
-        raise EvaluationError(f"state became non-finite at step {q}", step=q)
-    new_last = list(state.last_hit)
-    new_last[j_star - 1] = q
-    return CaseAState(state.times + (t_prev + delta_t,),
-                      state.values + (x_new,),
-                      actions, tuple(new_last))
-
-
 class CaseAStructure(StateStructure):
     def __init__(self, spec: PdSdeSpec, epsilon_k: float, horizon_T: float):
         self.spec = spec
@@ -179,11 +144,40 @@ class CaseAStructure(StateStructure):
         return CaseAState((), (self.spec.x0.copy(),), (), (0,) * self.spec.d)
 
     def step(self, state, action, delta_t, sign_vec):
-        return euler_step_case_a(self.spec, state, action, delta_t, sign_vec,
-                                 self.eps, clamp_T=self.T)
+        """One Euler step on the event partition.
 
-    def path_value(self, state, t):
-        return PathView(state.times, state.values)(t)
+        Drift uses the current time/path/action; the diffusion column of the
+        active coordinate is frozen at that coordinate's last own hit: its
+        time, the path stopped there, and the action in force there.  The
+        freeze is bookkept by step indices, never by float time comparison.
+        Coefficient times are clamped at the horizon.
+        """
+        spec = self.spec
+        q = state.n_steps + 1
+        j_star, sgn = aleph(sign_vec)
+        t_prev = state.t_now
+        x_prev = state.values[-1]
+        actions = state.actions + (action,)
+        path_now = PathView(state.times, state.values)
+        try:
+            a_term = np.atleast_1d(np.asarray(
+                spec.drift(min(t_prev, self.T), path_now, action), dtype=float))
+            p = state.last_hit[j_star - 1]            # wp_j of the pre-step history
+            theta = state.times[p - 1] if p >= 1 else 0.0
+            frozen = PathView(state.times, state.values, stop=p)
+            sig = np.atleast_2d(np.asarray(
+                spec.diffusion(min(theta, self.T), frozen, actions[p]), dtype=float))
+        except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
+            raise EvaluationError(f"coefficient evaluation failed at step {q}: {exc}",
+                                  step=q) from exc
+        x_new = x_prev + a_term * delta_t + sig[:, j_star - 1] * (self.eps * sgn)
+        if not np.all(np.isfinite(x_new)):
+            raise EvaluationError(f"state became non-finite at step {q}", step=q)
+        new_last = list(state.last_hit)
+        new_last[j_star - 1] = q
+        return CaseAState(state.times + (t_prev + delta_t,),
+                          state.values + (x_new,),
+                          actions, tuple(new_last))
 
     def payoff_input(self, state):
         return PathView(state.times, state.values)
@@ -216,32 +210,6 @@ class FbmState:
     w_h: float                  # W^k_H at the current event time
 
 
-def fbm_drift_step(spec: FbmSpec, state: FbmState, action, delta_t: float,
-                   sign_vec, eps: float, clamp_T: float | None = None) -> FbmState:
-    """Euler drift step with the diffusion replaced by sigma * dW^k_H."""
-    j_star, sgn = aleph(sign_vec)
-    if j_star != 1:
-        raise ConfigurationError("fBm structure is one-dimensional")
-    t_prev = state.times[-1] if state.times else 0.0
-    t_new = t_prev + delta_t
-    times = state.times + (t_new,)
-    signs = state.signs + (sgn,)
-    w_new = fbm.fbm_b_at(np.asarray(times), np.asarray(signs, dtype=float),
-                         eps, spec.H, t_new, spec.d_H)
-    path_now = PathView(state.times, state.values)
-    t_arg = t_prev if clamp_T is None else min(t_prev, clamp_T)
-    try:
-        a_term = float(np.asarray(spec.drift(t_arg, path_now, action)).reshape(-1)[0])
-    except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
-        raise EvaluationError(f"drift evaluation failed at step {len(times)}: {exc}",
-                              step=len(times)) from exc
-    x_new = state.values[-1] + a_term * delta_t + spec.sigma * (w_new - state.w_h)
-    if not math.isfinite(x_new):
-        raise EvaluationError(f"state became non-finite at step {len(times)}",
-                              step=len(times))
-    return FbmState(times, state.values + (x_new,), signs, w_new)
-
-
 class FbmStructure(StateStructure):
     def __init__(self, spec: FbmSpec, epsilon_k: float, horizon_T: float):
         self.spec = spec
@@ -252,11 +220,30 @@ class FbmStructure(StateStructure):
         return FbmState((), (float(self.spec.x0),), (), 0.0)
 
     def step(self, state, action, delta_t, sign_vec):
-        return fbm_drift_step(self.spec, state, action, delta_t, sign_vec,
-                              self.eps, clamp_T=self.T)
-
-    def path_value(self, state, t):
-        return PathView(state.times, state.values)(t)
+        """Euler drift step with the diffusion replaced by sigma * dW^k_H;
+        the drift time is clamped at the horizon."""
+        spec = self.spec
+        j_star, sgn = aleph(sign_vec)
+        if j_star != 1:
+            raise ConfigurationError("fBm structure is one-dimensional")
+        t_prev = state.times[-1] if state.times else 0.0
+        t_new = t_prev + delta_t
+        times = state.times + (t_new,)
+        signs = state.signs + (sgn,)
+        w_new = fbm.fbm_b_at(np.asarray(times), np.asarray(signs, dtype=float),
+                             self.eps, spec.H, t_new, spec.d_H)
+        path_now = PathView(state.times, state.values)
+        try:
+            a_term = float(np.asarray(spec.drift(min(t_prev, self.T), path_now,
+                                                 action)).reshape(-1)[0])
+        except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
+            raise EvaluationError(f"drift evaluation failed at step {len(times)}: {exc}",
+                                  step=len(times)) from exc
+        x_new = state.values[-1] + a_term * delta_t + spec.sigma * (w_new - state.w_h)
+        if not math.isfinite(x_new):
+            raise EvaluationError(f"state became non-finite at step {len(times)}",
+                                  step=len(times))
+        return FbmState(times, state.values + (x_new,), signs, w_new)
 
     def payoff_input(self, state):
         return PathView(state.times, state.values)
@@ -296,13 +283,6 @@ class PortfolioSpec:
                 raise ConfigurationError("|sigma_k| must be > 0")
             object.__setattr__(self, "sigma_k", lambda t, _s=s: _s)
 
-    def log_multiplier(self, a: float, t: float, s: float, sign: int,
-                       eps: float) -> float:
-        """log of the one-step wealth factor for action a over (t, t+s]."""
-        al, sg = self.alpha_k(t), self.sigma_k(t)
-        return (a * (al - self.r) + self.r) * s - 0.5 * (a * sg) ** 2 * s \
-            + a * sg * eps * sign
-
 
 @dataclass(frozen=True)
 class PortfolioState:
@@ -324,6 +304,7 @@ class PortfolioStructure(StateStructure):
         self.spec = spec
         self.eps = epsilon_k
         self.T = spec.horizon_T
+        self.ops = _PortfolioCollapse(spec, epsilon_k)
 
     def init(self) -> PortfolioState:
         lw = math.log(self.spec.x0)
@@ -338,12 +319,14 @@ class PortfolioStructure(StateStructure):
             raise ConfigurationError(f"action {a} outside [-{self.spec.a_bar}, {self.spec.a_bar}]")
         t_prev = state.times[-1] if state.times else 0.0
         t_new = t_prev + delta_t
+        # ops.time_step's horizon rule, written out for one float: routing
+        # this step through the array version slows a full-tree solve ~1.5x
         if state.t_clip >= self.T:          # absorbed: the payoff is decided
             return PortfolioState(state.times + (t_new,),
                                   state.log_wealth + (state.log_wealth[-1],),
                                   self.T, state.log_payoff_wealth)
-        lw_new = state.log_wealth[-1] + self.spec.log_multiplier(
-            a, state.t_clip, delta_t, sgn, self.eps)
+        lw_new = state.log_wealth[-1] + self.ops.log_increment(
+            state.t_clip, a, delta_t, sgn)
         if t_new <= self.T:
             return PortfolioState(state.times + (t_new,),
                                   state.log_wealth + (lw_new,),
@@ -353,14 +336,11 @@ class PortfolioStructure(StateStructure):
                               state.log_wealth + (lw_new,),
                               self.T, state.log_wealth[-1])
 
-    def path_value(self, state, t):
-        return math.exp(PathView(state.times, state.log_wealth)(t))
-
     def payoff_input(self, state):
         return PathView(state.times, tuple(math.exp(v) for v in state.log_wealth))
 
     def collapse_ops(self):
-        return _PortfolioCollapse(self.spec, self.eps)
+        return self.ops
 
 
 class _PortfolioCollapse:
@@ -386,13 +366,14 @@ class _PortfolioCollapse:
         crossed = live & (t + delta_t > self.T)
         return np.where(live, np.minimum(t + delta_t, self.T), t), live & ~crossed
 
-    def log_increment(self, t: np.ndarray, action, delta_t, sign):
-        """ln-wealth change of a moving step: a scalar under constant
-        coefficients, else one value per elapsed time."""
+    def log_increment(self, t, a, delta_t, sign):
+        """ln-wealth change of a moving step, the one wealth law of both the
+        scalar step and the statistic ops.  Arguments are floats or arrays
+        (a float or one value per node); the result is a float under
+        constant coefficients and scalar arguments."""
         # alpha/sigma must broadcast over arrays of elapsed times
         al = self.spec.alpha_k(t)
         sg = self.spec.sigma_k(t)
-        a = np.asarray(action, dtype=float)  # scalar or one value per node
         return (a * (al - self.spec.r) + self.spec.r) * delta_t \
             - 0.5 * (a * sg) ** 2 * delta_t + a * sg * self.eps * sign
 
@@ -408,17 +389,6 @@ class _PortfolioCollapse:
     def payoff_stats(self, stats: np.ndarray) -> np.ndarray:
         g = self.spec.gamma_util
         return np.exp(g * stats[:, 1]) / g
-
-
-def portfolio_terminal_wealth(spec: PortfolioSpec, eps: float, actions,
-                              delta_ts, signs) -> float:
-    """Closed-form wealth after the listed steps (log-space accumulation)."""
-    lw = math.log(spec.x0)
-    t = 0.0
-    for a, s, i in zip(actions, delta_ts, signs):
-        lw += spec.log_multiplier(float(a), t, float(s), int(i), eps)
-        t += s
-    return math.exp(lw)
 
 
 def power_utility_payoff(spec: PortfolioSpec):

@@ -263,6 +263,33 @@ def test_policy_csv_evaluation_gets_build_tree_checks(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "depth,node_key,value,action\n",
+    "depth,node_key,value,action\n0,4611686016279904256,2.0\n",
+    "depth,node_key,value,action\nzero,4611686016279904256,2.0,0.5\n",
+], ids=["empty", "header-only", "three-columns", "non-integer-depth"])
+def test_malformed_policy_csv_exit_1(tmp_path, capsys, text):
+    policy = tmp_path / "value_policy.csv"
+    policy.write_text(text)
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["evaluate"]["policy_csv"] = str(policy)
+    assert main(["evaluate", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+
+
+def test_timing_flag_is_a_usage_error_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", write_cfg(tmp_path, MERTON_CFG),
+                 "--out-dir", out, "--timing", "--quiet"]) == 1
+    assert ("configuration error: unrecognized arguments: --timing"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["sweep"] = {"eps_list": [0.5, 1.0 / 3]}

@@ -102,7 +102,7 @@ def test_vertical_gradient():
     spec = PortfolioSpec(r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5,
                          x0=1.0, horizon_T=10.0)
     a, s, sgn = 0.7, 0.2, 1
-    lm = spec.log_multiplier(a, 0.0, s, sgn, eps)
+    lm = PortfolioStructure(spec, eps).collapse_ops().log_increment(0.0, a, s, sgn)
     grad = vertical_gradient(lm, 0.0, (sgn,), j=1, eps_k=eps)
     drift_rate = (a * (0.05 - 0.03) + 0.03) - 0.5 * (a * 0.3) ** 2
     assert grad == pytest.approx(a * 0.3 + s * drift_rate / (eps * sgn), rel=1e-12)

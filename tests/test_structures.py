@@ -10,8 +10,7 @@ from skeldp import density, structures
 from skeldp.errors import ConfigurationError, EvaluationError
 from skeldp.skeleton import SkeletonConfig, sample_skeleton
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
-                               PortfolioStructure, euler_step_case_a,
-                               portfolio_terminal_wealth, power_utility_payoff,
+                               PortfolioStructure, power_utility_payoff,
                                stage_g, stage_g_truncated, stage_truncation_gap,
                                structure_from_config)
 
@@ -159,18 +158,26 @@ def test_portfolio_zero_control_risk_free():
         math.exp(0.03 * 0.6), rel=1e-14)
 
 
+def terminal_wealth(spec, eps, actions, dts, signs):
+    struct = PortfolioStructure(spec, eps)
+    state = struct.init()
+    for a, dt, s in zip(actions, dts, signs):
+        state = struct.step(state, a, dt, unit(1, s))
+    return math.exp(state.log_wealth[-1])
+
+
 def test_portfolio_x0_scaling_exact():
     eps = 0.5
     actions, dts, signs = [0.3, -0.8, 1.0], [0.2, 0.4, 0.1], [1, -1, 1]
-    w1 = portfolio_terminal_wealth(pspec(), eps, actions, dts, signs)
-    w7 = portfolio_terminal_wealth(pspec(x0=7.0), eps, actions, dts, signs)
+    w1 = terminal_wealth(pspec(), eps, actions, dts, signs)
+    w7 = terminal_wealth(pspec(x0=7.0), eps, actions, dts, signs)
     assert w7 == pytest.approx(7.0 * w1, rel=1e-14)
 
 
 def test_portfolio_one_step_value():
     # a=1, sigma=0.2, alpha=r, eps=0.5, sign +1, s=0.25
     spec = pspec(alpha_k=0.03, sigma_k=0.2)
-    w = portfolio_terminal_wealth(spec, 0.5, [1.0], [0.25], [1])
+    w = terminal_wealth(spec, 0.5, [1.0], [0.25], [1])
     assert w == pytest.approx(math.exp(0.03 * 0.25 - 0.005 + 0.1), rel=1e-14)
 
 
@@ -353,7 +360,7 @@ def test_non_anticipativity(seed):
         for n in range(cut):
             sa = struct.step(sa, float(acts_a[n]), float(dts[n]), unit(1, int(signs[n])))
             sb = struct.step(sb, float(acts_b[n]), float(dts[n]), unit(1, int(signs[n])))
-        assert struct.path_value(sa, 100.0) == struct.path_value(sb, 100.0)
+        assert struct.payoff_input(sa)(100.0) == struct.payoff_input(sb)(100.0)
 
 
 # ---------------------------------------------------------------------------
