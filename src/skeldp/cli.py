@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -104,9 +105,8 @@ def _skeleton_cfg(section: dict, eps_override: float | None) -> skeleton.Skeleto
 
 
 def _solve_cfg(section: dict) -> solver.SolveConfig:
-    allowed = {"action_grid", "depth", "Q", "epsilon_total", "collapse", "rule",
-               "refine", "refine_iters", "node_cap", "time_bin_width",
-               "state_bin_width", "holder_c", "holder_gamma"}
+    allowed = {"action_grid", "depth", "Q", "epsilon_total", "collapse", "refine",
+               "refine_iters", "node_cap", "time_bin_width", "state_bin_width"}
     _require_keys(section, allowed, "solve")
     grid_spec = section.get("action_grid")
     if isinstance(grid_spec, dict):
@@ -231,22 +231,8 @@ def _dump_tables(out: str, res: solver.SolveResult, tree: solver.Tree):
 
 
 def _summary_payload(res: solver.SolveResult, extra: dict | None = None) -> dict:
-    rep = res.report
-    payload = {
-        "root_value": rep.root_value,
-        "root_action": rep.root_action,
-        "certified_epsilon": rep.certified_epsilon,
-        "stage_slack": rep.stage_slack,
-        "grid_term": rep.grid_term,
-        "refined_gain_max": rep.refined_gain_max,
-        "node_counts": rep.node_counts,
-        "depth": rep.depth,
-        "Q": rep.Q,
-        "eps_k": rep.eps_k,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+    """The solve report's fields, then any extras."""
+    return {**dataclasses.asdict(res.report), **(extra or {})}
 
 
 def cmd_solve(args) -> int:
@@ -269,7 +255,12 @@ def cmd_solve(args) -> int:
 def _policy_from_csv(path: str, structure, payoff, eps_k: float,
                      scfg: solver.SolveConfig):
     """Rebuild a collapse tree and its policy/value table from a solve CSV
-    dump; the tree gets build_tree's checks, atoms and widths."""
+    dump; the tree gets build_tree's checks, atoms and widths.
+
+    Refuses, by line: a depth below 0, a non-finite value, and below the
+    last depth an action that is blank, not finite or outside the spec's
+    [-a_bar, a_bar].
+    """
     if not os.path.exists(path):
         raise ConfigurationError(f"policy CSV not found: {path}")
     per_depth: dict = {}
@@ -280,33 +271,34 @@ def _policy_from_csv(path: str, structure, payoff, eps_k: float,
     for line, row in enumerate(rows[1:], start=2):
         try:
             depth_s, key_s, value_s, action_s = row
-            entry = (int(key_s), float(value_s), float(action_s) if action_s else math.nan)
-            per_depth.setdefault(int(depth_s), []).append(entry)
+            depth, value = int(depth_s), float(value_s)
+            entry = (int(key_s), value, float(action_s) if action_s else math.nan, line)
         except ValueError as exc:
             raise ConfigurationError(f"bad policy CSV line {line}: {row!r} ({exc})") from exc
+        if depth < 0 or not math.isfinite(value):
+            raise ConfigurationError(f"bad policy CSV line {line}: {row!r} "
+                                     f"(depth below 0 or value not finite)")
+        per_depth.setdefault(depth, []).append(entry)
     if not per_depth:
         raise ConfigurationError(f"policy CSV has no node rows: {path}")
     depth_max = max(per_depth)
     if depth_max != scfg.depth:
         raise ConfigurationError(
             f"policy CSV depth {depth_max} != solve.depth {scfg.depth}")
-    value_layers, policy_layers, node_keys = [], [], []
-    for depth in range(depth_max + 1):
-        entries = sorted(per_depth.get(depth, []))
-        node_keys.append(np.array([e[0] for e in entries], dtype=np.int64))
-        value_layers.append(np.array([e[1] for e in entries]))
-        if depth < depth_max:
-            policy_layers.append(np.array([e[2] for e in entries]))
-    tree = solver._setup_tree(structure, payoff, eps_k, scfg, node_keys)
-    rep = solver.SolveReport(
-        root_value=float(value_layers[0][0]),
-        root_action=float(policy_layers[0][0]) if policy_layers else math.nan,
-        certified_epsilon=math.nan, stage_slack=math.nan, grid_term=math.nan,
-        refined_gain_max=math.nan,
-        node_counts=[len(v) for v in value_layers],
-        depth=depth_max, Q=scfg.Q, eps_k=eps_k)
-    return tree, solver.SolveResult(solver.ValueTable(value_layers),
-                                    solver.Policy(policy_layers), rep)
+    layers = [sorted(per_depth.get(depth, [])) for depth in range(depth_max + 1)]
+    keys = [np.array([e[0] for e in es], dtype=np.int64) for es in layers]
+    tree = solver._setup_tree(structure, payoff, eps_k, scfg, keys)
+    a_bar = getattr(getattr(structure, "spec", None), "a_bar", None)
+    for _, _, action, line in itertools.chain(*layers[:-1]):
+        if not math.isfinite(action):
+            raise ConfigurationError(f"bad policy CSV line {line}: an action below "
+                                     f"the last depth is blank or not finite")
+        if a_bar is not None and abs(action) > a_bar + 1e-12:
+            raise ConfigurationError(f"bad policy CSV line {line}: action {action!r} "
+                                     f"leaves [-{a_bar}, {a_bar}]")
+    values = [np.array([e[1] for e in es]) for es in layers]
+    actions = [np.array([e[2] for e in es]) for es in layers[:-1]]
+    return tree, solver._solve_result(tree, values, actions, math.nan)
 
 
 def cmd_evaluate(args) -> int:
@@ -332,11 +324,9 @@ def cmd_evaluate(args) -> int:
         skeleton.SkeletonConfig(skel.epsilon_k, skel.d, skel.horizon_T, scfg.depth),
         n_paths, args.seed, threads=args.threads,
         antithetic=bool(esec.get("antithetic", False)))
-    cert = res.report.certified_epsilon
     payload = {
         "mc_mean": mc.mean, "mc_se": mc.se, "mc_ci_half": mc.ci_half,
         "n_paths": mc.n, "root_value": res.report.root_value,
-        "certified_epsilon": None if math.isnan(cert) else cert,
         "gap_root_minus_mc": res.report.root_value - mc.mean,
     }
     _write_json(os.path.join(out, "evaluate_metrics.json"), payload)
@@ -368,10 +358,9 @@ def cmd_sweep(args) -> int:
         return _solve_cfg(sc)
 
     report = evaluate.convergence_sweep(make_problem, eps_list, make_cfg)
-    rows = [["eps_k", "root_value", "certified_epsilon", "root_action"]]
+    rows = [["eps_k", "root_value", "root_action"]]
     for r in report["rows"]:
-        rows.append([_fmt(r.eps_k), _fmt(r.root_value),
-                     _fmt(r.certified_epsilon), _fmt(r.root_action)])
+        rows.append([_fmt(r.eps_k), _fmt(r.root_value), _fmt(r.root_action)])
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     _write_json(os.path.join(out, "sweep.json"), {

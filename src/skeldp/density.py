@@ -34,18 +34,6 @@ _GAUSS_X64, _GAUSS_W64 = leggauss(64)
 
 
 @dataclass(frozen=True)
-class SeriesTruncation:
-    """Number of series terms to keep; crossover is fixed at 2/pi."""
-
-    n_terms: int
-    crossover: float = CROSSOVER
-
-    def __post_init__(self):
-        if self.n_terms < 1:
-            raise ConfigurationError(f"n_terms must be >= 1, got {self.n_terms}")
-
-
-@dataclass(frozen=True)
 class Quantization:
     """Finite-support approximation of tau: nodes and matching weights."""
 
@@ -74,9 +62,8 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-def f_tau(x, trunc: SeriesTruncation | int = 60):
+def f_tau(x, n_terms: int = 60):
     """Density of tau at x > 0 as the n_terms-partial alternating sum."""
-    n_terms = trunc.n_terms if isinstance(trunc, SeriesTruncation) else int(trunc)
     if n_terms < 1:
         raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
     arr, scalar = _as_array(x)

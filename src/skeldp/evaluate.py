@@ -270,30 +270,17 @@ def q_slack(structure, payoff, eps_k: float, cfg: SolveConfig) -> float:
 # convergence sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepRow:
-    eps_k: float
-    root_value: float
-    certified_epsilon: float
-    root_action: float
-    node_counts: list
-
-
 def convergence_sweep(make_problem, eps_list, make_cfg) -> dict:
     """Solve the same problem across epsilon levels.
 
     make_problem(eps) -> (structure, payoff); make_cfg(eps) -> SolveConfig.
-    Returns rows plus a flag for monotonically stabilizing root values
-    (|v_{i+1} - v_i| nonincreasing).
+    Returns each level's SolveReport as rows, plus a flag for monotonically
+    stabilizing root values (|v_{i+1} - v_i| nonincreasing).
     """
     rows = []
     for eps in eps_list:
         structure, payoff = make_problem(eps)
-        cfg = make_cfg(eps)
-        res = backward_dp(build_tree(structure, payoff, eps, cfg))
-        rows.append(SweepRow(eps, res.report.root_value,
-                             res.report.certified_epsilon,
-                             res.report.root_action, res.report.node_counts))
+        rows.append(backward_dp(build_tree(structure, payoff, eps, make_cfg(eps))).report)
     diffs = [abs(rows[i + 1].root_value - rows[i].root_value)
              for i in range(len(rows) - 1)]
     stabilizing = all(diffs[i + 1] <= diffs[i] + 1e-15 for i in range(len(diffs) - 1))

@@ -36,6 +36,7 @@ nonpositive elsewhere; `hamiltonian` exposes it for residual checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,30 +56,41 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class SolveConfig:
-    """Knobs of one DP solve."""
+    """Knobs of one DP solve.
+
+    epsilon_total is the error budget that acceptance criteria 6-7 and the
+    benchmark's Merton check compare a solve against (README lists the
+    three checks); the solve itself neither reads nor certifies it.
+    """
 
     action_grid: np.ndarray
     depth: int
     Q: int = 8
     epsilon_total: float = 0.01
     collapse: bool = False
-    rule: str = "quantile"
     refine: bool = False
     refine_iters: int = 16
     node_cap: int = 2_000_000
     time_bin_width: float | None = None     # default eps^2 / 4
     state_bin_width: float = math.log(1.0 + 1e-3)
-    holder_c: float = 1.0
-    holder_gamma: float = 1.0
 
     def __post_init__(self):
         self.action_grid = np.asarray(self.action_grid, dtype=float)
         if self.action_grid.ndim != 1 or len(self.action_grid) == 0:
             raise ConfigurationError("action_grid must be a nonempty 1-d array")
-        if self.depth < 0:
-            raise ConfigurationError(f"depth must be >= 0, got {self.depth}")
-        if self.epsilon_total <= 0:
-            raise ConfigurationError("epsilon_total must be > 0")
+        for name, lo in (("depth", 0), ("Q", 1), ("node_cap", 1), ("refine_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < lo:
+                raise ConfigurationError(f"{name} must be an int >= {lo}, got {value!r}")
+        positive = {"epsilon_total": self.epsilon_total,
+                    "state_bin_width": self.state_bin_width}
+        if self.time_bin_width is not None:
+            positive["time_bin_width"] = self.time_bin_width
+        for name, value in positive.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def grid_spacing(self) -> float:
@@ -116,11 +128,8 @@ class Policy:
 @dataclass
 class SolveReport:
     root_value: float
-    root_action: float
-    certified_epsilon: float
-    stage_slack: float
-    grid_term: float
-    refined_gain_max: float
+    root_action: float                  # NaN at depth 0
+    refined_gain_max: float             # NaN for a policy read from a CSV
     node_counts: list
     depth: int
     Q: int
@@ -181,7 +190,7 @@ def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
     a_bar = getattr(spec, "a_bar", None)
     if a_bar is not None and np.any(np.abs(cfg.action_grid) > a_bar + 1e-12):
         raise ConfigurationError(f"action_grid leaves [-{a_bar}, {a_bar}]")
-    atoms = discretize_kernel(np.zeros(getattr(spec, "d", 1)), eps_k, cfg.Q, cfg.rule)
+    atoms = discretize_kernel(np.zeros(getattr(spec, "d", 1)), eps_k, cfg.Q)
     n_children = len(cfg.action_grid) * len(atoms)
     if not cfg.collapse:
         total = 0
@@ -580,17 +589,8 @@ def _backward_full(tree: Tree) -> SolveResult:
         policy[depth][i] = grid[best_i]
         return best_v
 
-    root = solve(0, structure.init(), 0)
-    grid_term = cfg.holder_c * cfg.grid_spacing**cfg.holder_gamma
-    report = SolveReport(
-        root_value=root,
-        root_action=float(policy[0][0]) if cfg.depth > 0 else math.nan,
-        certified_epsilon=grid_term,
-        stage_slack=0.0, grid_term=grid_term,
-        refined_gain_max=0.0,
-        node_counts=[len(v) for v in values], depth=cfg.depth, Q=cfg.Q,
-        eps_k=tree.eps_k)
-    return SolveResult(ValueTable(values), Policy(policy), report)
+    solve(0, structure.init(), 0)
+    return _solve_result(tree, values, policy, 0.0)
 
 
 def _backward_collapse(tree: Tree) -> SolveResult:
@@ -628,16 +628,19 @@ def _backward_collapse(tree: Tree) -> SolveResult:
         value_layers[depth] = best_val
         policy_layers[depth] = best_act
 
-    grid_term = cfg.holder_c * cfg.grid_spacing**cfg.holder_gamma
+    return _solve_result(tree, value_layers, policy_layers, refined_gain_max)
+
+
+def _solve_result(tree: Tree, values: list, policy: list,
+                  refined_gain_max: float) -> SolveResult:
+    """Value and policy layers with the report read off them."""
     report = SolveReport(
-        root_value=float(value_layers[0][0]),
-        root_action=float(policy_layers[0][0]) if cfg.depth > 0 else math.nan,
-        certified_epsilon=grid_term,
-        stage_slack=0.0, grid_term=grid_term,
+        root_value=float(values[0][0]),
+        root_action=float(policy[0][0]) if policy else math.nan,
         refined_gain_max=refined_gain_max,
-        node_counts=[len(layer.bins) for layer in tree.layers],
-        depth=cfg.depth, Q=cfg.Q, eps_k=tree.eps_k)
-    return SolveResult(ValueTable(value_layers), Policy(policy_layers), report)
+        node_counts=[len(v) for v in values],
+        depth=tree.cfg.depth, Q=tree.cfg.Q, eps_k=tree.eps_k)
+    return SolveResult(ValueTable(values), Policy(policy), report)
 
 
 def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray, iters: int):

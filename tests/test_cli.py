@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -159,8 +160,10 @@ def test_portfolio_summary_fields(tmp_path):
         summary = json.load(fh)
     for field in ["root_value", "extracted_fraction", "merton_fraction",
                   "fraction_gap", "mc_mean", "mc_se", "const_grid_value",
-                  "certified_epsilon", "stage_argmax_policy"]:
+                  "stage_argmax_policy"]:
         assert field in summary
+    for field in ["certified_epsilon", "stage_slack", "grid_term"]:
+        assert field not in summary
     assert summary["merton_fraction"] == pytest.approx(0.4444444, abs=1e-6)
     assert len(summary["stage_argmax_policy"]) == 4
 
@@ -263,22 +266,92 @@ def test_policy_csv_evaluation_gets_build_tree_checks(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "depth,node_key,value,action\n",
-    "depth,node_key,value,action\n0,4611686016279904256,2.0\n",
-    "depth,node_key,value,action\nzero,4611686016279904256,2.0,0.5\n",
-], ids=["empty", "header-only", "three-columns", "non-integer-depth"])
-def test_malformed_policy_csv_exit_1(tmp_path, capsys, text):
+_ROOT_KEY = "4611686016279904256"       # the packed root bin of MERTON_CFG
+# one node per layer down to MERTON_CFG's depth 4; rows are lines 2-6
+_ONE_NODE_CSV = "depth,node_key,value,action\n" + "".join(
+    f"{d},{_ROOT_KEY},2.0,{'0.5' if d < 4 else ''}\n" for d in range(5))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "header"),
+    ("depth,node_key,value,action\n", "no node rows"),
+    ("depth,node_key,value,action\n0,4611686016279904256,2.0\n", "line 2"),
+    ("depth,node_key,value,action\nzero,4611686016279904256,2.0,0.5\n", "line 2"),
+    (_ONE_NODE_CSV.replace(f"1,{_ROOT_KEY},2.0,0.5", f"1,{_ROOT_KEY},2.0,"), "line 3"),
+    (_ONE_NODE_CSV.replace(f"1,{_ROOT_KEY},2.0,0.5", f"1,{_ROOT_KEY},2.0,nan"), "line 3"),
+    (_ONE_NODE_CSV.replace(f"1,{_ROOT_KEY},2.0,0.5", f"1,{_ROOT_KEY},2.0,7.5"),
+     "line 3: action 7.5 leaves [-1.0, 1.0]"),
+    (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},2.0,0.5", f"2,{_ROOT_KEY},inf,0.5"), "line 4"),
+    (_ONE_NODE_CSV + f"-1,{_ROOT_KEY},2.0,0.5\n", "line 7"),
+], ids=["empty", "header-only", "three-columns", "non-integer-depth", "blank-action",
+        "nan-action", "action-outside-a-bar", "infinite-value", "negative-depth"])
+def test_malformed_policy_csv_exit_1(tmp_path, capsys, text, where):
     policy = tmp_path / "value_policy.csv"
     policy.write_text(text)
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["evaluate"]["policy_csv"] = str(policy)
+    out = str(tmp_path / "e")
     assert main(["evaluate", "--config", write_cfg(tmp_path, cfg),
-                 "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
+                 "--out-dir", out, "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
+    assert err.startswith("configuration error: ") and where in err
     assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("solve", [
+    {"state_bin_width": -0.001},
+    {"time_bin_width": -0.01},
+    {"state_bin_width": 0.0, "time_bin_width": 0.0},
+    {"state_bin_width": float("nan")},
+    {"time_bin_width": float("inf")},
+    {"depth": 1.5},
+    {"depth": True},
+    {"depth": -1},
+    {"Q": 0},
+    {"Q": 2.0},
+    {"node_cap": 0},
+    {"refine_iters": -1},
+], ids=["negative-state-width", "negative-time-width", "zero-widths", "nan-state-width",
+        "infinite-time-width", "fractional-depth", "bool-depth", "negative-depth", "zero-Q",
+        "float-Q", "zero-node-cap", "negative-refine-iters"])
+def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"].update({"depth": 2, **solve})
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and next(iter(solve)) in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def test_output_key_sets_pinned(tmp_path):
+    """Every summary holds exactly the solve report's fields plus its extras."""
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"]["depth"] = 2
+    cfg["evaluate"]["n_paths"] = 20
+    cfg["sweep"] = {"eps_list": [0.5, 1.0 / 3]}
+    cfg_path = write_cfg(tmp_path, cfg)
+
+    def run(command, name):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg_path, "--out-dir", out, "--quiet"]) == 0
+        with open(os.path.join(out, name)) as fh:
+            return fh.read()
+
+    report = {"root_value", "root_action", "refined_gain_max", "node_counts",
+              "depth", "Q", "eps_k"}
+    assert report == {f.name for f in dataclasses.fields(solver.SolveReport)}
+    assert set(json.loads(run("solve", "summary.json"))) == report
+    assert set(json.loads(run("portfolio", "portfolio_summary.json"))) == report | {
+        "merton_fraction", "const_grid_value", "const_grid_action",
+        "extracted_fraction", "fraction_gap", "mc_mean", "mc_se", "n_paths",
+        "stage_argmax_policy"}
+    assert set(json.loads(run("evaluate", "evaluate_metrics.json"))) == {
+        "mc_mean", "mc_se", "mc_ci_half", "n_paths", "root_value", "gap_root_minus_mc"}
+    assert run("sweep", "sweep.csv").splitlines()[0] == "eps_k,root_value,root_action"
 
 
 def test_timing_flag_is_a_usage_error_exit_1(tmp_path, capsys):
@@ -299,7 +372,8 @@ def test_sweep_subcommand(tmp_path):
                  "--out-dir", out, "--quiet"]) == 0
     with open(os.path.join(out, "sweep.csv")) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["eps_k", "root_value", "certified_epsilon", "root_action"]
+    assert rows[0] == ["eps_k", "root_value", "root_action"]
+    assert "certified_epsilon" not in rows[0]
     assert len(rows) == 3
 
 
@@ -399,17 +473,18 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
         ("value_policy.csv", solved["value_policy.csv"]),
         ("summary.json", solved["summary.json"]),
         ("evaluate_metrics.json", evaluated["evaluate_metrics.json"])]}
-    # the CSV and summary recorded on the solver that still stored packed
-    # keys per layer; the evaluation re-recorded when collapse evaluation
-    # took its payoff from the statistic, exp(g * lw) / g (mc_mean
-    # 2.014039308573003, mc_se 2.3271216784799187e-3)
+    # the CSV recorded on the solver that still stored packed keys per
+    # layer; the evaluation's numbers when collapse evaluation took its
+    # payoff from the statistic, exp(g * lw) / g (mc_mean 2.014039308573003,
+    # mc_se 2.3271216784799187e-3); both JSON files re-recorded when the
+    # certificate fields were deleted, every other key unchanged
     assert digests == {
         "value_policy.csv":
             "a5818cbd989236d917d42e5c662c9c905a3208c124e2221b99b5da04f0eba7f7",
         "summary.json":
-            "f13a27766d3e21c1632e10cfc4bb2a4d0249ad9396c62457371bdba05af3e09d",
+            "3112fe302778048179c71a9b3a17508c024b3fc1b30eb6795b435a47107cafc2",
         "evaluate_metrics.json":
-            "391d0b2a7b6fd188d6cee3b18584643ceb78f752d462fca1cdbc3d053219f382",
+            "900ef14c16019f5dbd10459c29a0909c9f9ca7c3cf417290b292b8cebf6b3227",
     }
 
 
@@ -440,22 +515,24 @@ def _digests(tmp_path, command, cfg, name):
 
 def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     """value_policy.csv's history keys, the summaries and a full-mode MC."""
-    # recorded on the solver that still keyed full-mode nodes by history tuples
+    # recorded on the solver that still keyed full-mode nodes by history
+    # tuples; the JSON files re-recorded when the certificate fields were
+    # deleted, every other key unchanged
     assert _digests(tmp_path, "solve", PDSDE_CFG, "pd") == {
         "value_policy.csv":
             "b0ca88ad81c1a288664ae56695316662755b0911a4f34ea5a71de5e08108a7dc",
         "summary.json":
-            "ade04b0bbcbb9af99d2ae0d1f7d1758edd84a5d163062396642371ba16efed7c",
+            "cafc39fb624fc8a8fc0de6c05c90ee3f6f852c1462d720a4436610202e1175f4",
     }
     assert _digests(tmp_path, "solve", FBM_CFG, "fbm") == {
         "value_policy.csv":
             "0d90eb5aafb232e9a06019ed3ec102d87bcf7d9f953093f0d9b5dfd1a0b8cc3f",
         "summary.json":
-            "d64e479dfdd8458299a3e32a69eb78d4ce26982ea2fd5c8a234395479ea5c4c7",
+            "b71a1b6fbe839b1a2095df72a302d74ede7dd0b8e523153e47f1ef61687e903e",
     }
     assert _digests(tmp_path, "evaluate", PDSDE_CFG, "pde") == {
         "evaluate_metrics.json":
-            "41be8f2fc9ae84148bb60546f78fac223214098f2554587b678bff07a803a427",
+            "e39aaf6d3b16d6da68218af8f35988d957cc3fe7cbd95b08c54c61bab43bc681",
     }
 
 
@@ -478,14 +555,14 @@ def test_evaluate_antithetic_takes_effect_in_both_modes(tmp_path):
                                          antithetic=flag) for flag in (False, True)}
     assert (anti["mc_mean"], anti["mc_se"]) == (mc[True].mean, mc[True].se)
     assert mc[True].mean != mc[False].mean
-    # collapse mode: re-recorded when collapse evaluation took its payoff
+    # collapse mode: the numbers when collapse evaluation took its payoff
     # from the statistic (mc_mean 2.0149778633421453, mc_se
-    # 1.4519443167361755e-4)
+    # 1.4519443167361755e-4), re-recorded without certified_epsilon
     col = json.loads(json.dumps(MERTON_CFG))
     col["evaluate"]["antithetic"] = True
     assert _digests(tmp_path, "evaluate", col, "col") == {
         "evaluate_metrics.json":
-            "399a6300ece516596b9c243a5a9c247461a497ec3bba46977ee2d0ea4e2263d8",
+            "34f6b62cce8763c5263f133a6703c554384da44a0b7ebd1d2e7ac5b99e389ea2",
     }
 
 

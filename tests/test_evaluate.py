@@ -384,7 +384,7 @@ def test_q_slack_doubles_only_Q(monkeypatch):
     struct, payoff = pstruct(a_bar=0.5)
     cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
                       collapse=True, refine=True, refine_iters=5,
-                      state_bin_width=2e-3, holder_c=0.5)
+                      state_bin_width=2e-3)
     assert q_slack(struct, payoff, 1.0 / 3, cfg) >= 0.0
     assert [c.Q for c in seen] == [2, 4]
     for f in dataclasses.fields(SolveConfig):
@@ -404,8 +404,7 @@ def test_merton_oracle_keeps_every_other_field(monkeypatch):
     struct, _ = pstruct(a_bar=0.5)
     cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
                       collapse=False, refine=True, refine_iters=5,
-                      state_bin_width=2e-3, time_bin_width=0.03,
-                      holder_c=0.5, holder_gamma=0.75)
+                      state_bin_width=2e-3, time_bin_width=0.03)
     ref = merton_oracle(struct.spec, 1.0 / 3, cfg)
     assert ref.const_grid_action in cfg.action_grid
     assert [c.action_grid.tolist() for c in seen] == [[a] for a in cfg.action_grid]

@@ -456,7 +456,7 @@ def _per_node_reference(struct, eps, cfg):
     """
     ops = struct.collapse_ops()
     widths = np.array([eps**2 / 4.0, cfg.state_bin_width])
-    atoms = discretize_kernel(np.zeros(1), eps, cfg.Q, cfg.rule)
+    atoms = discretize_kernel(np.zeros(1), eps, cfg.Q)
     grid = cfg.action_grid
 
     def children(reps, a, m):
