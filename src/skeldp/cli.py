@@ -5,8 +5,9 @@ Every run writes a manifest.json (config hash, seed, versions) beside its
 outputs; outputs are deterministic for a fixed (config, seed) regardless of
 --threads, and floats are serialized with 17 significant digits.
 
-Exit codes: 1 configuration or usage error, 2 numerical failure (including
-a non-finite user functional), 3 resource cap.
+Exit codes: 1 configuration or usage error (including a coefficient or
+payoff functional that returns the wrong shape), 2 numerical failure
+(including a non-finite user functional), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import platform
 import sys
@@ -98,10 +100,20 @@ def _skeleton_cfg(section: dict, eps_override: float | None) -> skeleton.Skeleto
     eps = eps_override if eps_override is not None else section.get("epsilon_k")
     if eps is None:
         raise ConfigurationError("skeleton.epsilon_k missing (or pass --epsilon)")
+    n_steps = section.get("n_steps")
     return skeleton.SkeletonConfig(
-        epsilon_k=float(eps), d=int(section.get("d", 1)),
+        epsilon_k=float(eps), d=_int(section, "d", 1, "skeleton"),
         horizon_T=float(section.get("horizon_T", 1.0)),
-        n_steps=section.get("n_steps"))
+        n_steps=n_steps if n_steps is None else _int(section, "n_steps", 0, "skeleton"))
+
+
+def _int(section: dict, key: str, default, where: str) -> int:
+    """section[key] (default if absent), refused unless it is an integer:
+    int() would truncate 2.5 to 2 and run."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _solve_cfg(section: dict) -> solver.SolveConfig:
@@ -112,7 +124,7 @@ def _solve_cfg(section: dict) -> solver.SolveConfig:
     if isinstance(grid_spec, dict):
         _require_keys(grid_spec, {"lo", "hi", "n"}, "solve.action_grid")
         grid = np.linspace(float(grid_spec["lo"]), float(grid_spec["hi"]),
-                           int(grid_spec["n"]))
+                           _int(grid_spec, "n", None, "solve.action_grid"))
     elif grid_spec is not None:
         grid = np.asarray(grid_spec, dtype=float)
     else:
@@ -123,7 +135,7 @@ def _solve_cfg(section: dict) -> solver.SolveConfig:
 
 def _n_paths(esec: dict) -> int:
     """evaluate.n_paths, refused below 2 before any solve runs."""
-    n_paths = int(esec.get("n_paths", 10_000))
+    n_paths = _int(esec, "n_paths", 10_000, "evaluate")
     if n_paths < 2:
         raise ConfigurationError(f"evaluate needs n_paths >= 2, got {n_paths}")
     return n_paths

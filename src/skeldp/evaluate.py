@@ -27,11 +27,12 @@ import numpy as np
 
 from . import density
 from .errors import ConfigurationError, ResourceCapError
-from .skeleton import SkeletonConfig, SkeletonPath, _sign_vec, sample_skeleton
+from .skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from .solver import (SolveConfig, SolveResult, Tree, backward_dp, build_tree,
                      extract_policy_control, nearest_bin_index, _collapse_ops,
                      _quantize)
-from .structures import PortfolioSpec, PortfolioStructure, power_utility_payoff
+from .structures import (PortfolioSpec, PortfolioStructure, payoff_of,
+                         power_utility_payoff)
 
 __all__ = [
     "RolloutResult", "MCResult", "rollout", "mc_value", "policy_mc_value",
@@ -44,9 +45,9 @@ _CHUNK = 4096          # fixed chunk size keeps reductions thread-count-free
 
 @dataclass
 class RolloutResult:
-    payoff: float
-    state: object
-    actions: np.ndarray
+    payoff: float | np.ndarray          # one path: a float; a block: (paths,)
+    state: object                       # the final state block
+    actions: np.ndarray                 # (steps,) or (paths, steps)
 
 
 @dataclass
@@ -61,7 +62,8 @@ class MCResult:
 
 
 def _as_control(control):
-    """Normalize a control to callable(depth, state, structure) -> action."""
+    """Normalize a control to callable(depth, state, structure) -> action,
+    a scalar or one action per row of the state block."""
     if callable(control):
         return control
     value = float(control) if np.ndim(control) == 0 else np.asarray(control, float)
@@ -69,23 +71,37 @@ def _as_control(control):
 
 
 def rollout(structure, control, path: SkeletonPath, payoff=None) -> RolloutResult:
-    """Deterministic forward pass of a control along a realized path."""
+    """Deterministic forward pass of a control along realized paths.
+
+    A block of paths steps as one state block: the first step fans the
+    initial state out to one row per path.  One path gives a float payoff
+    and (steps,) actions, a block (paths,) payoffs and (paths, steps)
+    actions.
+    """
     ctrl = _as_control(control)
+    dts, coords, signs = (np.atleast_2d(x) for x in (path.delta_t, path.coords, path.signs))
+    rows = np.arange(len(dts))
     state = structure.init()
-    actions = np.empty(len(path))
+    actions = np.empty(dts.shape)
     for n in range(len(path)):
-        a = ctrl(n, state, structure)
-        actions[n] = np.asarray(a, dtype=float).reshape(-1)[0]
-        state = structure.step(state, a, float(path.delta_t[n]),
-                               _sign_vec(int(path.coords[n]), int(path.signs[n]), path.d))
-    value = float(payoff(structure.payoff_input(state))) if payoff is not None else math.nan
+        actions[:, n] = ctrl(n, state, structure)
+        sign_vec = np.zeros((len(dts), path.d), dtype=np.int64)
+        sign_vec[rows, coords[:, n] - 1] = signs[:, n]
+        state = structure.step(state, actions[:, n], dts[:, n], sign_vec)
+    value = payoff_of(structure, payoff, state) if payoff is not None \
+        else np.full(len(dts), math.nan)
+    if path.delta_t.ndim == 1:
+        return RolloutResult(float(value[0]), state, actions[0])
     return RolloutResult(value, state, actions)
 
 
 def mc_value(structure, payoff, control, skel_cfg: SkeletonConfig, N: int,
              seed: int, threads: int = 1, antithetic: bool = False) -> MCResult:
     """Sample mean and standard error of the payoff under a control."""
-    values = _each_path(skel_cfg, lambda path: rollout(structure, control, path, payoff).payoff)
+    def values(dts, coords, signs):
+        path = SkeletonPath(skel_cfg.epsilon_k, skel_cfg.d, dts, coords, signs)
+        return rollout(structure, control, path, payoff).payoff.tolist()
+
     return _mc_value(values, skel_cfg, N, seed, threads, antithetic)
 
 
@@ -95,11 +111,12 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
     """Monte Carlo value of a solved policy, either tree mode.
 
     The paths are those of `mc_value`, at most tree.cfg.depth steps long.
-    Full mode extracts the action sequence along each path by nearest-atom
-    projection before rolling it out; collapse mode (d = 1, the payoff the
-    statistic computes) reads each chunk through `_collapse_payoffs`.
-    With antithetic, each path is averaged with its sign-flipped twin,
-    along which the policy is read afresh.
+    Full mode reads each chunk's action sequences by nearest-atom
+    projection in one walk of the tree and rolls the chunk out as one
+    block; collapse mode (d = 1, the payoff the statistic computes) reads
+    each chunk through `_collapse_payoffs`.  With antithetic, each path is
+    averaged with its sign-flipped twin, along which the policy is read
+    afresh.
     """
     if skel_cfg.n_steps > tree.cfg.depth:
         raise ConfigurationError(f"skeleton n_steps {skel_cfg.n_steps} exceeds "
@@ -112,20 +129,12 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
         def values(dts, coords, signs):
             return _collapse_payoffs(ops, result, tree, dts, signs).tolist()
     else:
-        def value(path):
+        def values(dts, coords, signs):
+            path = SkeletonPath(skel_cfg.epsilon_k, skel_cfg.d, dts, coords, signs)
             acts = extract_policy_control(result, tree, path)
-            return rollout(structure, lambda n, state, s: float(acts[n]), path,
-                           payoff).payoff
-
-        values = _each_path(skel_cfg, value)
+            return rollout(structure, lambda n, state, s: acts[:, n], path,
+                           payoff).payoff.tolist()
     return _mc_value(values, skel_cfg, N, seed, threads, antithetic)
-
-
-def _each_path(skel_cfg: SkeletonConfig, value):
-    """`_mc_value`'s values(delta_t, coords, signs) from a per-path value(path)."""
-    return lambda dts, coords, signs: [
-        value(SkeletonPath(skel_cfg.epsilon_k, skel_cfg.d, *row))
-        for row in zip(dts, coords, signs)]
 
 
 def _run_chunks(n: int, threads: int, run_chunk) -> list:
@@ -185,9 +194,10 @@ def _mc_value(values, skel_cfg: SkeletonConfig, N: int, seed: int, threads: int,
 def enumerate_oracle(structure, payoff, tree: Tree, cap: int = 10_000_000) -> float:
     """Exact optimum over tree-adapted policies by direct leaf-to-root folding.
 
-    Independent of backward_dp: plain recursion on explicit histories, no
-    memoization or layer storage.  Refuses when the folding workload
-    (sum over depths of branching^depth) exceeds the cap.
+    Independent of backward_dp: plain recursion on explicit histories, one
+    node (a 1-row state block) at a time, no memoization or layer storage.
+    Refuses when the folding workload (sum over depths of branching^depth)
+    exceeds the cap.
     """
     cfg = tree.cfg
     branch = len(cfg.action_grid) * tree.n_atoms
@@ -204,7 +214,7 @@ def enumerate_oracle(structure, payoff, tree: Tree, cap: int = 10_000_000) -> fl
 
     def fold(state, depth):
         if depth == cfg.depth:
-            return float(payoff(structure.payoff_input(state)))
+            return float(payoff_of(structure, payoff, state)[0])
         best = -math.inf
         for a in grid:
             acc = 0.0

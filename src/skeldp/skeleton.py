@@ -68,9 +68,20 @@ class SkeletonConfig:
         return self.d * math.ceil(self.epsilon_k**-2 * self.horizon_T)
 
 
-def aleph(sign_vec) -> tuple[int, int]:
-    """(coordinate j, sign r) of the unique nonzero entry; j is 1-based."""
+def aleph(sign_vec):
+    """(coordinate j, sign r) of the unique nonzero entry; j is 1-based.
+
+    A block of sign vectors, one per row of an (N, d) array, gives j and r
+    as (N,) arrays.
+    """
     arr = np.asarray(sign_vec)
+    if arr.ndim == 2:
+        nonzero = arr != 0
+        if np.any(nonzero.sum(axis=1) != 1) or np.any(np.abs(arr[nonzero]) != 1):
+            raise ConfigurationError(f"not a block of unit sign-vectors "
+                                     f"(shape {arr.shape})")
+        j = np.argmax(nonzero, axis=1)
+        return j + 1, arr[np.arange(len(arr)), j]
     nz = np.flatnonzero(arr)
     if nz.size != 1 or abs(arr[nz[0]]) != 1:
         raise ConfigurationError(f"not a unit sign-vector: {sign_vec!r}")
@@ -85,20 +96,26 @@ def _sign_vec(coord: int, sign: int, d: int) -> np.ndarray:
 
 @dataclass
 class SkeletonPath:
-    """Realized chain: merged inter-arrival times and active (coord, sign)."""
+    """Realized chain: merged inter-arrival times and active (coord, sign).
+
+    One path holds (n,) arrays; a block of paths, as the Monte Carlo rolls
+    out, holds (paths, n) arrays.  len() is the number of steps n.
+    """
 
     epsilon_k: float
     d: int
-    delta_t: np.ndarray  # (n,) positive
-    coords: np.ndarray   # (n,) ints in 1..d
-    signs: np.ndarray    # (n,) ints in {-1, +1}
+    delta_t: np.ndarray  # (n,) or (paths, n) positive
+    coords: np.ndarray   # ints in 1..d
+    signs: np.ndarray    # ints in {-1, +1}
 
     def __post_init__(self):
         self.delta_t = np.asarray(self.delta_t, dtype=float)
         self.coords = np.asarray(self.coords, dtype=np.int64)
         self.signs = np.asarray(self.signs, dtype=np.int64)
-        if not (len(self.delta_t) == len(self.coords) == len(self.signs)):
-            raise ConfigurationError("delta_t, coords, signs must share length")
+        if not (self.delta_t.shape == self.coords.shape == self.signs.shape) \
+                or self.delta_t.ndim not in (1, 2):
+            raise ConfigurationError("delta_t, coords, signs must share one "
+                                     "(n,) or (paths, n) shape")
         if np.any(self.delta_t <= 0):
             raise ConfigurationError("all delta_t must be > 0")
         if np.any((self.coords < 1) | (self.coords > self.d)):
@@ -107,11 +124,11 @@ class SkeletonPath:
             raise ConfigurationError("signs must be +-1")
 
     def __len__(self) -> int:
-        return len(self.delta_t)
+        return self.delta_t.shape[-1]
 
     @property
     def cum_times(self) -> np.ndarray:
-        return np.cumsum(self.delta_t)
+        return np.cumsum(self.delta_t, axis=-1)
 
     def per_coordinate_times(self, j: int) -> np.ndarray:
         """Hitting times of coordinate j (1-based), in increasing order."""
@@ -120,8 +137,8 @@ class SkeletonPath:
         return self.cum_times[self.coords == j]
 
     def prefix(self, n: int) -> "SkeletonPath":
-        return SkeletonPath(self.epsilon_k, self.d, self.delta_t[:n],
-                            self.coords[:n], self.signs[:n])
+        return SkeletonPath(self.epsilon_k, self.d, self.delta_t[..., :n],
+                            self.coords[..., :n], self.signs[..., :n])
 
 
 @dataclass

@@ -10,7 +10,13 @@ its index in the layer, and value and policy layers are arrays in node order:
 
 * full mode enumerates exact histories of grid (action ai, atom m) pairs;
   feasible only for desk-scale trees and used as the reference solver.
-  With A actions and M atoms, node i has child (i * A + ai) * M + m.
+  With A actions and M atoms, node i has child (i * A + ai) * M + m, so
+  the children of the node range [i0, i1) are the range [i0 A M, i1 A M).
+  The recursion runs over such node-range blocks, not over nodes: one
+  structure step takes a block's states to its children's (at most
+  `_BLOCK` children at a time, so states are never held for a whole
+  layer), and the children's values, reshaped to (nodes, A, M) and summed
+  atom by atom, give the block's values and first-index argmax actions.
 * collapse mode quantizes the structure's sufficient statistic into bins
   (time component on an absolute grid of width eps^2/4, state components on
   the structure's own scale, relative 1e-3 for wealth-like quantities) and
@@ -44,6 +50,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ResourceCapError
 from .kernel import DiscretizedKernel, discretize_kernel
 from .skeleton import SkeletonPath, _sign_vec
+from .structures import payoff_of
 
 __all__ = [
     "SolveConfig", "ValueTable", "Policy", "SolveResult",
@@ -52,6 +59,9 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# children per structure step of a full-tree solve: bounds the states alive
+# per depth (a depth-5, 248,832-leaf layer of states would take ~35 MB)
+_BLOCK = 4096
 
 
 @dataclass
@@ -220,7 +230,7 @@ def _collapse_ops(structure, payoff):
         raise ConfigurationError("collapse mode needs the structure to expose "
                                  "a sufficient statistic")
     own = float(ops.payoff_stats(ops.stat0()[None, :])[0])
-    given = float(payoff(structure.payoff_input(structure.init())))
+    given = float(payoff_of(structure, payoff, structure.init())[0])
     if not math.isclose(given, own, rel_tol=1e-12):
         raise ConfigurationError(f"collapse mode values paths by the structure's "
                                  f"own payoff ({own!r} at the root), not {given!r}")
@@ -559,37 +569,44 @@ def backward_dp(tree: Tree) -> SolveResult:
 
 
 def _backward_full(tree: Tree) -> SolveResult:
+    """The full-tree recursion over node-range blocks (module docstring)."""
     cfg = tree.cfg
-    structure, payoff = tree.structure, tree.payoff
-    grid = cfg.action_grid
-    atoms = tree.atoms
+    structure = tree.structure
+    grid, atoms = cfg.action_grid, tree.atoms
     n_a, n_m = len(grid), len(atoms)
-    values = [np.empty((n_a * n_m)**n) for n in range(cfg.depth + 1)]
-    policy = [np.empty((n_a * n_m)**n) for n in range(cfg.depth)]
-    signs = [tree.sign_vec(m) for m in range(n_m)]
+    fan = n_a * n_m
+    values = [np.empty(fan**n) for n in range(cfg.depth + 1)]
+    policy = [np.empty(fan**n) for n in range(cfg.depth)]
+    per_step = max(1, _BLOCK // fan)
+    # the children (ai, m) of one node, in child order
+    acts = np.repeat(grid, n_m)
+    dts = np.tile(atoms.delta_t, n_a)
+    signs = np.tile(np.array([tree.sign_vec(m) for m in range(n_m)]), (n_a, 1))
 
-    def solve(i, state, depth):
+    def solve(depth, i0, block):
+        """Values (and actions) of the nodes [i0, i0 + len(block)) of a depth."""
         if depth == cfg.depth:
-            v = float(payoff(structure.payoff_input(state)))
-            if not math.isfinite(v):
-                raise NumericalError(f"payoff is not finite at leaf {i}")
-            values[depth][i] = v
-            return v
-        best_v, best_i = -math.inf, 0
-        for ai, a in enumerate(grid):
+            v = payoff_of(structure, tree.payoff, block)
+            bad = np.flatnonzero(~np.isfinite(v))
+            if len(bad):
+                raise NumericalError(f"payoff is not finite at leaf {i0 + bad[0]}")
+            values[depth][i0:i0 + len(v)] = v
+            return
+        for p0 in range(0, len(block), per_step):
+            parents = block.rows(slice(p0, p0 + per_step))
+            k = len(parents)
+            c0 = (i0 + p0) * fan
+            solve(depth + 1, c0, structure.step(parents, np.tile(acts, k),
+                                                np.tile(dts, k), np.tile(signs, (k, 1))))
+            child = values[depth + 1][c0:c0 + k * fan].reshape(k, n_a, n_m)
             acc = 0.0
             for m in range(n_m):
-                child_state = structure.step(state, float(a),
-                                             float(atoms.delta_t[m]), signs[m])
-                acc += atoms.weights[m] * solve((i * n_a + ai) * n_m + m,
-                                                child_state, depth + 1)
-            if acc > best_v:
-                best_v, best_i = acc, ai
-        values[depth][i] = best_v
-        policy[depth][i] = grid[best_i]
-        return best_v
+                acc = acc + atoms.weights[m] * child[:, :, m]
+            best = np.argmax(acc, axis=1)           # ties: smallest grid index
+            values[depth][i0 + p0:i0 + p0 + k] = acc[np.arange(k), best]
+            policy[depth][i0 + p0:i0 + p0 + k] = grid[best]
 
-    solve(0, structure.init(), 0)
+    solve(0, 0, structure.init())
     return _solve_result(tree, values, policy, 0.0)
 
 
@@ -744,26 +761,30 @@ def nearest_bin_index(lattice: Lattice, query_bins: np.ndarray) -> np.ndarray:
 
 def extract_policy_control(result: SolveResult, tree: Tree,
                            path: SkeletonPath) -> np.ndarray:
-    """Step-by-step actions of a full tree along a realized skeleton path.
+    """Step-by-step actions of a full tree along realized skeleton paths.
 
     Each realized delta_t snaps to the nearest kernel atom m of the same
     (coord, sign), and the walk goes to child (i * A + ai) * M + m, ai the
-    first grid index of the recorded action (full trees never refine).
-    Collapsed policies are read by the rollouts in `evaluate`.
+    first grid index of the recorded action (full trees never refine).  A
+    block of paths is walked at once and gives (paths, steps) actions, one
+    path (steps,).  Collapsed policies are read by the rollouts in
+    `evaluate`.
     """
     if tree.cfg.collapse:
         raise ConfigurationError("extract_policy_control needs a full tree; "
                                  "collapsed policies are read by the rollouts")
-    cfg = tree.cfg
-    depth = min(cfg.depth, len(path))
-    actions = np.empty(depth)
-    grid, atoms = cfg.action_grid, tree.atoms
-    i = 0
+    grid, atoms = tree.cfg.action_grid, tree.atoms
+    depth = min(tree.cfg.depth, len(path))
+    dts, coords, signs = (np.atleast_2d(x)[:, :depth]
+                          for x in (path.delta_t, path.coords, path.signs))
+    actions = np.empty(dts.shape)
+    i = np.zeros(len(dts), dtype=np.int64)
     for n in range(depth):
-        actions[n] = result.policy.action(n, i)
-        ai = int(np.flatnonzero(grid == actions[n])[0])
-        dt, c, s = float(path.delta_t[n]), int(path.coords[n]), int(path.signs[n])
-        same = np.flatnonzero((atoms.coords == c) & (atoms.signs == s))
-        m = int(same[np.argmin(np.abs(atoms.delta_t[same] - dt))])
-        i = (i * len(grid) + ai) * tree.n_atoms + m
-    return actions
+        actions[:, n] = result.policy.layers[n][i]
+        ai = np.argmax(grid == actions[:, n, None], axis=1)
+        same = (atoms.coords == coords[:, n, None]) & (atoms.signs == signs[:, n, None])
+        if not same.any(axis=1).all():
+            raise ConfigurationError(f"a step {n} (coord, sign) has no kernel atom")
+        dist = np.where(same, np.abs(atoms.delta_t - dts[:, n, None]), np.inf)
+        i = (i * len(grid) + ai) * tree.n_atoms + np.argmin(dist, axis=1)
+    return actions if path.delta_t.ndim == 2 else actions[0]

@@ -13,11 +13,16 @@ Three families:
   fraction-of-wealth control, plus the closed-form stage function g and its
   series-truncated counterpart.
 
-Each structure's one-step law is written once, as its `step` method.  The
-portfolio also evolves its sufficient statistic (t clipped at T, ln payoff
-wealth) in batches for the collapsed solver; its scalar `step` and the
-batched `step_stats` share one ln-wealth increment, `log_increment`, of the
-one `_PortfolioCollapse` the structure holds.
+Each structure's one-step law is written once, as its `step` method, a
+batched law over a block of states: every field of a state block holds one
+row per state, a step fans each input row out to its consecutive output
+rows, and the coefficients and payoffs it calls take and return one row per
+path.  The full-tree solver steps a block of nodes to their children, the
+Monte Carlo a chunk of paths, both through the same `step`.  The portfolio
+also evolves its sufficient statistic (t clipped at T, ln payoff wealth)
+for the collapsed solver; its `step` and `step_stats` share the time rule
+`time_step` and the ln-wealth increment `log_increment` of the one
+`_PortfolioCollapse` the structure holds.
 
 A structure is non-anticipative: the state after n steps depends on the
 control only through the actions already supplied.  Path values are step
@@ -28,7 +33,7 @@ that lands beyond T never enters the payoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -41,9 +46,9 @@ from .skeleton import aleph
 _GX, _GW = leggauss(64)
 
 __all__ = [
-    "PathView", "StateStructure",
+    "PathView", "StateStructure", "payoff_of",
     "PdSdeSpec", "CaseAState", "CaseAStructure",
-    "FbmSpec", "FbmStructure",
+    "FbmSpec", "FbmState", "FbmStructure",
     "PortfolioSpec", "PortfolioState", "PortfolioStructure", "power_utility_payoff",
     "stage_p", "stage_g", "stage_g_truncated", "stage_truncation_gap",
     "drift_registry", "diffusion_registry", "structure_from_config",
@@ -51,45 +56,76 @@ __all__ = [
 
 
 class PathView:
-    """Right-continuous step function t -> value with optional stop index."""
+    """A block of right-continuous step paths t -> x, one path per row.
+
+    times (N, q) holds the event times t_1..t_q (t_0 = 0 implicit) and
+    values (N, q + 1, n) the states x_0..x_q; stop (N,) cuts row i after
+    its step stop[i] (default q, the whole path).  Every reader returns one
+    (N, n) row per path.
+    """
 
     __slots__ = ("times", "values", "stop")
 
-    def __init__(self, times, values, stop: int | None = None):
-        self.times = times          # event times t_1..t_n (t_0 = 0 implicit)
-        self.values = values        # values x_0..x_n
-        self.stop = stop if stop is not None else len(times)
+    def __init__(self, times, values, stop=None):
+        self.times = times
+        self.values = values
+        self.stop = np.full(len(values), times.shape[1]) if stop is None else stop
 
-    def __call__(self, t: float):
-        idx = 0
-        for k in range(self.stop):
-            if self.times[k] <= t:
-                idx = k + 1
-            else:
-                break
-        return self.values[min(idx, self.stop)]
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __call__(self, t):
+        """Values at t: a scalar, or one time per row as (N,) or (N, 1)."""
+        t = np.asarray(t, dtype=float)
+        live = np.arange(self.times.shape[1]) < self.stop[:, None]
+        idx = np.sum((self.times <= (t.reshape(-1, 1) if t.ndim else t)) & live, axis=1)
+        return self.values[np.arange(len(self)), idx]
 
     def terminal(self):
-        return self.values[self.stop]
+        return self.values[np.arange(len(self)), self.stop]
 
     def running_max(self):
-        out = self.values[0]
-        for k in range(1, self.stop + 1):
-            out = np.maximum(out, self.values[k])
+        out = self.values[:, 0]
+        for k in range(1, self.values.shape[1]):
+            out = np.where((k <= self.stop)[:, None], np.maximum(out, self.values[:, k]), out)
         return out
 
 
+class _Block:
+    """A block of states (mixed into a dataclass): every field is an array
+    with one row per state, among them the (N, q) event times."""
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def rows(self, idx):
+        """The block of rows idx (an index array or a slice)."""
+        return replace(self, **{f.name: getattr(self, f.name)[idx] for f in fields(self)})
+
+
 class StateStructure:
-    """Interface contract all controlled structures implement."""
+    """Interface contract all controlled structures implement.
+
+    States travel in blocks (`_Block`); `init` returns the 1-row block of
+    the initial state.
+    """
 
     def init(self):
         raise NotImplementedError
 
-    def step(self, state, action, delta_t: float, sign_vec):
+    def step(self, state, action, delta_t, sign_vec):
+        """One event step of a block of P states to a block of N rows.
+
+        action and delta_t are scalars or one value per output row;
+        sign_vec is a unit sign vector (d,) or one per row (N, d).  N is the
+        length of the per-row arguments (P if all are scalars) and a
+        multiple of P: input row i fans out to output rows [i K, (i + 1) K),
+        K = N / P, as a full-tree node fans out to its children.
+        """
         raise NotImplementedError
 
     def payoff_input(self, state) -> PathView:
-        """The pathwise map gamma^k: the frozen path handed to the payoff."""
+        """The pathwise map gamma^k: the frozen paths handed to the payoff."""
         raise NotImplementedError
 
     # optional hook -----------------------------------------------------
@@ -98,15 +134,73 @@ class StateStructure:
         return None
 
 
+def payoff_of(structure, payoff, state) -> np.ndarray:
+    """The payoff of every row of a block: payoff(PathView) must return
+    one value per path, shape (N,)."""
+    view = structure.payoff_input(state)
+    values = np.asarray(payoff(view), dtype=float)
+    if values.shape != (len(view),):
+        raise ConfigurationError(f"payoff returned shape {values.shape} for a block of "
+                                 f"{len(view)} paths; it must return ({len(view)},)")
+    return values
+
+
+def _fan_out(n_rows: int, action, delta_t, sign_vec):
+    """A step's arguments per output row: the input row it steps from,
+    the action, delta_t, the active coordinate (1-based) and its sign."""
+    j, sgn = aleph(sign_vec)
+    args = [np.asarray(action, dtype=float), np.asarray(delta_t, dtype=float),
+            np.asarray(j), np.asarray(sgn)]
+    n = max([n_rows] + [x.size for x in args if x.ndim])
+    if n % n_rows or any(x.ndim > 1 or x.size not in (1, n) for x in args):
+        raise ConfigurationError(f"step arguments of shapes {[x.shape for x in args]} "
+                                 f"do not fan {n_rows} rows out to one block")
+    return (np.arange(n) // (n // n_rows),
+            *[x.reshape(-1) if x.size == n else np.repeat(x.reshape(-1), n) for x in args])
+
+
+def _coefficient(name: str, value, shape: tuple) -> np.ndarray:
+    """A coefficient's value broadcast to shape, refusing any value whose
+    shape would broadcast to anything else (an (N,) drift against an (N, 1)
+    state would otherwise become (N, N))."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == shape:
+        return value
+    if value.ndim > len(shape) or any(
+            v not in (1, s) for v, s in zip(value.shape[::-1], shape[::-1])):
+        raise ConfigurationError(f"{name} returned shape {value.shape} for a block of "
+                                 f"{shape[0]} rows; it must broadcast to {shape}")
+    return np.broadcast_to(value, shape)
+
+
+def _action_runs(src: np.ndarray, action: np.ndarray):
+    """First row of each run of rows sharing input row and action, and the
+    run of every row."""
+    new = np.empty(len(src), dtype=bool)
+    new[0] = True
+    np.not_equal(src[1:], src[:-1], out=new[1:])
+    new[1:] |= action[1:] != action[:-1]
+    return new.nonzero()[0], np.cumsum(new) - 1
+
+
+def _math_rows(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a scalar `math` function) applied to every entry of x.  Payoffs
+    keep `math` functions: numpy's vectorized tanh and exp differ from them
+    in the last bits on some inputs."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # Case A: path-dependent SDE under Brownian noise
 # ---------------------------------------------------------------------------
 
 @dataclass
 class PdSdeSpec:
-    """Coefficients of the controlled path-dependent SDE.
+    """Coefficients of the controlled path-dependent SDE, batched over rows.
 
-    drift(t, path, a) -> (n,) array; diffusion(t, path, a) -> (n, d) array.
+    drift(t, path, a) and diffusion(t, path, a) get a block of R rows: t and
+    a as (R, 1) columns and path a PathView of R paths.  The drift must
+    broadcast to (R, n), the diffusion to (R, n, d).
     """
 
     drift: Callable
@@ -119,19 +213,11 @@ class PdSdeSpec:
 
 
 @dataclass(frozen=True)
-class CaseAState:
-    times: tuple          # t_1..t_q
-    values: tuple         # x_0..x_q, each (n,) ndarray
-    actions: tuple        # a_0..a_{q-1}
-    last_hit: tuple       # per coordinate, 1-based step index of last hit (0 = none)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times)
-
-    @property
-    def t_now(self) -> float:
-        return self.times[-1] if self.times else 0.0
+class CaseAState(_Block):
+    times: np.ndarray       # (N, q) t_1..t_q
+    values: np.ndarray      # (N, q + 1, n) x_0..x_q
+    actions: np.ndarray     # (N, q) a_0..a_{q-1}
+    last_hit: np.ndarray    # (N, d) per coordinate, 1-based step of its last hit (0 = none)
 
 
 class CaseAStructure(StateStructure):
@@ -141,7 +227,8 @@ class CaseAStructure(StateStructure):
         self.T = horizon_T
 
     def init(self) -> CaseAState:
-        return CaseAState((), (self.spec.x0.copy(),), (), (0,) * self.spec.d)
+        return CaseAState(np.empty((1, 0)), self.spec.x0[None, None, :].copy(),
+                          np.empty((1, 0)), np.zeros((1, self.spec.d), dtype=np.int64))
 
     def step(self, state, action, delta_t, sign_vec):
         """One Euler step on the event partition.
@@ -150,34 +237,47 @@ class CaseAStructure(StateStructure):
         active coordinate is frozen at that coordinate's last own hit: its
         time, the path stopped there, and the action in force there.  The
         freeze is bookkept by step indices, never by float time comparison.
-        Coefficient times are clamped at the horizon.
+        Coefficient times are clamped at the horizon.  The drift is
+        evaluated once per (input row, action) run of output rows, the
+        diffusion once per such run and active coordinate.
         """
         spec = self.spec
-        q = state.n_steps + 1
-        j_star, sgn = aleph(sign_vec)
-        t_prev = state.t_now
-        x_prev = state.values[-1]
-        actions = state.actions + (action,)
-        path_now = PathView(state.times, state.values)
+        src, a, dt, j_star, sgn = _fan_out(len(state), action, delta_t, sign_vec)
+        q = state.times.shape[1] + 1
+        n = state.values.shape[2]
+        clock = np.column_stack([np.zeros(len(state)), state.times])   # t_0..t_{q-1}
+        acts = np.column_stack([state.actions[src], a])                # a_0..a_{q-1}
+        col = np.empty((len(src), n))
         try:
-            a_term = np.atleast_1d(np.asarray(
-                spec.drift(min(t_prev, self.T), path_now, action), dtype=float))
-            p = state.last_hit[j_star - 1]            # wp_j of the pre-step history
-            theta = state.times[p - 1] if p >= 1 else 0.0
-            frozen = PathView(state.times, state.values, stop=p)
-            sig = np.atleast_2d(np.asarray(
-                spec.diffusion(min(theta, self.T), frozen, actions[p]), dtype=float))
+            first, run = _action_runs(src, a)
+            rows = src[first]
+            a_term = _coefficient("drift", spec.drift(
+                np.minimum(clock[rows, -1], self.T)[:, None],
+                PathView(state.times[rows], state.values[rows]), a[first][:, None]),
+                (len(rows), n))[run]
+            for j in range(1, spec.d + 1):
+                at = (j_star == j).nonzero()[0]
+                if len(at) == 0:
+                    continue
+                first, run = _action_runs(src[at], a[at])
+                rows = src[at[first]]
+                p = state.last_hit[rows, j - 1]       # wp_j of the pre-step history
+                sig = _coefficient("diffusion", spec.diffusion(
+                    np.minimum(clock[rows, p], self.T)[:, None],
+                    PathView(state.times[rows], state.values[rows], stop=p),
+                    acts[at[first], p][:, None]), (len(rows), n, spec.d))
+                col[at] = sig[:, :, j - 1][run]
         except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
             raise EvaluationError(f"coefficient evaluation failed at step {q}: {exc}",
                                   step=q) from exc
-        x_new = x_prev + a_term * delta_t + sig[:, j_star - 1] * (self.eps * sgn)
+        x_new = state.values[src, -1] + a_term * dt[:, None] + col * (self.eps * sgn)[:, None]
         if not np.all(np.isfinite(x_new)):
             raise EvaluationError(f"state became non-finite at step {q}", step=q)
-        new_last = list(state.last_hit)
-        new_last[j_star - 1] = q
-        return CaseAState(state.times + (t_prev + delta_t,),
-                          state.values + (x_new,),
-                          actions, tuple(new_last))
+        last_hit = state.last_hit[src]
+        last_hit[np.arange(len(src)), j_star - 1] = q
+        return CaseAState(np.column_stack([state.times[src], clock[src, -1] + dt]),
+                          np.concatenate([state.values[src], x_new[:, None]], axis=1),
+                          acts, last_hit)
 
     def payoff_input(self, state):
         return PathView(state.times, state.values)
@@ -189,11 +289,14 @@ class CaseAStructure(StateStructure):
 
 @dataclass
 class FbmSpec:
-    """Drift-controlled scalar SDE with additive fBm noise, 1/2 < H < 1."""
+    """Drift-controlled scalar SDE with additive fBm noise, 1/2 < H < 1.
+
+    drift(t, path, a) is batched as in PdSdeSpec and must broadcast to (R, 1).
+    """
 
     H: float
     sigma: float
-    drift: Callable             # (t, path, a) -> float
+    drift: Callable
     x0: float
     d_H: float = 1.0
 
@@ -203,11 +306,11 @@ class FbmSpec:
 
 
 @dataclass(frozen=True)
-class FbmState:
-    times: tuple
-    values: tuple               # scalar x_0..x_q
-    signs: tuple                # skeleton signs so far (drives W_H)
-    w_h: float                  # W^k_H at the current event time
+class FbmState(_Block):
+    times: np.ndarray           # (N, q)
+    values: np.ndarray          # (N, q + 1, 1) x_0..x_q
+    signs: np.ndarray           # (N, q) skeleton signs so far (drive W_H)
+    w_h: np.ndarray             # (N,) W^k_H at the current event time
 
 
 class FbmStructure(StateStructure):
@@ -217,33 +320,36 @@ class FbmStructure(StateStructure):
         self.T = horizon_T
 
     def init(self) -> FbmState:
-        return FbmState((), (float(self.spec.x0),), (), 0.0)
+        return FbmState(np.empty((1, 0)), np.full((1, 1, 1), float(self.spec.x0)),
+                        np.empty((1, 0)), np.zeros(1))
 
     def step(self, state, action, delta_t, sign_vec):
         """Euler drift step with the diffusion replaced by sigma * dW^k_H;
         the drift time is clamped at the horizon."""
         spec = self.spec
-        j_star, sgn = aleph(sign_vec)
-        if j_star != 1:
+        src, a, dt, j_star, sgn = _fan_out(len(state), action, delta_t, sign_vec)
+        if np.any(j_star != 1):
             raise ConfigurationError("fBm structure is one-dimensional")
-        t_prev = state.times[-1] if state.times else 0.0
-        t_new = t_prev + delta_t
-        times = state.times + (t_new,)
-        signs = state.signs + (sgn,)
-        w_new = fbm.fbm_b_at(np.asarray(times), np.asarray(signs, dtype=float),
-                             self.eps, spec.H, t_new, spec.d_H)
-        path_now = PathView(state.times, state.values)
+        q = state.times.shape[1] + 1
+        t_prev = state.times[src, -1] if q > 1 else np.zeros(len(src))
+        times = np.column_stack([state.times[src], t_prev + dt])
+        signs = np.column_stack([state.signs[src], sgn.astype(float)])
+        w_new = np.array([fbm.fbm_b_at(times[i], signs[i], self.eps, spec.H,
+                                       float(times[i, -1]), spec.d_H)
+                          for i in range(len(src))])
         try:
-            a_term = float(np.asarray(spec.drift(min(t_prev, self.T), path_now,
-                                                 action)).reshape(-1)[0])
+            a_term = _coefficient("drift", spec.drift(
+                np.minimum(t_prev, self.T)[:, None],
+                PathView(state.times[src], state.values[src]), a[:, None]),
+                (len(src), 1))[:, 0]
         except (FloatingPointError, ValueError, ZeroDivisionError) as exc:
-            raise EvaluationError(f"drift evaluation failed at step {len(times)}: {exc}",
-                                  step=len(times)) from exc
-        x_new = state.values[-1] + a_term * delta_t + spec.sigma * (w_new - state.w_h)
-        if not math.isfinite(x_new):
-            raise EvaluationError(f"state became non-finite at step {len(times)}",
-                                  step=len(times))
-        return FbmState(times, state.values + (x_new,), signs, w_new)
+            raise EvaluationError(f"drift evaluation failed at step {q}: {exc}",
+                                  step=q) from exc
+        x_new = state.values[src, -1, 0] + a_term * dt + spec.sigma * (w_new - state.w_h[src])
+        if not np.all(np.isfinite(x_new)):
+            raise EvaluationError(f"state became non-finite at step {q}", step=q)
+        return FbmState(times, np.concatenate([state.values[src], x_new[:, None, None]],
+                                              axis=1), signs, w_new)
 
     def payoff_input(self, state):
         return PathView(state.times, state.values)
@@ -274,6 +380,8 @@ class PortfolioSpec:
             raise ConfigurationError(f"gamma_util must lie in (0,1), got {self.gamma_util}")
         if self.x0 <= 0:
             raise ConfigurationError(f"x0 must be > 0, got {self.x0}")
+        if not self.a_bar > 0:
+            raise ConfigurationError(f"a_bar must be > 0, got {self.a_bar}")
         if isinstance(self.alpha_k, (int, float)):
             a = float(self.alpha_k)
             object.__setattr__(self, "alpha_k", lambda t, _a=a: _a)
@@ -285,11 +393,11 @@ class PortfolioSpec:
 
 
 @dataclass(frozen=True)
-class PortfolioState:
-    times: tuple
-    log_wealth: tuple           # ln W at 0, t_1, .., t_n
-    t_clip: float               # elapsed time clipped at the horizon
-    log_payoff_wealth: float    # ln of the wealth the payoff will see
+class PortfolioState(_Block):
+    times: np.ndarray               # (N, q)
+    log_wealth: np.ndarray          # (N, q + 1) ln W at 0, t_1, .., t_q
+    t_clip: np.ndarray              # (N,) elapsed time clipped at the horizon
+    log_payoff_wealth: np.ndarray   # (N,) ln of the wealth the payoff will see
 
 
 class PortfolioStructure(StateStructure):
@@ -297,7 +405,8 @@ class PortfolioStructure(StateStructure):
 
     Once the elapsed time crosses the horizon the payoff wealth freezes (the
     path value at clock T is the value of the step straddling it), and the
-    state becomes absorbing.
+    state becomes absorbing.  The step is the statistic ops' law
+    (`time_step`, `log_increment`) plus the wealth path.
     """
 
     def __init__(self, spec: PortfolioSpec, epsilon_k: float):
@@ -308,36 +417,31 @@ class PortfolioStructure(StateStructure):
 
     def init(self) -> PortfolioState:
         lw = math.log(self.spec.x0)
-        return PortfolioState((), (lw,), 0.0, lw)
+        return PortfolioState(np.empty((1, 0)), np.full((1, 1), lw), np.zeros(1),
+                              np.full(1, lw))
 
     def step(self, state, action, delta_t, sign_vec):
-        j, sgn = aleph(sign_vec)
-        if j != 1:
+        src, a, dt, j, sgn = _fan_out(len(state), action, delta_t, sign_vec)
+        if np.any(j != 1):
             raise ConfigurationError("portfolio structure is one-dimensional")
-        a = float(np.asarray(action).reshape(-1)[0])
-        if abs(a) > self.spec.a_bar + 1e-12:
-            raise ConfigurationError(f"action {a} outside [-{self.spec.a_bar}, {self.spec.a_bar}]")
-        t_prev = state.times[-1] if state.times else 0.0
-        t_new = t_prev + delta_t
-        # ops.time_step's horizon rule, written out for one float: routing
-        # this step through the array version slows a full-tree solve ~1.5x
-        if state.t_clip >= self.T:          # absorbed: the payoff is decided
-            return PortfolioState(state.times + (t_new,),
-                                  state.log_wealth + (state.log_wealth[-1],),
-                                  self.T, state.log_payoff_wealth)
-        lw_new = state.log_wealth[-1] + self.ops.log_increment(
-            state.t_clip, a, delta_t, sgn)
-        if t_new <= self.T:
-            return PortfolioState(state.times + (t_new,),
-                                  state.log_wealth + (lw_new,),
-                                  t_new, lw_new)
-        # step straddles the horizon: wealth at clock T is the pre-step value
-        return PortfolioState(state.times + (t_new,),
-                              state.log_wealth + (lw_new,),
-                              self.T, state.log_wealth[-1])
+        outside = np.abs(a) > self.spec.a_bar + 1e-12
+        if outside.any():
+            raise ConfigurationError(f"action {a[outside][0]} outside "
+                                     f"[-{self.spec.a_bar}, {self.spec.a_bar}]")
+        t = state.t_clip[src]
+        lw = state.log_wealth[src, -1]
+        moved = lw + self.ops.log_increment(t, a, dt, sgn)
+        t_new, moves = self.ops.time_step(t, dt)
+        t_prev = state.times[src, -1] if state.times.shape[1] else np.zeros(len(src))
+        # the path moves on every live step; a step straddling T moves it
+        # past the clock-T value the payoff keeps
+        return PortfolioState(
+            np.column_stack([state.times[src], t_prev + dt]),
+            np.column_stack([state.log_wealth[src], np.where(t < self.T, moved, lw)]),
+            t_new, np.where(moves, moved, state.log_payoff_wealth[src]))
 
     def payoff_input(self, state):
-        return PathView(state.times, tuple(math.exp(v) for v in state.log_wealth))
+        return PathView(state.times, _math_rows(math.exp, state.log_wealth)[:, :, None])
 
     def collapse_ops(self):
         return self.ops
@@ -367,10 +471,9 @@ class _PortfolioCollapse:
         return np.where(live, np.minimum(t + delta_t, self.T), t), live & ~crossed
 
     def log_increment(self, t, a, delta_t, sign):
-        """ln-wealth change of a moving step, the one wealth law of both the
-        scalar step and the statistic ops.  Arguments are floats or arrays
-        (a float or one value per node); the result is a float under
-        constant coefficients and scalar arguments."""
+        """ln-wealth change of a moving step, the one wealth law of the
+        structure's step and the statistic ops.  Arguments are floats or
+        arrays (one value per row)."""
         # alpha/sigma must broadcast over arrays of elapsed times
         al = self.spec.alpha_k(t)
         sg = self.spec.sigma_k(t)
@@ -392,12 +495,12 @@ class _PortfolioCollapse:
 
 
 def power_utility_payoff(spec: PortfolioSpec):
-    """xi(f) = f(T)^gamma / gamma, reading the wealth path at clock T."""
+    """xi(f) = f(T)^gamma / gamma, reading each wealth path at clock T."""
     g = spec.gamma_util
     T = spec.horizon_T
 
-    def payoff(path: PathView) -> float:
-        return float(path(T)) ** g / g
+    def payoff(path: PathView) -> np.ndarray:
+        return _math_rows(lambda w: w ** g / g, path(T)[:, 0])
 
     return payoff
 
@@ -513,43 +616,43 @@ def stage_truncation_gap(a: float, t_elapsed: float, spec: PortfolioSpec,
 # ---------------------------------------------------------------------------
 
 def _drift_zero(params):
-    return lambda t, path, a: np.zeros_like(np.atleast_1d(path.terminal()))
+    return lambda t, path, a: np.zeros_like(path.terminal())
 
 
 def _drift_constant(params):
     c = float(params.get("value", 0.0))
-    return lambda t, path, a: c * np.ones_like(np.atleast_1d(path.terminal()))
+    return lambda t, path, a: c * np.ones_like(path.terminal())
 
 
 def _drift_linear(params):
     scale = float(params.get("scale", 1.0))
-    return lambda t, path, a: scale * np.atleast_1d(path(t))
+    return lambda t, path, a: scale * path(t)
 
 
 def _drift_mean_revert(params):
     rate = float(params.get("rate", 1.0))
     target = float(params.get("target", 0.0))
-    return lambda t, path, a: rate * (target - np.atleast_1d(path(t)))
+    return lambda t, path, a: rate * (target - path(t))
 
 
 def _drift_action_linear(params):
     scale = float(params.get("scale", 1.0))
-    return lambda t, path, a: scale * np.atleast_1d(np.asarray(a, dtype=float))
+    return lambda t, path, a: scale * a
 
 
 def _drift_running_max(params):
     scale = float(params.get("scale", 1.0))
-    return lambda t, path, a: scale * np.atleast_1d(path.running_max())
+    return lambda t, path, a: scale * path.running_max()
 
 
 def _diff_constant(params):
     c = float(params.get("value", 1.0))
-    return lambda t, path, a: np.full((1, 1), c)
+    return lambda t, path, a: np.full((1, 1, 1), c)
 
 
 def _diff_linear(params):
     scale = float(params.get("scale", 1.0))
-    return lambda t, path, a: scale * np.atleast_1d(path(t))[:, None]
+    return lambda t, path, a: scale * path(t)[:, :, None]
 
 
 drift_registry = {
@@ -620,14 +723,15 @@ def _from_registry(registry: dict, entry):
 
 
 def _payoff_from_config(entry, horizon_T: float):
-    """Bounded Hoelder payoffs selectable by name."""
+    """Bounded Hoelder payoffs selectable by name, one value per path of a
+    PathView block."""
     if isinstance(entry, str):
         entry = {"name": entry}
     name = entry.get("name")
     if name == "terminal_tanh":
         scale = float(entry.get("scale", 1.0))
-        return lambda path: scale * math.tanh(float(np.atleast_1d(path(horizon_T))[0]))
+        return lambda path: scale * _math_rows(math.tanh, path(horizon_T)[:, 0])
     if name == "running_max_tanh":
         scale = float(entry.get("scale", 1.0))
-        return lambda path: scale * math.tanh(float(np.atleast_1d(path.running_max())[0]))
+        return lambda path: scale * _math_rows(math.tanh, path.running_max()[:, 0])
     raise ConfigurationError(f"unknown payoff {name!r}")

@@ -123,8 +123,8 @@ def test_fbm_solve_subcommand(tmp_path):
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["node_counts"] == [1, 12, 144]
-    # the registry drift returns arrays; a scalar drift gives the same tree
-    spec = FbmSpec(H=0.75, sigma=0.5, drift=lambda t, path, a: float(a), x0=0.0)
+    # a hand-written drift gives the registry's tree
+    spec = FbmSpec(H=0.75, sigma=0.5, drift=lambda t, path, a: a, x0=0.0)
     res = backward_dp(build_tree(
         FbmStructure(spec, 0.5, 1.0), _payoff_from_config("terminal_tanh", 1.0),
         0.5, SolveConfig(action_grid=np.array([-1.0, 0.0, 1.0]), depth=2, Q=2)))
@@ -325,6 +325,38 @@ def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     assert err.startswith("configuration error: ") and next(iter(solve)) in err
     assert "Traceback" not in err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, where, value", [
+    ("evaluate", ("evaluate", "n_paths"), 2.5),
+    ("evaluate", ("evaluate", "n_paths"), "300"),
+    ("solve", ("skeleton", "d"), 1.5),
+    ("solve", ("skeleton", "d"), True),
+    ("skeleton", ("skeleton", "n_steps"), 4.5),
+    ("solve", ("solve", "action_grid", "n"), 9.5),
+], ids=["fractional-n-paths", "string-n-paths", "fractional-d", "bool-d",
+        "fractional-n-steps", "fractional-grid-n"])
+def test_non_integer_counts_exit_1(tmp_path, capsys, command, where, value):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    section = cfg
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {'.'.join(where)} must be an integer")
+    assert "Traceback" not in err
+
+
+def test_nonpositive_a_bar_exit_1(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["problem"]["a_bar"] = -1.0
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: a_bar must be > 0, got -1.0")
 
 
 def test_output_key_sets_pinned(tmp_path):
@@ -534,6 +566,19 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
         "evaluate_metrics.json":
             "e39aaf6d3b16d6da68218af8f35988d957cc3fe7cbd95b08c54c61bab43bc681",
     }
+
+
+def test_drift_of_wrong_shape_exit_1(tmp_path, capsys, monkeypatch):
+    # one value per row, (N,), where the batched contract asks for (N, n)
+    monkeypatch.setitem(structures.drift_registry, "per_row",
+                        lambda params: lambda t, path, a: path(t)[:, 0])
+    cfg = json.loads(json.dumps(PDSDE_CFG))
+    cfg["problem"]["drift"] = {"name": "per_row"}
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: drift returned shape (3,)")
+    assert "Traceback" not in err
 
 
 def test_evaluate_antithetic_takes_effect_in_both_modes(tmp_path):

@@ -52,7 +52,7 @@ def test_mc_value_deterministic_payoff_zero_se():
                      diffusion=lambda t, p, a: np.zeros((1, 1)),
                      x0=np.array([0.7]))
     struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
-    payoff = lambda path: math.tanh(float(np.atleast_1d(path(1.0))[0]))  # noqa: E731
+    payoff = lambda path: np.array([math.tanh(x) for x in path(1.0)[:, 0]])  # noqa: E731
     mc = mc_value(struct, payoff, 0.0, SkeletonConfig(0.5, 1, 1.0, 4), 64, seed=0)
     assert mc.se == 0.0
     assert mc.mean == pytest.approx(math.tanh(0.7), rel=1e-12)
@@ -136,7 +136,7 @@ def test_enumerate_depth_one_by_hand():
         for m in range(tree.n_atoms):
             st = struct.step(struct.init(), float(a),
                              float(tree.atoms.delta_t[m]), tree.sign_vec(m))
-            acc += tree.atoms.weights[m] * payoff(struct.payoff_input(st))
+            acc += tree.atoms.weights[m] * payoff(struct.payoff_input(st))[0]
         best = max(best, acc)
     assert val == pytest.approx(best, rel=1e-14)
     assert backward_dp(tree).report.root_value == pytest.approx(val, abs=1e-12)
@@ -145,8 +145,9 @@ def test_enumerate_depth_one_by_hand():
 def test_enumerate_zero_payoff():
     struct, _ = pstruct()
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2)
-    tree = build_tree(struct, lambda path: 0.0, 1.0 / 3, cfg)
-    assert enumerate_oracle(struct, lambda path: 0.0, tree) == 0.0
+    zero = lambda path: np.zeros(len(path))            # noqa: E731
+    tree = build_tree(struct, zero, 1.0 / 3, cfg)
+    assert enumerate_oracle(struct, zero, tree) == 0.0
 
 
 def test_enumerate_cap():
@@ -209,13 +210,13 @@ def test_policy_rollouts_pinned(desk5):
 
 
 def scalar_reader(res, tree):
-    """A collapsed policy read one state at a time: bin the state's
+    """A collapsed policy read from the states: bin each state's
     (t_clip, ln payoff wealth) and look it up by the nearest-bin rule."""
     def control(depth, state, structure):
-        stat = np.array([[state.t_clip, state.log_payoff_wealth]])
+        stat = np.column_stack([state.t_clip, state.log_payoff_wealth])
         bins = solver._quantize(stat, tree.bin_widths)
-        i = evaluate.nearest_bin_index(tree.layers[depth], bins)[0]
-        return float(res.policy.layers[depth][i])
+        i = evaluate.nearest_bin_index(tree.layers[depth], bins)
+        return res.policy.layers[depth][i]
     return control
 
 
@@ -248,12 +249,11 @@ def test_policy_rollouts_match_scalar_reader(desk5, monkeypatch):
     dts = eps**2 * density.inverse_cdf_tau(np.clip(u[:, :, 0], 1e-16, 1 - 1e-16))
     sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
     side = "scalar"
-    paths = [SkeletonPath(eps, 1, dts[p], np.ones(depth, dtype=np.int64), sgns[p])
-             for p in range(n)]
-    runs = [rollout(struct, scalar_reader(res, tree), path, payoff) for path in paths]
-    stats = np.array([(r.state.t_clip, r.state.log_payoff_wealth) for r in runs])
+    paths = SkeletonPath(eps, 1, dts, np.ones((n, depth), dtype=np.int64), sgns)
+    runs = rollout(struct, scalar_reader(res, tree), paths, payoff)
+    stats = np.column_stack([runs.state.t_clip, runs.state.log_payoff_wealth])
     assert np.array_equal(stats, final[0])
-    scalar_pay = np.array([r.payoff for r in runs])
+    scalar_pay = runs.payoff
     # exp(g * lw) / g against exp(lw)**g / g
     assert np.all(np.abs(scalar_pay - pay) <= 4 * np.spacing(pay))
     assert misses["vector"] == misses["scalar"] > 0
@@ -281,7 +281,7 @@ def test_policy_mc_value_refuses_what_it_cannot_read(desk5):
     eps = 1.0 / 3
     skel = SkeletonConfig(eps, 1, 1.0, 5)
     with pytest.raises(ConfigurationError, match="own payoff"):
-        policy_mc_value(struct, lambda path: 0.0, res, tree, skel, 10, 0)
+        policy_mc_value(struct, lambda path: np.zeros(len(path)), res, tree, skel, 10, 0)
     with pytest.raises(ConfigurationError, match="one-dimensional"):
         policy_mc_value(struct, payoff, res, tree, SkeletonConfig(eps, 2, 1.0, 5), 10, 0)
     full = build_tree(struct, payoff, eps, SolveConfig(
@@ -305,7 +305,7 @@ def test_sweep_no_noise_root_independent_of_eps():
                          diffusion=lambda t, p, a: np.zeros((1, 1)),
                          x0=np.array([0.7]))
         struct = CaseAStructure(spec, eps, horizon_T=1.0)
-        return struct, (lambda path: math.tanh(float(np.atleast_1d(path(1.0))[0])))
+        return struct, (lambda path: np.array([math.tanh(x) for x in path(1.0)[:, 0]]))
 
     def make_cfg(eps):
         return SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=3, Q=2)
@@ -321,7 +321,7 @@ def test_oracle_triangle_no_noise():
                      diffusion=lambda t, p, a: np.zeros((1, 1)),
                      x0=np.array([0.7]))
     struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
-    payoff = lambda path: math.tanh(float(np.atleast_1d(path(1.0))[0]))  # noqa: E731
+    payoff = lambda path: np.array([math.tanh(x) for x in path(1.0)[:, 0]])  # noqa: E731
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=3, Q=2)
     tree = build_tree(struct, payoff, 0.5, cfg)
     dp = backward_dp(tree).report.root_value
@@ -330,7 +330,7 @@ def test_oracle_triangle_no_noise():
     def const_val(a):
         def fold(state, depth):
             if depth == 3:
-                return payoff(struct.payoff_input(state))
+                return payoff(struct.payoff_input(state))[0]
             return sum(tree.atoms.weights[m]
                        * fold(struct.step(state, a, float(tree.atoms.delta_t[m]),
                                           tree.sign_vec(m)), depth + 1)

@@ -198,14 +198,14 @@ def test_fbm_structure_reductions():
     times = np.cumsum(dts)
     w = fbm.fbm_from_skeleton(times, np.array(signs, float), eps, H,
                               [times[-1]])[0]
-    assert state.values[-1] == pytest.approx(1.5 + 2.0 * w, rel=1e-10)
+    assert state.values[0, -1, 0] == pytest.approx(1.5 + 2.0 * w, rel=1e-10)
     # sigma = 0: plain ODE Euler
     spec0 = FbmSpec(H=H, sigma=0.0, drift=lambda t, p, a: 0.7, x0=2.0)
     struct0 = FbmStructure(spec0, eps, horizon_T=10.0)
     state0 = struct0.init()
     for dt, s in zip(dts, signs):
         state0 = struct0.step(state0, 0.0, dt, unit(s))
-    assert state0.values[-1] == pytest.approx(2.0 + 0.7 * times[-1], rel=1e-12)
+    assert state0.values[0, -1, 0] == pytest.approx(2.0 + 0.7 * times[-1], rel=1e-12)
 
 
 def test_mean_reversion_reduces_variance():
@@ -214,7 +214,7 @@ def test_mean_reversion_reduces_variance():
     from skeldp import density
     terminals = {"free": [], "revert": []}
     for name, drift in [("free", lambda t, p, a: 0.0),
-                        ("revert", lambda t, p, a: -float(np.atleast_1d(p(t))[0]))]:
+                        ("revert", lambda t, p, a: -p(t))]:
         spec = FbmSpec(H=H, sigma=1.0, drift=drift, x0=0.0)
         struct = FbmStructure(spec, eps, horizon_T=2.0)
         key = np.array([np.uint64(4), np.uint64(5)], dtype=np.uint64)
@@ -226,5 +226,5 @@ def test_mean_reversion_reduces_variance():
             state = struct.init()
             for dt, s in zip(dts, sgn):
                 state = struct.step(state, 0.0, float(dt), unit(int(s)))
-            terminals[name].append(state.values[-1])
+            terminals[name].append(state.values[0, -1, 0])
     assert np.var(terminals["revert"]) < np.var(terminals["free"])

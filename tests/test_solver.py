@@ -10,7 +10,7 @@ from skeldp import solver
 from skeldp.evaluate import rollout
 from skeldp.errors import ConfigurationError, NumericalError, ResourceCapError
 from skeldp.kernel import discretize_kernel
-from skeldp.skeleton import SkeletonConfig, sample_skeleton
+from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from skeldp.solver import (Policy, SolveConfig, ValueTable, backward_dp,
                            build_tree, extract_policy_control, hamiltonian,
                            vertical_gradient)
@@ -44,7 +44,8 @@ def test_depth_zero_value_is_payoff_of_empty_path():
 def test_constant_payoff_constant_value_and_tiebreak():
     struct, _ = pstruct()
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=3, Q=2)
-    res = backward_dp(build_tree(struct, lambda path: 4.25, 1.0 / 3, cfg))
+    res = backward_dp(build_tree(struct, lambda path: np.full(len(path), 4.25),
+                                 1.0 / 3, cfg))
     for layer in res.values.layers:
         assert all(v == 4.25 for v in layer)
     # every action ties; the smallest grid index must win everywhere
@@ -55,8 +56,8 @@ def test_constant_payoff_constant_value_and_tiebreak():
 def test_monotone_in_payoff():
     struct, _ = pstruct()
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2)
-    xi1 = lambda path: math.tanh(path(1.0))            # noqa: E731
-    xi2 = lambda path: math.tanh(path(1.0)) + 0.3      # noqa: E731
+    xi1 = lambda path: np.array([math.tanh(x) for x in path(1.0)[:, 0]])  # noqa: E731
+    xi2 = lambda path: xi1(path) + 0.3                 # noqa: E731
     r1 = backward_dp(build_tree(struct, xi1, 1.0 / 3, cfg))
     r2 = backward_dp(build_tree(struct, xi2, 1.0 / 3, cfg))
     assert r1.report.root_value <= r2.report.root_value
@@ -178,10 +179,10 @@ def test_extract_policy_constant_coefficients_flat_per_depth():
         assert len(actions) == 1
     # so reading the policy along a path gives that action at each depth
     def reader(depth, state, structure):
-        stat = np.array([[state.t_clip, state.log_payoff_wealth]])
+        stat = np.column_stack([state.t_clip, state.log_payoff_wealth])
         bins = solver._quantize(stat, tree.bin_widths)
         return res.policy.layers[depth][solver.nearest_bin_index(tree.layers[depth],
-                                                                 bins)[0]]
+                                                                 bins)]
 
     path = sample_skeleton(SkeletonConfig(1.0 / 3, 1, 1.0, 4), 12)
     acts = rollout(struct, reader, path).actions
@@ -228,13 +229,13 @@ def test_collapse_needs_statistic():
     struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
     cfg = SolveConfig(action_grid=np.array([0.0]), depth=2, Q=2, collapse=True)
     with pytest.raises(ConfigurationError):
-        build_tree(struct, lambda path: 0.0, 0.5, cfg)
+        build_tree(struct, lambda path: np.zeros(len(path)), 0.5, cfg)
 
 
 def test_collapse_refuses_a_payoff_it_does_not_compute():
     struct, payoff = pstruct()
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2)
-    zero = lambda path: 0.0                            # noqa: E731
+    zero = lambda path: np.zeros(len(path))            # noqa: E731
     assert backward_dp(build_tree(struct, zero, 1.0 / 3, cfg)).report.root_value == 0.0
     with pytest.raises(ConfigurationError, match="own payoff"):
         build_tree(struct, zero, 1.0 / 3, SolveConfig(
@@ -257,7 +258,7 @@ def test_two_dimensional_solve_end_to_end():
         diffusion=lambda t, p, a: np.array([[1.0, 0.5]]),
         x0=np.array([0.0]), d=2)
     struct = CaseAStructure(spec, eps, horizon_T=4.0)
-    payoff = lambda path: _math.tanh(float(np.atleast_1d(path(4.0))[0]))  # noqa: E731
+    payoff = lambda path: np.array([_math.tanh(x) for x in path(4.0)[:, 0]])  # noqa: E731
     cfg = SolveConfig(action_grid=np.array([-1.0, 1.0]), depth=2, Q=2)
     tree = build_tree(struct, payoff, eps, cfg)
     # fresh-start d=2 kernel: 2 nodes x 2 coords x 2 signs
@@ -287,7 +288,7 @@ def test_dp_dominates_any_fixed_action_sequence(seed):
 
     def fold(state, depth):
         if depth == 3:
-            return payoff(struct.payoff_input(state))
+            return payoff(struct.payoff_input(state))[0]
         acc = 0.0
         for m in range(tree.n_atoms):
             child = struct.step(state, float(seq[depth]),
@@ -611,38 +612,44 @@ def _steering(d):
     spec = PdSdeSpec(drift=lambda t, p, a: 0.8 * np.atleast_1d(a) * np.ones(1),
                      diffusion=lambda t, p, a: np.array([[1.0, 0.5][:d]]),
                      x0=np.array([0.3]), d=d)
-    payoff = lambda path: -float(np.atleast_1d(path(4.0))[0]) ** 2  # noqa: E731
+    payoff = lambda path: -path(4.0)[:, 0] ** 2                     # noqa: E731
     return CaseAStructure(spec, 0.5, horizon_T=4.0), payoff
 
 
-def _history_walk(struct, payoff, tree, path):
-    """Actions along a path, each the argmax of a fresh fold at the tree
-    node that the path's history reaches (realized delta_t snapped to the
-    nearest atom of its coordinate and sign, first maximum on ties)."""
+def _history_walk(struct, payoff, tree, path, memo=None):
+    """Actions along a path, each the argmax of a fold at the tree node
+    that the path's history reaches (realized delta_t snapped to the
+    nearest atom of its coordinate and sign, first maximum on ties).
+    memo keeps each fold by its history of (action, atom) pairs."""
     atoms, grid, depth = tree.atoms, tree.cfg.action_grid, tree.cfg.depth
+    memo = {} if memo is None else memo
 
-    def fold(state, n):
+    def fold(state, n, history):
+        if history in memo:
+            return memo[history]
         if n == depth:
-            return float(payoff(struct.payoff_input(state))), None
+            return float(payoff(struct.payoff_input(state))[0]), None
         best_v, best_a = -math.inf, None
         for a in grid:
             acc = 0.0
             for m in range(tree.n_atoms):
                 child = struct.step(state, float(a), float(atoms.delta_t[m]),
                                     tree.sign_vec(m))
-                acc += atoms.weights[m] * fold(child, n + 1)[0]
+                acc += atoms.weights[m] * fold(child, n + 1, history + ((float(a), m),))[0]
             if acc > best_v:
                 best_v, best_a = acc, float(a)
+        memo[history] = best_v, best_a
         return best_v, best_a
 
-    state, actions = struct.init(), []
+    state, actions, history = struct.init(), [], ()
     for n in range(min(depth, len(path))):
-        actions.append(fold(state, n)[1])
+        actions.append(fold(state, n, history)[1])
         same = [m for m in range(tree.n_atoms)
                 if atoms.coords[m] == path.coords[n] and atoms.signs[m] == path.signs[n]]
         m = min(same, key=lambda m: abs(atoms.delta_t[m] - path.delta_t[n]))
         state = struct.step(state, actions[-1], float(atoms.delta_t[m]),
                             tree.sign_vec(m))
+        history += ((actions[-1], m),)
     return actions
 
 
@@ -652,11 +659,11 @@ def test_full_extract_policy_matches_history_walk(d, depth):
     cfg = SolveConfig(action_grid=np.array([-1.0, 0.0, 1.0]), depth=depth, Q=2)
     tree = build_tree(struct, payoff, 0.5, cfg)
     res = backward_dp(tree)
-    seen = set()
+    seen, memo = set(), {}
     for seed in range(12):
         path = sample_skeleton(SkeletonConfig(0.5, d, 4.0, depth), seed)
         acts = extract_policy_control(res, tree, path).tolist()
-        assert acts == _history_walk(struct, payoff, tree, path)
+        assert acts == _history_walk(struct, payoff, tree, path, memo)
         seen.add(tuple(acts))
     assert len(seen) > 1                      # the walk visits different nodes
 
@@ -676,3 +683,69 @@ def test_node_index_out_of_range_raises(collapse):
             if d < cfg.depth:
                 with pytest.raises(KeyError):
                     res.policy.action(d, bad)
+
+
+def _equal_layers(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(
+        a.values.layers + a.policy.layers, b.values.layers + b.policy.layers))
+
+
+def test_full_extract_policy_across_blocks(monkeypatch):
+    """A depth-4 tree (20,736 leaves) solved in blocks of 4,096 and of 24
+    children, and a block of 12 paths read in one walk."""
+    struct, payoff = _steering(1)
+    tree = build_tree(struct, payoff, 0.5, SolveConfig(
+        action_grid=np.array([-1.0, 0.0, 1.0]), depth=4, Q=2))
+    res = backward_dp(tree)
+    assert res.report.node_counts[4] == 12**4 == 20_736
+    monkeypatch.setattr(solver, "_BLOCK", 24)      # 2 nodes per structure step
+    assert _equal_layers(res, backward_dp(tree))
+    paths = [sample_skeleton(SkeletonConfig(0.5, 1, 4.0, 4), seed) for seed in range(12)]
+    block = SkeletonPath(0.5, 1, *(np.array([getattr(p, f) for p in paths])
+                                   for f in ("delta_t", "coords", "signs")))
+    acts = extract_policy_control(res, tree, block)
+    assert acts.shape == (12, 4)
+    memo = {}
+    for path, row in zip(paths, acts):
+        assert row.tolist() == _history_walk(struct, payoff, tree, path, memo)
+    assert len({tuple(row) for row in acts.tolist()}) > 1
+
+
+def _node_values(struct, payoff, tree):
+    """Every node's value, per depth in node order, folded one node (a
+    1-row state block) at a time."""
+    atoms, grid, depth = tree.atoms, tree.cfg.action_grid, tree.cfg.depth
+    layers = [[] for _ in range(depth + 1)]
+
+    def fold(state, n):
+        if n == depth:
+            best = float(payoff(struct.payoff_input(state))[0])
+        else:
+            best = -math.inf
+            for a in grid:
+                acc = 0.0
+                for m in range(tree.n_atoms):
+                    acc += atoms.weights[m] * fold(struct.step(
+                        state, float(a), float(atoms.delta_t[m]), tree.sign_vec(m)), n + 1)
+                if acc > best:
+                    best = acc
+        layers[n].append(best)
+        return best
+
+    fold(struct.init(), 0)
+    return layers
+
+
+def test_two_dimensional_blocks_match_per_node_fold(monkeypatch):
+    from skeldp.evaluate import enumerate_oracle
+    struct, payoff = _steering(2)
+    tree = build_tree(struct, payoff, 0.5, SolveConfig(
+        action_grid=np.array([-1.0, 1.0]), depth=3, Q=2))
+    res = backward_dp(tree)
+    monkeypatch.setattr(solver, "_BLOCK", 32)      # 2 nodes per structure step
+    small = backward_dp(tree)
+    assert tree.n_atoms == 8 and small.report.node_counts[3] == 16**3
+    assert _equal_layers(res, small)
+    assert small.report.root_value == enumerate_oracle(struct, payoff, tree)
+    for got, want in zip(small.values.layers, _node_values(struct, payoff, tree)):
+        assert np.array_equal(got, want)

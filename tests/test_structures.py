@@ -36,7 +36,7 @@ def test_case_a_degenerate_ode():
     state = struct.init()
     for dt in [0.1, 0.4, 0.25]:
         state = struct.step(state, 0.0, dt, unit(1, 1))
-    assert state.values[-1][0] == pytest.approx(2.0 + c * 0.75, rel=1e-14)
+    assert state.values[0, -1, 0] == pytest.approx(2.0 + c * 0.75, rel=1e-14)
 
 
 def test_case_a_pure_noise():
@@ -49,14 +49,14 @@ def test_case_a_pure_noise():
     signs = [1, -1, -1, 1, 1]
     for s in signs:
         state = struct.step(state, 0.0, 0.2, unit(1, s))
-    assert state.values[-1][0] == pytest.approx(1.0 + eps * sum(signs), rel=1e-14)
+    assert state.values[0, -1, 0] == pytest.approx(1.0 + eps * sum(signs), rel=1e-14)
 
 
 def test_case_a_growth_bound():
     # |dX| <= |alpha|_inf dt + |sigma|_inf eps per step for bounded coefficients
     eps = 0.25
-    spec = PdSdeSpec(drift=lambda t, p, a: np.array([math.sin(t) + a]),
-                     diffusion=lambda t, p, a: np.array([[math.cos(t)]]),
+    spec = PdSdeSpec(drift=lambda t, p, a: np.sin(t) + a,
+                     diffusion=lambda t, p, a: np.cos(t)[:, :, None],
                      x0=np.array([0.0]))
     struct = CaseAStructure(spec, eps, horizon_T=10.0)
     rng = np.random.default_rng(3)
@@ -66,7 +66,7 @@ def test_case_a_growth_bound():
         a = float(rng.uniform(-1, 1))
         s = int(rng.choice([-1, 1]))
         new = struct.step(state, a, dt, unit(1, s))
-        dx = abs(new.values[-1][0] - state.values[-1][0])
+        dx = abs(new.values[0, -1, 0] - state.values[0, -1, 0])
         assert dx <= 2.0 * dt + 1.0 * eps + 1e-12
         state = new
 
@@ -78,7 +78,7 @@ def test_case_a_diffusion_frozen_at_last_hit():
     seen = []
 
     def diffusion(t, path, a):
-        seen.append((t, float(np.atleast_1d(path(t))[0]), a))
+        seen.append((float(t[0, 0]), float(path(t)[0, 0]), float(a[0, 0])))
         return np.array([[1.0, 2.0]])
 
     spec = PdSdeSpec(drift=lambda t, p, a: np.zeros(1), diffusion=diffusion,
@@ -107,6 +107,53 @@ def test_case_a_nan_raises_with_step():
     assert err.value.step == 1
 
 
+def test_case_a_refuses_a_drift_of_one_value_per_row():
+    # an (N,) drift against (N, 1) states would broadcast to (N, N)
+    spec = PdSdeSpec(drift=lambda t, p, a: p(t)[:, 0],
+                     diffusion=lambda t, p, a: np.ones((1, 1)),
+                     x0=np.array([0.5]))
+    struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
+    with pytest.raises(ConfigurationError, match=r"drift returned shape \(3,\)"):
+        struct.step(struct.init(), np.array([-1.0, 0.0, 1.0]), 0.1, unit(1, 1))
+
+
+def test_payoff_must_return_one_value_per_path():
+    struct = PortfolioStructure(pspec(), 0.5)
+    block = struct.step(struct.init(), np.array([0.0, 0.5]), 0.1, unit(1, 1))
+    payoff = power_utility_payoff(struct.spec)
+    assert structures.payoff_of(struct, payoff, block).shape == (2,)
+    with pytest.raises(ConfigurationError, match=r"payoff returned shape \(2, 1\)"):
+        structures.payoff_of(struct, lambda path: path(1.0), block)
+
+
+def test_block_step_equals_row_steps():
+    """A block steps each row as a 1-row block would, fanning out rows."""
+    spec = PdSdeSpec(
+        drift=lambda t, p, a: 0.3 * a - 0.2 * p(t) + np.sin(t),
+        diffusion=lambda t, p, a: np.concatenate(
+            [1 + 0.1 * a * p.running_max(), 0.5 + np.cos(t) * p(t)], axis=1)[:, None, :],
+        x0=np.array([0.2]), d=2)
+    struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
+    rng = np.random.default_rng(7)
+    steps = []
+    for n_rows in (6, 6, 6):
+        coords = rng.integers(1, 3, size=n_rows)
+        signs = rng.choice([-1, 1], size=n_rows)
+        sign_vecs = np.zeros((n_rows, 2), dtype=np.int64)
+        sign_vecs[np.arange(n_rows), coords - 1] = signs
+        steps.append((rng.choice([-1.0, 0.0, 1.0], size=n_rows),
+                      rng.uniform(0.05, 0.4, size=n_rows), sign_vecs))
+    block = struct.init()
+    for acts, dts, sign_vecs in steps:
+        block = struct.step(block, acts, dts, sign_vecs)
+    for i in range(6):
+        row = struct.init()
+        for acts, dts, sign_vecs in steps:
+            row = struct.step(row, acts[i], dts[i], sign_vecs[i])
+        for name in ("times", "values", "actions", "last_hit"):
+            assert np.array_equal(getattr(row, name)[0], getattr(block, name)[i]), name
+
+
 def coupled_linear_error(eps, n_paths=60, seed0=0):
     """E max_n |X^k(T_n) - X(T_n)| for the linear SDE on coupled paths."""
     from skeldp.skeleton import brownian_fine_path, crossing_sample_skeleton
@@ -125,10 +172,10 @@ def coupled_linear_error(eps, n_paths=60, seed0=0):
         for n in range(len(path)):
             state = struct.step(state, 0.0, float(path.delta_t[n]),
                                 unit(1, int(path.signs[n])))
-            tn = state.times[-1]
+            tn = state.times[0, -1]
             idx = min(int(round(tn / dt)), len(t_grid) - 1)
             exact = x0 * math.exp((a_c - 0.5 * b_c**2) * tn + b_c * bm[0, idx])
-            sup = max(sup, abs(state.values[-1][0] - exact))
+            sup = max(sup, abs(state.values[0, -1, 0] - exact))
         errs.append(sup)
     return float(np.mean(errs))
 
@@ -154,7 +201,7 @@ def test_portfolio_zero_control_risk_free():
     state = struct.init()
     for dt in [0.2, 0.3, 0.1]:
         state = struct.step(state, 0.0, dt, unit(1, 1))
-    assert math.exp(state.log_payoff_wealth) == pytest.approx(
+    assert math.exp(state.log_payoff_wealth[0]) == pytest.approx(
         math.exp(0.03 * 0.6), rel=1e-14)
 
 
@@ -163,7 +210,7 @@ def terminal_wealth(spec, eps, actions, dts, signs):
     state = struct.init()
     for a, dt, s in zip(actions, dts, signs):
         state = struct.step(state, a, dt, unit(1, s))
-    return math.exp(state.log_wealth[-1])
+    return math.exp(state.log_wealth[0, -1])
 
 
 def test_portfolio_x0_scaling_exact():
@@ -193,7 +240,7 @@ def test_portfolio_positivity():
             a = float(rng.uniform(-1, 1))
             state = struct.step(state, a, float(path.delta_t[n]),
                                 unit(1, int(path.signs[n])))
-            assert math.exp(state.log_wealth[-1]) > 0
+            assert math.exp(state.log_wealth[0, -1]) > 0
 
 
 def test_portfolio_horizon_clipping():
@@ -201,16 +248,16 @@ def test_portfolio_horizon_clipping():
     struct = PortfolioStructure(spec, 0.5)
     state = struct.init()
     state = struct.step(state, 0.5, 0.7, unit(1, 1))
-    lw_before = state.log_payoff_wealth
+    lw_before = state.log_payoff_wealth[0]
     # this step straddles T = 1: the payoff keeps the pre-step wealth
     state = struct.step(state, 1.0, 0.8, unit(1, 1))
-    assert state.log_payoff_wealth == lw_before
-    assert state.t_clip == spec.horizon_T
+    assert state.log_payoff_wealth[0] == lw_before
+    assert state.t_clip[0] == spec.horizon_T
     # absorbed afterwards
     state2 = struct.step(state, -1.0, 0.3, unit(1, -1))
-    assert state2.log_payoff_wealth == lw_before
+    assert state2.log_payoff_wealth[0] == lw_before
     payoff = power_utility_payoff(spec)
-    assert payoff(struct.payoff_input(state2)) == pytest.approx(
+    assert payoff(struct.payoff_input(state2))[0] == pytest.approx(
         math.exp(0.5 * lw_before) / 0.5, rel=1e-12)
 
 
@@ -228,8 +275,8 @@ def test_collapse_ops_match_scalar_steps():
         s = int(rng.choice([-1, 1]))
         stats = ops.step_stats(stats, a, dt, s)
         state = struct.step(state, a, dt, unit(1, s))
-        assert stats[0, 0] == state.t_clip
-        assert stats[0, 1] == state.log_payoff_wealth
+        assert stats[0, 0] == state.t_clip[0]
+        assert stats[0, 1] == state.log_payoff_wealth[0]
 
 
 def test_argmax_invariant_under_x0():
@@ -360,7 +407,7 @@ def test_non_anticipativity(seed):
         for n in range(cut):
             sa = struct.step(sa, float(acts_a[n]), float(dts[n]), unit(1, int(signs[n])))
             sb = struct.step(sb, float(acts_b[n]), float(dts[n]), unit(1, int(signs[n])))
-        assert struct.payoff_input(sa)(100.0) == struct.payoff_input(sb)(100.0)
+        assert np.array_equal(struct.payoff_input(sa)(100.0), struct.payoff_input(sb)(100.0))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +439,12 @@ def test_structure_from_config_rejects_unknown():
     with pytest.raises(ConfigurationError):
         structure_from_config({"kind": "pd_sde", "drift": {"name": "nope"},
                                "diffusion": "constant", "x0": [0.0]}, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("a_bar", [0.0, -1.0])
+def test_portfolio_spec_refuses_nonpositive_a_bar(a_bar):
+    with pytest.raises(ConfigurationError, match="a_bar must be > 0"):
+        pspec(a_bar=a_bar)
 
 
 def test_spec_validation():
