@@ -199,8 +199,8 @@ def cmd_kernel(args) -> int:
     if len(lags) != skel.d:
         raise ConfigurationError(
             f"kernel.lags has {len(lags)} entries for d={skel.d}")
-    disc = kernel.discretize_kernel(lags, skel.epsilon_k,
-                                    int(ksec.get("Q", 8)), ksec.get("rule", "quantile"))
+    disc = kernel.discretize_kernel(lags, skel.epsilon_k, _int(ksec, "Q", 8, "kernel"),
+                                    ksec.get("rule", "quantile"))
     rows = [["delta_t", "coord", "sign", "weight"]]
     for m in range(len(disc)):
         rows.append([_fmt(disc.delta_t[m]), int(disc.coords[m]),
@@ -397,6 +397,7 @@ def cmd_portfolio(args) -> int:
     # the vectorized rollouts have no antithetic path, so the key is refused
     _require_keys(esec, {"n_paths", "g_terms"}, "evaluate")
     n_paths = _n_paths(esec)
+    n_g = _int(esec, "g_terms", 8, "evaluate")
 
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
     res = solver.backward_dp(tree)
@@ -408,7 +409,6 @@ def cmd_portfolio(args) -> int:
     mc_se = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
 
     # per-depth stage-argmax policy from the truncated stage function
-    n_g = int(esec.get("g_terms", 8))
     g_actions = []
     grid = scfg.action_grid
     for depth in range(scfg.depth):

@@ -12,7 +12,7 @@ plain exponentials on the large branch), which gives the CDF, tail integrals
 and partial moments without quadrature.
 
 The hitting-time increments of an epsilon-skeleton are eps^2 * tau in law;
-`scale_to_T1` gives the scaled density f_{T1}(x) = eps^-2 f(eps^-2 x).
+`skeleton.sample_skeleton` draws them through `inverse_cdf_tau`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 CROSSOVER = 2.0 / np.pi
 
@@ -123,14 +123,6 @@ def truncation_bound(x, n: int):
     return float(out) if scalar else out
 
 
-def auto_n_terms(x: float, tol: float, cap: int = 200) -> int:
-    """Smallest n with truncation_bound(x, n) <= tol; errors if cap unreachable."""
-    for n in range(1, cap + 1):
-        if truncation_bound(x, n) <= tol:
-            return n
-    raise NumericalError(f"no n <= {cap} reaches tolerance {tol} at x={x}")
-
-
 def cdf_tau(x, n_terms: int = 64):
     """P(tau <= x), term-by-term integral of the series (exact in each branch).
 
@@ -178,6 +170,10 @@ TAIL_CUTOFF = 8.0 / np.pi**2 * np.log(4.0 / (np.pi * 1e-12))
 
 
 _INV_TABLE: list = []
+# values per Newton pass of inverse_cdf_tau: bounds its (values, 12 terms)
+# temporaries, which for a 20,000-draw Monte Carlo chunk in one pass held
+# ~5.6 MB and in 4,096-value passes hold ~1.7 MB
+_INV_BLOCK = 4096
 
 
 def _inverse_table():
@@ -199,10 +195,22 @@ def _inverse_table():
 
 
 def inverse_cdf_tau(u, tol: float = 1e-12):
-    """Quantile function of tau: table-interpolated start, Newton polish."""
+    """Quantile function of tau: table-interpolated start, Newton polish.
+
+    Values are solved _INV_BLOCK at a time, which bounds the (values,
+    series terms) temporaries; no value's result depends on the others.
+    """
     arr, scalar = _as_array(u)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ConfigurationError("inverse_cdf_tau requires 0 < u < 1")
+    flat = arr.ravel()
+    x = np.empty_like(flat)
+    for i in range(0, len(flat), _INV_BLOCK):
+        x[i:i + _INV_BLOCK] = _inverse_block(flat[i:i + _INV_BLOCK], tol)
+    return float(x[0]) if scalar else x.reshape(arr.shape)
+
+
+def _inverse_block(arr: np.ndarray, tol: float) -> np.ndarray:
     t_u, t_x = _inverse_table()
     x = np.interp(arr, t_u, t_x)
     # 12 series terms give truncation < 1e-20 everywhere on the bracket
@@ -223,12 +231,7 @@ def inverse_cdf_tau(u, tol: float = 1e-12):
             lo_b = np.where(below, mid, lo_b)
             hi_b = np.where(below, hi_b, mid)
         x[bad] = 0.5 * (lo_b + hi_b)
-    return float(x) if scalar else x
-
-
-def sample_tau(n: int, seed, stream: int = 0):
-    """n i.i.d. copies of tau via inverse transform on a Philox stream."""
-    return inverse_cdf_tau(_philox(seed, stream).random(n) * (1.0 - 2e-16) + 1e-16)
+    return x
 
 
 def _philox(seed, stream: int) -> np.random.Generator:
@@ -237,13 +240,6 @@ def _philox(seed, stream: int) -> np.random.Generator:
     key = np.array([np.uint64(seed) & np.uint64(2**64 - 1), np.uint64(stream)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def scale_to_T1(x, eps_k: float):
-    """Density of T1 = eps^2 tau:  f_{T1}(x) = eps^-2 f_tau(eps^-2 x)."""
-    if eps_k <= 0:
-        raise ConfigurationError(f"eps_k must be > 0, got {eps_k}")
-    return f_tau(np.asarray(x, dtype=float) * eps_k**-2) * eps_k**-2
 
 
 def _gauss_panels(fn, a: float, b: float, panels: int):

@@ -12,9 +12,11 @@ tautology.  Oracles:
   utility (external reference) next to a constant-control grid search on
   the same tree (internal, assumption-free).
 
-A collapsed policy has one reader, `_collapse_payoffs`, batched over
-paths; `policy_mc_value` feeds it the skeleton draws of `mc_value`, and
-`portfolio_policy_rollouts` its own Philox draws.
+Every Monte Carlo here draws its paths a chunk at a time from
+`sample_skeleton`, keyed by (seed, chunk index), so `mc_value`,
+`policy_mc_value` and `portfolio_policy_rollouts` read the same paths for
+the same seed and depth.  A collapsed policy has one reader,
+`_collapse_payoffs`, batched over a chunk's paths.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import density
 from .errors import ConfigurationError, ResourceCapError
 from .skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from .solver import (SolveConfig, SolveResult, Tree, backward_dp, build_tree,
@@ -36,7 +37,7 @@ from .structures import (PortfolioSpec, PortfolioStructure, payoff_of,
 
 __all__ = [
     "RolloutResult", "MCResult", "rollout", "mc_value", "policy_mc_value",
-    "enumerate_oracle", "merton_oracle", "convergence_sweep", "project_control",
+    "enumerate_oracle", "merton_oracle", "convergence_sweep",
     "portfolio_policy_rollouts", "q_slack",
 ]
 
@@ -98,9 +99,8 @@ def rollout(structure, control, path: SkeletonPath, payoff=None) -> RolloutResul
 def mc_value(structure, payoff, control, skel_cfg: SkeletonConfig, N: int,
              seed: int, threads: int = 1, antithetic: bool = False) -> MCResult:
     """Sample mean and standard error of the payoff under a control."""
-    def values(dts, coords, signs):
-        path = SkeletonPath(skel_cfg.epsilon_k, skel_cfg.d, dts, coords, signs)
-        return rollout(structure, control, path, payoff).payoff.tolist()
+    def values(paths):
+        return rollout(structure, control, paths, payoff).payoff
 
     return _mc_value(values, skel_cfg, N, seed, threads, antithetic)
 
@@ -126,14 +126,13 @@ def policy_mc_value(structure, payoff, result: SolveResult, tree: Tree,
             raise ConfigurationError(f"collapse evaluation is one-dimensional, d={skel_cfg.d}")
         ops = _collapse_ops(structure, payoff)
 
-        def values(dts, coords, signs):
-            return _collapse_payoffs(ops, result, tree, dts, signs).tolist()
+        def values(paths):
+            return _collapse_payoffs(ops, result, tree, paths)
     else:
-        def values(dts, coords, signs):
-            path = SkeletonPath(skel_cfg.epsilon_k, skel_cfg.d, dts, coords, signs)
-            acts = extract_policy_control(result, tree, path)
-            return rollout(structure, lambda n, state, s: acts[:, n], path,
-                           payoff).payoff.tolist()
+        def values(paths):
+            acts = extract_policy_control(result, tree, paths)
+            return rollout(structure, lambda n, state, s: acts[:, n], paths,
+                           payoff).payoff
     return _mc_value(values, skel_cfg, N, seed, threads, antithetic)
 
 
@@ -153,27 +152,23 @@ def _run_chunks(n: int, threads: int, run_chunk) -> list:
 
 def _mc_value(values, skel_cfg: SkeletonConfig, N: int, seed: int, threads: int,
               antithetic: bool = False) -> MCResult:
-    """Chunked Monte Carlo of values(delta_t, coords, signs): one payoff per
-    row of a chunk's (paths, steps) skeleton draws.
+    """Chunked Monte Carlo of values(paths): one payoff per path of a
+    chunk's `SkeletonPath` block.
 
-    Each chunk's paths are keyed by (seed, chunk index), so the result is
-    bit-identical for any thread count.
+    Each chunk's block is one `sample_skeleton` draw keyed by (seed, chunk
+    index), so the result is bit-identical for any thread count.  With
+    antithetic, the same block with its signs negated is valued too.
     """
     if N < 2:
         raise ConfigurationError("mc_value needs N >= 2")
 
     def run_chunk(cidx, size):
-        dts = np.empty((size, skel_cfg.n_steps))
-        coords = np.empty((size, skel_cfg.n_steps), dtype=np.int64)
-        signs = np.empty_like(coords)
-        for i in range(size):
-            path = sample_skeleton(skel_cfg, (seed * 1_000_003 + cidx * _CHUNK + i) % 2**63)
-            dts[i], coords[i], signs[i] = path.delta_t, path.coords, path.signs
-        vals = values(dts, coords, signs)
+        paths = sample_skeleton(skel_cfg, seed, cidx, size)
+        vals = values(paths)
         if antithetic:
-            vals = [0.5 * (v + w) for v, w in zip(vals, values(dts, coords, -signs))]
+            vals = 0.5 * (vals + values(replace(paths, signs=-paths.signs)))
         s = s2 = 0.0
-        for v in vals:
+        for v in vals.tolist():
             s += v
             s2 += v * v
         return s, s2
@@ -298,27 +293,6 @@ def convergence_sweep(make_problem, eps_list, make_cfg) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# control projection (clamping onto the skeleton grid)
-# ---------------------------------------------------------------------------
-
-def project_control(control_fn, path: SkeletonPath, a_bar: float,
-                    structure=None) -> np.ndarray:
-    """Piecewise-constant adapted control: sample at each T_{n-1}+ and clamp.
-
-    control_fn(t, path_prefix) -> action; the path prefix carries only steps
-    strictly before the sampling time, so the projection is adapted.
-    """
-    times = np.concatenate([[0.0], path.cum_times[:-1]])
-    out = np.empty((len(path),) + np.shape(np.atleast_1d(
-        control_fn(0.0, path.prefix(0)))))
-    for n in range(len(path)):
-        val = np.atleast_1d(np.asarray(control_fn(float(times[n]), path.prefix(n)),
-                                       dtype=float))
-        out[n] = np.clip(val, -a_bar, a_bar)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # vectorized portfolio policy rollouts (exact law, binned-policy lookups)
 # ---------------------------------------------------------------------------
 
@@ -327,9 +301,10 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
                               seed: int, threads: int = 1) -> np.ndarray:
     """Payoffs of the solved policy on n_paths exact skeleton draws.
 
-    Statistics evolve exactly (continuous delta-t draws) from one Philox
-    stream per chunk; only the policy lookup passes through the solve-time
-    bins, in `_collapse_payoffs`.  The payoff is the statistic's own,
+    Statistics evolve exactly along the paths of `policy_mc_value` at the
+    tree's depth, drawn a chunk at a time by `sample_skeleton`; only the
+    policy lookup passes through the solve-time bins, in
+    `_collapse_payoffs`.  The payoff is the statistic's own,
     exp(gamma * lw) / gamma, a few ulps from power_utility_payoff's
     exp(lw)**gamma / gamma on the same wealth.
     """
@@ -338,26 +313,24 @@ def portfolio_policy_rollouts(spec: PortfolioSpec, eps_k: float,
     if n_paths < 2:
         raise ConfigurationError("portfolio_policy_rollouts needs n_paths >= 2")
     ops = PortfolioStructure(spec, eps_k).ops
-    depth = tree.cfg.depth
+    skel_cfg = SkeletonConfig(eps_k, 1, spec.horizon_T, tree.cfg.depth)
 
     def run_chunk(cidx, size):
-        u = density._philox(seed, 40_000 + cidx).random((size, depth, 2))
-        dts = eps_k**2 * density.inverse_cdf_tau(
-            np.clip(u[:, :, 0], 1e-16, 1 - 1e-16))
-        sgns = np.where(u[:, :, 1] < 0.5, 1, -1)
-        return _collapse_payoffs(ops, result, tree, dts, sgns)
+        return _collapse_payoffs(ops, result, tree,
+                                 sample_skeleton(skel_cfg, seed, cidx, size))
 
     return np.concatenate(_run_chunks(n_paths, threads, run_chunk))
 
 
-def _collapse_payoffs(ops, result: SolveResult, tree: Tree, dts: np.ndarray,
-                      sgns: np.ndarray) -> np.ndarray:
-    """Payoffs of a collapsed policy along (paths, steps) delta_t and signs.
+def _collapse_payoffs(ops, result: SolveResult, tree: Tree,
+                      paths: SkeletonPath) -> np.ndarray:
+    """Payoffs of a collapsed policy along a d = 1 block of paths.
 
     Per step, one `nearest_bin_index` call reads every path's binned
     statistic (a bin off the layer falls back by the solver's own rule),
     then the statistics step as a batch; ops.payoff_stats values the last.
     """
+    dts, sgns = paths.delta_t, paths.signs
     stats = np.tile(ops.stat0(), (len(dts), 1))
     for n in range(dts.shape[1]):
         idx = nearest_bin_index(tree.layers[n], _quantize(stats, tree.bin_widths))

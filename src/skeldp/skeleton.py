@@ -6,6 +6,11 @@ are i.i.d. eps^2 * tau (tau = unit-barrier exit time), signs are i.i.d. fair
 coin flips, coordinates are independent, and the merged event sequence is the
 order statistics of all per-coordinate hitting times.
 
+`sample_skeleton` is the one exact-law sampler: it draws a block of paths
+from one Philox stream per (seed, chunk), so a Monte Carlo chunk of paths is
+one call.  The crossing sampler below reads the skeleton off a simulated
+fine Brownian path instead, as a theory-free reference.
+
 Coordinates are 1-based on every public surface (matching the sign-vector
 convention); `SkeletonPath.coords` therefore stores values in 1..d.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +30,8 @@ from .errors import ConfigurationError
 __all__ = [
     "SkeletonConfig",
     "SkeletonPath",
-    "History",
     "aleph",
     "sample_skeleton",
-    "reconstruct_A",
-    "last_hit_indices",
     "elapsed_times",
     "brownian_fine_path",
     "crossing_sample_skeleton",
@@ -136,146 +138,87 @@ class SkeletonPath:
             raise ConfigurationError(f"coordinate {j} outside 1..{self.d}")
         return self.cum_times[self.coords == j]
 
-    def prefix(self, n: int) -> "SkeletonPath":
-        return SkeletonPath(self.epsilon_k, self.d, self.delta_t[..., :n],
-                            self.coords[..., :n], self.signs[..., :n])
+
+def _draw_length(n: int, d: int) -> int:
+    """Events drawn per coordinate and round for a d > 1 merge of n events."""
+    return int(1.3 * n / d) + 8
 
 
-@dataclass
-class History:
-    """Interleaved (action, delta_t, sign) triples: the DP state.
-
-    Actions live in the compact box [-a_bar, a_bar]^m.
-    """
-
-    epsilon_k: float
-    d: int
-    actions: list = field(default_factory=list)
-    delta_t: list = field(default_factory=list)
-    coords: list = field(default_factory=list)
-    signs: list = field(default_factory=list)
-    a_bar: float = float("inf")
-
-    def append(self, action, dt: float, coord: int, sign: int):
-        if dt <= 0:
-            raise ConfigurationError("delta_t must be > 0")
-        if not 1 <= coord <= self.d or sign not in (-1, 1):
-            raise ConfigurationError("bad (coord, sign)")
-        if np.max(np.abs(np.asarray(action, dtype=float))) > self.a_bar + 1e-15:
-            raise ConfigurationError("action outside [-a_bar, a_bar]")
-        self.actions.append(action)
-        self.delta_t.append(float(dt))
-        self.coords.append(int(coord))
-        self.signs.append(int(sign))
-
-    def __len__(self) -> int:
-        return len(self.delta_t)
-
-    def noise_part(self) -> list[tuple[float, int, int]]:
-        """The b^k_n component: (delta_t, coord, sign) triples."""
-        return list(zip(self.delta_t, self.coords, self.signs))
-
-
-def sample_skeleton(cfg: SkeletonConfig, seed: int) -> SkeletonPath:
+def sample_skeleton(cfg: SkeletonConfig, seed: int, chunk: int = 0,
+                    size: int | None = None) -> SkeletonPath:
     """Draw the first cfg.n_steps merged events of the skeleton.
 
-    Per coordinate, inter-arrival times are eps^2 * tau sampled by inverse
-    CDF and signs are fair coin flips, drawn in fixed-size chunks from one
-    Philox stream per coordinate so the result is reproducible regardless
-    of how far each coordinate must be extended.
+    All random numbers come from one Philox stream, keyed (seed, 40_000 +
+    chunk).  size=None draws one (n,) path, which is row 0 of that stream's
+    block; otherwise a (size, n) block of paths, one per row.  Inter-arrival
+    times are eps^2 * tau by inverse CDF and signs are fair coin flips.  At
+    d = 1 one (size, n, 2) uniform draw gives every row's n steps directly.
+    At d > 1 each round draws a (size, L, d, 2) block, L events per
+    coordinate per row, and every row is extended by one more round while
+    any row has fewer than n merged events below its frontier (the smallest
+    per-coordinate last time); each row's per-coordinate times are then
+    merged by a stable sort, lower coordinate first on ties.
     """
     eps2 = cfg.epsilon_k**2
-    n = cfg.n_steps
-    gens = [density._philox(seed, j) for j in range(1, cfg.d + 1)]
-    chunk = max(64, int(1.3 * n / cfg.d) + 8)
-    times = [np.empty(0) for _ in range(cfg.d)]
-    sgn = [np.empty(0, dtype=np.int64) for _ in range(cfg.d)]
+    n, d = cfg.n_steps, cfg.d
+    rows = 1 if size is None else size
+    gen = density._philox(seed, 40_000 + chunk)
 
-    def extend(j):
-        u = gens[j].random((chunk, 2))
-        dt = eps2 * density.inverse_cdf_tau(np.clip(u[:, 0], 1e-16, 1 - 1e-16))
-        base = times[j][-1] if len(times[j]) else 0.0
-        times[j] = np.concatenate([times[j], base + np.cumsum(dt)])
-        sgn[j] = np.concatenate([sgn[j], np.where(u[:, 1] < 0.5, 1, -1)])
+    def draw(length):
+        u = gen.random((rows, length, d, 2) if d > 1 else (rows, length, 2))
+        dt = eps2 * density.inverse_cdf_tau(np.clip(u[..., 0], 1e-16, 1 - 1e-16))
+        return dt, np.where(u[..., 1] < 0.5, 1, -1)
 
-    for j in range(cfg.d):
-        extend(j)
-    while True:
-        # the merge is valid up to the smallest per-coordinate frontier
-        frontier = min(times[j][-1] for j in range(cfg.d))
-        counts = sum(int(np.searchsorted(times[j], frontier, side="right"))
-                     for j in range(cfg.d))
-        if counts >= n:
-            break
-        extend(int(np.argmin([times[j][-1] for j in range(cfg.d)])))
-
-    all_t = np.concatenate(times)
-    all_c = np.concatenate([np.full(len(times[j]), j + 1, dtype=np.int64)
-                            for j in range(cfg.d)])
-    all_s = np.concatenate(sgn)
-    order = np.argsort(all_t, kind="stable")  # ties: lower coordinate first
-    merged_t = all_t[order][:n]
-    if n > 1 and np.any(np.diff(merged_t) <= 0):
-        raise ConfigurationError("tied merged times; continuous sampling broken")
-    dts = np.diff(np.concatenate([[0.0], merged_t]))
-    return SkeletonPath(cfg.epsilon_k, cfg.d, dts, all_c[order][:n], all_s[order][:n])
-
-
-def reconstruct_A(path: SkeletonPath, j: int, t: float) -> float:
-    """Value of the jump process A^{k,j} at time t (right-continuous)."""
-    if t < 0:
-        raise ConfigurationError("t must be >= 0")
-    mask = path.coords == j
-    tj = path.cum_times[mask]
-    k = int(np.searchsorted(tj, t, side="right"))
-    return path.epsilon_k * float(np.sum(path.signs[mask][:k]))
-
-
-def _coords_of(bk) -> np.ndarray:
-    """Accept sign-history as (n,d) sign-vector array or (coord, sign) pairs."""
-    if isinstance(bk, SkeletonPath):
-        return bk.coords
-    if isinstance(bk, History):
-        return np.asarray(bk.coords, dtype=np.int64)
-    arr = np.asarray(bk)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if arr.ndim == 2:  # rows are sign vectors
-        return np.argmax(np.abs(arr), axis=1) + 1
-    raise ConfigurationError("cannot interpret sign-history")
-
-
-def last_hit_indices(bk, lam: int) -> int:
-    """Largest 1-based step index whose active coordinate is lam, or 0."""
-    coords = _coords_of(bk)
-    hits = np.flatnonzero(coords == lam)
-    return int(hits[-1]) + 1 if hits.size else 0
+    if d == 1:
+        dts, signs = draw(n)
+        coords = np.ones_like(signs)
+    else:
+        times, sgn = [], []
+        while True:
+            dt, s = draw(_draw_length(n, d))
+            times.append(np.cumsum(dt, axis=1) + (times[-1][:, -1:] if times else 0.0))
+            sgn.append(s)
+            all_t = np.concatenate(times, axis=1)            # (rows, m, d)
+            frontier = all_t[:, -1].min(axis=1)
+            if np.sum(all_t <= frontier[:, None, None], axis=(1, 2)).min() >= n:
+                break
+        # coordinate-major rows, so a stable sort puts the lower coordinate first
+        m = all_t.shape[1]
+        all_t = all_t.transpose(0, 2, 1).reshape(rows, d * m)
+        all_s = np.concatenate(sgn, axis=1).transpose(0, 2, 1).reshape(rows, d * m)
+        order = np.argsort(all_t, axis=1, kind="stable")[:, :n]
+        merged = np.take_along_axis(all_t, order, axis=1)
+        if n > 1 and np.any(np.diff(merged, axis=1) <= 0):
+            raise ConfigurationError("tied merged times; continuous sampling broken")
+        dts = np.diff(merged, axis=1, prepend=0.0)
+        coords = order // m + 1
+        signs = np.take_along_axis(all_s, order, axis=1)
+    if size is None:
+        dts, coords, signs = dts[0], coords[0], signs[0]
+    return SkeletonPath(cfg.epsilon_k, d, dts, coords, signs)
 
 
 def elapsed_times(bk, d: int | None = None):
     """(t_n, per-coordinate last-hit times, per-coordinate lags).
 
-    t_n is the total elapsed time; for each coordinate lam the last-hit time
-    sums the first last_hit_indices(bk, lam) increments and the lag is the
-    difference t_n minus that.  Empty history gives zeros everywhere.
+    bk is a SkeletonPath or a sequence of (delta_t, sign_vec) pairs, which
+    needs d.  t_n is the total elapsed time; for each coordinate lam the
+    last-hit time sums the increments up to its last step on lam, and the
+    lag is t_n minus that.  Empty history gives zeros everywhere.
     """
     if isinstance(bk, SkeletonPath):
-        dts, coords, dd = bk.delta_t, bk.coords, bk.d
-    elif isinstance(bk, History):
-        dts, coords, dd = np.asarray(bk.delta_t), np.asarray(bk.coords), bk.d
+        dts, coords = bk.delta_t, bk.coords
+        d = bk.d if d is None else d
+    elif d is None:
+        raise ConfigurationError("d required for raw (delta_t, sign_vec) input")
     else:
         pairs = list(bk)
-        dts = np.asarray([p[0] for p in pairs], dtype=float)
-        coords = _coords_of([p[1] for p in pairs]) if pairs else np.empty(0, np.int64)
-        if d is None:
-            raise ConfigurationError("d required for raw (delta_t, sign_vec) input")
-        dd = d
-    if d is not None:
-        dd = d
+        dts = np.array([p[0] for p in pairs], dtype=float)
+        coords = np.array([aleph(p[1])[0] for p in pairs], dtype=np.int64)
     cum = np.concatenate([[0.0], np.cumsum(dts)])
     t_n = float(cum[-1])
-    t_lam = np.zeros(dd)
-    for lam in range(1, dd + 1):
+    t_lam = np.zeros(d)
+    for lam in range(1, d + 1):
         hits = np.flatnonzero(coords == lam)
         t_lam[lam - 1] = cum[hits[-1] + 1] if hits.size else 0.0
     lags = t_n - t_lam
@@ -326,8 +269,8 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
     """Extract the skeleton of a discretely observed Brownian path.
 
     Levels stay on the eps-lattice anchored at the last recorded level, so
-    reconstruct_A jumps are exactly +-eps; the overshoot at detection time is
-    bounded by the fine-grid increment scale.
+    the recorded level moves by exactly +-eps per event; the overshoot at
+    detection time is bounded by the fine-grid increment scale.
     """
     d = bm.shape[0]
     per_coord = [_crossings(bm[j], 0.0, eps, start=1) for j in range(d)]

@@ -54,7 +54,7 @@ from .structures import payoff_of
 
 __all__ = [
     "SolveConfig", "ValueTable", "Policy", "SolveResult",
-    "build_tree", "backward_dp", "hamiltonian", "vertical_gradient",
+    "build_tree", "backward_dp", "hamiltonian",
     "extract_policy_control", "nearest_bin_index",
 ]
 
@@ -706,16 +706,6 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, node: int,
                                 values.layers[depth + 1],
                                 allow_miss=action_value is not None)
     return float((stage[0] - own) / tree.eps_k**2)
-
-
-def vertical_gradient(F_n: float, F_prev: float, sign_vec, j: int,
-                      eps_k: float) -> float:
-    """One-step difference quotient along coordinate j (1-based), sign-scaled."""
-    from .skeleton import aleph
-    coord, sgn = aleph(sign_vec)
-    if coord != j:
-        return 0.0
-    return (F_n - F_prev) / (eps_k * sgn)
 
 
 # ---------------------------------------------------------------------------

@@ -334,13 +334,16 @@ def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     ("solve", ("skeleton", "d"), True),
     ("skeleton", ("skeleton", "n_steps"), 4.5),
     ("solve", ("solve", "action_grid", "n"), 9.5),
+    ("kernel", ("kernel", "Q"), 2.5),
+    ("portfolio", ("evaluate", "g_terms"), 2.5),
 ], ids=["fractional-n-paths", "string-n-paths", "fractional-d", "bool-d",
-        "fractional-n-steps", "fractional-grid-n"])
+        "fractional-n-steps", "fractional-grid-n", "fractional-kernel-Q",
+        "fractional-g-terms"])
 def test_non_integer_counts_exit_1(tmp_path, capsys, command, where, value):
     cfg = json.loads(json.dumps(MERTON_CFG))
     section = cfg
     for key in where[:-1]:
-        section = section[key]
+        section = section.setdefault(key, {})
     section[where[-1]] = value
     out = str(tmp_path / "o")
     assert main([command, "--config", write_cfg(tmp_path, cfg),
@@ -433,6 +436,10 @@ def test_skeleton_subcommand_roundtrip(tmp_path):
     from skeldp.skeleton import SkeletonConfig, sample_skeleton
     ref = sample_skeleton(SkeletonConfig(1.0 / 3, 1, 1.0), 12)
     assert np.array_equal(path.delta_t, ref.delta_t)
+    # at d = 1 that is row 0 of chunk 0 of the Monte Carlo's seed-12 draws
+    block = sample_skeleton(SkeletonConfig(1.0 / 3, 1, 1.0), 12, chunk=0, size=3)
+    assert np.array_equal(path.delta_t, block.delta_t[0])
+    assert np.array_equal(path.signs, block.signs[0])
 
 
 def test_manifest_contents(tmp_path):
@@ -506,17 +513,17 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
         ("summary.json", solved["summary.json"]),
         ("evaluate_metrics.json", evaluated["evaluate_metrics.json"])]}
     # the CSV recorded on the solver that still stored packed keys per
-    # layer; the evaluation's numbers when collapse evaluation took its
-    # payoff from the statistic, exp(g * lw) / g (mc_mean 2.014039308573003,
-    # mc_se 2.3271216784799187e-3); both JSON files re-recorded when the
-    # certificate fields were deleted, every other key unchanged
+    # layer, the summary re-recorded when the certificate fields were
+    # deleted; the evaluation re-recorded when each Monte Carlo chunk became
+    # one sample_skeleton block (mc_mean 2.0120629016557356, mc_se
+    # 2.2667496725837155e-3)
     assert digests == {
         "value_policy.csv":
             "a5818cbd989236d917d42e5c662c9c905a3208c124e2221b99b5da04f0eba7f7",
         "summary.json":
             "3112fe302778048179c71a9b3a17508c024b3fc1b30eb6795b435a47107cafc2",
         "evaluate_metrics.json":
-            "900ef14c16019f5dbd10459c29a0909c9f9ca7c3cf417290b292b8cebf6b3227",
+            "c73998ffb5b8ac5c64f7b611606052e90e4f8d533b5f3b5442e5c1372792238e",
     }
 
 
@@ -548,8 +555,10 @@ def _digests(tmp_path, command, cfg, name):
 def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     """value_policy.csv's history keys, the summaries and a full-mode MC."""
     # recorded on the solver that still keyed full-mode nodes by history
-    # tuples; the JSON files re-recorded when the certificate fields were
-    # deleted, every other key unchanged
+    # tuples; the summaries re-recorded when the certificate fields were
+    # deleted, the evaluation when each Monte Carlo chunk became one
+    # sample_skeleton block (mc_mean 0.6601554984163842, mc_se
+    # 9.29462940367641e-3)
     assert _digests(tmp_path, "solve", PDSDE_CFG, "pd") == {
         "value_policy.csv":
             "b0ca88ad81c1a288664ae56695316662755b0911a4f34ea5a71de5e08108a7dc",
@@ -564,7 +573,7 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     }
     assert _digests(tmp_path, "evaluate", PDSDE_CFG, "pde") == {
         "evaluate_metrics.json":
-            "e39aaf6d3b16d6da68218af8f35988d957cc3fe7cbd95b08c54c61bab43bc681",
+            "3f475a437e6a4bc78ac3a25bc71d88cf4a24af4385a0be68c4d64e0287e334cd",
     }
 
 
@@ -600,14 +609,14 @@ def test_evaluate_antithetic_takes_effect_in_both_modes(tmp_path):
                                          antithetic=flag) for flag in (False, True)}
     assert (anti["mc_mean"], anti["mc_se"]) == (mc[True].mean, mc[True].se)
     assert mc[True].mean != mc[False].mean
-    # collapse mode: the numbers when collapse evaluation took its payoff
-    # from the statistic (mc_mean 2.0149778633421453, mc_se
-    # 1.4519443167361755e-4), re-recorded without certified_epsilon
+    # collapse mode: recorded when each Monte Carlo chunk became one
+    # sample_skeleton block (mc_mean 2.0151394922960573, mc_se
+    # 1.484422771045604e-4)
     col = json.loads(json.dumps(MERTON_CFG))
     col["evaluate"]["antithetic"] = True
     assert _digests(tmp_path, "evaluate", col, "col") == {
         "evaluate_metrics.json":
-            "34f6b62cce8763c5263f133a6703c554384da44a0b7ebd1d2e7ac5b99e389ea2",
+            "70ad881b17d9808d6b30ebb794395c478c3eb9fc67742a12e8f2971a528e4098",
     }
 
 

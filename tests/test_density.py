@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import stats
+
 from skeldp import density
-from skeldp.errors import ConfigurationError, NumericalError
+from skeldp.errors import ConfigurationError
+from skeldp.skeleton import SkeletonConfig, sample_skeleton
 
 CROSS = 2.0 / np.pi
 
@@ -94,10 +97,13 @@ def test_inverse_cdf_roundtrip():
 
 
 def test_sample_mean():
-    n = 200_000
-    s = density.sample_tau(n, seed=2024)
-    se = s.std(ddof=1) / np.sqrt(n)
+    # the skeleton's d = 1 steps, delta_t / eps^2, are i.i.d. copies of tau
+    eps = 0.5
+    s = sample_skeleton(SkeletonConfig(eps, 1, 1.0, 50), 2024, size=4_000).delta_t.ravel()
+    s = s / eps**2
+    se = s.std(ddof=1) / np.sqrt(s.size)
     assert abs(s.mean() - 1.0) <= 3 * se
+    assert stats.kstest(s, density.cdf_tau).pvalue > 1e-3
 
 
 def test_quantize_single_node_is_mean():
@@ -128,34 +134,9 @@ def test_quantize_gauss_rule_mass():
     assert q.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scaling_identity():
-    xs = np.array([0.1, 0.5, 1.0])
-    assert np.allclose(density.scale_to_T1(xs, 1.0), density.f_tau(xs), rtol=0, atol=0)
-    # mass and mean under eps = 0.5: integrate against the scaled density
-    eps = 0.5
-    mass = density._gauss_panels(
-        lambda x: density.scale_to_T1(x, eps), 1e-4, eps**2 * density.TAIL_CUTOFF, 60)
-    mass += float(density.survival_tau(density.TAIL_CUTOFF))
-    assert mass == pytest.approx(1.0, abs=1e-8)
-    mean = density._gauss_panels(
-        lambda x: x * density.scale_to_T1(x, eps), 1e-4, eps**2 * (density.TAIL_CUTOFF + 20), 80)
-    assert mean == pytest.approx(eps**2, abs=1e-6)
-
-
 def test_near_zero_underflow_returns_zero():
     assert density.f_tau(1e-4) == 0.0
     assert density.f_tau(3e-4) == 0.0
-
-
-def test_auto_n_terms():
-    for x in [1e-4, 1e-2, 0.5, 1.0, 5.0]:
-        n = density.auto_n_terms(x, 1e-12)
-        assert n <= 200
-        assert density.truncation_bound(x, n) <= 1e-12
-    with pytest.raises(NumericalError):
-        # near the crossover the bound decays like exp(-c n^2) but cannot
-        # reach 1e-300 within five terms
-        density.auto_n_terms(0.7, 1e-300, cap=5)
 
 
 def test_domain_errors():
@@ -169,8 +150,6 @@ def test_domain_errors():
         density.inverse_cdf_tau(1.0)
     with pytest.raises(ConfigurationError):
         density.quantize_tau(0)
-    with pytest.raises(ConfigurationError):
-        density.scale_to_T1(0.5, 0.0)
     with pytest.raises(ConfigurationError):
         density.quantize_tau(4, "nonsense")
 

@@ -9,8 +9,7 @@ from skeldp import density, evaluate, solver, structures
 from skeldp.errors import ConfigurationError, ResourceCapError
 from skeldp.evaluate import (MertonRef, convergence_sweep, enumerate_oracle,
                              mc_value, merton_oracle, policy_mc_value,
-                             portfolio_policy_rollouts, project_control, q_slack,
-                             rollout)
+                             portfolio_policy_rollouts, q_slack, rollout)
 from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from skeldp.solver import SolveConfig, backward_dp, build_tree
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
@@ -90,8 +89,8 @@ def test_mc_antithetic_threads_bit_identical(monkeypatch):
     cfg = SkeletonConfig(1.0 / 3, 1, 1.0, 4)
     got = [mc_value(struct, payoff, 0.5, cfg, 300, seed=9, threads=t, antithetic=True)
            for t in (1, 2)]
-    # recorded before mc_value and the per-path loop were merged
-    want = (2.0153002453962507, 0.0003563908691518748, 300)
+    # recorded when each chunk became one sample_skeleton block
+    want = (2.015159046828105, 0.00033380288606309194, 300)
     assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
 
 
@@ -115,9 +114,9 @@ def test_policy_mc_value_threads_bit_identical_both_modes(monkeypatch):
     fskel = SkeletonConfig(0.5, 1, 2.0, 3)
     full = [policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 300, 7, threads=t)
             for t in (1, 2)]
-    # recorded before mc_value and the per-path loop were merged
-    for got, want in ((col, (2.00480373762468, 0.004934212022353944, 300)),
-                      (full, (0.6553076496027984, 0.009124625201747436, 300))):
+    # recorded when each chunk became one sample_skeleton block
+    for got, want in ((col, (2.01128145873668, 0.004787719828126173, 300)),
+                      (full, (0.6485934590942638, 0.009433580586237621, 300))):
         assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
     with pytest.raises(ConfigurationError):
         policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 1, 7)
@@ -207,6 +206,17 @@ def test_policy_rollouts_pinned(desk5):
     # row, then the nearest state bin in it
     assert hashlib.sha256(pay.tobytes()).hexdigest() == (
         "27394940a4d46756b1e57c382374ca92e5436c2f8fde69860c611803a29dd17d")
+
+
+def test_policy_mc_value_reads_the_rollouts_paths(desk5, monkeypatch):
+    monkeypatch.setattr(evaluate, "_CHUNK", 64)    # 300 paths in 5 chunks
+    struct, payoff, tree, res = desk5
+    eps = 1.0 / 3
+    mc = policy_mc_value(struct, payoff, res, tree,
+                         SkeletonConfig(eps, 1, 1.0, tree.cfg.depth), 300, 5)
+    pay = portfolio_policy_rollouts(struct.spec, eps, res, tree, 300, seed=5)
+    assert mc.mean == pytest.approx(float(np.mean(pay)), rel=1e-12)
+    assert mc.se == pytest.approx(float(np.std(pay, ddof=1) / math.sqrt(300)), rel=1e-9)
 
 
 def scalar_reader(res, tree):
@@ -339,17 +349,6 @@ def test_oracle_triangle_no_noise():
     const = max(const_val(float(a)) for a in cfg.action_grid)
     assert dp == pytest.approx(enum, abs=1e-12)
     assert dp == pytest.approx(const, abs=1e-12)
-
-
-def test_project_control_examples():
-    path = sample_skeleton(SkeletonConfig(1.0, 1, 1.0, 5), 3)
-    const = project_control(lambda t, prefix: 0.4, path, a_bar=1.0)
-    assert np.all(const == 0.4)
-    clamped = project_control(lambda t, prefix: 2.0, path, a_bar=1.0)
-    assert np.all(clamped == 1.0)
-    lin = project_control(lambda t, prefix: t, path, a_bar=10.0)
-    starts = np.concatenate([[0.0], path.cum_times[:-1]])
-    assert np.allclose(lin.ravel(), starts, rtol=0, atol=0)
 
 
 def test_merton_sweep_cauchy_module_scale():

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeldp import skeleton
+from scipy import stats
+
+from skeldp import density, skeleton
 from skeldp.errors import ConfigurationError
-from skeldp.skeleton import (History, SkeletonConfig, aleph, brownian_fine_path,
+from skeldp.skeleton import (SkeletonConfig, aleph, brownian_fine_path,
                              crossing_sample_skeleton, elapsed_times,
-                             last_hit_indices, path_from_csv, path_to_csv,
-                             reconstruct_A, sample_skeleton)
+                             path_from_csv, path_to_csv, sample_skeleton)
 
 
 def test_config_defaults_and_validation():
@@ -34,26 +35,6 @@ def test_aleph():
         aleph((0, 2))
 
 
-def test_jump_magnitudes_exact():
-    cfg = SkeletonConfig(epsilon_k=0.5, d=1, n_steps=100)
-    path = sample_skeleton(cfg, seed=11)
-    times = path.cum_times
-    vals = np.array([reconstruct_A(path, 1, t) for t in times])
-    jumps = np.diff(np.concatenate([[0.0], vals]))
-    assert np.all(np.abs(jumps) == 0.5)   # bit-exact on the stored values
-
-
-def test_reconstruct_examples():
-    cfg = SkeletonConfig(epsilon_k=0.25, d=1, n_steps=5)
-    path = sample_skeleton(cfg, seed=3)
-    assert reconstruct_A(path, 1, 0.0) == 0.0
-    t1 = path.cum_times[0]
-    assert reconstruct_A(path, 1, t1) == 0.25 * path.signs[0]
-    # constancy between hits
-    mid = 0.5 * (path.cum_times[0] + path.cum_times[1])
-    assert reconstruct_A(path, 1, mid) == reconstruct_A(path, 1, t1)
-
-
 def test_reproducibility():
     cfg = SkeletonConfig(epsilon_k=0.5, d=3, n_steps=200)
     a = sample_skeleton(cfg, seed=99)
@@ -76,28 +57,57 @@ def test_merged_times_are_sorted_union():
 
 
 def test_step_law_module_scale():
-    cfg = SkeletonConfig(epsilon_k=1.0, d=1, n_steps=100_000)
-    path = sample_skeleton(cfg, seed=7)
-    se = path.delta_t.std(ddof=1) / np.sqrt(len(path))
-    assert abs(path.delta_t.mean() - 1.0) <= 3 * se
-    freq = np.mean(path.signs == 1)
-    assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / len(path))
+    one = sample_skeleton(SkeletonConfig(epsilon_k=1.0, d=1, n_steps=100_000), seed=7)
+    block = sample_skeleton(SkeletonConfig(epsilon_k=1.0, d=1, n_steps=50), 7,
+                            chunk=3, size=2_000)
+    assert block.delta_t.shape == block.signs.shape == (2_000, 50)
+    assert np.all(block.coords == 1)
+    for dts, signs in ((one.delta_t, one.signs), (block.delta_t, block.signs)):
+        se = dts.std(ddof=1) / np.sqrt(dts.size)
+        assert abs(dts.mean() - 1.0) <= 3 * se
+        freq = np.mean(signs == 1)
+        assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / signs.size)
 
 
-def test_coordinates_balanced():
-    cfg = SkeletonConfig(epsilon_k=0.7, d=2, n_steps=40_000)
-    path = sample_skeleton(cfg, seed=21)
+def test_coordinates_balanced(monkeypatch):
+    path = sample_skeleton(SkeletonConfig(epsilon_k=0.7, d=2, n_steps=40_000), seed=21)
     frac1 = np.mean(path.coords == 1)
     assert abs(frac1 - 0.5) <= 3 * np.sqrt(0.25 / len(path))
+    cfg = SkeletonConfig(epsilon_k=0.7, d=2, n_steps=40)
+    plain = sample_skeleton(cfg, 21, chunk=0, size=2_000)
+    rounds = []
+
+    def four(n, d):           # four events per coordinate and round
+        rounds.append(n)
+        return 4
+
+    monkeypatch.setattr(skeleton, "_draw_length", four)
+    block = sample_skeleton(cfg, 21, chunk=1, size=2_000)
+    assert len(rounds) > 1
+    for b in (plain, block):
+        assert b.delta_t.shape == b.coords.shape == (2_000, 40)
+        assert np.all(np.diff(b.cum_times, axis=1) > 0)
+        for arr in (b.coords == 1, b.signs == 1):
+            assert abs(arr.mean() - 0.5) <= 3 * np.sqrt(0.25 / arr.size)
+        # the first merged step is the smaller of two eps^2 * tau draws
+        first = b.delta_t[:, 0] / cfg.epsilon_k**2
+        assert stats.kstest(first, lambda x: 1 - density.survival_tau(x)**2).pvalue > 1e-3
+    # extended rows reach the n-th event in the same law as unextended ones
+    assert stats.ks_2samp(plain.cum_times[:, -1], block.cum_times[:, -1]).pvalue > 1e-3
 
 
 def test_last_hit_indices():
-    assert last_hit_indices([], 1) == 0
-    d1 = np.array([[1], [-1], [1]])
-    assert last_hit_indices(d1, 1) == 3
-    d2 = np.array([[1, 0], [0, -1], [-1, 0]])   # coords (1, 2, 1)
-    assert last_hit_indices(d2, 2) == 2
-    assert last_hit_indices(d2, 1) == 3
+    # the last-hit time of a coordinate sums the steps up to its last hit
+    assert np.all(elapsed_times([], d=1)[1] == 0.0)
+    d1 = [(0.1, (1,)), (0.2, (-1,)), (0.4, (1,))]
+    assert elapsed_times(d1, d=1)[1] == pytest.approx([0.7])
+    # coords (1, 2, 1): coordinate 2 last hit at step 2, coordinate 1 at step 3
+    d2 = [(0.1, (1, 0)), (0.2, (0, -1)), (0.4, (-1, 0))]
+    t_n, t_lam, lags = elapsed_times(d2, d=2)
+    assert t_lam == pytest.approx([0.7, 0.3])
+    assert lags == pytest.approx([0.0, 0.4])
+    path = skeleton.SkeletonPath(0.5, 2, [0.1, 0.2, 0.4], [1, 2, 1], [1, -1, -1])
+    assert np.array_equal(elapsed_times(path)[1], t_lam)
 
 
 def test_elapsed_times_examples():
@@ -114,18 +124,6 @@ def test_elapsed_times_examples():
     assert t_n == pytest.approx(0.5)
     assert lags[0] == pytest.approx(0.2)   # coord 1 last hit at 0.3
     assert lags[1] == pytest.approx(0.0)   # coord 2 just fired
-
-
-def test_history_appends_and_validates():
-    h = History(epsilon_k=0.5, d=2, a_bar=1.0)
-    h.append(0.3, 0.1, 1, 1)
-    h.append(-0.2, 0.2, 2, -1)
-    assert len(h) == 2
-    assert h.noise_part() == [(0.1, 1, 1), (0.2, 2, -1)]
-    with pytest.raises(ConfigurationError):
-        h.append(2.0, 0.1, 1, 1)     # outside the action box
-    with pytest.raises(ConfigurationError):
-        h.append(0.0, -0.1, 1, 1)    # nonpositive time
 
 
 def test_coupled_crossing_detection_20_paths():
@@ -207,6 +205,6 @@ def test_elapsed_consistency(steps):
     assert t_n == pytest.approx(sum(s for s, _, _ in steps), rel=1e-12)
     assert np.all(lags >= 0)
     for lam in range(1, d + 1):
-        p = last_hit_indices(np.array([v for _, v in bk]).reshape(-1, d) if bk else [], lam)
+        p = max((i + 1 for i, (_, c, _) in enumerate(steps) if c == lam), default=0)
         expect = sum(s for s, _, _ in steps[:p])
         assert t_lam[lam - 1] == pytest.approx(expect, rel=1e-12, abs=1e-15)

@@ -12,8 +12,7 @@ from skeldp.errors import ConfigurationError, NumericalError, ResourceCapError
 from skeldp.kernel import discretize_kernel
 from skeldp.skeleton import SkeletonConfig, SkeletonPath, sample_skeleton
 from skeldp.solver import (Policy, SolveConfig, ValueTable, backward_dp,
-                           build_tree, extract_policy_control, hamiltonian,
-                           vertical_gradient)
+                           build_tree, extract_policy_control, hamiltonian)
 from skeldp.structures import (CaseAStructure, PathView, PdSdeSpec,
                                PortfolioSpec, PortfolioStructure,
                                power_utility_payoff)
@@ -88,29 +87,6 @@ def test_hamiltonian_of_constant_functional_is_zero():
     const = ValueTable([np.ones(len(layer)) for layer in res.values.layers])
     for key in range(len(res.values.layers[1])):
         assert hamiltonian(tree, const, 1, key, 0) == 0.0
-
-
-def test_vertical_gradient():
-    eps = 0.5
-    # F = A^{k,1}: gradient 1 on coordinate-1 steps, 0 on others
-    assert vertical_gradient(0.5, 0.0, (1, 0), j=1, eps_k=eps) == 1.0
-    assert vertical_gradient(-0.5, 0.0, (0, -1), j=1, eps_k=eps) == 0.0
-    assert vertical_gradient(-0.5, 0.0, (-1, 0), j=1, eps_k=eps) == 1.0
-    # functional independent of the last step
-    assert vertical_gradient(2.0, 2.0, (1,), j=1, eps_k=eps) == 0.0
-    # portfolio log wealth: the one-step difference carries the action-scaled
-    # noise term a*sigma plus the drift contribution s*(rate)/(eps*sign)
-    spec = PortfolioSpec(r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5,
-                         x0=1.0, horizon_T=10.0)
-    a, s, sgn = 0.7, 0.2, 1
-    lm = PortfolioStructure(spec, eps).collapse_ops().log_increment(0.0, a, s, sgn)
-    grad = vertical_gradient(lm, 0.0, (sgn,), j=1, eps_k=eps)
-    drift_rate = (a * (0.05 - 0.03) + 0.03) - 0.5 * (a * 0.3) ** 2
-    assert grad == pytest.approx(a * 0.3 + s * drift_rate / (eps * sgn), rel=1e-12)
-    # the pure noise component alone gives exactly a*sigma
-    noise_only = a * 0.3 * eps * sgn
-    assert vertical_gradient(noise_only, 0.0, (sgn,), j=1, eps_k=eps) == \
-        pytest.approx(a * 0.3, rel=1e-12)
 
 
 def test_collapse_agrees_with_full_on_small_instance():
