@@ -11,6 +11,19 @@ Both series integrate term by term in closed form (erfc on the small branch,
 plain exponentials on the large branch), which gives the CDF, tail integrals
 and partial moments without quadrature.
 
+Terms kept.  `f_tau`, `cdf_tau` and `survival_tau` evaluate only the first
+4 terms of an n_terms >= 8 series and sum them as (t0 + t1) + (t2 + t3);
+the result equals the full n_terms sum bit for bit.  numpy sums a row of
+at least 8 values pairwise, ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7))
+and then the rest, each t_j first absorbing t_{j+8}, t_{j+16}, ...  Wherever
+t0 is a normal number, every term from t4 on is below 1e-26 |t0| on either
+branch (t4 / t0 <= 9 exp(-62.8) at the crossover, and the ratio falls
+away from it), and t_{j+8} is below 1e-16 |t_j|, so each of those additions
+is under half an ulp and returns its left operand; where t0 is subnormal
+or zero, every later term is zero.  Below 8 terms numpy adds the values
+one after another, so those partial sums (the truncation studies) keep
+the plain sum over every term.
+
 The hitting-time increments of an epsilon-skeleton are eps^2 * tau in law;
 `skeleton.sample_skeleton` draws them through `inverse_cdf_tau`.
 """
@@ -62,6 +75,24 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
+# numpy sums a row of at least this many values pairwise; of such a row
+# only the first 4 terms can change a bit of the sum (module docstring)
+_PAIRWISE_MIN = 8
+
+
+def _series_index(n_terms: int) -> np.ndarray:
+    """Indices of the terms that decide an n_terms partial sum."""
+    return np.arange(4 if n_terms >= _PAIRWISE_MIN else n_terms)
+
+
+def _partial_sum(terms: np.ndarray, n_terms: int) -> np.ndarray:
+    """Row sums of (values, _series_index(n_terms)) terms, equal bit for
+    bit to np.sum over all n_terms terms."""
+    if n_terms >= _PAIRWISE_MIN:
+        return (terms[:, 0] + terms[:, 1]) + (terms[:, 2] + terms[:, 3])
+    return np.sum(terms, axis=1)
+
+
 def f_tau(x, n_terms: int = 60):
     """Density of tau at x > 0 as the n_terms-partial alternating sum."""
     if n_terms < 1:
@@ -70,7 +101,7 @@ def f_tau(x, n_terms: int = 60):
     if np.any(arr <= 0):
         raise ConfigurationError("f_tau requires x > 0")
     out = np.zeros_like(arr)
-    ell = np.arange(n_terms)
+    ell = _series_index(n_terms)
     odd = 2 * ell + 1
 
     small = arr < CROSSOVER
@@ -80,8 +111,8 @@ def f_tau(x, n_terms: int = 60):
         # leading term below 1e-300 -> the density has underflowed; return 0
         lead = np.log(2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3)) + expo[:, 0]
         terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        val = 2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3) * np.sum(
-            (-1.0) ** ell * odd * terms, axis=1
+        val = 2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3) * _partial_sum(
+            (-1.0) ** ell * odd * terms, n_terms
         )
         out[small] = np.where(lead < np.log(1e-300), 0.0, val)
     large = ~small
@@ -89,7 +120,7 @@ def f_tau(x, n_terms: int = 60):
         xl = arr[large][..., None]
         expo = -np.pi**2 * xl * odd**2 / 8.0
         terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        out[large] = (np.pi / 2.0) * np.sum((-1.0) ** ell * odd * terms, axis=1)
+        out[large] = (np.pi / 2.0) * _partial_sum((-1.0) ** ell * odd * terms, n_terms)
     return float(out) if scalar else out
 
 
@@ -131,19 +162,19 @@ def cdf_tau(x, n_terms: int = 64):
     """
     arr, scalar = _as_array(x)
     out = np.zeros_like(arr)
-    ell = np.arange(n_terms)
+    ell = _series_index(n_terms)
     odd = 2 * ell + 1
     pos = arr > 0
     small = pos & (arr < CROSSOVER)
     if small.any():
         xs = arr[small][..., None]
-        out[small] = 2.0 * np.sum((-1.0) ** ell * erfc(odd / np.sqrt(2.0 * xs)), axis=1)
+        out[small] = 2.0 * _partial_sum((-1.0) ** ell * erfc(odd / np.sqrt(2.0 * xs)), n_terms)
     large = pos & ~small
     if large.any():
         xl = arr[large][..., None]
         expo = -np.pi**2 * odd**2 * xl / 8.0
         terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        out[large] = 1.0 - (4.0 / np.pi) * np.sum((-1.0) ** ell / odd * terms, axis=1)
+        out[large] = 1.0 - (4.0 / np.pi) * _partial_sum((-1.0) ** ell / odd * terms, n_terms)
     return float(out) if scalar else np.clip(out, 0.0, 1.0)
 
 
@@ -151,7 +182,7 @@ def survival_tau(x, n_terms: int = 64):
     """P(tau > x); uses the large-branch series directly when it applies."""
     arr, scalar = _as_array(x)
     out = np.ones_like(arr)
-    ell = np.arange(n_terms)
+    ell = _series_index(n_terms)
     odd = 2 * ell + 1
     small = (arr > 0) & (arr < CROSSOVER)
     if small.any():
@@ -161,7 +192,7 @@ def survival_tau(x, n_terms: int = 64):
         xl = arr[large][..., None]
         expo = -np.pi**2 * odd**2 * xl / 8.0
         terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        out[large] = (4.0 / np.pi) * np.sum((-1.0) ** ell / odd * terms, axis=1)
+        out[large] = (4.0 / np.pi) * _partial_sum((-1.0) ** ell / odd * terms, n_terms)
     return float(out) if scalar else np.clip(out, 0.0, 1.0)
 
 
@@ -170,9 +201,10 @@ TAIL_CUTOFF = 8.0 / np.pi**2 * np.log(4.0 / (np.pi * 1e-12))
 
 
 _INV_TABLE: list = []
-# values per Newton pass of inverse_cdf_tau: bounds its (values, 12 terms)
-# temporaries, which for a 20,000-draw Monte Carlo chunk in one pass held
-# ~5.6 MB and in 4,096-value passes hold ~1.7 MB
+# values per Newton pass of inverse_cdf_tau: bounds its (values, 4 kept
+# terms) temporaries.  For one 36,864-draw chunk (4,096 paths x 9 steps)
+# the tracemalloc peak is ~0.87 MB in 4,096-value passes and ~5.0 MB in
+# one pass; 8,192-value passes and one pass timed no faster
 _INV_BLOCK = 4096
 
 
@@ -213,7 +245,8 @@ def inverse_cdf_tau(u, tol: float = 1e-12):
 def _inverse_block(arr: np.ndarray, tol: float) -> np.ndarray:
     t_u, t_x = _inverse_table()
     x = np.interp(arr, t_u, t_x)
-    # 12 series terms give truncation < 1e-20 everywhere on the bracket
+    # 12 series terms: truncation < 1e-20 everywhere on the bracket; being
+    # >= 8, they cost 4 kept terms (module docstring)
     for _ in range(3):
         fx = cdf_tau(x, 12) - arr
         dfx = f_tau(x, 12)

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy import stats
+from scipy.special import erfc
 
 from skeldp import density
 from skeldp.errors import ConfigurationError
@@ -168,3 +171,72 @@ def test_partial_sum_within_bound_of_reference(x, n):
     ref = density.f_tau(x, 60)
     noise = 8 * np.finfo(float).eps * max(abs(ref), 1.0)  # subtraction noise
     assert abs(ref - density.f_tau(x, n)) <= density.truncation_bound(x, n) + noise
+
+
+def _all_term_sums(x, n):
+    """f, F and S at x > 0 from every one of the n series terms, summed by
+    np.sum: the reference that summing only the terms which can change a
+    bit must reproduce exactly (same expressions, same operation order)."""
+    ell = np.arange(n)
+    odd = 2 * ell + 1
+    f, cdf, surv = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    small = x < CROSS
+    xs = x[small][:, None]
+    expo = -odd**2 / (2.0 * xs)
+    lead = np.log(2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3)) + expo[:, 0]
+    terms = np.where(expo > -745.0, np.exp(expo), 0.0)
+    val = 2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3) * np.sum(
+        (-1.0) ** ell * odd * terms, axis=1)
+    f[small] = np.where(lead < np.log(1e-300), 0.0, val)
+    cdf[small] = np.clip(2.0 * np.sum((-1.0) ** ell * erfc(odd / np.sqrt(2.0 * xs)),
+                                      axis=1), 0.0, 1.0)
+    surv[small] = 1.0 - cdf[small]
+    xl = x[~small][:, None]
+    expo = -np.pi**2 * xl * odd**2 / 8.0
+    terms = np.where(expo > -745.0, np.exp(expo), 0.0)
+    f[~small] = (np.pi / 2.0) * np.sum((-1.0) ** ell * odd * terms, axis=1)
+    expo = -np.pi**2 * odd**2 * xl / 8.0
+    terms = np.where(expo > -745.0, np.exp(expo), 0.0)
+    tail = np.sum((-1.0) ** ell / odd * terms, axis=1)
+    cdf[~small] = 1.0 - (4.0 / np.pi) * tail
+    surv[~small] = (4.0 / np.pi) * tail
+    return f, cdf, np.clip(surv, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 12, 14, 60, 64, 200])
+def test_kept_terms_sum_bit_identical_to_all_terms(n):
+    x = np.concatenate([np.geomspace(1e-6, 1e3, 200_000),
+                        [np.nextafter(CROSS, 0.0), CROSS, np.nextafter(CROSS, 1.0)]])
+    for part in np.array_split(x, 20):        # bounds the (values, n) reference
+        want = _all_term_sums(part, n)
+        got = (density.f_tau(part, n), density.cdf_tau(part, n),
+               density.survival_tau(part, n))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_inverse_cdf_tau_bits_pinned():
+    # digest of the quantiles as computed from the all-terms series sums
+    u = np.concatenate([density._philox(18, 0).random(131_072),
+                        [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16]])
+    x = density.inverse_cdf_tau(u)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "b61ae0b83a28454f7e7143d1fe9c0f5e02c79ebcfba56748f23894d45bc31904")
+
+
+def test_inverse_cdf_tau_bisects_where_newton_stalls(monkeypatch):
+    u = np.concatenate([density._philox(7, 0).random(2_000),
+                        [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16]])
+    newton = density.inverse_cdf_tau(u)
+    start = np.interp(u, *density._inverse_table())
+    stalled = np.abs(density.cdf_tau(start, 12) - u) > 1e-12
+    assert stalled.mean() > 0.99
+    # a zero density makes every Newton step zero: x stays at its start
+    monkeypatch.setattr(density, "f_tau", lambda x, n_terms=60: np.zeros_like(x))
+    x = density.inverse_cdf_tau(u)
+    assert np.all(x[stalled] != start[stalled])
+    assert np.all(np.abs(density.cdf_tau(x) - u) <= 1e-12)
+    assert np.all((x >= 5e-4) & (x <= 120.0))
+    # in the four tails 1e-12 of probability spans a wide x; elsewhere the
+    # bisected quantile is Newton's to ~1e-14
+    assert np.allclose(x[:-4], newton[:-4], rtol=1e-9, atol=0.0)
