@@ -32,7 +32,12 @@ Against a piecewise-constant skeleton path A (jumps eps*sigma_n at T_n):
 
     B^k_H(t) = eps * t^{H-1/2} * sum_{T_n <= t} sigma_n Phi(T_n / t),
 
-and W^k_H freezes B^k_H at skeleton times.
+and W^k_H freezes B^k_H at skeleton times.  Each call of fbm_from_skeleton
+evaluates the Phi table once, on the points T_n / T_m(t) of all its eval
+times together, and each call of fbm_ref_from_fine_path evaluates Omega
+once, on s_i / t of all its eval times together; the table is evaluated
+point by point, so the values are those of one call per eval time.  The
+sum for each eval time stays its own dot product.
 """
 
 from __future__ import annotations
@@ -207,20 +212,27 @@ def fbm_from_skeleton(event_times, event_signs=None, eps: float | None = None,
         event_times, event_signs, eps = path.cum_times, path.signs, path.epsilon_k
     if event_signs is None or eps is None or H is None or t_grid is None:
         raise ConfigurationError("need event signs, eps, H and t_grid")
-    table = get_table(H, d_H)
     event_times = np.asarray(event_times, dtype=float)
     event_signs = np.asarray(event_signs, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if event_times.shape != event_signs.shape:
+        raise ConfigurationError(f"{event_times.shape} event times against "
+                                 f"{event_signs.shape} event signs")
+    if np.any(np.diff(event_times) < 0):
+        raise ConfigurationError("event times must be non-decreasing")
+    table = get_table(H, d_H)
     out = np.zeros_like(t_grid)
     # freeze: W(t) = B^k_H(T_m(t)) with T_m(t) the last event time <= t
     idx = np.searchsorted(event_times, t_grid, side="right")
-    for i, t in enumerate(t_grid):
-        m = idx[i]
-        if m == 0:
-            continue
-        tm = event_times[m - 1]
-        out[i] = eps * tm ** (H - 0.5) * float(
-            event_signs[:m] @ table.phi(event_times[:m] / tm))
+    live = np.flatnonzero(idx)
+    m = idx[live]
+    tm = event_times[m - 1]
+    # Phi at T_n / T_m(t) for every n <= m of every t, in one table call
+    starts = np.cumsum(m) - m
+    n = np.arange(m.sum()) - np.repeat(starts, m)
+    phi = table.phi(event_times[n] / np.repeat(tm, m))
+    for i, mi, t, lo in zip(live, m, tm, starts):
+        out[i] = eps * t ** (H - 0.5) * float(event_signs[:mi] @ phi[lo:lo + mi])
     return out
 
 
@@ -243,21 +255,31 @@ def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times,
     Integration by parts against the slope: B_H(t) = t^{H+1/2} *
     sum_cells slope_i [Omega(s_{i+1} ^ t / t) - Omega(s_i / t)].
     """
-    table = get_table(H, d_H)
     t_fine = np.asarray(t_fine, dtype=float)
     b_fine = np.asarray(b_fine, dtype=float)
     eval_times = np.asarray(eval_times, dtype=float)
+    if t_fine.shape != b_fine.shape:
+        raise ConfigurationError(f"{t_fine.shape} fine times against "
+                                 f"{b_fine.shape} fine values")
+    if np.any(np.diff(t_fine) <= 0):
+        raise ConfigurationError("fine times must be strictly increasing")
     if np.any(eval_times > t_fine[-1]):
         raise ConfigurationError(
             f"eval time {eval_times.max()} lies past the fine path's end {t_fine[-1]}")
+    table = get_table(H, d_H)
     slopes = np.diff(b_fine) / np.diff(t_fine)
     out = np.zeros(len(eval_times))
-    for i, t in enumerate(eval_times):
-        if t <= t_fine[0]:
-            continue
-        k = int(np.searchsorted(t_fine, t, side="left"))
-        s_lo = t_fine[:k]
-        s_hi = np.minimum(t_fine[1:k + 1], t)
-        om = table.omega(s_hi / t) - table.omega(s_lo / t)
-        out[i] = t ** (H + 0.5) * float(slopes[:k] @ om)
+    # the k cells below eval time t end at s_1, ..., s_{k-1} and t itself,
+    # so Omega is needed at s_0/t, ..., s_{k-1}/t, 1: one table call for all t
+    live = np.flatnonzero(eval_times > t_fine[0])
+    t_live = eval_times[live]
+    ks = np.searchsorted(t_fine, t_live, side="left")
+    starts = np.cumsum(ks + 1) - (ks + 1)
+    x = np.ones((ks + 1).sum())
+    for t, k, lo in zip(t_live, ks, starts):
+        np.divide(t_fine[:k], t, out=x[lo:lo + k])
+    o = table.omega(x)
+    om = o[1:] - o[:-1]
+    for i, t, k, lo in zip(live, t_live, ks, starts):
+        out[i] = t ** (H + 0.5) * float(slopes[:k] @ om[lo:lo + k])
     return out

@@ -98,18 +98,28 @@ def _first_fire_factor(lags_u: np.ndarray, j0: int, rel_tol: float = 1e-8) -> fl
     Evaluates the double integral over the bounded box (0, X)^2 obtained by
     the substitution s -> -r, truncated at the tail cutoff X; panel count
     doubles until the relative change is below rel_tol (budget split between
-    the two nested rules).  Interval- and sign-independent, so results are
-    memoized on (lags, coordinate).
+    the two nested rules).  Interval- and sign-independent; the double
+    integral depends only on the coordinate's own lag and the other lags in
+    order, so it is memoized on those, and coordinates with equal lags share
+    one quadrature.  The tail-mass product is divided out on every call.
     """
-    cache_key = (tuple(np.round(lags_u, 14)), j0)
-    if cache_key in _FF_CACHE:
-        return _FF_CACHE[cache_key]
     d = len(lags_u)
-    X = density.TAIL_CUTOFF
     denom = float(np.prod(_tail(lags_u)))
     if denom <= 0:
         raise NumericalError("all-coordinate tail mass underflowed")
     others = [lam for lam in range(d) if lam != j0]
+    rounded = np.round(lags_u, 14)
+    cache_key = (rounded[j0], tuple(rounded[others]))
+    if cache_key not in _FF_CACHE:
+        _FF_CACHE[cache_key] = _first_fire_integral(lags_u[j0], lags_u[others],
+                                                    rel_tol)
+    return _FF_CACHE[cache_key] / denom
+
+
+def _first_fire_integral(own_lag: float, other_lags: np.ndarray,
+                         rel_tol: float) -> float:
+    """The first-fire double integral, before division by the tail masses."""
+    X = density.TAIL_CUTOFF
 
     # Nested fixed rule with panel doubling, vectorized over both axes.
     def evaluate(panels: int) -> float:
@@ -127,9 +137,9 @@ def _first_fire_factor(lags_u: np.ndarray, j0: int, rel_tol: float = 1e-8) -> fl
             t_half = (hi_f - lo_f) / 2.0 * X
             tt = t_mid[:, None] + t_half * _GX
             # 14 series terms keep truncation < 1e-15 on this domain
-            integ = density.f_tau((tt - rr[:, None]) + lags_u[j0], 14)
-            for lam in others:
-                integ = integ * density.f_tau(tt + lags_u[lam], 14)
+            integ = density.f_tau((tt - rr[:, None]) + own_lag, 14)
+            for lag in other_lags:
+                integ = integ * density.f_tau(tt + lag, 14)
             acc += t_half * (integ @ _GW)
         return float(wr @ acc)
 
@@ -137,12 +147,12 @@ def _first_fire_factor(lags_u: np.ndarray, j0: int, rel_tol: float = 1e-8) -> fl
     for panels in (8, 16, 32):
         cur = evaluate(panels)
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-30):
-            _FF_CACHE[cache_key] = cur / denom
-            return _FF_CACHE[cache_key]
+            return cur
         prev = cur
     raise NumericalError(
         f"first-fire quadrature did not converge (last change "
-        f"{abs(cur - prev):.3e} at {panels} panels, lags={lags_u})")
+        f"{abs(cur - prev):.3e} at {panels} panels, own lag {own_lag}, "
+        f"other lags {other_lags})")
 
 
 def kernel_prob(q: KernelQuery, eps_k: float) -> float:

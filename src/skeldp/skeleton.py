@@ -228,34 +228,54 @@ def elapsed_times(bk, d: int | None = None):
 # ---------------------------------------------------------------------------
 # Crossing-detection oracle: simulate a fine Brownian path and read off the
 # skeleton from level crossings.  Equal in law to sample_skeleton up to the
-# fine-grid overshoot; kept as the theory-free reference sampler.
+# fine-grid overshoot; kept as the theory-free reference sampler.  Crossings
+# are found one numpy window at a time.  The window is derived, never set:
+# twice eps^2 / dt grid steps, the mean gap between crossings (E tau = 1),
+# so most events cost one window pass wherever k puts the events.  The
+# first crossing in a scan does not depend on the window, so neither do
+# the events.
 # ---------------------------------------------------------------------------
 
 def brownian_fine_path(d: int, T: float, dt: float, seed: int, stream: int = 0):
     """(t_grid, B) with B of shape (d, len(t_grid)), B[:,0] = 0."""
     n = int(math.ceil(T / dt))
-    incs = density._philox(seed, 10_000 + stream).standard_normal((d, n)) * math.sqrt(dt)
-    bm = np.concatenate([np.zeros((d, 1)), np.cumsum(incs, axis=1)], axis=1)
-    return dt * np.arange(n + 1), bm
+    incs = density._philox(seed, 10_000 + stream).standard_normal((d, n))
+    incs *= math.sqrt(dt)
+    bm = np.empty((d, n + 1))
+    bm[:, 0] = 0.0
+    np.cumsum(incs, axis=1, out=bm[:, 1:])
+    t_grid = np.arange(n + 1, dtype=float)
+    t_grid *= dt
+    return t_grid, bm
 
 
-def _crossings(x: np.ndarray, lev: float, eps: float, start: int = 0):
+_MIN_WINDOW = 64
+
+
+def _crossing_window(eps: float, dt: float) -> int:
+    """Scan window of `_crossings`: twice the mean gap eps^2 / dt between
+    crossings, in grid steps, and at least _MIN_WINDOW."""
+    return max(_MIN_WINDOW, math.ceil(2 * eps**2 / dt)) if dt > 0 else _MIN_WINDOW
+
+
+def _crossings(x: np.ndarray, lev: float, eps: float, window: int, start: int = 0):
     """Level crossings of one observed coordinate, scanned from x[start].
 
     Each crossing is the first index k with |x[k] - lev| >= eps; the level
-    then moves one eps step toward x[k].  Returns the crossing indices, their
-    signs and the final level, so a path observed in pieces can carry it on.
+    then moves one eps step toward x[k].  x is scanned `window` points at a
+    time (no per-grid-point Python loop).  Returns the crossing indices,
+    their signs and the final level, so a path observed in pieces can carry
+    it on.
     """
     idx, sgn = [], []
-    block = 4096          # scan window: no per-grid-point Python loop
     i = start
     while i < len(x):
-        hi = min(len(x), i + block)
-        exc = np.abs(x[i:hi] - lev) >= eps
-        if not exc.any():
-            i = hi
+        exc = np.abs(x[i:i + window] - lev) >= eps
+        j = int(exc.argmax())        # 0 when the window holds no crossing
+        if not exc[j]:
+            i += window
             continue
-        k = i + int(np.argmax(exc))
+        k = i + j
         sign = 1 if x[k] > lev else -1
         lev += sign * eps
         idx.append(k)
@@ -273,7 +293,9 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
     detection time is bounded by the fine-grid increment scale.
     """
     d = bm.shape[0]
-    per_coord = [_crossings(bm[j], 0.0, eps, start=1) for j in range(d)]
+    steps = len(t_grid) - 1
+    window = _crossing_window(eps, (t_grid[-1] - t_grid[0]) / steps if steps else 0.0)
+    per_coord = [_crossings(bm[j], 0.0, eps, window, start=1) for j in range(d)]
     t = np.concatenate([t_grid[k] for k, _, _ in per_coord])
     c = np.concatenate([np.full(len(k), j + 1, dtype=np.int64)
                         for j, (k, _, _) in enumerate(per_coord)])
@@ -296,6 +318,7 @@ def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
     """
     gen = density._philox(seed, 20_000 + stream)
     n_total = int(math.ceil(t_total / dt))
+    window = _crossing_window(eps, dt)
     out_t, out_s = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     lev = 0.0
     b_end = 0.0
@@ -303,7 +326,7 @@ def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
     while done < n_total:
         m = min(block, n_total - done)
         seg = b_end + np.cumsum(gen.standard_normal(m) * math.sqrt(dt))
-        k, sgn, lev = _crossings(seg, lev, eps)
+        k, sgn, lev = _crossings(seg, lev, eps, window)
         out_t.append((done + k + 1) * dt)
         out_s.append(sgn)
         b_end = seg[-1]

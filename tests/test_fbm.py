@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from skeldp import fbm
+from skeldp import fbm, skeleton
 from skeldp.errors import ConfigurationError
 from skeldp.skeleton import brownian_fine_path, crossing_sample_skeleton
 from skeldp.structures import FbmSpec, FbmStructure
@@ -137,6 +137,82 @@ def test_fine_reference_refuses_eval_past_path_end():
     assert np.all(np.isfinite(out))
     with pytest.raises(ConfigurationError, match="past the fine path"):
         fbm.fbm_ref_from_fine_path(t_fine, b_fine, 0.75, [0.5, 1.05])
+
+
+# Criterion-9 coupled paths (H 0.75, dt = 2^-10 / 400, fine path stream 909):
+# seed -> (SHA-256 of B_H^ref on the coarse reference path,
+#          {k: (SHA-256 of crossing indices + signs, SHA-256 of W^k_H)}),
+# recorded with a fixed 4,096-point crossing scan window and per-eval-time
+# Phi and Omega table calls.
+COUPLING_SHA256 = {
+    0: ('e0d2aaac5ea62af2575527a749f523ee61b416cbc42c38cf9b753d1936b033e9',
+        {3: ('99b8313cc49f438d11c7f4ba5e11fd9ef7efd62495afc50cbc78d2534bd3b59f',
+             '37e5b8ef02050b144c69decb8941dce5d40ac748a393033d9eaa98fba56bea66'),
+         4: ('382a74e70d366585e17e66d92f3b7f1e165ae009efd8588d0b594e9c5949c158',
+             'ee110817c2decc717e2caff0b97fadbb6671c87c46e570bc38af062e43d2c09b'),
+         5: ('0f555ad312e622a3bfb03f041dd7c068a5f5c7c318c9a488921192f41b8829e1',
+             '68e4913d1f18b502bed33f49300a4b67ccc51e3e1bc37e2aaf2631d0f0277466')}),
+    1: ('b18f5923f88f2d75cddf9745741642eb8133455141670cb8304ec73f2cd15a8a',
+        {3: ('648a98cac8604fac530a713c2699c175f5b28842de2c03f49c700645c552cab9',
+             '73d72b9a4ab785ab31b40918bece27d7ded15b4a5dca951687771c9f3ab02076'),
+         4: ('02e739c21bfcacb8a21a37723aaeef1e0dd154c203a271a56286f5ace1933f13',
+             '2884e4059592c86adfce6cfa601bcc1d347614736dc51d95de9e4702346b053b'),
+         5: ('b378d055209f1abf547d9eb4f084c860467719fd8add59921c00baea18d62e11',
+             '321496b5f7f5bedbbdd696d2e3ef8a33b65763192328c4e4874e9978296d1119')}),
+    2: ('ce603c7e425189ca6e9b330cb1aafdedceaf2b25d4ed1ec3080301f5aa65545d',
+        {3: ('8268ef7b0dc66c894df61ead0339c922be008300872232daf9cd76eab298b8b1',
+             '15d61ad8a30d0f3afca8caa0a99db800436f20f5d44e3c759008a22359f35d82'),
+         4: ('f4b6febd42998ac4bb20257125c43322c5608ebb3fb4e0e5c4b0c0ad66b29245',
+             '366d11b8eb20646e0dfaeda848e6bb633460ebbd2aed5bfbf8f4cd1b5af7316b'),
+         5: ('abcaf48132ce0c101fd0e3564bbb8c4ed2d115cac390d2c24f5010dc338b62ff',
+             'bc47351dfc4ace082fb23539b4c7d00f78458c616e3cec2fa1d0a9fd38877cfa')}),
+}
+
+
+def sha256(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(COUPLING_SHA256))
+def test_coupling_bits_pinned(seed):
+    H, dt = 0.75, 2.0**-10 / 400
+    eval_times = np.linspace(0.05, 1.0, 32)
+    sub = slice(None, None, 64)
+    t_grid, bm = brownian_fine_path(1, 1.0, dt, seed=seed, stream=909)
+    w_ref = fbm.fbm_ref_from_fine_path(t_grid[sub], bm[0][sub], H, eval_times)
+    ref_digest, per_level = COUPLING_SHA256[seed]
+    assert sha256(w_ref) == ref_digest
+    for k, (crossing_digest, w_digest) in per_level.items():
+        eps = 2.0**-k
+        window = skeleton._crossing_window(eps, dt)
+        idx, sgn, _ = skeleton._crossings(bm[0], 0.0, eps, window, start=1)
+        assert sha256(idx, sgn) == crossing_digest, k
+        path = crossing_sample_skeleton(eps, t_grid, bm)
+        assert np.array_equal(path.cum_times, t_grid[idx])
+        w = fbm.fbm_from_skeleton(path.cum_times, path.signs.astype(float), eps, H,
+                                  eval_times)
+        assert sha256(w) == w_digest, k
+
+
+def test_skeleton_w_rejects_mismatched_lengths():
+    with pytest.raises(ConfigurationError, match="event signs"):
+        fbm.fbm_from_skeleton([0.3, 0.7], [1.0], 0.5, 0.75, [1.0])
+
+
+def test_skeleton_w_rejects_decreasing_event_times():
+    with pytest.raises(ConfigurationError, match="non-decreasing"):
+        fbm.fbm_from_skeleton([0.7, 0.3], [1.0, -1.0], 0.5, 0.75, [0.5, 1.0])
+
+
+def test_fine_reference_rejects_mismatched_lengths():
+    with pytest.raises(ConfigurationError, match="fine values"):
+        fbm.fbm_ref_from_fine_path([0.0, 0.5, 1.0], [0.0, 1.0], 0.75, [1.0])
+
+
+def test_fine_reference_rejects_repeated_node():
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        fbm.fbm_ref_from_fine_path([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 2.0],
+                                   0.75, [1.0])
 
 
 def test_w_starts_at_zero():

@@ -79,6 +79,32 @@ def test_first_fire_matches_reduction_oracle():
         assert prod == pytest.approx(first_fire_oracle(lj, lo), abs=2e-7)
 
 
+def test_equal_lags_share_one_first_fire_quadrature(monkeypatch):
+    """Coordinates with equal lags run the same double integral: one
+    quadrature serves both, and each value equals its own uncached one."""
+    runs = []
+    integral = kernel._first_fire_integral
+
+    def counted(*args):
+        runs.append(args)
+        return integral(*args)
+
+    monkeypatch.setattr(kernel, "_first_fire_integral", counted)
+    monkeypatch.setattr(kernel, "_FF_CACHE", {})
+    lags_u = np.array([0.37, 0.37])
+    shared = [kernel._first_fire_factor(lags_u, j) for j in (0, 1)]
+    assert len(runs) == 1
+    assert shared[0] == shared[1]
+    for j in (0, 1):
+        monkeypatch.setattr(kernel, "_FF_CACHE", {})
+        assert kernel._first_fire_factor(lags_u, j) == shared[j]
+    # unequal lags are different integrals
+    monkeypatch.setattr(kernel, "_FF_CACHE", {})
+    runs.clear()
+    apart = [kernel._first_fire_factor(np.array([0.37, 0.9]), j) for j in (0, 1)]
+    assert len(runs) == 2 and apart[0] + apart[1] == pytest.approx(1.0, abs=1e-7)
+
+
 def test_d1_discretization():
     dk = discretize_kernel(np.array([0.0]), 1.0, 2)
     assert len(dk) == 4

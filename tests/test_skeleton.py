@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,43 @@ def test_crossing_matches_direct_law():
         means.append(dts.mean())
     # finer grid detects exits earlier (smaller upward bias)
     assert means[1] < means[0]
+
+
+def test_crossings_independent_of_scan_window():
+    """The first crossing of a scan does not depend on the window, so every
+    window gives the same events, also for a path cut in two pieces with the
+    level carried over, as crossing_event_stream observes it."""
+    eps, dt = 0.125, 0.125**2 / 400
+    _, bm = brownian_fine_path(1, 1.0, dt, seed=4, stream=909)
+    x = bm[0]
+    derived = skeleton._crossing_window(eps, dt)
+    assert derived == 800
+    cut = 12_345
+    runs = []
+    for window in (64, derived, 4096):
+        whole = skeleton._crossings(x, 0.0, eps, window, start=1)
+        head = skeleton._crossings(x[:cut], 0.0, eps, window, start=1)
+        tail = skeleton._crossings(x[cut:], head[2], eps, window)
+        assert np.array_equal(whole[0], np.concatenate([head[0], cut + tail[0]]))
+        assert np.array_equal(whole[1], np.concatenate([head[1], tail[1]]))
+        assert whole[2] == tail[2]
+        runs.append((whole, skeleton._crossings(x, -0.375, eps, window, start=5000)))
+    events = runs[0][0][0]
+    assert len(events) > 40 and events[0] < cut < events[-1]
+    for whole, late in runs[1:]:
+        for got, want in zip((whole, late), runs[0]):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+
+def test_crossing_event_stream_bits_pinned():
+    # recorded with the fixed 4,096-point scan window
+    times, signs = skeleton.crossing_event_stream(1.0, 1.0 / 2000, 300.0, seed=77,
+                                                  stream=1, block=100_000)
+    assert len(times) == 271
+    digest = hashlib.sha256(times.tobytes() + signs.tobytes()).hexdigest()
+    assert digest == "0c28c558d9a46b8fa17834bbaea2bde60f4ff5a8fd442757a631095645a6a6da"
 
 
 def test_csv_roundtrip():
