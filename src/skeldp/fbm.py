@@ -197,6 +197,19 @@ def get_table(H: float, d_H: float = 1.0) -> FbmTable:
     return _TABLE_CACHE[key]
 
 
+def _checked_events(event_times, event_signs):
+    """Event times and signs as float arrays of one shape, the times
+    non-decreasing; ConfigurationError otherwise."""
+    event_times = np.asarray(event_times, dtype=float)
+    event_signs = np.asarray(event_signs, dtype=float)
+    if event_times.shape != event_signs.shape:
+        raise ConfigurationError(f"{event_times.shape} event times against "
+                                 f"{event_signs.shape} event signs")
+    if np.any(np.diff(event_times) < 0):
+        raise ConfigurationError("event times must be non-decreasing")
+    return event_times, event_signs
+
+
 def fbm_from_skeleton(event_times, event_signs=None, eps: float | None = None,
                       H: float | None = None, t_grid=None,
                       d_H: float = 1.0) -> np.ndarray:
@@ -212,14 +225,8 @@ def fbm_from_skeleton(event_times, event_signs=None, eps: float | None = None,
         event_times, event_signs, eps = path.cum_times, path.signs, path.epsilon_k
     if event_signs is None or eps is None or H is None or t_grid is None:
         raise ConfigurationError("need event signs, eps, H and t_grid")
-    event_times = np.asarray(event_times, dtype=float)
-    event_signs = np.asarray(event_signs, dtype=float)
+    event_times, event_signs = _checked_events(event_times, event_signs)
     t_grid = np.asarray(t_grid, dtype=float)
-    if event_times.shape != event_signs.shape:
-        raise ConfigurationError(f"{event_times.shape} event times against "
-                                 f"{event_signs.shape} event signs")
-    if np.any(np.diff(event_times) < 0):
-        raise ConfigurationError("event times must be non-decreasing")
     table = get_table(H, d_H)
     out = np.zeros_like(t_grid)
     # freeze: W(t) = B^k_H(T_m(t)) with T_m(t) the last event time <= t
@@ -239,13 +246,13 @@ def fbm_from_skeleton(event_times, event_signs=None, eps: float | None = None,
 def fbm_b_at(event_times, event_signs, eps: float, H: float, t: float,
              d_H: float = 1.0) -> float:
     """B^k_H(t) itself (not frozen): eps t^{H-1/2} sum sigma_n Phi(T_n/t)."""
+    event_times, event_signs = _checked_events(event_times, event_signs)
     table = get_table(H, d_H)
-    event_times = np.asarray(event_times, dtype=float)
     m = int(np.searchsorted(event_times, t, side="right"))
     if m == 0 or t <= 0:
         return 0.0
     return float(eps * t ** (H - 0.5)
-                 * (np.asarray(event_signs[:m], float) @ table.phi(event_times[:m] / t)))
+                 * (event_signs[:m] @ table.phi(event_times[:m] / t)))
 
 
 def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times,

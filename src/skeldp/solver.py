@@ -29,10 +29,16 @@ its index in the layer, and value and policy layers are arrays in node order:
   and cut into rectangles of cells that share one (row, column) shift.
   The forward pass ORs each rectangle's occupied cells, shifted, into the
   next layer's box; the backward pass adds the weighted, shifted block of
-  the next layer's value box into a box accumulator.  Off-grid probes
-  (golden refinement, residual checks) step each node at its own action and
-  send a child that lands on an empty cell to `nearest_bin_index`, the same
-  nearest-populated-bin rule that every policy lookup uses.
+  the next layer's value box into a box accumulator, and the layer keeps
+  only each node's running best grid action.  Off-grid probes (golden
+  refinement, residual checks) step each node at its own action.  Time
+  does not depend on the action, so each node's child time row per atom,
+  as a flat cell of the next box, is computed once per layer, and the
+  action's ln-wealth `rates` once per probe; each atom is then one
+  quantize of the child's wealth, one clip to the box's columns and one
+  `rank` gather.  A child that lands on an empty cell or off the box's
+  columns goes to `nearest_bin_index`, the same nearest-populated-bin rule
+  that every policy lookup uses.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -486,13 +492,16 @@ def _forward_layers(tree: Tree):
         tree.blocks.append((rects, starts))
 
 
-def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray) -> np.ndarray:
-    """sum_atoms w * V_{n+1}(child) of every grid action at every node of a layer.
+def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray):
+    """Best grid action of every node of a layer: (best_idx, best_val).
 
-    Each rectangle of the layer adds its weighted, shifted block of the
-    next layer's value box into a box accumulator, atom by atom.  A
-    rectangle that leaves the next box, or a node whose child cell is
-    empty (NaN in the value box), is a forward/backward inconsistency.
+    sum_atoms w * V_{n+1}(child) of each grid action comes from the
+    layer's rectangles, each adding its weighted, shifted block of the next
+    layer's value box into a box accumulator, atom by atom.  Actions are
+    compared in grid order by a strict >, so ties go to the smallest
+    index, and only the running best is kept.  A rectangle that leaves the
+    next box, or a node whose child cell is empty (NaN in the value box),
+    is a forward/backward inconsistency.
     """
     lattice, nxt = tree.layers[depth], tree.layers[depth + 1]
     rects, starts = tree.blocks[depth]
@@ -506,54 +515,79 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray) -> np.nd
     di, dj = offset.tolist()
     rows = rects.tolist()
     cells = lattice.cells
-    stage = np.empty((len(tree.cfg.action_grid), len(cells)))
+    best_idx = np.zeros(len(cells), dtype=np.int64)
     acc = np.empty(lattice.shape)
-    for ai in range(len(stage)):
+    for ai in range(len(tree.cfg.action_grid)):
         acc.fill(0.0)
         for m, w in enumerate(tree.atoms.weights):
             p = ai * tree.n_atoms + m
             for i0, i1, j0, j1, dr, dc in rows[starts[p]:starts[p + 1]]:
                 acc[i0:i1, j0:j1] += w * v_box[i0 + dr + di:i1 + dr + di,
                                                j0 + dc + dj:j1 + dc + dj]
-        stage[ai] = acc.reshape(-1)[cells]
-    if np.isnan(stage.min()):                        # min propagates NaN
-        raise NumericalError("forward/backward bin mismatch on a grid action")
-    return stage
+        stage = acc.reshape(-1)[cells]
+        if np.isnan(stage.min()):                    # min propagates NaN
+            raise NumericalError("forward/backward bin mismatch on a grid action")
+        if ai == 0:
+            best_val = stage
+            continue
+        better = stage > best_val
+        best_val[better] = stage[better]
+        best_idx[better] = ai
+    return best_idx, best_val
 
 
 def _node_probe(tree: Tree, depth: int, nodes=slice(None)):
-    """Per-node inputs of probes at arbitrary actions: elapsed time, ln
-    wealth, time row, and per atom the time rows' child bins and moves."""
-    lattice = tree.layers[depth]
+    """Per-node inputs of probes at arbitrary actions, shared by every
+    probe of the layer: the next layer, elapsed time, ln wealth, time row,
+    and per atom the time rows' child bins, each node's moves mask and the
+    flat next-box cell of its child's time row at wealth column 0.
+
+    Time does not depend on the action, and every grid action's child rows
+    are on the next layer, so a child row off the next box is a
+    forward/backward inconsistency.
+    """
+    lattice, nxt = tree.layers[depth], tree.layers[depth + 1]
     reps = _reps(lattice.bins[nodes], tree.bin_widths)
+    rows = lattice.bins[nodes, 0] - lattice.origin[0]
     _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
-    return (reps[:, 0], reps[:, 1], lattice.bins[nodes, 0] - lattice.origin[0],
-            _time_children(tree, t_rows))
+    (o0, o1), (n0, n1) = nxt.origin.tolist(), nxt.shape
+    atoms = []
+    for child_rows, moves in _time_children(tree, t_rows):
+        tb = child_rows[rows]
+        if np.any((tb < o0) | (tb >= o0 + n0)):
+            raise NumericalError("forward/backward bin mismatch: a child time "
+                                 "row is off the next layer")
+        atoms.append((child_rows, moves[rows], (tb - o0) * n1 - o1))
+    return nxt, reps[:, 0], reps[:, 1], rows, atoms
 
 
-def _probe_stage_values(tree: Tree, probe, action, lattice: Lattice,
-                        next_values: np.ndarray, allow_miss: bool) -> np.ndarray:
+def _probe_stage_values(tree: Tree, probe, action, next_values: np.ndarray,
+                        allow_miss: bool) -> np.ndarray:
     """sum_atoms w * V_{n+1}(child) for one action per node (or a scalar).
 
-    Off-grid probes (refinement, residual checks at recorded actions)
-    project children that miss the next layer to the nearest populated
-    bin; at a grid action a miss is an internal inconsistency.
+    Each atom is one quantize, one clip of the wealth bin to the next
+    box's columns and one `rank` gather.  Off-grid probes (refinement,
+    residual checks at recorded actions) project children that miss the
+    next layer to the nearest populated bin; at a grid action a miss is
+    an internal inconsistency.
     """
-    t, lw, rows, steps = probe
+    lattice, t, lw, rows, atoms = probe
+    rates = tree.ops.rates(t, action)
+    o1, n1 = int(lattice.origin[1]), lattice.shape[1]
     acc = np.zeros(len(t))
-    for m, (child_rows, moves) in enumerate(steps):
-        inc = tree.ops.log_increment(t, action, float(tree.atoms.delta_t[m]),
-                                     int(tree.atoms.signs[m]))
-        tb = child_rows[rows]
-        wb = _quantize(np.where(moves[rows], lw + inc, lw), tree.bin_widths[1])
-        idx = lattice.find(tb, wb)
-        miss = idx < 0
+    for m, (child_rows, moves, base) in enumerate(atoms):
+        inc = tree.ops.increment(rates, float(tree.atoms.delta_t[m]),
+                                 int(tree.atoms.signs[m]))
+        wb = _quantize(np.where(moves, lw + inc, lw), tree.bin_widths[1])
+        col = np.clip(wb, o1, o1 + n1 - 1)
+        idx = lattice.rank[base + col]
+        miss = (idx < 0) | (col != wb)
         if miss.any():
             if not allow_miss:
                 raise NumericalError(
                     "forward/backward bin mismatch on a grid action")
-            idx[miss] = nearest_bin_index(lattice,
-                                          np.column_stack([tb[miss], wb[miss]]))
+            idx[miss] = nearest_bin_index(lattice, np.column_stack(
+                [child_rows[rows[miss]], wb[miss]]))
         acc += tree.atoms.weights[m] * next_values[idx]
     return acc
 
@@ -623,9 +657,7 @@ def _backward_collapse(tree: Tree) -> SolveResult:
 
     for depth in range(cfg.depth - 1, -1, -1):
         next_values = value_layers[depth + 1]
-        stage = _grid_stage_values(tree, depth, next_values)
-        best_idx = np.argmax(stage, axis=0)          # ties: smallest index
-        best_val = stage[best_idx, np.arange(stage.shape[1])]
+        best_idx, best_val = _grid_stage_values(tree, depth, next_values)
         best_act = grid[best_idx]
         if cfg.refine and len(grid) > 1:
             h = cfg.grid_spacing
@@ -633,9 +665,8 @@ def _backward_collapse(tree: Tree) -> SolveResult:
             hi = np.minimum(best_act + h, grid[-1])
             probe = _node_probe(tree, depth)
             ref_act, ref_val = _golden_refine(
-                lambda act: _probe_stage_values(tree, probe, act,
-                                                tree.layers[depth + 1],
-                                                next_values, allow_miss=True),
+                lambda act: _probe_stage_values(tree, probe, act, next_values,
+                                                allow_miss=True),
                 lo, hi, cfg.refine_iters)
             take = ref_val > best_val
             refined_gain_max = max(refined_gain_max,
@@ -702,8 +733,7 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, node: int,
         return (acc - own) / tree.eps_k**2
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
     probe = _node_probe(tree, depth, slice(node, node + 1))
-    stage = _probe_stage_values(tree, probe, a, tree.layers[depth + 1],
-                                values.layers[depth + 1],
+    stage = _probe_stage_values(tree, probe, a, values.layers[depth + 1],
                                 allow_miss=action_value is not None)
     return float((stage[0] - own) / tree.eps_k**2)
 

@@ -22,7 +22,10 @@ Monte Carlo a chunk of paths, both through the same `step`.  The portfolio
 also evolves its sufficient statistic (t clipped at T, ln payoff wealth)
 for the collapsed solver; its `step` and `step_stats` share the time rule
 `time_step` and the ln-wealth increment `log_increment` of the one
-`_PortfolioCollapse` the structure holds.
+`_PortfolioCollapse` the structure holds.  That increment is written in two
+halves, `increment(rates(t, a), delta_t, sign)`: `rates` holds the factors
+that do not depend on the step, so the solver's off-grid probes compute them
+once per action and reuse them for every kernel atom.
 
 A structure is non-anticipative: the state after n steps depends on the
 control only through the actions already supplied.  Path values are step
@@ -406,7 +409,8 @@ class PortfolioStructure(StateStructure):
     Once the elapsed time crosses the horizon the payoff wealth freezes (the
     path value at clock T is the value of the step straddling it), and the
     state becomes absorbing.  The step is the statistic ops' law
-    (`time_step`, `log_increment`) plus the wealth path.
+    (`time_step`, `log_increment` = `increment` of `rates`) plus the wealth
+    path.
     """
 
     def __init__(self, spec: PortfolioSpec, epsilon_k: float):
@@ -470,15 +474,26 @@ class _PortfolioCollapse:
         crossed = live & (t + delta_t > self.T)
         return np.where(live, np.minimum(t + delta_t, self.T), t), live & ~crossed
 
-    def log_increment(self, t, a, delta_t, sign):
-        """ln-wealth change of a moving step, the one wealth law of the
-        structure's step and the statistic ops.  Arguments are floats or
-        arrays (one value per row)."""
+    def rates(self, t, a):
+        """(drift, variance, volatility) factors of the ln-wealth law at
+        elapsed time t and action a; they do not depend on the step's
+        delta_t or sign.  Arguments are floats or arrays (one value per
+        row)."""
         # alpha/sigma must broadcast over arrays of elapsed times
         al = self.spec.alpha_k(t)
         sg = self.spec.sigma_k(t)
-        return (a * (al - self.spec.r) + self.spec.r) * delta_t \
-            - 0.5 * (a * sg) ** 2 * delta_t + a * sg * self.eps * sign
+        return a * (al - self.spec.r) + self.spec.r, 0.5 * (a * sg) ** 2, a * sg * self.eps
+
+    @staticmethod
+    def increment(rates, delta_t, sign):
+        """ln-wealth change of a moving step from its `rates`."""
+        drift, var, vol = rates
+        return drift * delta_t - var * delta_t + vol * sign
+
+    def log_increment(self, t, a, delta_t, sign):
+        """ln-wealth change of a moving step, the one wealth law of the
+        structure's step and the statistic ops: `increment` of `rates`."""
+        return self.increment(self.rates(t, a), delta_t, sign)
 
     def step_stats(self, stats: np.ndarray, action, delta_t, sign) -> np.ndarray:
         """Statistics after one step; action, delta_t and sign are scalars

@@ -204,6 +204,16 @@ def test_skeleton_w_rejects_decreasing_event_times():
         fbm.fbm_from_skeleton([0.7, 0.3], [1.0, -1.0], 0.5, 0.75, [0.5, 1.0])
 
 
+def test_b_at_rejects_decreasing_event_times():
+    with pytest.raises(ConfigurationError, match="non-decreasing"):
+        fbm.fbm_b_at([0.7, 0.3], [1.0, -1.0], 0.5, 0.75, 0.5)
+
+
+def test_b_at_rejects_mismatched_lengths():
+    with pytest.raises(ConfigurationError, match="event signs"):
+        fbm.fbm_b_at([0.3, 0.7], [1.0], 0.5, 0.75, 1.0)
+
+
 def test_fine_reference_rejects_mismatched_lengths():
     with pytest.raises(ConfigurationError, match="fine values"):
         fbm.fbm_ref_from_fine_path([0.0, 0.5, 1.0], [0.0, 1.0], 0.75, [1.0])

@@ -295,6 +295,43 @@ def test_collapse_depth3_merton_pinned():
         "f584b30ef7a2b781b33de23195aeded4db812666cc17d1315b012d0fd4e46891")
 
 
+def _refined_solve_digest(spec, n_actions, depth):
+    """Refined depth-`depth` collapse solve (eps 1/3, Q 8): its report and a
+    sha256 over every layer's packed bins, values and policies plus
+    refined_gain_max."""
+    struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, n_actions), depth=depth,
+                      Q=8, collapse=True, refine=True, node_cap=3_000_000)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    digest = hashlib.sha256()
+    for d in range(depth + 1):
+        digest.update(solver._pack(tree.layers[d].bins).tobytes())
+        digest.update(res.values.layers[d].tobytes())
+        if d < depth:
+            digest.update(res.policy.layers[d].tobytes())
+    digest.update(np.float64(res.report.refined_gain_max).tobytes())
+    return res.report, digest.hexdigest()
+
+
+@pytest.mark.parametrize("time_dependent, n_actions, depth, root, gain, expected", [
+    (False, 41, 9, 2.0312575810199482, 0.00017815190302794548,
+     "e056492ba347f8d436f3421928aa595f31f577c0526fb63e60faf0c2c8408508"),
+    (True, 41, 5, 2.024138124409933, 0.00010861985679389008,
+     "052e811122fa8ae211bf3a7919fd19aaa0777b63484fe741d25154670a0e613e"),
+])
+def test_refined_collapse_solve_pinned(time_dependent, n_actions, depth, root,
+                                       gain, expected):
+    """The depth-9 desk solve and a time-dependent one, every layer pinned."""
+    spec = _time_dependent_spec() if time_dependent else PortfolioSpec(
+        r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5, x0=1.0, horizon_T=1.0)
+    report, digest = _refined_solve_digest(spec, n_actions, depth)
+    assert report.root_value == root
+    assert report.refined_gain_max == gain
+    # recorded from the solver whose probes stepped log_increment per atom
+    assert digest == expected
+
+
 def _brute_nearest(bins, q):
     """Reference miss rule: its own bin if populated, else the nearest
     populated time row, then the nearest state bin in that row, the
@@ -535,6 +572,47 @@ def test_corrupted_next_layer_raises_on_grid_action(drop):
     tree.layers[2] = solver.Lattice.over(np.delete(bins, gone, axis=0))
     with pytest.raises(NumericalError, match="mismatch"):
         backward_dp(tree)
+
+
+@pytest.mark.parametrize("cut", ["first", "last"])
+def test_node_probe_refuses_child_rows_off_the_next_box(cut):
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=2, Q=2,
+                      collapse=True, refine=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    bins = tree.layers[2].bins
+    edge = bins[:, 0].min() if cut == "first" else bins[:, 0].max()
+    tree.layers[2] = solver.Lattice.over(bins[bins[:, 0] != edge])
+    with pytest.raises(NumericalError, match="off the next layer"):
+        solver._node_probe(tree, 1)
+    with pytest.raises(NumericalError, match="off the next layer"):
+        for node in range(len(tree.layers[1].bins)):
+            hamiltonian(tree, res.values, 1, node, 0, action_value=0.37)
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_grid_stage_values_is_the_first_argmax(equal):
+    """The running strict > picks argmax's action, the smallest index on
+    ties, with the stage value of a per-node probe at that action."""
+    struct, payoff = pstruct()
+    grid = np.linspace(-1, 1, 9)
+    cfg = SolveConfig(action_grid=grid, depth=3, Q=2, collapse=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    n_next = len(tree.layers[3].bins)
+    # random values on a coarse set of levels, so some actions tie
+    nxt = np.full(n_next, 1.75) if equal else \
+        np.random.default_rng(4).integers(0, 3, n_next) * 0.5
+    best_idx, best_val = solver._grid_stage_values(tree, 2, nxt)
+    probe = solver._node_probe(tree, 2)
+    table = np.array([solver._probe_stage_values(tree, probe, float(a), nxt,
+                                                 allow_miss=False) for a in grid])
+    if equal:
+        assert np.all(best_idx == 0)
+    else:
+        assert np.any(np.sum(table == table.max(axis=0), axis=0) > 1)
+    assert np.array_equal(best_idx, np.argmax(table, axis=0))
+    assert np.array_equal(best_val, table.max(axis=0))
 
 
 def test_collapse_keys_are_node_indices():

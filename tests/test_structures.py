@@ -279,6 +279,39 @@ def test_collapse_ops_match_scalar_steps():
         assert stats[0, 1] == state.log_payoff_wealth[0]
 
 
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_increment_of_rates_is_the_one_wealth_law(time_dependent):
+    """increment(rates(t, a), dt, s) is log_increment and the single
+    expression it was written as, bit for bit, for scalar and array
+    arguments."""
+    spec = PortfolioSpec(r=0.03, alpha_k=lambda t: 0.05 + 0.02 * np.cos(3.0 * t),
+                         sigma_k=lambda t: 0.3 + 0.05 * np.sin(2.0 * t),
+                         gamma_util=0.5, x0=1.0) if time_dependent else pspec()
+    eps = 1.0 / 3
+    ops = PortfolioStructure(spec, eps).collapse_ops()
+    rng = np.random.default_rng(11)
+    n = 500
+    t, a = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    dt, s = rng.uniform(0.01, 0.4, n), rng.choice([-1, 1], n)
+
+    def written_out(t, a, dt, s):
+        al, sg = spec.alpha_k(t), spec.sigma_k(t)
+        return (a * (al - spec.r) + spec.r) * dt - 0.5 * (a * sg) ** 2 * dt \
+            + a * sg * eps * s
+
+    for args in [(t, a, dt, s), (t, float(a[0]), float(dt[0]), int(s[0])),
+                 (float(t[1]), float(a[1]), float(dt[1]), int(s[1]))]:
+        got = ops.increment(ops.rates(args[0], args[1]), args[2], args[3])
+        assert np.array_equal(got, ops.log_increment(*args))
+        assert np.array_equal(got, written_out(*args))
+        assert np.shape(got) == np.shape(written_out(*args))
+    # one rates for every atom of a probe
+    rates = ops.rates(t, a)
+    for d, sign in [(0.05, 1), (0.3, -1)]:
+        assert np.array_equal(ops.increment(rates, d, sign),
+                              written_out(t, a, d, sign))
+
+
 def test_argmax_invariant_under_x0():
     # stage ordering free of x0: the payoff factors as x0^gamma * rest
     eps = 1.0 / 3
