@@ -16,17 +16,18 @@ Numerics: rho_H is homogeneous, rho_H(ct, cs) = c^{H-3/2} rho_H(t, s), so
     P(t, s) := int_s^t rho_H(t, v) dv = t^{H-1/2} Phi(s/t),
     Q(t, s) := int_0^s P(t, v) dv   = t^{H+1/2} Omega(s/t),
 
-and one pair of tables Phi/Omega on (0, 1] serves every evaluation.  The
-(u-s)^{H-3/2} endpoint singularities are removed exactly by the power
-substitution w = (u-s)^{H-1/2} (the integrand becomes analytic), and the
-s -> 0 blow-up never enters because step paths vanish before their first
-event.  Each Phi value is one array evaluation: the Gauss nodes of all
-panels (and, inside them, of every inner integral) form one array, and the
-panel totals are added in panel order.  Powers of a single number per node,
-(t-s)^{H-1/2} and w^{-H-1/2}, go through libm pow element by element
-(_libm_pow): numpy's SIMD array power can differ from libm in the last bit,
-and the table is kept bit-identical to one built with a scalar pow per node.
-Powers taken over node arrays, w^q and u^{H-1/2}, stay array powers.
+and one pair of tables Phi/Omega on (0, 1] serves every evaluation.  Phi
+is built on its grid in one cumulative pass: in z = (1-w)^{H-1/2} both
+endpoint singularities of rho_H(1, w) cancel, so a 16-node Gauss rule on
+each grid cell, summed from x = 1 down, gives every Phi(x_i).  Against
+adaptive quadrature of rho_H it agrees to within 3e-9 relative from
+x = 1e-10 to 1 - 1e-8 at H = 0.6, 0.75 and 0.9, and 48 nodes per cell
+change no value by more than 4e-16 relative.  The inner integral's (u-s)^{H-3/2}
+singularity is removed exactly by w = (u-s)^{H-1/2} (the integrand becomes
+analytic), and the s -> 0 blow-up never enters because step paths vanish
+before their first event.  inner_kernel_integral takes (t-s)^{H-1/2}
+through libm pow element by element (_libm_pow), so an array of lower
+limits gives the bits of one scalar call per limit.
 
 Against a piecewise-constant skeleton path A (jumps eps*sigma_n at T_n):
 
@@ -52,6 +53,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigurationError
 
 _GX, _GW = leggauss(64)
+_CELL_GX, _CELL_GW = leggauss(16)   # rule on each cell of the Phi grid
+_CELL_BLOCK = 64                    # Phi grid cells evaluated together
 
 
 def _check_H(H: float):
@@ -98,48 +101,45 @@ def rho_H(t: float, s: float, H: float, d_H: float = 1.0) -> float:
                   - s ** (-H - 0.5) * t ** (H + 0.5) * (t - s) ** (H - 1.5))
 
 
-def _panel_nodes(edges: np.ndarray):
-    """Gauss nodes of every panel between consecutive edges, and half-widths."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return mid[:, None] + half[:, None] * _GX, half
+def _phi_on_grid(x: np.ndarray, H: float, d_H: float) -> np.ndarray:
+    """Phi(x_i) = int_{x_i}^1 rho_H(1, w) dw on an increasing grid ending at 1.
 
-
-def _phi_exact(x: float, H: float, d_H: float) -> float:
-    """Phi(x) = int_x^1 rho_H(1, w) dw with both singular ends handled."""
-    if x >= 1.0:
-        return 0.0
+    In z = (1-w)^{H-1/2}, w = 1 - z^q, the integrand is
+    g(z) = dph q w^{-H-1/2} [(H-1/2) inner(1, w) z^{q-1} - 1], with no
+    endpoint singularity left wherever x > 0.  One _CELL_GX rule on each
+    grid cell, summed from x = 1 down, gives every Phi(x_i) at once.  z is
+    carried as its complement v = 1 - z, so w = 1 - z^q keeps its relative
+    precision at small x, where z lies within (H-1/2) x of 1.
+    """
     dph = (H - 0.5) * d_H
     q = 1.0 / (H - 0.5)
-    # singular piece: -dph int_x^1 w^{-H-1/2}(1-w)^{H-3/2} dw, sub 1-w = z^q
-    zmax = (1.0 - x) ** (H - 0.5)
-    z, half = _panel_nodes(np.linspace(0.0, zmax, 9))
-    w = np.maximum(1.0 - z**q, x)
-    sums = np.sum(_GW * w ** (-H - 0.5), axis=-1)
-    tot_s = 0.0
-    for h, s in zip(half.tolist(), sums.tolist()):   # panel order
-        tot_s += h * s
-    sing = -dph * q * tot_s
-    # regular piece: dph (H-1/2) w^{-H-1/2} * inner(1, w); graded toward w = 0
-    npan = 24
-    lo = max(x, 1e-14)
-    edges = np.geomspace(lo, 1.0, npan + 1) if lo < 0.25 else np.linspace(lo, 1.0, npan + 1)
-    w, half = _panel_nodes(edges)
-    vals = _libm_pow(w, -H - 0.5) * inner_kernel_integral(1.0, w, H)
-    sums = np.sum(_GW * vals, axis=-1)
-    tot_r = 0.0
-    for h, s in zip(half.tolist(), sums.tolist()):
-        tot_r += h * s
-    return sing + dph * (H - 0.5) * tot_r
+    with np.errstate(divide="ignore"):          # x = 1 gives v = 1
+        v = -np.expm1((H - 0.5) * np.log1p(-x))
+    half = 0.5 * (v[1:] - v[:-1])
+    mid = 0.5 * (v[1:] + v[:-1])
+    cells = np.empty(len(half))
+    # blocks of cells bound the (cells, 16, 64) temporaries of the inner integral
+    for lo in range(0, len(half), _CELL_BLOCK):
+        blk = slice(lo, lo + _CELL_BLOCK)
+        log_z = np.log1p(-(mid[blk, None] + half[blk, None] * _CELL_GX))
+        w = -np.expm1(q * log_z)
+        g = (H - 0.5) * inner_kernel_integral(1.0, w, H) * np.exp((q - 1.0) * log_z)
+        g -= 1.0
+        g *= w ** (-H - 0.5)
+        cells[blk] = half[blk] * (g @ _CELL_GW)
+    phi = np.zeros(len(x))
+    phi[:-1] = np.cumsum(cells[::-1])[::-1]
+    return dph * q * phi
 
 
 @dataclass
 class FbmTable:
     """Interpolants for Phi and Omega on a grid graded into both endpoints.
 
-    Phi is tabulated once by exact quadrature and interpolated with a
-    monotone cubic; Omega is its analytic antiderivative plus the power-law
-    head C x^{3/2-H}/(3/2-H) accounting for the x -> 0 blow-up of Phi.
+    Phi is tabulated once by the cumulative z-rule (_phi_on_grid) and
+    interpolated with a monotone cubic; Omega is its analytic antiderivative
+    plus the power-law head C x^{3/2-H}/(3/2-H) accounting for the x -> 0
+    blow-up of Phi.
     """
 
     H: float
@@ -153,7 +153,7 @@ class FbmTable:
         lo = np.geomspace(self.x_min, 0.2, self.n_grid // 2)
         hi = 1.0 - np.geomspace(1e-8, 0.8, self.n_grid // 2)[::-1]
         self._x = np.unique(np.concatenate([lo, hi, [1.0]]))
-        self._phi = np.array([_phi_exact(x, self.H, self.d_H) for x in self._x])
+        self._phi = _phi_on_grid(self._x, self.H, self.d_H)
         self._phi_ip = PchipInterpolator(self._x, self._phi, extrapolate=False)
         self._omega_ip = self._phi_ip.antiderivative()
         c_head = self._phi[0] * self._x[0] ** (self.H - 0.5)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "SkeletonConfig",
@@ -290,23 +290,31 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
 
     Levels stay on the eps-lattice anchored at the last recorded level, so
     the recorded level moves by exactly +-eps per event; the overshoot at
-    detection time is bounded by the fine-grid increment scale.
+    detection time is bounded by the fine-grid increment scale.  For d >= 2,
+    two coordinates crossing at the same grid instant cannot be ordered, and
+    a skeleton step must take positive time: NumericalError names the
+    instant and the coordinates.
     """
     d = bm.shape[0]
     steps = len(t_grid) - 1
     window = _crossing_window(eps, (t_grid[-1] - t_grid[0]) / steps if steps else 0.0)
     per_coord = [_crossings(bm[j], 0.0, eps, window, start=1) for j in range(d)]
-    t = np.concatenate([t_grid[k] for k, _, _ in per_coord])
-    c = np.concatenate([np.full(len(k), j + 1, dtype=np.int64)
-                        for j, (k, _, _) in enumerate(per_coord)])
+    k = np.concatenate([idx for idx, _, _ in per_coord])
+    c = np.concatenate([np.full(len(idx), j + 1, dtype=np.int64)
+                        for j, (idx, _, _) in enumerate(per_coord)])
     s = np.concatenate([sgn for _, sgn, _ in per_coord])
-    order = np.lexsort((c, t))
-    t, c, s = t[order], c[order], s[order]
+    order = np.lexsort((c, k))
+    k, c, s = k[order], c[order], s[order]
     if n_steps is not None:
-        t, c, s = t[:n_steps], c[:n_steps], s[:n_steps]
-    dts = np.diff(np.concatenate([[0.0], t]))
-    keep = dts > 0  # distinct grid instants; equal-time ties cannot survive
-    return SkeletonPath(eps, d, dts[keep], c[keep], s[keep])
+        k, c, s = k[:n_steps], c[:n_steps], s[:n_steps]
+    tied = np.flatnonzero(np.diff(k) == 0)
+    if tied.size:
+        at = k[tied[0]]
+        raise NumericalError(f"coordinates {c[k == at].tolist()} cross at the same "
+                             f"grid instant t = {float(t_grid[at])!r} (index {at}); "
+                             "refine the grid")
+    t = t_grid[k]
+    return SkeletonPath(eps, d, np.diff(t, prepend=0.0), c, s)
 
 
 def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,

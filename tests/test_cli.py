@@ -558,7 +558,8 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     # tuples; the summaries re-recorded when the certificate fields were
     # deleted, the evaluation when each Monte Carlo chunk became one
     # sample_skeleton block (mc_mean 0.6601554984163842, mc_se
-    # 9.29462940367641e-3)
+    # 9.29462940367641e-3); the fBm solve re-recorded on the cumulative
+    # z-rule Phi table (root 0.43665681245151255 -> 0.43665681219695024)
     assert _digests(tmp_path, "solve", PDSDE_CFG, "pd") == {
         "value_policy.csv":
             "b0ca88ad81c1a288664ae56695316662755b0911a4f34ea5a71de5e08108a7dc",
@@ -567,9 +568,9 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     }
     assert _digests(tmp_path, "solve", FBM_CFG, "fbm") == {
         "value_policy.csv":
-            "0d90eb5aafb232e9a06019ed3ec102d87bcf7d9f953093f0d9b5dfd1a0b8cc3f",
+            "278607c98e3aca7b53d0717c4b184001893e0255cfa3fd19ee1c6b21655f00e8",
         "summary.json":
-            "b71a1b6fbe839b1a2095df72a302d74ede7dd0b8e523153e47f1ef61687e903e",
+            "17730fdc80f5a8cd4d3fa326f6c22c93ac3bde132cdcf59c10346507e94322e2",
     }
     assert _digests(tmp_path, "evaluate", PDSDE_CFG, "pde") == {
         "evaluate_metrics.json":

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from skeldp import fbm, skeleton
 from skeldp.errors import ConfigurationError
@@ -15,9 +17,9 @@ def unit(s):
     return np.array([s], dtype=np.int64)
 
 
-# SHA-256 of FbmTable(0.75)._phi.tobytes(), recorded on the scalar
-# per-node quadrature below before the table was batched.
-PHI_075_SHA256 = "c5a8b846f4ec5485ce67828dc25627d9f8e4d808e2552639ec16c3b150091803"
+# SHA-256 of FbmTable(0.75)._phi.tobytes(), recorded on the cumulative
+# z-rule build (one 16-node Gauss rule per grid cell).
+PHI_075_SHA256 = "d71d79d9d5543df52f70c6eaa3d69f1b6ba2b7fd0bc05e7a7df328b146df43c2"
 
 _GX, _GW = leggauss(64)
 
@@ -31,34 +33,6 @@ def scalar_inner_kernel_integral(t, s, H):
     w = 0.5 * wmax * (1.0 + _GX)
     u = s + w**q
     return float(0.5 * wmax * q * np.sum(_GW * u ** (H - 0.5)))
-
-
-def scalar_phi_exact(x, H, d_H):
-    """Reference: Phi(x) panel by panel with scalar inner integrals."""
-    if x >= 1.0:
-        return 0.0
-    dph = (H - 0.5) * d_H
-    q = 1.0 / (H - 0.5)
-    zmax = (1.0 - x) ** (H - 0.5)
-    edges = np.linspace(0.0, zmax, 9)
-    tot_s = 0.0
-    for i in range(8):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        z = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
-        w = np.maximum(1.0 - z**q, x)
-        tot_s += half * float(np.sum(_GW * w ** (-H - 0.5)))
-    sing = -dph * q * tot_s
-    npan = 24
-    lo = max(x, 1e-14)
-    edges = np.geomspace(lo, 1.0, npan + 1) if lo < 0.25 else np.linspace(lo, 1.0, npan + 1)
-    tot_r = 0.0
-    for i in range(npan):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        w = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
-        vals = np.array([w_i ** (-H - 0.5) * scalar_inner_kernel_integral(1.0, w_i, H)
-                         for w_i in w])
-        tot_r += half * float(np.sum(_GW * vals))
-    return sing + dph * (H - 0.5) * tot_r
 
 
 def test_rho_domain_checks():
@@ -77,15 +51,44 @@ def test_phi_table_bits_pinned():
     assert hashlib.sha256(phi.tobytes()).hexdigest() == PHI_075_SHA256
 
 
-# x < 0.25 grades the regular panels geometrically, x >= 0.25 linearly
-PHI_POINTS = np.array([0.0, 1e-10, 3e-7, 1e-4, 0.01, 0.1, 0.2, 0.2499,
-                       0.25, 0.31, 0.5, 0.77, 0.95, 1 - 1e-5, 1 - 1e-8])
+def quad_phi(H, xs, d_H=1.0):
+    """Reference: Phi at increasing points xs by adaptive quad of rho_H, split
+    at every x and at log-spaced points into both ends; the last piece takes
+    the (1-w)^{H-3/2} term with quad's algebraic end-point weight."""
+    pts = np.unique(np.concatenate([xs, np.geomspace(xs[0], 0.5, 22),
+                                    1.0 - np.geomspace(1e-9, 0.5, 18), [1.0]]))
+    dph = (H - 0.5) * d_H
+    opts = dict(epsabs=1e-15, epsrel=1e-10, limit=200)
+    pieces = [quad(lambda w: fbm.rho_H(1.0, w, H, d_H), a, b, **opts)[0]
+              for a, b in zip(pts[:-2], pts[1:-1])]
+    a = pts[-2]
+    regular = quad(lambda w: dph * (H - 0.5) * w ** (-H - 0.5)
+                   * fbm.inner_kernel_integral(1.0, w, H), a, 1.0, **opts)[0]
+    singular = quad(lambda w: -dph * w ** (-H - 0.5), a, 1.0, weight="alg",
+                    wvar=(0.0, H - 1.5), **opts)[0]
+    tails = np.cumsum((pieces + [regular + singular])[::-1])[::-1]
+    return tails[np.searchsorted(pts, xs)]
 
 
 @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
-def test_phi_exact_bit_identical_to_scalar_quadrature(H):
-    for x in PHI_POINTS:
-        assert fbm._phi_exact(x, H, 1.3) == scalar_phi_exact(x, H, 1.3), x
+def test_phi_table_matches_adaptive_quadrature(H):
+    table = fbm.FbmTable(H, d_H=1.3)
+    targets = [1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99,
+               1 - 1e-4, 1 - 1e-6, 1 - 1e-8]
+    idx = np.unique(np.minimum(np.searchsorted(table._x, targets), len(table._x) - 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # quad must converge on every piece
+        ref = quad_phi(H, table._x[idx], d_H=1.3)
+    np.testing.assert_allclose(table._phi[idx], ref, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("d_H", [1.0, 1.3])
+def test_phi_head_constant(d_H):
+    """Phi(x) ~ -(d_H / 2) x^{1/2-H} as x -> 0, which the head below x_min uses."""
+    H = 0.75
+    table = fbm.FbmTable(H, d_H=d_H)
+    head = table._phi[0] * table._x[0] ** (H - 0.5)
+    assert head == pytest.approx(-d_H / 2, abs=1e-4)
 
 
 @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
@@ -130,6 +133,19 @@ def test_representation_reproduces_fbm_covariance():
         assert cov / var1 == pytest.approx(expect, abs=2e-3)
 
 
+def test_representation_reproduces_fbm_covariance_to_5e_5():
+    """The covariance ratios of the representation, as above, to 5e-5."""
+    H = 0.75
+    table = fbm.get_table(H)
+    var1 = table.variance_at_one()
+    for u in (0.25, 0.5, 0.75):
+        gs = np.unique(np.concatenate([np.geomspace(1e-9, 0.05 * u, 200),
+                                       np.linspace(0.05 * u, u * (1 - 1e-9), 600)]))
+        cov = np.trapezoid(table.phi(gs) * u**(H - 0.5) * table.phi(gs / u), gs)
+        expect = 0.5 * (1 + u**(2 * H) - (1 - u)**(2 * H))
+        assert cov / var1 == pytest.approx(expect, abs=5e-5), u
+
+
 def test_fine_reference_refuses_eval_past_path_end():
     t_fine = np.linspace(0.0, 1.0, 11)
     b_fine = np.cos(t_fine)
@@ -142,30 +158,31 @@ def test_fine_reference_refuses_eval_past_path_end():
 # Criterion-9 coupled paths (H 0.75, dt = 2^-10 / 400, fine path stream 909):
 # seed -> (SHA-256 of B_H^ref on the coarse reference path,
 #          {k: (SHA-256 of crossing indices + signs, SHA-256 of W^k_H)}),
-# recorded with a fixed 4,096-point crossing scan window and per-eval-time
-# Phi and Omega table calls.
+# the crossings recorded with a fixed 4,096-point crossing scan window and
+# per-eval-time Phi and Omega table calls, B_H^ref and W^k_H re-recorded on
+# the cumulative z-rule Phi table.
 COUPLING_SHA256 = {
-    0: ('e0d2aaac5ea62af2575527a749f523ee61b416cbc42c38cf9b753d1936b033e9',
+    0: ('ccfe6ce3021ac0c00588850ce3ee90331a799a5d55b6a693928df86607e846bb',
         {3: ('99b8313cc49f438d11c7f4ba5e11fd9ef7efd62495afc50cbc78d2534bd3b59f',
-             '37e5b8ef02050b144c69decb8941dce5d40ac748a393033d9eaa98fba56bea66'),
+             'fce35dee4940124f5e12eb6ba67e3efc96d928adc269006da3caa7846edab663'),
          4: ('382a74e70d366585e17e66d92f3b7f1e165ae009efd8588d0b594e9c5949c158',
-             'ee110817c2decc717e2caff0b97fadbb6671c87c46e570bc38af062e43d2c09b'),
+             '87f746ffcaa86ba5845add467b6fa40f5de1ea93fdf9879950d7281c69f74e64'),
          5: ('0f555ad312e622a3bfb03f041dd7c068a5f5c7c318c9a488921192f41b8829e1',
-             '68e4913d1f18b502bed33f49300a4b67ccc51e3e1bc37e2aaf2631d0f0277466')}),
-    1: ('b18f5923f88f2d75cddf9745741642eb8133455141670cb8304ec73f2cd15a8a',
+             '74a2c05eea479431a8156535bc319c856777d314df5a3f4b861fb36dddfed84e')}),
+    1: ('08decc2e3843b121312231e0d42cf6cf9c964898bd635a69ca7f9d921728babd',
         {3: ('648a98cac8604fac530a713c2699c175f5b28842de2c03f49c700645c552cab9',
-             '73d72b9a4ab785ab31b40918bece27d7ded15b4a5dca951687771c9f3ab02076'),
+             '814b198c4593b8eb076653160750b72ff27f7d312cc67ce1928465aa27996850'),
          4: ('02e739c21bfcacb8a21a37723aaeef1e0dd154c203a271a56286f5ace1933f13',
-             '2884e4059592c86adfce6cfa601bcc1d347614736dc51d95de9e4702346b053b'),
+             'a6508b88410d3a0a2e97457cc1a5789e27cf0543a3e1642706b954115d511479'),
          5: ('b378d055209f1abf547d9eb4f084c860467719fd8add59921c00baea18d62e11',
-             '321496b5f7f5bedbbdd696d2e3ef8a33b65763192328c4e4874e9978296d1119')}),
-    2: ('ce603c7e425189ca6e9b330cb1aafdedceaf2b25d4ed1ec3080301f5aa65545d',
+             '60cb9fd784bd9e7ed62a909ab6912c65f15ce90c737462f1ac06d8f6ad3bdb14')}),
+    2: ('0dde15db203ad08dcad2e8afc1cd4e33912f3451952ea7b9e57544fe884c0b69',
         {3: ('8268ef7b0dc66c894df61ead0339c922be008300872232daf9cd76eab298b8b1',
-             '15d61ad8a30d0f3afca8caa0a99db800436f20f5d44e3c759008a22359f35d82'),
+             '07d80031a916590e94900b932493abbcddebf4e1d42fda895516be8359c6d85d'),
          4: ('f4b6febd42998ac4bb20257125c43322c5608ebb3fb4e0e5c4b0c0ad66b29245',
-             '366d11b8eb20646e0dfaeda848e6bb633460ebbd2aed5bfbf8f4cd1b5af7316b'),
+             '6dbe11c31c9da646b8c51f2238c0face5ba02d9396a6682cccfce343e1b7a309'),
          5: ('abcaf48132ce0c101fd0e3564bbb8c4ed2d115cac390d2c24f5010dc338b62ff',
-             'bc47351dfc4ace082fb23539b4c7d00f78458c616e3cec2fa1d0a9fd38877cfa')}),
+             '8427130d24aa953630b161877b8d9cdbfd2b957e554ea35c397b28b06d62fa6b')}),
 }
 
 

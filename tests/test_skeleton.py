@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from skeldp import density, skeleton
-from skeldp.errors import ConfigurationError
+from skeldp.errors import ConfigurationError, NumericalError
 from skeldp.skeleton import (SkeletonConfig, aleph, brownian_fine_path,
                              crossing_sample_skeleton, elapsed_times,
                              path_from_csv, path_to_csv, sample_skeleton)
@@ -192,6 +192,27 @@ def test_crossings_independent_of_scan_window():
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+
+
+def test_crossing_skeleton_refuses_tied_coordinates():
+    """Two coordinates crossing at one grid instant cannot be ordered.  Of 40
+    d = 2 paths (eps 0.25, dt = eps^2 / 400, stream 0), seed 32 crosses both
+    at grid index 4566 and is refused; on every other path each
+    coordinate's recorded signs sum to its final level."""
+    eps = 0.25
+    dt = eps**2 / 400
+    for seed in range(40):
+        t_grid, bm = brownian_fine_path(2, 1.0, dt, seed=seed, stream=0)
+        if seed == 32:
+            with pytest.raises(NumericalError, match=r"coordinates \[1, 2\] cross "
+                                                     r"at the same grid .*index 4566"):
+                crossing_sample_skeleton(eps, t_grid, bm)
+            continue
+        path = crossing_sample_skeleton(eps, t_grid, bm)
+        window = skeleton._crossing_window(eps, dt)
+        for j in (1, 2):
+            *_, level = skeleton._crossings(bm[j - 1], 0.0, eps, window, start=1)
+            assert eps * path.signs[path.coords == j].sum() == level, (seed, j)
 
 
 def test_crossing_event_stream_bits_pinned():
