@@ -117,8 +117,7 @@ def _int(section: dict, key: str, default, where: str) -> int:
 
 
 def _solve_cfg(section: dict) -> solver.SolveConfig:
-    allowed = {"action_grid", "depth", "Q", "epsilon_total", "collapse", "refine",
-               "refine_iters", "node_cap", "time_bin_width", "state_bin_width"}
+    allowed = {f.name for f in dataclasses.fields(solver.SolveConfig)}
     _require_keys(section, allowed, "solve")
     grid_spec = section.get("action_grid")
     if isinstance(grid_spec, dict):
@@ -194,13 +193,12 @@ def cmd_kernel(args) -> int:
     _require_top(cfg)
     skel = _skeleton_cfg(cfg["skeleton"], args.epsilon)
     ksec = cfg.get("kernel", {})
-    _require_keys(ksec, {"lags", "Q", "rule"}, "kernel")
+    _require_keys(ksec, {"lags", "Q"}, "kernel")
     lags = np.asarray(ksec.get("lags", [0.0] * skel.d), dtype=float)
     if len(lags) != skel.d:
         raise ConfigurationError(
             f"kernel.lags has {len(lags)} entries for d={skel.d}")
-    disc = kernel.discretize_kernel(lags, skel.epsilon_k, _int(ksec, "Q", 8, "kernel"),
-                                    ksec.get("rule", "quantile"))
+    disc = kernel.discretize_kernel(lags, skel.epsilon_k, _int(ksec, "Q", 8, "kernel"))
     rows = [["delta_t", "coord", "sign", "weight"]]
     for m in range(len(disc)):
         rows.append([_fmt(disc.delta_t[m]), int(disc.coords[m]),
@@ -416,8 +414,8 @@ def cmd_portfolio(args) -> int:
         if t_rep >= spec.horizon_T:
             g_actions.append(g_actions[-1] if g_actions else 0.0)
             continue
-        vals = [structures.stage_g_truncated(float(a), t_rep, spec,
-                                             skel.epsilon_k, n_g) for a in grid]
+        vals = [structures.stage_g(float(a), t_rep, spec, skel.epsilon_k, n_terms=n_g)
+                for a in grid]
         g_actions.append(float(grid[int(np.argmax(vals))]))
 
     payload = _summary_payload(res, extra={

@@ -206,6 +206,7 @@ _INV_TABLE: list = []
 # the tracemalloc peak is ~0.87 MB in 4,096-value passes and ~5.0 MB in
 # one pass; 8,192-value passes and one pass timed no faster
 _INV_BLOCK = 4096
+_INV_TOL = 1e-12        # CDF residual past which a Newton quantile is bisected
 
 
 def _inverse_table():
@@ -226,7 +227,7 @@ def _inverse_table():
     return _INV_TABLE[0]
 
 
-def inverse_cdf_tau(u, tol: float = 1e-12):
+def inverse_cdf_tau(u):
     """Quantile function of tau: table-interpolated start, Newton polish.
 
     Values are solved _INV_BLOCK at a time, which bounds the (values,
@@ -238,11 +239,11 @@ def inverse_cdf_tau(u, tol: float = 1e-12):
     flat = arr.ravel()
     x = np.empty_like(flat)
     for i in range(0, len(flat), _INV_BLOCK):
-        x[i:i + _INV_BLOCK] = _inverse_block(flat[i:i + _INV_BLOCK], tol)
+        x[i:i + _INV_BLOCK] = _inverse_block(flat[i:i + _INV_BLOCK])
     return float(x[0]) if scalar else x.reshape(arr.shape)
 
 
-def _inverse_block(arr: np.ndarray, tol: float) -> np.ndarray:
+def _inverse_block(arr: np.ndarray) -> np.ndarray:
     t_u, t_x = _inverse_table()
     x = np.interp(arr, t_u, t_x)
     # 12 series terms: truncation < 1e-20 everywhere on the bracket; being
@@ -253,9 +254,9 @@ def _inverse_block(arr: np.ndarray, tol: float) -> np.ndarray:
         step = np.where(dfx > 0, fx / np.maximum(dfx, 1e-300), 0.0)
         x = np.clip(x - step, 5e-4, 120.0)
     resid = np.abs(cdf_tau(x, 12) - arr)
-    if np.any(resid > tol):
+    if np.any(resid > _INV_TOL):
         # Newton can stall in the extreme tails; bisect the stragglers
-        bad = resid > tol
+        bad = resid > _INV_TOL
         lo_b = np.full(int(bad.sum()), 5e-4)
         hi_b = np.full(int(bad.sum()), 120.0)
         for _ in range(100):
@@ -284,27 +285,36 @@ def _gauss_panels(fn, a: float, b: float, panels: int):
     return float(np.sum(half[:, 0] * (vals @ _GAUSS_W64)))
 
 
-def integrate_f_tau(a: float, b: float, panels: int = 40) -> float:
-    """int_a^b f_tau, split at the crossover; b may be inf (analytic tail)."""
-    a = max(a, 0.0)
-    if not np.isfinite(b):
-        return integrate_f_tau(a, TAIL_CUTOFF + 10.0, panels) + float(
-            survival_tau(TAIL_CUTOFF + 10.0)
-        )
+def _branch_integral(fn, a: float, b: float, panels: int) -> float:
+    """int_a^b fn by Gauss panels on each side of the crossover."""
     total = 0.0
     lo = max(a, 5e-3)  # density underflows below ~2e-2; 5e-3 is paranoid
     if lo < min(b, CROSSOVER):
-        total += _gauss_panels(f_tau, lo, min(b, CROSSOVER), panels)
+        total += _gauss_panels(fn, lo, min(b, CROSSOVER), panels)
     if b > CROSSOVER:
-        total += _gauss_panels(f_tau, max(lo, CROSSOVER), b, panels)
+        total += _gauss_panels(fn, max(lo, CROSSOVER), b, panels)
     return total
 
 
-def tail_moment(a: float, n_terms: int = 64) -> float:
-    """int_a^inf x f(x) dx via the large-branch series, valid for a >= 2/pi."""
+_MASS_PANELS = 40       # Gauss panels per crossover branch of integrate_f_tau
+_MOMENT_PANELS = 24     # and of _moment_piece
+
+
+def integrate_f_tau(a: float, b: float) -> float:
+    """int_a^b f_tau, split at the crossover; b may be inf (analytic tail)."""
+    if not np.isfinite(b):
+        return integrate_f_tau(a, TAIL_CUTOFF + 10.0) + float(
+            survival_tau(TAIL_CUTOFF + 10.0)
+        )
+    return _branch_integral(f_tau, a, b, _MASS_PANELS)
+
+
+def tail_moment(a: float) -> float:
+    """int_a^inf x f(x) dx via 64 terms of the large-branch series, valid
+    for a >= 2/pi."""
     if a < CROSSOVER:
         raise ConfigurationError("tail_moment requires a >= 2/pi")
-    ell = np.arange(n_terms)
+    ell = np.arange(64)
     odd = 2 * ell + 1
     c = np.pi**2 * odd**2 / 8.0
     expo = -c * a
@@ -312,50 +322,27 @@ def tail_moment(a: float, n_terms: int = 64) -> float:
     return float((np.pi / 2.0) * np.sum((-1.0) ** ell * odd * terms * (a / c + 1.0 / c**2)))
 
 
-def _moment_piece(a: float, b: float, panels: int = 24) -> float:
+def _moment_piece(a: float, b: float) -> float:
     """int_a^b x f(x) dx by Gauss panels (finite b, within one branch or split)."""
-    total = 0.0
-    lo = max(a, 5e-3)
-    if lo < min(b, CROSSOVER):
-        total += _gauss_panels(lambda x: x * f_tau(x), lo, min(b, CROSSOVER), panels)
-    if b > CROSSOVER:
-        total += _gauss_panels(lambda x: x * f_tau(x), max(lo, CROSSOVER), b, panels)
-    return total
+    return _branch_integral(lambda x: x * f_tau(x), a, b, _MOMENT_PANELS)
 
 
-def quantize_tau(Q: int, rule: str = "quantile") -> Quantization:
-    """Finite-support approximation of tau with Q base nodes.
-
-    quantile: nodes at the conditional means of Q equal-probability slices,
-    all weights 1/Q; preserves total mass and the exact mean.
-    gauss: 64-panel Gauss nodes collapsed to a Q-point rule on a truncated
-    support with the residual tail mass folded into the last node.
-    """
+def quantize_tau(Q: int) -> Quantization:
+    """Finite-support approximation of tau with Q base nodes: the
+    conditional means of Q equal-probability slices, all weights 1/Q; it
+    preserves total mass and the exact mean."""
     if Q < 1:
         raise ConfigurationError(f"Q must be >= 1, got {Q}")
-    if rule == "quantile":
-        edges = np.concatenate(
-            [[0.0], inverse_cdf_tau(np.arange(1, Q) / Q) if Q > 1 else [], [np.inf]]
-        )
-        nodes = np.empty(Q)
-        for i in range(Q):
-            a, b = edges[i], edges[i + 1]
-            if np.isfinite(b):
-                m = _moment_piece(a, b)
-            else:
-                m = (tail_moment(a) if a >= CROSSOVER
-                     else _moment_piece(a, CROSSOVER) + tail_moment(CROSSOVER))
-            nodes[i] = m * Q  # conditional mean of a 1/Q slice
-        weights = np.full(Q, 1.0 / Q)
-        return Quantization(nodes, weights)
-    if rule == "gauss":
-        lo, hi = 5e-3, TAIL_CUTOFF
-        gx, gw = leggauss(Q)
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gx
-        w = 0.5 * (hi - lo) * gw * f_tau(x)
-        order = np.argsort(x)
-        x, w = x[order], w[order]
-        w[-1] += float(survival_tau(hi))  # fold the cut tail into the last node
-        w /= w.sum()
-        return Quantization(x, w)
-    raise ConfigurationError(f"unknown quantization rule {rule!r}")
+    edges = np.concatenate(
+        [[0.0], inverse_cdf_tau(np.arange(1, Q) / Q) if Q > 1 else [], [np.inf]]
+    )
+    nodes = np.empty(Q)
+    for i in range(Q):
+        a, b = edges[i], edges[i + 1]
+        if np.isfinite(b):
+            m = _moment_piece(a, b)
+        else:
+            m = (tail_moment(a) if a >= CROSSOVER
+                 else _moment_piece(a, CROSSOVER) + tail_moment(CROSSOVER))
+        nodes[i] = m * Q  # conditional mean of a 1/Q slice
+    return Quantization(nodes, np.full(Q, 1.0 / Q))

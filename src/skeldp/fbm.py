@@ -55,6 +55,9 @@ from .errors import ConfigurationError
 _GX, _GW = leggauss(64)
 _CELL_GX, _CELL_GW = leggauss(16)   # rule on each cell of the Phi grid
 _CELL_BLOCK = 64                    # Phi grid cells evaluated together
+_N_GRID = 1200                      # Phi grid points, half graded into each end
+_X_MIN = 1e-10                      # smallest Phi grid point; a power-law head below
+_VAR_GX, _VAR_GW = leggauss(4)      # exact for the square of a cubic cell
 
 
 def _check_H(H: float):
@@ -144,14 +147,12 @@ class FbmTable:
 
     H: float
     d_H: float = 1.0
-    n_grid: int = 1200
-    x_min: float = 1e-10
 
     def __post_init__(self):
         from scipy.interpolate import PchipInterpolator
         _check_H(self.H)
-        lo = np.geomspace(self.x_min, 0.2, self.n_grid // 2)
-        hi = 1.0 - np.geomspace(1e-8, 0.8, self.n_grid // 2)[::-1]
+        lo = np.geomspace(_X_MIN, 0.2, _N_GRID // 2)
+        hi = 1.0 - np.geomspace(1e-8, 0.8, _N_GRID // 2)[::-1]
         self._x = np.unique(np.concatenate([lo, hi, [1.0]]))
         self._phi = _phi_on_grid(self._x, self.H, self.d_H)
         self._phi_ip = PchipInterpolator(self._x, self._phi, extrapolate=False)
@@ -183,8 +184,14 @@ class FbmTable:
         return out
 
     def variance_at_one(self) -> float:
-        """Var B_H(1) = int_0^1 Phi(w)^2 dw (Ito isometry after parts)."""
-        return float(np.trapezoid(self._phi**2, self._x))
+        """Var B_H(1) = int_0^1 Phi(w)^2 dw (Ito isometry after parts), exact
+        for the table: the squared cubic of each cell by a 4-point Gauss
+        rule, plus the power-law head's phi[0]^2 x_min / (2 - 2H)."""
+        x = self._x
+        half = 0.5 * (x[1:] - x[:-1])
+        phi = self._phi_ip(0.5 * (x[1:] + x[:-1])[:, None] + half[:, None] * _VAR_GX)
+        head = self._phi[0] ** 2 * x[0] / (2.0 - 2.0 * self.H)
+        return float(half @ (phi**2 @ _VAR_GW) + head)
 
 
 _TABLE_CACHE: dict[tuple, FbmTable] = {}
@@ -210,21 +217,13 @@ def _checked_events(event_times, event_signs):
     return event_times, event_signs
 
 
-def fbm_from_skeleton(event_times, event_signs=None, eps: float | None = None,
-                      H: float | None = None, t_grid=None,
+def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
                       d_H: float = 1.0) -> np.ndarray:
     """W^k_H on t_grid: B^k_H frozen at the skeleton's own event times.
 
-    Accepts either (event_times, event_signs, eps) arrays for a
-    one-dimensional skeleton, or a SkeletonPath as the first argument.
+    event_times and event_signs are a one-dimensional skeleton's cumulative
+    event times and +-1 signs, as `SkeletonPath.cum_times` and `.signs`.
     """
-    if hasattr(event_times, "cum_times"):   # a SkeletonPath
-        path = event_times
-        if path.d != 1:
-            raise ConfigurationError("fBm driver is one-dimensional")
-        event_times, event_signs, eps = path.cum_times, path.signs, path.epsilon_k
-    if event_signs is None or eps is None or H is None or t_grid is None:
-        raise ConfigurationError("need event signs, eps, H and t_grid")
     event_times, event_signs = _checked_events(event_times, event_signs)
     t_grid = np.asarray(t_grid, dtype=float)
     table = get_table(H, d_H)

@@ -90,18 +90,19 @@ def _tail(x):
 
 
 _FF_CACHE: dict[tuple, float] = {}
+_FF_REL_TOL = 1e-8      # relative change at which panel doubling stops
 
 
-def _first_fire_factor(lags_u: np.ndarray, j0: int, rel_tol: float = 1e-8) -> float:
+def _first_fire_factor(lags_u: np.ndarray, j0: int) -> float:
     """Second factor of the product formula, in unit-tau coordinates.
 
     Evaluates the double integral over the bounded box (0, X)^2 obtained by
     the substitution s -> -r, truncated at the tail cutoff X; panel count
-    doubles until the relative change is below rel_tol (budget split between
-    the two nested rules).  Interval- and sign-independent; the double
-    integral depends only on the coordinate's own lag and the other lags in
-    order, so it is memoized on those, and coordinates with equal lags share
-    one quadrature.  The tail-mass product is divided out on every call.
+    doubles until the relative change is below _FF_REL_TOL (budget split
+    between the two nested rules).  Interval- and sign-independent; the
+    double integral depends only on the coordinate's own lag and the other
+    lags in order, so it is memoized on those, and coordinates with equal
+    lags share one quadrature.  The tail-mass product is divided out on every call.
     """
     d = len(lags_u)
     denom = float(np.prod(_tail(lags_u)))
@@ -111,13 +112,11 @@ def _first_fire_factor(lags_u: np.ndarray, j0: int, rel_tol: float = 1e-8) -> fl
     rounded = np.round(lags_u, 14)
     cache_key = (rounded[j0], tuple(rounded[others]))
     if cache_key not in _FF_CACHE:
-        _FF_CACHE[cache_key] = _first_fire_integral(lags_u[j0], lags_u[others],
-                                                    rel_tol)
+        _FF_CACHE[cache_key] = _first_fire_integral(lags_u[j0], lags_u[others])
     return _FF_CACHE[cache_key] / denom
 
 
-def _first_fire_integral(own_lag: float, other_lags: np.ndarray,
-                         rel_tol: float) -> float:
+def _first_fire_integral(own_lag: float, other_lags: np.ndarray) -> float:
     """The first-fire double integral, before division by the tail masses."""
     X = density.TAIL_CUTOFF
 
@@ -146,7 +145,7 @@ def _first_fire_integral(own_lag: float, other_lags: np.ndarray,
     prev = evaluate(4)
     for panels in (8, 16, 32):
         cur = evaluate(panels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-30):
+        if abs(cur - prev) <= _FF_REL_TOL * max(abs(cur), 1e-30):
             return cur
         prev = cur
     raise NumericalError(
@@ -185,25 +184,26 @@ def first_fire_probability(lags, coord: int, eps_k: float) -> float:
     return _first_fire_factor(lags / eps_k**2, coord - 1)
 
 
-# one cached d=1 discretization per (eps, Q, rule); the d=1 kernel is
+# one cached d=1 discretization per (eps, Q); the d=1 kernel is
 # history-free so a single table serves the whole run
 _D1_CACHE: dict[tuple, DiscretizedKernel] = {}
 
 
-def discretize_kernel(lags, eps_k: float, Q: int, rule: str = "quantile") -> DiscretizedKernel:
+def discretize_kernel(lags, eps_k: float, Q: int) -> DiscretizedKernel:
     """Finite-support one-step kernel for the DP tree.
 
-    d=1: quantize tau, scale nodes by eps^2, split each node into +-1 at half
-    weight.  d>1: quantile nodes of the mixture delta-t marginal, then per
-    node the (coord, sign) weights come from kernel_prob over the node's
-    slice; weights renormalized to kill residual quadrature drift.
+    Both use the quantile rule.  d=1: quantize tau, scale nodes by eps^2,
+    split each node into +-1 at half weight.  d>1: quantile nodes of the
+    mixture delta-t marginal, then per node the (coord, sign) weights come
+    from kernel_prob over the node's slice; weights renormalized to kill
+    residual quadrature drift.
     """
     lags = np.asarray(lags, dtype=float)
     d = len(lags)
     if d == 1:
-        key = (round(float(eps_k), 15), Q, rule)
+        key = (round(float(eps_k), 15), Q)
         if key not in _D1_CACHE:
-            quant = density.quantize_tau(Q, rule)
+            quant = density.quantize_tau(Q)
             nodes = np.repeat(quant.nodes * eps_k**2, 2)
             signs = np.tile([1, -1], Q)
             coords = np.ones(2 * Q, dtype=np.int64)
@@ -211,8 +211,6 @@ def discretize_kernel(lags, eps_k: float, Q: int, rule: str = "quantile") -> Dis
             _D1_CACHE[key] = DiscretizedKernel(nodes, coords, signs, weights)
         return _D1_CACHE[key]
 
-    if rule != "quantile":
-        raise ConfigurationError("d>1 discretization supports only the quantile rule")
     lags_u = lags / eps_k**2
     pfirst = np.array([_first_fire_factor(lags_u, j) for j in range(d)])
     pfirst = pfirst / pfirst.sum()  # exact at d=2; renormalizes residue for d>2

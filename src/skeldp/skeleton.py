@@ -132,12 +132,6 @@ class SkeletonPath:
     def cum_times(self) -> np.ndarray:
         return np.cumsum(self.delta_t, axis=-1)
 
-    def per_coordinate_times(self, j: int) -> np.ndarray:
-        """Hitting times of coordinate j (1-based), in increasing order."""
-        if not 1 <= j <= self.d:
-            raise ConfigurationError(f"coordinate {j} outside 1..{self.d}")
-        return self.cum_times[self.coords == j]
-
 
 def _draw_length(n: int, d: int) -> int:
     """Events drawn per coordinate and round for a d > 1 merge of n events."""

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_ITERS = 16      # golden-section steps of a refinement
 # children per structure step of a full-tree solve: bounds the states alive
 # per depth (a depth-5, 248,832-leaf layer of states would take ~35 MB)
 _BLOCK = 4096
@@ -85,7 +86,6 @@ class SolveConfig:
     epsilon_total: float = 0.01
     collapse: bool = False
     refine: bool = False
-    refine_iters: int = 16
     node_cap: int = 2_000_000
     time_bin_width: float | None = None     # default eps^2 / 4
     state_bin_width: float = math.log(1.0 + 1e-3)
@@ -94,7 +94,7 @@ class SolveConfig:
         self.action_grid = np.asarray(self.action_grid, dtype=float)
         if self.action_grid.ndim != 1 or len(self.action_grid) == 0:
             raise ConfigurationError("action_grid must be a nonempty 1-d array")
-        for name, lo in (("depth", 0), ("Q", 1), ("node_cap", 1), ("refine_iters", 0)):
+        for name, lo in (("depth", 0), ("Q", 1), ("node_cap", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
                     or value < lo:
@@ -114,13 +114,6 @@ class SolveConfig:
         return float(np.max(np.diff(g))) if len(g) > 1 else 0.0
 
 
-def _entry(layers: list, depth: int, node: int):
-    layer = layers[depth]
-    if not 0 <= node < len(layer):
-        raise KeyError(f"no node {node} at depth {depth} ({len(layer)} nodes)")
-    return layer[node]
-
-
 @dataclass
 class ValueTable:
     """Per-depth node values, arrays in node order (see the module docstring)."""
@@ -128,7 +121,10 @@ class ValueTable:
     layers: list
 
     def value(self, depth: int, node: int):
-        return _entry(self.layers, depth, node)
+        layer = self.layers[depth]
+        if not 0 <= node < len(layer):
+            raise KeyError(f"no node {node} at depth {depth} ({len(layer)} nodes)")
+        return layer[node]
 
 
 @dataclass
@@ -136,9 +132,6 @@ class Policy:
     """Per-depth selected actions, arrays in node order (as in ValueTable)."""
 
     layers: list
-
-    def action(self, depth: int, node: int) -> float:
-        return float(_entry(self.layers, depth, node))
 
 
 @dataclass
@@ -329,18 +322,13 @@ class Lattice:
         """Boolean box of the populated cells."""
         return (self.rank >= 0).reshape(self.shape)
 
-    def find(self, *components: np.ndarray) -> np.ndarray:
-        """Node index of each bin, given one index array per component;
-        -1 where the cell is empty or off the box."""
-        rel = tuple(c - o for c, o in zip(components, self.origin))
+    def locate(self, bins: np.ndarray) -> np.ndarray:
+        """Node index of each bin row; -1 where the cell is empty or off the box."""
+        rel = tuple(c - o for c, o in zip(bins.T, self.origin))
         inside = np.logical_and.reduce(
             [(r >= 0) & (r < e) for r, e in zip(rel, self.shape)])
         idx = self.rank[np.ravel_multi_index(rel, self.shape, mode="clip")]
         return np.where(inside, idx, -1)
-
-    def locate(self, bins: np.ndarray) -> np.ndarray:
-        """Node index of each bin row; -1 where the cell is empty or off the box."""
-        return self.find(*bins.T)
 
 
 def _axis(lattice: Lattice, c: int, width: float):
@@ -667,7 +655,7 @@ def _backward_collapse(tree: Tree) -> SolveResult:
             ref_act, ref_val = _golden_refine(
                 lambda act: _probe_stage_values(tree, probe, act, next_values,
                                                 allow_miss=True),
-                lo, hi, cfg.refine_iters)
+                lo, hi)
             take = ref_val > best_val
             refined_gain_max = max(refined_gain_max,
                                    float(np.max(ref_val - best_val, initial=0.0)))
@@ -691,14 +679,15 @@ def _solve_result(tree: Tree, values: list, policy: list,
     return SolveResult(ValueTable(values), Policy(policy), report)
 
 
-def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray, iters: int):
-    """Vectorized golden-section max of the stage map on per-node intervals."""
+def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray):
+    """Vectorized golden-section max of the stage map on per-node intervals,
+    _REFINE_ITERS steps."""
     a, b = lo.copy(), hi.copy()
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1 = stage_fn(x1)
     f2 = stage_fn(x2)
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         take2 = f1 < f2
         a = np.where(take2, x1, a)
         b = np.where(take2, b, x2)

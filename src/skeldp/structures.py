@@ -53,7 +53,7 @@ __all__ = [
     "PdSdeSpec", "CaseAState", "CaseAStructure",
     "FbmSpec", "FbmState", "FbmStructure",
     "PortfolioSpec", "PortfolioState", "PortfolioStructure", "power_utility_payoff",
-    "stage_p", "stage_g", "stage_g_truncated", "stage_truncation_gap",
+    "stage_p", "stage_g", "stage_truncation_gap",
     "drift_registry", "diffusion_registry", "structure_from_config",
 ]
 
@@ -531,8 +531,11 @@ def stage_p(a: float, t: float, spec: PortfolioSpec) -> float:
     return g * (a * (al - spec.r) + spec.r) - 0.5 * g * (a * sg) ** 2
 
 
-def _exp_weighted_integral(q: float, upper: float, n_terms: int | None,
-                           panels: int = 24) -> float:
+_STAGE_PANELS = 24      # Gauss panels per crossover branch of the stage integral
+_GAP_MAX_EXTRA = 80     # most series terms past n that stage_truncation_gap sums
+
+
+def _exp_weighted_integral(q: float, upper: float, n_terms: int | None) -> float:
     """int_0^upper exp(q u) f_tau(u) du with f exact or n_terms-truncated."""
     if upper <= 0:
         return 0.0
@@ -541,19 +544,15 @@ def _exp_weighted_integral(q: float, upper: float, n_terms: int | None,
     def fn(u):
         return np.exp(q * u) * density.f_tau(u, trunc)
 
-    total = 0.0
-    lo = 5e-3
-    if lo < min(upper, density.CROSSOVER):
-        hi = min(upper, density.CROSSOVER)
-        edges = np.linspace(lo, hi, panels + 1)
-        for i in range(panels):
-            half = 0.5 * (edges[i + 1] - edges[i])
-            u = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
-            total += half * float(np.sum(_GW * fn(u)))
+    pieces = []
+    if 5e-3 < min(upper, density.CROSSOVER):
+        pieces.append((5e-3, min(upper, density.CROSSOVER)))
     if upper > density.CROSSOVER:
-        hi = min(upper, density.TAIL_CUTOFF + 5.0)
-        edges = np.linspace(density.CROSSOVER, hi, panels + 1)
-        for i in range(panels):
+        pieces.append((density.CROSSOVER, min(upper, density.TAIL_CUTOFF + 5.0)))
+    total = 0.0
+    for lo, hi in pieces:
+        edges = np.linspace(lo, hi, _STAGE_PANELS + 1)
+        for i in range(_STAGE_PANELS):
             half = 0.5 * (edges[i + 1] - edges[i])
             u = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
             total += half * float(np.sum(_GW * fn(u)))
@@ -565,8 +564,11 @@ def stage_g(a: float, t_elapsed: float, spec: PortfolioSpec, eps: float,
     """Stage objective g(a, b) = (1/g) cosh(g sigma eps a) E[e^{p u eps^2}; u < U].
 
     The integral runs over the unit-tau variable up to U = (T - t) eps^-2,
-    i.e. only steps that land inside the horizon contribute.
+    i.e. only steps that land inside the horizon contribute.  n_terms, if
+    given, replaces the density by its n_terms partial sum.
     """
+    if n_terms is not None and n_terms < 1:
+        raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
     T = spec.horizon_T
     if t_elapsed >= T:
         raise ConfigurationError("stage time must be below the horizon")
@@ -577,16 +579,8 @@ def stage_g(a: float, t_elapsed: float, spec: PortfolioSpec, eps: float,
     return math.cosh(g * sg * eps * a) / g * _exp_weighted_integral(q, upper, n_terms)
 
 
-def stage_g_truncated(a: float, t_elapsed: float, spec: PortfolioSpec, eps: float,
-                      n: int) -> float:
-    """g with the density replaced by its n-term partial sum."""
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    return stage_g(a, t_elapsed, spec, eps, n_terms=n)
-
-
 def stage_truncation_gap(a: float, t_elapsed: float, spec: PortfolioSpec,
-                         eps: float, n: int, max_extra: int = 80) -> float:
+                         eps: float, n: int) -> float:
     """|g - g_n| computed from the series tail (no catastrophic subtraction).
 
     g - g_n integrates the omitted alternating tail sum_{l >= n} (-1)^l term_l
@@ -600,7 +594,7 @@ def stage_truncation_gap(a: float, t_elapsed: float, spec: PortfolioSpec,
     upper = (T - t_elapsed) * eps**-2
     q = stage_p(a, t_elapsed, spec) * eps**2
     total = 0.0
-    for ell in range(n, n + max_extra):
+    for ell in range(n, n + _GAP_MAX_EXTRA):
         odd = 2 * ell + 1
         term = 0.0
         # small branch on (0, min(upper, 2/pi))

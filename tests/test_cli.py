@@ -61,13 +61,20 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_unknown_key_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("command, section, key, value", [
+    ("solve", "solve", "surprise", 1),
+    ("solve", "solve", "refine_iters", -1),
+    ("kernel", "kernel", "rule", "gauss"),
+], ids=["solve-surprise", "solve-refine_iters", "kernel-rule"])
+def test_unknown_key_exit_1(tmp_path, capsys, command, section, key, value):
     cfg = json.loads(json.dumps(MERTON_CFG))
-    cfg["solve"]["surprise"] = 1
-    rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+    cfg.setdefault(section, {})[key] = value
+    rc = main([command, "--config", write_cfg(tmp_path, cfg),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    assert "surprise" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown keys") and key in err
+    assert "Traceback" not in err
 
 
 def test_unknown_coefficient_name_exit_1(tmp_path, capsys):
@@ -311,10 +318,9 @@ def test_malformed_policy_csv_exit_1(tmp_path, capsys, text, where):
     {"Q": 0},
     {"Q": 2.0},
     {"node_cap": 0},
-    {"refine_iters": -1},
 ], ids=["negative-state-width", "negative-time-width", "zero-widths", "nan-state-width",
         "infinite-time-width", "fractional-depth", "bool-depth", "negative-depth", "zero-Q",
-        "float-Q", "zero-node-cap", "negative-refine-iters"])
+        "float-Q", "zero-node-cap"])
 def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update({"depth": 2, **solve})

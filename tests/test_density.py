@@ -132,11 +132,6 @@ def test_quantize_pushforward_converges():
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
 
-def test_quantize_gauss_rule_mass():
-    q = density.quantize_tau(8, "gauss")
-    assert q.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_near_zero_underflow_returns_zero():
     assert density.f_tau(1e-4) == 0.0
     assert density.f_tau(3e-4) == 0.0
@@ -153,8 +148,6 @@ def test_domain_errors():
         density.inverse_cdf_tau(1.0)
     with pytest.raises(ConfigurationError):
         density.quantize_tau(0)
-    with pytest.raises(ConfigurationError):
-        density.quantize_tau(4, "nonsense")
 
 
 @settings(max_examples=60, deadline=None)

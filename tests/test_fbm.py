@@ -146,6 +146,20 @@ def test_representation_reproduces_fbm_covariance_to_5e_5():
         assert cov / var1 == pytest.approx(expect, abs=5e-5), u
 
 
+@pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
+def test_variance_at_one_integrates_the_table_exactly(H):
+    """Var B_H(1) is int_0^1 Phi^2 of the table itself, head included."""
+    table = fbm.get_table(H)
+    x = table._x
+
+    def sq(w):
+        return float(table.phi(w)) ** 2
+
+    ref = (quad(sq, 0.0, x[0])[0]
+           + quad(sq, x[0], 1.0, points=x[1:-1], limit=4 * len(x))[0])
+    assert table.variance_at_one() == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
 def test_fine_reference_refuses_eval_past_path_end():
     t_fine = np.linspace(0.0, 1.0, 11)
     b_fine = np.cos(t_fine)

@@ -52,7 +52,7 @@ def test_merged_times_are_sorted_union():
     cfg = SkeletonConfig(epsilon_k=0.5, d=3, n_steps=300)
     path = sample_skeleton(cfg, seed=5)
     merged = path.cum_times
-    union = np.sort(np.concatenate([path.per_coordinate_times(j)
+    union = np.sort(np.concatenate([path.cum_times[path.coords == j]
                                     for j in range(1, 4)]))
     assert np.array_equal(merged, union)
     assert np.all(np.diff(merged) > 0)
@@ -247,7 +247,7 @@ def test_sample_invariants(seed, d, n_steps):
     assert np.all(np.diff(path.cum_times) > 0)
     assert set(np.unique(path.coords)).issubset(set(range(1, d + 1)))
     # per-coordinate times partition the merged times
-    union = np.sort(np.concatenate([path.per_coordinate_times(j)
+    union = np.sort(np.concatenate([path.cum_times[path.coords == j]
                                     for j in range(1, d + 1)]))
     assert np.array_equal(union, path.cum_times)
 

@@ -508,19 +508,20 @@ def _per_node_reference(struct, eps, cfg):
             h = cfg.grid_spacing
             ref_act, ref_val = solver._golden_refine(
                 lambda a: stage(a, False), np.maximum(act - h, grid[0]),
-                np.minimum(act + h, grid[-1]), cfg.refine_iters)
+                np.minimum(act + h, grid[-1]))
             val, act = (np.where(ref_val > val, ref_val, val),
                         np.where(ref_val > val, ref_act, act))
         values[d], policy[d] = val, act
     return keys, values, policy
 
 
-def test_collapse_matches_per_node_reference_time_dependent():
+def test_collapse_matches_per_node_reference_time_dependent(monkeypatch):
     """Rows with several increment classes still give the per-node bins."""
+    monkeypatch.setattr(solver, "_REFINE_ITERS", 6)     # keeps the per-node reference fast
     spec = _time_dependent_spec()
     struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, 9), depth=3, Q=4,
-                      collapse=True, refine=True, refine_iters=6)
+                      collapse=True, refine=True)
     tree = build_tree(struct, payoff, 1.0 / 3, cfg)
     res = backward_dp(tree)
     keys, values, policy = _per_node_reference(struct, 1.0 / 3, cfg)
@@ -627,7 +628,6 @@ def test_collapse_keys_are_node_indices():
         assert len(res.values.layers[d]) == len(res.policy.layers[d]) == n
         for i in sorted({0, n // 3, n - 1}):
             assert res.values.value(d, i) == res.values.layers[d][i]
-            assert res.policy.action(d, i) == res.policy.layers[d][i]
             # U V from the layer arrays: children located on the next lattice
             rep = solver._reps(tree.layers[d].bins[i:i + 1], widths)
             for ai, a in enumerate(cfg.action_grid):
@@ -734,9 +734,6 @@ def test_node_index_out_of_range_raises(collapse):
         for bad in (-1, n):
             with pytest.raises(KeyError):
                 res.values.value(d, bad)
-            if d < cfg.depth:
-                with pytest.raises(KeyError):
-                    res.policy.action(d, bad)
 
 
 def _equal_layers(a, b):

@@ -11,7 +11,7 @@ from skeldp.errors import ConfigurationError, EvaluationError
 from skeldp.skeleton import SkeletonConfig, sample_skeleton
 from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
                                PortfolioStructure, power_utility_payoff,
-                               stage_g, stage_g_truncated, stage_truncation_gap,
+                               stage_g, stage_truncation_gap,
                                structure_from_config)
 
 GX, GW = leggauss(64)
@@ -379,7 +379,7 @@ def test_stage_gap_decreasing_and_matches_direct():
     # where no cancellation bites (n = 1, 2), the direct difference agrees
     for n in (1, 2):
         direct = max(abs(stage_g(a, 0.0, spec, eps) -
-                         stage_g_truncated(a, 0.0, spec, eps, n))
+                         stage_g(a, 0.0, spec, eps, n_terms=n))
                      for a in np.linspace(-1, 1, 21))
         tail = max(stage_truncation_gap(a, 0.0, spec, eps, n)
                    for a in np.linspace(-1, 1, 21))
@@ -390,7 +390,7 @@ def test_stage_gap_sup_below_tolerance_at_n6():
     spec = pspec()
     eps = 1.0 / 3
     sup_gap = max(abs(stage_g(a, 0.0, spec, eps)
-                      - stage_g_truncated(a, 0.0, spec, eps, 6))
+                      - stage_g(a, 0.0, spec, eps, n_terms=6))
                   for a in np.linspace(-1, 1, 401))
     assert sup_gap < 1e-6
 
@@ -400,14 +400,14 @@ def test_stage_g_time_domain_errors():
     with pytest.raises(ConfigurationError):
         stage_g(0.0, 1.0, spec, 0.5)
     with pytest.raises(ConfigurationError):
-        stage_g_truncated(0.0, 0.5, spec, 0.5, 0)
+        stage_g(0.0, 0.5, spec, 0.5, n_terms=0)
 
 
 def test_stage_g_truncated_refuses_horizon():
     spec = pspec()
     for t in (spec.horizon_T, spec.horizon_T + 0.5):
         with pytest.raises(ConfigurationError, match="horizon"):
-            stage_g_truncated(0.0, t, spec, 0.5, 3)
+            stage_g(0.0, t, spec, 0.5, n_terms=3)
 
 
 # ---------------------------------------------------------------------------
