@@ -391,6 +391,8 @@ def cmd_portfolio(args) -> int:
     structure, payoff = _problem(cfg["problem"], skel)
     spec = structure.spec
     scfg = _solve_cfg(cfg["solve"])
+    if not scfg.collapse:
+        raise ConfigurationError("portfolio rollouts need solve.collapse: true")
     esec = cfg.get("evaluate", {})
     # the vectorized rollouts have no antithetic path, so the key is refused
     _require_keys(esec, {"n_paths", "g_terms"}, "evaluate")

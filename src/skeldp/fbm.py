@@ -204,19 +204,6 @@ def get_table(H: float, d_H: float = 1.0) -> FbmTable:
     return _TABLE_CACHE[key]
 
 
-def _checked_events(event_times, event_signs):
-    """Event times and signs as float arrays of one shape, the times
-    non-decreasing; ConfigurationError otherwise."""
-    event_times = np.asarray(event_times, dtype=float)
-    event_signs = np.asarray(event_signs, dtype=float)
-    if event_times.shape != event_signs.shape:
-        raise ConfigurationError(f"{event_times.shape} event times against "
-                                 f"{event_signs.shape} event signs")
-    if np.any(np.diff(event_times) < 0):
-        raise ConfigurationError("event times must be non-decreasing")
-    return event_times, event_signs
-
-
 def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
                       d_H: float = 1.0) -> np.ndarray:
     """W^k_H on t_grid: B^k_H frozen at the skeleton's own event times.
@@ -224,7 +211,13 @@ def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
     event_times and event_signs are a one-dimensional skeleton's cumulative
     event times and +-1 signs, as `SkeletonPath.cum_times` and `.signs`.
     """
-    event_times, event_signs = _checked_events(event_times, event_signs)
+    event_times = np.asarray(event_times, dtype=float)
+    event_signs = np.asarray(event_signs, dtype=float)
+    if event_times.shape != event_signs.shape:
+        raise ConfigurationError(f"{event_times.shape} event times against "
+                                 f"{event_signs.shape} event signs")
+    if np.any(np.diff(event_times) < 0):
+        raise ConfigurationError("event times must be non-decreasing")
     t_grid = np.asarray(t_grid, dtype=float)
     table = get_table(H, d_H)
     out = np.zeros_like(t_grid)
@@ -240,18 +233,6 @@ def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
     for i, mi, t, lo in zip(live, m, tm, starts):
         out[i] = eps * t ** (H - 0.5) * float(event_signs[:mi] @ phi[lo:lo + mi])
     return out
-
-
-def fbm_b_at(event_times, event_signs, eps: float, H: float, t: float,
-             d_H: float = 1.0) -> float:
-    """B^k_H(t) itself (not frozen): eps t^{H-1/2} sum sigma_n Phi(T_n/t)."""
-    event_times, event_signs = _checked_events(event_times, event_signs)
-    table = get_table(H, d_H)
-    m = int(np.searchsorted(event_times, t, side="right"))
-    if m == 0 or t <= 0:
-        return 0.0
-    return float(eps * t ** (H - 0.5)
-                 * (event_signs[:m] @ table.phi(event_times[:m] / t)))
 
 
 def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times,

@@ -42,7 +42,8 @@ its index in the layer, and value and policy layers are arrays in node order:
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
-nonpositive elsewhere; `hamiltonian` exposes it for residual checks.
+nonpositive elsewhere; `hamiltonian` gives it over a whole layer at one
+action, or at one off-grid action per node, for residual checks.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ class SolveConfig:
         self.action_grid = np.asarray(self.action_grid, dtype=float)
         if self.action_grid.ndim != 1 or len(self.action_grid) == 0:
             raise ConfigurationError("action_grid must be a nonempty 1-d array")
+        # golden refinement brackets each node by grid[0] and grid[-1]
+        if not np.all(np.isfinite(self.action_grid)) \
+                or np.any(np.diff(self.action_grid) <= 0):
+            raise ConfigurationError(f"action_grid must be finite and strictly "
+                                     f"increasing, got {self.action_grid.tolist()}")
         for name, lo in (("depth", 0), ("Q", 1), ("node_cap", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
@@ -110,8 +116,7 @@ class SolveConfig:
 
     @property
     def grid_spacing(self) -> float:
-        g = np.sort(self.action_grid)
-        return float(np.max(np.diff(g))) if len(g) > 1 else 0.0
+        return float(np.max(np.diff(self.action_grid), initial=0.0))
 
 
 @dataclass
@@ -119,12 +124,6 @@ class ValueTable:
     """Per-depth node values, arrays in node order (see the module docstring)."""
 
     layers: list
-
-    def value(self, depth: int, node: int):
-        layer = self.layers[depth]
-        if not 0 <= node < len(layer):
-            raise KeyError(f"no node {node} at depth {depth} ({len(layer)} nodes)")
-        return layer[node]
 
 
 @dataclass
@@ -524,7 +523,7 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray):
     return best_idx, best_val
 
 
-def _node_probe(tree: Tree, depth: int, nodes=slice(None)):
+def _node_probe(tree: Tree, depth: int):
     """Per-node inputs of probes at arbitrary actions, shared by every
     probe of the layer: the next layer, elapsed time, ln wealth, time row,
     and per atom the time rows' child bins, each node's moves mask and the
@@ -535,8 +534,8 @@ def _node_probe(tree: Tree, depth: int, nodes=slice(None)):
     forward/backward inconsistency.
     """
     lattice, nxt = tree.layers[depth], tree.layers[depth + 1]
-    reps = _reps(lattice.bins[nodes], tree.bin_widths)
-    rows = lattice.bins[nodes, 0] - lattice.origin[0]
+    reps = _reps(lattice.bins, tree.bin_widths)
+    rows = lattice.bins[:, 0] - lattice.origin[0]
     _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
     (o0, o1), (n0, n1) = nxt.origin.tolist(), nxt.shape
     atoms = []
@@ -706,25 +705,34 @@ def _golden_refine(stage_fn, lo: np.ndarray, hi: np.ndarray):
 # differential operators
 # ---------------------------------------------------------------------------
 
-def hamiltonian(tree: Tree, values: ValueTable, depth: int, node: int,
-                action_idx: int, action_value: float | None = None) -> float:
-    """U V at (node, action): kernel-averaged forward difference over eps^2.
+def hamiltonian(tree: Tree, values: ValueTable, depth: int, action_idx: int,
+                action_value: float | np.ndarray | None = None) -> np.ndarray:
+    """U V over layer `depth` at one action, in node order: per node the
+    kernel-averaged forward difference over eps^2.
 
-    node is the node's index in its layer.  Full mode reads the children
-    (node * A + ai) * M + m of the next layer and ignores action_value.
+    Full mode reads node i's children (i * A + ai) * M + m of the next
+    layer.  In collapse mode action_value, a scalar or one action per node,
+    replaces the grid action, and its children may miss the next layer;
+    a full tree has no such probe and refuses it.
     """
-    own = values.value(depth, node)
+    if not 0 <= depth < tree.cfg.depth:
+        raise ConfigurationError(f"depth {depth} is not a layer with children "
+                                 f"(tree depth {tree.cfg.depth})")
+    own = values.layers[depth]
     if not tree.cfg.collapse:
-        first = (node * len(tree.cfg.action_grid) + action_idx) * tree.n_atoms
+        if action_value is not None:
+            raise ConfigurationError("a full tree has only grid actions")
+        child = values.layers[depth + 1].reshape(
+            len(own), len(tree.cfg.action_grid), tree.n_atoms)[:, action_idx]
         acc = 0.0
-        for m in range(tree.n_atoms):
-            acc += tree.atoms.weights[m] * values.value(depth + 1, first + m)
+        for m, w in enumerate(tree.atoms.weights):
+            acc = acc + w * child[:, m]
         return (acc - own) / tree.eps_k**2
     a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
-    probe = _node_probe(tree, depth, slice(node, node + 1))
-    stage = _probe_stage_values(tree, probe, a, values.layers[depth + 1],
+    stage = _probe_stage_values(tree, _node_probe(tree, depth), a,
+                                values.layers[depth + 1],
                                 allow_miss=action_value is not None)
-    return float((stage[0] - own) / tree.eps_k**2)
+    return (stage - own) / tree.eps_k**2
 
 
 # ---------------------------------------------------------------------------

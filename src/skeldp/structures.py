@@ -337,9 +337,11 @@ class FbmStructure(StateStructure):
         t_prev = state.times[src, -1] if q > 1 else np.zeros(len(src))
         times = np.column_stack([state.times[src], t_prev + dt])
         signs = np.column_stack([state.signs[src], sgn.astype(float)])
-        w_new = np.array([fbm.fbm_b_at(times[i], signs[i], self.eps, spec.H,
-                                       float(times[i, -1]), spec.d_H)
-                          for i in range(len(src))])
+        # B^k_H at each row's newest event: one Phi table call for the block,
+        # each row's sum its own dot product (the bits of fbm_from_skeleton)
+        phi = fbm.get_table(spec.H, spec.d_H).phi(times / times[:, -1:])
+        w_new = np.array([self.eps * t ** (spec.H - 0.5) * float(signs[i] @ phi[i])
+                          for i, t in enumerate(times[:, -1].tolist())])
         try:
             a_term = _coefficient("drift", spec.drift(
                 np.minimum(t_prev, self.T)[:, None],

@@ -253,7 +253,11 @@ def test_grid_outside_a_bar_exit_1(tmp_path, capsys, command, collapse):
     assert main([command, "--config", write_cfg(tmp_path, cfg),
                  "--out-dir", out, "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: action_grid leaves [-0.5, 0.5]")
+    if command == "portfolio" and not collapse:   # refused before any tree is built
+        assert err.startswith("configuration error: portfolio rollouts need "
+                              "solve.collapse: true")
+    else:
+        assert err.startswith("configuration error: action_grid leaves [-0.5, 0.5]")
     assert os.listdir(out) == []
 
 
@@ -318,9 +322,11 @@ def test_malformed_policy_csv_exit_1(tmp_path, capsys, text, where):
     {"Q": 0},
     {"Q": 2.0},
     {"node_cap": 0},
+    {"action_grid": {"lo": 1, "hi": -1, "n": 5}},
+    {"action_grid": [0.0, float("nan")]},
 ], ids=["negative-state-width", "negative-time-width", "zero-widths", "nan-state-width",
         "infinite-time-width", "fractional-depth", "bool-depth", "negative-depth", "zero-Q",
-        "float-Q", "zero-node-cap"])
+        "float-Q", "zero-node-cap", "descending-grid", "nan-grid"])
 def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update({"depth": 2, **solve})
@@ -639,4 +645,20 @@ def test_portfolio_refuses_antithetic_exit_1(tmp_path, capsys, monkeypatch):
                  "--out-dir", out, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "antithetic" in err
+    assert not os.path.exists(os.path.join(out, "portfolio_summary.json"))
+
+
+def test_portfolio_refuses_full_tree_exit_1(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("a full tree must be refused before the solve")
+
+    monkeypatch.setattr(solver, "build_tree", refuse)
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"]["collapse"] = False
+    out = str(tmp_path / "o")
+    assert main(["portfolio", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "collapse" in err
+    assert "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "portfolio_summary.json"))

@@ -119,29 +119,28 @@ def test_phi_table_matches_pointwise_kernel():
     assert table.phi(x) - table.phi(y) == pytest.approx(piece, rel=2e-4)
 
 
-def test_representation_reproduces_fbm_covariance():
-    """Ratios E[B_H(1) B_H(u)] / Var B_H(1) must match the fBm law
-    (1 + u^{2H} - (1-u)^{2H}) / 2 independently of d_H."""
-    H = 0.75
-    table = fbm.get_table(H)
-    var1 = table.variance_at_one()
-    for u in (0.25, 0.5, 0.75):
-        gs = np.unique(np.concatenate([np.geomspace(1e-9, 0.05 * u, 200),
-                                       np.linspace(0.05 * u, u * (1 - 1e-9), 600)]))
-        cov = np.trapezoid(table.phi(gs) * u**(H - 0.5) * table.phi(gs / u), gs)
-        expect = 0.5 * (1 + u**(2 * H) - (1 - u)**(2 * H))
-        assert cov / var1 == pytest.approx(expect, abs=2e-3)
-
-
 def test_representation_reproduces_fbm_covariance_to_5e_5():
-    """The covariance ratios of the representation, as above, to 5e-5."""
+    """Ratios E[B_H(1) B_H(u)] / Var B_H(1) must match the fBm law
+    (1 + u^{2H} - (1-u)^{2H}) / 2 independently of d_H, to 5e-5.
+
+    The numerator int_0^u Phi(w) u^{H-1/2} Phi(w/u) dw is the table's own,
+    by quad split at its grid points in w and in w/u, plus the power-law
+    piece below x_min * u."""
     H = 0.75
     table = fbm.get_table(H)
     var1 = table.variance_at_one()
+    x = table._x
     for u in (0.25, 0.5, 0.75):
-        gs = np.unique(np.concatenate([np.geomspace(1e-9, 0.05 * u, 200),
-                                       np.linspace(0.05 * u, u * (1 - 1e-9), 600)]))
-        cov = np.trapezoid(table.phi(gs) * u**(H - 0.5) * table.phi(gs / u), gs)
+        def f(w):
+            return float(table.phi(w) * u**(H - 0.5) * table.phi(w / u))
+
+        lo = x[0] * u
+        points = np.unique(np.concatenate([x, u * x]))
+        points = points[(points > lo) & (points < u)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = (quad(f, 0.0, lo)[0]
+                   + quad(f, lo, u, points=points, limit=4 * len(points))[0])
         expect = 0.5 * (1 + u**(2 * H) - (1 - u)**(2 * H))
         assert cov / var1 == pytest.approx(expect, abs=5e-5), u
 
@@ -235,16 +234,6 @@ def test_skeleton_w_rejects_decreasing_event_times():
         fbm.fbm_from_skeleton([0.7, 0.3], [1.0, -1.0], 0.5, 0.75, [0.5, 1.0])
 
 
-def test_b_at_rejects_decreasing_event_times():
-    with pytest.raises(ConfigurationError, match="non-decreasing"):
-        fbm.fbm_b_at([0.7, 0.3], [1.0, -1.0], 0.5, 0.75, 0.5)
-
-
-def test_b_at_rejects_mismatched_lengths():
-    with pytest.raises(ConfigurationError, match="event signs"):
-        fbm.fbm_b_at([0.3, 0.7], [1.0], 0.5, 0.75, 1.0)
-
-
 def test_fine_reference_rejects_mismatched_lengths():
     with pytest.raises(ConfigurationError, match="fine values"):
         fbm.fbm_ref_from_fine_path([0.0, 0.5, 1.0], [0.0, 1.0], 0.75, [1.0])
@@ -323,6 +312,37 @@ def test_fbm_structure_reductions():
     for dt, s in zip(dts, signs):
         state0 = struct0.step(state0, 0.0, dt, unit(s))
     assert state0.values[0, -1, 0] == pytest.approx(2.0 + 0.7 * times[-1], rel=1e-12)
+
+
+def test_fbm_structure_step_is_one_table_call(monkeypatch):
+    """One step of a block evaluates Phi once, and each row's W^k_H is
+    fbm_from_skeleton's at the row's newest event, bit for bit."""
+    H, eps = 0.75, 0.25
+    struct = FbmStructure(FbmSpec(H=H, sigma=1.0, drift=lambda t, p, a: a, x0=0.0),
+                          eps, horizon_T=10.0)
+    rng = np.random.default_rng(3)
+
+    def fan(state):              # four children per row
+        n = 4 * len(state)
+        return struct.step(state, rng.uniform(-1, 1, n), rng.uniform(0.01, 0.2, n),
+                           rng.choice([-1, 1], (n, 1)))
+
+    state = fan(fan(fan(struct.init())))
+    calls = []
+    phi = fbm.FbmTable.phi
+
+    def spy(self, x):
+        calls.append(np.shape(x))
+        return phi(self, x)
+
+    monkeypatch.setattr(fbm.FbmTable, "phi", spy)
+    child = fan(state)
+    assert calls == [(256, 4)]
+    monkeypatch.undo()
+    for i in range(len(child)):
+        want = fbm.fbm_from_skeleton(child.times[i], child.signs[i], eps, H,
+                                     [child.times[i, -1]])[0]
+        assert child.w_h[i] == want, i
 
 
 def test_mean_reversion_reduces_variance():

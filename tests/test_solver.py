@@ -69,14 +69,15 @@ def test_supermartingale_and_boundedness():
     res = backward_dp(tree)
     leaf_sup = max(abs(v) for v in res.values.layers[-1])
     for depth in range(cfg.depth):
-        for key, v in enumerate(res.values.layers[depth]):
-            assert abs(v) <= leaf_sup + 1e-12
-            best_ai = list(cfg.action_grid).index(res.policy.layers[depth][key])
-            for ai in range(len(cfg.action_grid)):
-                u = hamiltonian(tree, res.values, depth, key, ai)
-                assert u <= 1e-10 / tree.eps_k**2
-                if ai == best_ai:
-                    assert abs(u) <= 1e-10 / tree.eps_k**2
+        assert np.all(np.abs(res.values.layers[depth]) <= leaf_sup + 1e-12)
+        on_grid = cfg.action_grid == res.policy.layers[depth][:, None]
+        assert np.all(on_grid.any(axis=1))
+        best_ai = np.argmax(on_grid, axis=1)
+        for ai in range(len(cfg.action_grid)):
+            u = hamiltonian(tree, res.values, depth, ai)
+            assert u.shape == res.values.layers[depth].shape
+            assert np.all(u <= 1e-10 / tree.eps_k**2)
+            assert np.all(np.abs(u[best_ai == ai]) <= 1e-10 / tree.eps_k**2)
 
 
 def test_hamiltonian_of_constant_functional_is_zero():
@@ -85,8 +86,50 @@ def test_hamiltonian_of_constant_functional_is_zero():
     tree = build_tree(struct, payoff, 1.0 / 3, cfg)
     res = backward_dp(tree)
     const = ValueTable([np.ones(len(layer)) for layer in res.values.layers])
-    for key in range(len(res.values.layers[1])):
-        assert hamiltonian(tree, const, 1, key, 0) == 0.0
+    u = hamiltonian(tree, const, 1, 0)
+    assert len(u) == len(res.values.layers[1]) and np.all(u == 0.0)
+
+
+def test_hamiltonian_refuses_off_grid_actions_on_a_full_tree():
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    with pytest.raises(ConfigurationError, match="full tree"):
+        hamiltonian(tree, res.values, 0, 0, action_value=0.0)
+
+
+@pytest.mark.parametrize("collapse", [False, True])
+def test_hamiltonian_refuses_layers_without_children(collapse):
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2,
+                      collapse=collapse)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    for depth in (-1, cfg.depth):
+        with pytest.raises(ConfigurationError, match="not a layer"):
+            hamiltonian(tree, res.values, depth, 0)
+
+
+def test_hamiltonian_takes_one_action_per_node():
+    """Per-node actions give each node the entry of its own action's layer
+    call; grid actions as per-node actions give the grid call's bits."""
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=3, Q=2, collapse=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    for d in range(cfg.depth):
+        n = len(res.values.layers[d])
+        pick = np.arange(n) % len(cfg.action_grid)
+        mixed = hamiltonian(tree, res.values, d, 0, action_value=cfg.action_grid[pick])
+        per_action = np.array([hamiltonian(tree, res.values, d, ai)
+                               for ai in range(len(cfg.action_grid))])
+        assert np.array_equal(mixed, per_action[pick, np.arange(n)])
+        off = np.linspace(-0.9, 0.9, n)
+        assert np.array_equal(
+            hamiltonian(tree, res.values, d, 0, action_value=off),
+            [hamiltonian(tree, res.values, d, 0, action_value=float(a))[i]
+             for i, a in enumerate(off)])
 
 
 def test_collapse_agrees_with_full_on_small_instance():
@@ -185,6 +228,14 @@ def test_config_validation():
         SolveConfig(action_grid=np.array([0.0]), depth=-1)
     with pytest.raises(ConfigurationError):
         SolveConfig(action_grid=np.array([0.0]), depth=2, epsilon_total=0.0)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [-np.inf, 0.0], [1.0, 0.0, -1.0],
+                                  [-1.0, 0.0, 0.0, 1.0]],
+                         ids=["nan", "inf", "descending", "duplicate"])
+def test_config_refuses_grids_not_finite_and_increasing(grid):
+    with pytest.raises(ConfigurationError, match="finite and strictly increasing"):
+        SolveConfig(action_grid=np.array(grid), depth=2)
 
 
 @pytest.mark.parametrize("collapse", [False, True])
@@ -456,8 +507,7 @@ def test_solver_probe_misses_land_on_populated_rows(time_dependent, monkeypatch)
     res = backward_dp(tree)
     solve_calls = len(misses)
     for d in range(cfg.depth):
-        for node in range(len(tree.layers[d].bins)):
-            hamiltonian(tree, res.values, d, node, 0, action_value=0.37)
+        hamiltonian(tree, res.values, d, 0, action_value=0.37)
     assert sum(misses[:solve_calls]) > 0 and sum(misses[solve_calls:]) > 0
 
 
@@ -588,8 +638,7 @@ def test_node_probe_refuses_child_rows_off_the_next_box(cut):
     with pytest.raises(NumericalError, match="off the next layer"):
         solver._node_probe(tree, 1)
     with pytest.raises(NumericalError, match="off the next layer"):
-        for node in range(len(tree.layers[1].bins)):
-            hamiltonian(tree, res.values, 1, node, 0, action_value=0.37)
+        hamiltonian(tree, res.values, 1, 0, action_value=0.37)
 
 
 @pytest.mark.parametrize("equal", [True, False])
@@ -626,8 +675,9 @@ def test_collapse_keys_are_node_indices():
     for d in range(cfg.depth):
         n = len(tree.layers[d].bins)
         assert len(res.values.layers[d]) == len(res.policy.layers[d]) == n
+        us = [hamiltonian(tree, res.values, d, ai)
+              for ai in range(len(cfg.action_grid))]
         for i in sorted({0, n // 3, n - 1}):
-            assert res.values.value(d, i) == res.values.layers[d][i]
             # U V from the layer arrays: children located on the next lattice
             rep = solver._reps(tree.layers[d].bins[i:i + 1], widths)
             for ai, a in enumerate(cfg.action_grid):
@@ -640,7 +690,7 @@ def test_collapse_keys_are_node_indices():
                     assert j >= 0
                     acc += tree.atoms.weights[m] * res.values.layers[d + 1][j]
                 want = (acc - res.values.layers[d][i]) / tree.eps_k**2
-                assert hamiltonian(tree, res.values, d, i, ai) == want
+                assert us[ai][i] == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -720,20 +770,6 @@ def test_full_extract_policy_matches_history_walk(d, depth):
         assert acts == _history_walk(struct, payoff, tree, path, memo)
         seen.add(tuple(acts))
     assert len(seen) > 1                      # the walk visits different nodes
-
-
-@pytest.mark.parametrize("collapse", [False, True])
-def test_node_index_out_of_range_raises(collapse):
-    struct, payoff = pstruct()
-    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2,
-                      collapse=collapse)
-    res = backward_dp(build_tree(struct, payoff, 1.0 / 3, cfg))
-    for d in range(cfg.depth + 1):
-        n = len(res.values.layers[d])
-        assert res.values.value(d, n - 1) == res.values.layers[d][-1]
-        for bad in (-1, n):
-            with pytest.raises(KeyError):
-                res.values.value(d, bad)
 
 
 def _equal_layers(a, b):
