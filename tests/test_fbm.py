@@ -119,6 +119,20 @@ def test_phi_table_matches_pointwise_kernel():
     assert table.phi(x) - table.phi(y) == pytest.approx(piece, rel=2e-4)
 
 
+def test_representation_reproduces_fbm_covariance():
+    """Ratios E[B_H(1) B_H(u)] / Var B_H(1) must match the fBm law
+    (1 + u^{2H} - (1-u)^{2H}) / 2 independently of d_H."""
+    H = 0.75
+    table = fbm.get_table(H)
+    var1 = table.variance_at_one()
+    for u in (0.25, 0.5, 0.75):
+        gs = np.unique(np.concatenate([np.geomspace(1e-9, 0.05 * u, 200),
+                                       np.linspace(0.05 * u, u * (1 - 1e-9), 600)]))
+        cov = np.trapezoid(table.phi(gs) * u**(H - 0.5) * table.phi(gs / u), gs)
+        expect = 0.5 * (1 + u**(2 * H) - (1 - u)**(2 * H))
+        assert cov / var1 == pytest.approx(expect, abs=2e-3)
+
+
 def test_representation_reproduces_fbm_covariance_to_5e_5():
     """Ratios E[B_H(1) B_H(u)] / Var B_H(1) must match the fBm law
     (1 + u^{2H} - (1-u)^{2H}) / 2 independently of d_H, to 5e-5.
