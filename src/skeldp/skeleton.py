@@ -54,12 +54,14 @@ class SkeletonConfig:
     n_steps: int | None = None
 
     def __post_init__(self):
-        if self.epsilon_k <= 0:
-            raise ConfigurationError(f"epsilon_k must be > 0, got {self.epsilon_k}")
+        if not 0 < self.epsilon_k < math.inf:
+            raise ConfigurationError(f"epsilon_k must be finite and > 0, "
+                                     f"got {self.epsilon_k}")
         if self.d < 1:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
-        if self.horizon_T <= 0:
-            raise ConfigurationError(f"horizon_T must be > 0, got {self.horizon_T}")
+        if not 0 < self.horizon_T < math.inf:
+            raise ConfigurationError(f"horizon_T must be finite and > 0, "
+                                     f"got {self.horizon_T}")
         if self.n_steps is None:
             object.__setattr__(self, "n_steps", self.e_kT)
         if self.n_steps < 1:

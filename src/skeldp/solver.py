@@ -713,7 +713,8 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, action_idx: int,
     Full mode reads node i's children (i * A + ai) * M + m of the next
     layer.  In collapse mode action_value, a scalar or one action per node,
     replaces the grid action, and its children may miss the next layer;
-    a full tree has no such probe and refuses it.
+    it must lie in [action_grid[0], action_grid[-1]].  A full tree has no
+    such probe and refuses it.
     """
     if not 0 <= depth < tree.cfg.depth:
         raise ConfigurationError(f"depth {depth} is not a layer with children "
@@ -728,7 +729,11 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, action_idx: int,
         for m, w in enumerate(tree.atoms.weights):
             acc = acc + w * child[:, m]
         return (acc - own) / tree.eps_k**2
-    a = float(tree.cfg.action_grid[action_idx]) if action_value is None else action_value
+    grid = tree.cfg.action_grid
+    a = float(grid[action_idx]) if action_value is None else action_value
+    if not np.all((grid[0] <= np.asarray(a)) & (np.asarray(a) <= grid[-1])):
+        raise ConfigurationError(f"action_value must be finite and in "
+                                 f"[{grid[0]}, {grid[-1]}]")
     stage = _probe_stage_values(tree, _node_probe(tree, depth), a,
                                 values.layers[depth + 1],
                                 allow_miss=action_value is not None)

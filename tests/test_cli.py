@@ -436,6 +436,20 @@ def test_kernel_subcommand_mass(tmp_path):
     assert mass["first_fire"]["2"] > 0.5
 
 
+@pytest.mark.parametrize("key, value", [("epsilon_k", float("nan")),
+                                        ("horizon_T", float("inf"))],
+                         ids=["nan-epsilon", "infinite-horizon"])
+def test_non_finite_skeleton_exit_1(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["skeleton"][key] = value
+    out = str(tmp_path / "sk")
+    assert main(["skeleton", "--config", write_cfg(tmp_path, cfg), "--out-dir", out,
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} must be finite and > 0")
+    assert "Traceback" not in err
+
+
 def test_skeleton_subcommand_roundtrip(tmp_path):
     cfg_path = write_cfg(tmp_path, MERTON_CFG)
     out = str(tmp_path / "sk")

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +149,15 @@ def test_domain_errors():
         density.inverse_cdf_tau(0.0)
     with pytest.raises(ConfigurationError):
         density.inverse_cdf_tau(1.0)
+    # NaN fails every range check
+    with pytest.raises(ConfigurationError):
+        density.f_tau(np.nan)
+    with pytest.raises(ConfigurationError):
+        density.truncation_bound(np.nan, 4)
+    with pytest.raises(ConfigurationError):
+        density.inverse_cdf_tau(np.nan)
+    with pytest.raises(ConfigurationError):
+        density.inverse_cdf_tau(np.array([0.5, np.nan]))
     with pytest.raises(ConfigurationError):
         density.quantize_tau(0)
 
@@ -209,23 +221,26 @@ def test_kept_terms_sum_bit_identical_to_all_terms(n):
 
 
 def test_inverse_cdf_tau_bits_pinned():
-    # digest of the quantiles as computed from the all-terms series sums
+    # digest of the quantiles as computed from the all-terms series sums,
+    # re-recorded for the Hermite start and one Newton pass
     u = np.concatenate([density._philox(18, 0).random(131_072),
                         [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16]])
     x = density.inverse_cdf_tau(u)
     assert hashlib.sha256(x.tobytes()).hexdigest() == (
-        "b61ae0b83a28454f7e7143d1fe9c0f5e02c79ebcfba56748f23894d45bc31904")
+        "1035640604f4d7ee3c9c78d3178a1a8021ccad3a7b762d21e7221cfb9efe9eba")
 
 
 def test_inverse_cdf_tau_bisects_where_newton_stalls(monkeypatch):
     u = np.concatenate([density._philox(7, 0).random(2_000),
                         [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16]])
     newton = density.inverse_cdf_tau(u)
-    start = np.interp(u, *density._inverse_table())
-    stalled = np.abs(density.cdf_tau(start, 12) - u) > 1e-12
-    assert stalled.mean() > 0.99
-    # a zero density makes every Newton step zero: x stays at its start
+    # a zero density makes every Newton step zero, so from a constant start
+    # every value's pass stalls at x = 1
     monkeypatch.setattr(density, "f_tau", lambda x, n_terms=60: np.zeros_like(x))
+    monkeypatch.setattr(density, "_hermite_start", lambda u: np.ones_like(u))
+    start = np.ones_like(u)
+    stalled = np.abs(density.cdf_tau(start, 12) - u) > 1e-12
+    assert stalled.all()
     x = density.inverse_cdf_tau(u)
     assert np.all(x[stalled] != start[stalled])
     assert np.all(np.abs(density.cdf_tau(x) - u) <= 1e-12)
@@ -233,3 +248,43 @@ def test_inverse_cdf_tau_bisects_where_newton_stalls(monkeypatch):
     # in the four tails 1e-12 of probability spans a wide x; elsewhere the
     # bisected quantile is Newton's to ~1e-14
     assert np.allclose(x[:-4], newton[:-4], rtol=1e-9, atol=0.0)
+
+
+def test_hermite_start_is_the_table_at_its_nodes():
+    t_u, t_x, _ = density._inverse_table()
+    assert np.array_equal(density._hermite_start(t_u), t_x)
+    # beyond the table the start is the end node's x, as np.interp gives
+    beyond = density._hermite_start(np.array([1e-16, 1 - 1e-16]))
+    assert np.array_equal(beyond, t_x[[0, -1]])
+
+
+def _max_body_residual():
+    u = density._philox(0, 0).random(1_000_000)
+    return np.max(np.abs(density.cdf_tau(density.inverse_cdf_tau(u), 12) - u))
+
+
+def test_inverse_cdf_tau_residuals():
+    assert _max_body_residual() <= 1e-15
+    tails = np.array([1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16])
+    resid = np.abs(density.cdf_tau(density.inverse_cdf_tau(tails), 12) - tails)
+    assert np.all(resid <= density._INV_TOL)
+
+
+def test_residual_test_fails_without_the_newton_pass(monkeypatch):
+    density._inverse_table()       # its slopes come from the real f_tau
+    # a zero density makes the Newton step zero: x stays at its start
+    monkeypatch.setattr(density, "f_tau", lambda x, n_terms=60: np.zeros_like(x))
+    assert _max_body_residual() > 1e-15
+
+
+def test_drawing_leaves_scipy_interpolate_unimported():
+    code = ("import sys\n"
+            "from skeldp import density\n"
+            "density.inverse_cdf_tau(density._philox(1, 0).random(1000))\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

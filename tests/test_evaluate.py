@@ -114,8 +114,9 @@ def test_policy_mc_value_threads_bit_identical_both_modes(monkeypatch):
     fskel = SkeletonConfig(0.5, 1, 2.0, 3)
     full = [policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 300, 7, threads=t)
             for t in (1, 2)]
-    # recorded when each chunk became one sample_skeleton block
-    for got, want in ((col, (2.01128145873668, 0.004787719828126173, 300)),
+    # recorded when each chunk became one sample_skeleton block; the
+    # collapse se re-recorded for the Hermite-start tau quantile
+    for got, want in ((col, (2.01128145873668, 0.004787719828125862, 300)),
                       (full, (0.6485934590942638, 0.009433580586237621, 300))):
         assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
     with pytest.raises(ConfigurationError):
@@ -203,9 +204,10 @@ def test_policy_rollouts_pinned(desk5):
     struct, _, tree, res = desk5
     pay = portfolio_policy_rollouts(struct.spec, 1.0 / 3, res, tree, 20_000, seed=3)
     # recorded when every lookup miss went to the nearest populated time
-    # row, then the nearest state bin in it
+    # row, then the nearest state bin in it; re-recorded for the
+    # Hermite-start tau quantile
     assert hashlib.sha256(pay.tobytes()).hexdigest() == (
-        "27394940a4d46756b1e57c382374ca92e5436c2f8fde69860c611803a29dd17d")
+        "50078048528de4868b6ae8380ec1b68387a1684b0774f282fa7791160a739f51")
 
 
 def test_policy_mc_value_reads_the_rollouts_paths(desk5, monkeypatch):

@@ -99,6 +99,19 @@ def test_hamiltonian_refuses_off_grid_actions_on_a_full_tree():
         hamiltonian(tree, res.values, 0, 0, action_value=0.0)
 
 
+@pytest.mark.parametrize("bad", [5.0, np.nan], ids=["outside", "nan"])
+def test_hamiltonian_refuses_actions_off_the_grid_range(bad):
+    struct, payoff = pstruct()
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 3), depth=2, Q=2, collapse=True)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    per_node = np.zeros(len(res.values.layers[1]))
+    per_node[-1] = bad
+    for action in (bad, per_node):
+        with pytest.raises(ConfigurationError, match="action_value"):
+            hamiltonian(tree, res.values, 1, 0, action_value=action)
+
+
 @pytest.mark.parametrize("collapse", [False, True])
 def test_hamiltonian_refuses_layers_without_children(collapse):
     struct, payoff = pstruct()
