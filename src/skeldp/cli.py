@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import platform
 import sys
@@ -29,6 +28,7 @@ import numpy as np
 from . import __version__, density, evaluate, kernel, skeleton, solver, structures
 from .errors import (ConfigurationError, EvaluationError, NumericalError,
                      ResourceCapError)
+from .structures import _int, _real, _reals, _value
 
 
 def _fmt(x) -> str:
@@ -48,8 +48,14 @@ def _load_config(path: str) -> dict:
 _TOP_SECTIONS = {"skeleton", "problem", "solve", "evaluate", "kernel", "sweep"}
 
 
-def _require_top(cfg: dict):
+def _require_top(cfg: dict, *required: str):
+    """Refuse unknown or missing sections and any that is not an object."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {cfg!r}")
     _require_keys(cfg, _TOP_SECTIONS, "top level")
+    for name in [*required, *cfg]:
+        if not isinstance(section := _value(cfg, name, None, "config"), dict):
+            raise ConfigurationError(f"{name} must be an object, got {section!r}")
 
 
 def _require_keys(cfg: dict, allowed: set, where: str):
@@ -97,37 +103,27 @@ def _say(args, msg: str):
 
 def _skeleton_cfg(section: dict, eps_override: float | None) -> skeleton.SkeletonConfig:
     _require_keys(section, {"epsilon_k", "d", "horizon_T", "n_steps"}, "skeleton")
-    eps = eps_override if eps_override is not None else section.get("epsilon_k")
-    if eps is None:
-        raise ConfigurationError("skeleton.epsilon_k missing (or pass --epsilon)")
+    eps = (eps_override if eps_override is not None
+           else _real(section, "epsilon_k", None, "skeleton"))
     n_steps = section.get("n_steps")
     return skeleton.SkeletonConfig(
-        epsilon_k=float(eps), d=_int(section, "d", 1, "skeleton"),
-        horizon_T=float(section.get("horizon_T", 1.0)),
+        epsilon_k=eps, d=_int(section, "d", 1, "skeleton"),
+        horizon_T=_real(section, "horizon_T", 1.0, "skeleton"),
         n_steps=n_steps if n_steps is None else _int(section, "n_steps", 0, "skeleton"))
-
-
-def _int(section: dict, key: str, default, where: str) -> int:
-    """section[key] (default if absent), refused unless it is an integer:
-    int() would truncate 2.5 to 2 and run."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _solve_cfg(section: dict) -> solver.SolveConfig:
     allowed = {f.name for f in dataclasses.fields(solver.SolveConfig)}
     _require_keys(section, allowed, "solve")
-    grid_spec = section.get("action_grid")
+    _value(section, "depth", None, "solve")        # the one field without a default
+    grid_spec = _value(section, "action_grid", None, "solve")
     if isinstance(grid_spec, dict):
         _require_keys(grid_spec, {"lo", "hi", "n"}, "solve.action_grid")
-        grid = np.linspace(float(grid_spec["lo"]), float(grid_spec["hi"]),
+        grid = np.linspace(_real(grid_spec, "lo", None, "solve.action_grid"),
+                           _real(grid_spec, "hi", None, "solve.action_grid"),
                            _int(grid_spec, "n", None, "solve.action_grid"))
-    elif grid_spec is not None:
-        grid = np.asarray(grid_spec, dtype=float)
     else:
-        raise ConfigurationError("solve.action_grid missing")
+        grid = np.asarray(_reals(section, "action_grid", None, "solve"), dtype=float)
     kwargs = {k: section[k] for k in allowed & set(section) if k != "action_grid"}
     return solver.SolveConfig(action_grid=grid, **kwargs)
 
@@ -140,8 +136,15 @@ def _n_paths(esec: dict) -> int:
     return n_paths
 
 
-def _problem(cfg: dict, skel: skeleton.SkeletonConfig):
-    return structures.structure_from_config(cfg, skel.epsilon_k, skel.horizon_T)
+def _solve_setup(args):
+    """A solve command's config, skeleton config, structure, payoff and
+    solve config."""
+    cfg = _load_config(args.config)
+    _require_top(cfg, "skeleton", "problem", "solve")
+    skel = _skeleton_cfg(cfg["skeleton"], None)
+    structure, payoff = structures.structure_from_config(
+        cfg["problem"], skel.epsilon_k, skel.horizon_T)
+    return cfg, skel, structure, payoff, _solve_cfg(cfg["solve"])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,7 @@ def cmd_density(args) -> int:
 def cmd_skeleton(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args.config)
-    _require_top(cfg)
+    _require_top(cfg, "skeleton")
     skel = _skeleton_cfg(cfg["skeleton"], args.epsilon)
     path = skeleton.sample_skeleton(skel, args.seed)
     with open(os.path.join(out, "skeleton.csv"), "w", encoding="utf-8") as fh:
@@ -190,11 +193,11 @@ def cmd_skeleton(args) -> int:
 def cmd_kernel(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args.config)
-    _require_top(cfg)
+    _require_top(cfg, "skeleton")
     skel = _skeleton_cfg(cfg["skeleton"], args.epsilon)
     ksec = cfg.get("kernel", {})
     _require_keys(ksec, {"lags", "Q"}, "kernel")
-    lags = np.asarray(ksec.get("lags", [0.0] * skel.d), dtype=float)
+    lags = np.atleast_1d(_reals(ksec, "lags", [0.0] * skel.d, "kernel")).astype(float)
     if len(lags) != skel.d:
         raise ConfigurationError(
             f"kernel.lags has {len(lags)} entries for d={skel.d}")
@@ -247,11 +250,7 @@ def _summary_payload(res: solver.SolveResult, extra: dict | None = None) -> dict
 
 def cmd_solve(args) -> int:
     out = _out_dir(args)
-    cfg = _load_config(args.config)
-    _require_top(cfg)
-    skel = _skeleton_cfg(cfg["skeleton"], None)
-    structure, payoff = _problem(cfg["problem"], skel)
-    scfg = _solve_cfg(cfg["solve"])
+    cfg, skel, structure, payoff, scfg = _solve_setup(args)
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
     res = solver.backward_dp(tree)
     _dump_tables(out, res, tree)
@@ -313,11 +312,7 @@ def _policy_from_csv(path: str, structure, payoff, eps_k: float,
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    cfg = _load_config(args.config)
-    _require_top(cfg)
-    skel = _skeleton_cfg(cfg["skeleton"], None)
-    structure, payoff = _problem(cfg["problem"], skel)
-    scfg = _solve_cfg(cfg["solve"])
+    cfg, skel, structure, payoff, scfg = _solve_setup(args)
     esec = cfg.get("evaluate", {})
     _require_keys(esec, {"n_paths", "antithetic", "policy_csv"}, "evaluate")
     n_paths = _n_paths(esec)
@@ -349,22 +344,23 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args.config)
-    _require_top(cfg)
+    _require_top(cfg, "skeleton", "problem", "solve", "sweep")
     ssec = cfg["sweep"]
     _require_keys(ssec, {"eps_list"}, "sweep")
-    eps_list = [float(e) for e in ssec["eps_list"]]
+    eps_list = [float(e) for e in np.atleast_1d(_reals(ssec, "eps_list", None, "sweep"))]
     base_skel = cfg["skeleton"]
 
     def make_problem(eps):
         skel = _skeleton_cfg({**base_skel, "epsilon_k": eps}, None)
-        return _problem(cfg["problem"], skel)
+        return structures.structure_from_config(cfg["problem"], skel.epsilon_k,
+                                                skel.horizon_T)
 
     def make_cfg(eps):
         sc = dict(cfg["solve"])
         if sc.get("depth") is None:
             sc["depth"] = skeleton.SkeletonConfig(
-                epsilon_k=eps, d=int(base_skel.get("d", 1)),
-                horizon_T=float(base_skel.get("horizon_T", 1.0))).e_kT
+                epsilon_k=eps, d=_int(base_skel, "d", 1, "skeleton"),
+                horizon_T=_real(base_skel, "horizon_T", 1.0, "skeleton")).e_kT
         return _solve_cfg(sc)
 
     report = evaluate.convergence_sweep(make_problem, eps_list, make_cfg)
@@ -383,14 +379,10 @@ def cmd_sweep(args) -> int:
 def cmd_portfolio(args) -> int:
     """End-to-end pipeline: solve, per-depth stage-argmax policy, references."""
     out = _out_dir(args)
-    cfg = _load_config(args.config)
-    _require_top(cfg)
-    skel = _skeleton_cfg(cfg["skeleton"], None)
+    cfg, skel, structure, payoff, scfg = _solve_setup(args)
     if cfg["problem"].get("kind") != "portfolio":
         raise ConfigurationError("portfolio subcommand needs a portfolio problem")
-    structure, payoff = _problem(cfg["problem"], skel)
     spec = structure.spec
-    scfg = _solve_cfg(cfg["solve"])
     if not scfg.collapse:
         raise ConfigurationError("portfolio rollouts need solve.collapse: true")
     esec = cfg.get("evaluate", {})

@@ -80,8 +80,11 @@ class Quantization:
         return float(self.weights @ self.nodes)
 
 
-def _as_array(x):
+def _as_array(x, name: str):
+    """x as a float array, and whether it is a scalar; NaN is refused."""
     arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise ConfigurationError(f"{name} requires x not NaN")
     return arr, arr.ndim == 0
 
 
@@ -107,7 +110,7 @@ def f_tau(x, n_terms: int = 60):
     """Density of tau at x > 0 as the n_terms-partial alternating sum."""
     if n_terms < 1:
         raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
-    arr, scalar = _as_array(x)
+    arr, scalar = _as_array(x, "f_tau")
     if not np.all(arr > 0):
         raise ConfigurationError("f_tau requires x > 0")
     out = np.zeros_like(arr)
@@ -142,7 +145,7 @@ def truncation_bound(x, n: int):
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    arr, scalar = _as_array(x)
+    arr, scalar = _as_array(x, "truncation_bound")
     if not np.all(arr > 0):
         raise ConfigurationError("truncation_bound requires x > 0")
     odd = 2 * n + 1
@@ -170,7 +173,7 @@ def cdf_tau(x, n_terms: int = 64):
     small branch:  F(x) = 2 * sum (-1)^n erfc((2n+1)/sqrt(2x))
     large branch:  F(x) = 1 - (4/pi) * sum (-1)^n/(2n+1) exp(-pi^2 (2n+1)^2 x/8)
     """
-    arr, scalar = _as_array(x)
+    arr, scalar = _as_array(x, "cdf_tau")
     out = np.zeros_like(arr)
     ell = _series_index(n_terms)
     odd = 2 * ell + 1
@@ -190,7 +193,7 @@ def cdf_tau(x, n_terms: int = 64):
 
 def survival_tau(x, n_terms: int = 64):
     """P(tau > x); uses the large-branch series directly when it applies."""
-    arr, scalar = _as_array(x)
+    arr, scalar = _as_array(x, "survival_tau")
     out = np.ones_like(arr)
     ell = _series_index(n_terms)
     odd = 2 * ell + 1
@@ -260,7 +263,7 @@ def inverse_cdf_tau(u):
     Values are solved _INV_BLOCK at a time, which bounds the (values,
     series terms) temporaries; no value's result depends on the others.
     """
-    arr, scalar = _as_array(u)
+    arr, scalar = _as_array(u, "inverse_cdf_tau")
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ConfigurationError("inverse_cdf_tau requires 0 < u < 1")
     flat = arr.ravel()

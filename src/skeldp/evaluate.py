@@ -81,14 +81,11 @@ def rollout(structure, control, path: SkeletonPath, payoff=None) -> RolloutResul
     """
     ctrl = _as_control(control)
     dts, coords, signs = (np.atleast_2d(x) for x in (path.delta_t, path.coords, path.signs))
-    rows = np.arange(len(dts))
     state = structure.init()
     actions = np.empty(dts.shape)
     for n in range(len(path)):
         actions[:, n] = ctrl(n, state, structure)
-        sign_vec = np.zeros((len(dts), path.d), dtype=np.int64)
-        sign_vec[rows, coords[:, n] - 1] = signs[:, n]
-        state = structure.step(state, actions[:, n], dts[:, n], sign_vec)
+        state = structure.step(state, actions[:, n], dts[:, n], coords[:, n], signs[:, n])
     value = payoff_of(structure, payoff, state) if payoff is not None \
         else np.full(len(dts), math.nan)
     if path.delta_t.ndim == 1:
@@ -214,10 +211,9 @@ def enumerate_oracle(structure, payoff, tree: Tree, cap: int = 10_000_000) -> fl
         for a in grid:
             acc = 0.0
             for m in range(len(atoms)):
-                sv = np.zeros(int(atoms.coords.max()), dtype=np.int64)
-                sv[atoms.coords[m] - 1] = atoms.signs[m]
                 acc += atoms.weights[m] * fold(
-                    structure.step(state, float(a), float(atoms.delta_t[m]), sv),
+                    structure.step(state, float(a), float(atoms.delta_t[m]),
+                                   int(atoms.coords[m]), int(atoms.signs[m])),
                     depth + 1)
             if acc > best:
                 best = acc

@@ -11,8 +11,10 @@ from one Philox stream per (seed, chunk), so a Monte Carlo chunk of paths is
 one call.  The crossing sampler below reads the skeleton off a simulated
 fine Brownian path instead, as a theory-free reference.
 
-Coordinates are 1-based on every public surface (matching the sign-vector
-convention); `SkeletonPath.coords` therefore stores values in 1..d.
+A step is (delta_t, coord, sign): the waiting time, the 1-based coordinate
+that moves and its sign, +-1.  Coordinates are 1-based on every public
+surface (the structures' `step`, the kernel atoms, the CSV files), so
+`SkeletonPath.coords` stores values in 1..d.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,6 @@ from .errors import ConfigurationError, NumericalError
 __all__ = [
     "SkeletonConfig",
     "SkeletonPath",
-    "aleph",
     "sample_skeleton",
     "elapsed_times",
     "brownian_fine_path",
@@ -54,48 +56,24 @@ class SkeletonConfig:
     n_steps: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon_k < math.inf:
-            raise ConfigurationError(f"epsilon_k must be finite and > 0, "
-                                     f"got {self.epsilon_k}")
-        if self.d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {self.d}")
-        if not 0 < self.horizon_T < math.inf:
-            raise ConfigurationError(f"horizon_T must be finite and > 0, "
-                                     f"got {self.horizon_T}")
+        for name in ("epsilon_k", "horizon_T"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, "
+                                         f"got {getattr(self, name)}")
+        _count("d", self.d)
         if self.n_steps is None:
             object.__setattr__(self, "n_steps", self.e_kT)
-        if self.n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        _count("n_steps", self.n_steps)
 
     @property
     def e_kT(self) -> int:
         return self.d * math.ceil(self.epsilon_k**-2 * self.horizon_T)
 
 
-def aleph(sign_vec):
-    """(coordinate j, sign r) of the unique nonzero entry; j is 1-based.
-
-    A block of sign vectors, one per row of an (N, d) array, gives j and r
-    as (N,) arrays.
-    """
-    arr = np.asarray(sign_vec)
-    if arr.ndim == 2:
-        nonzero = arr != 0
-        if np.any(nonzero.sum(axis=1) != 1) or np.any(np.abs(arr[nonzero]) != 1):
-            raise ConfigurationError(f"not a block of unit sign-vectors "
-                                     f"(shape {arr.shape})")
-        j = np.argmax(nonzero, axis=1)
-        return j + 1, arr[np.arange(len(arr)), j]
-    nz = np.flatnonzero(arr)
-    if nz.size != 1 or abs(arr[nz[0]]) != 1:
-        raise ConfigurationError(f"not a unit sign-vector: {sign_vec!r}")
-    return int(nz[0]) + 1, int(arr[nz[0]])
-
-
-def _sign_vec(coord: int, sign: int, d: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.int64)
-    v[coord - 1] = sign
-    return v
+def _count(name: str, value, lo: int = 1):
+    """Refuse a count that is not an int >= lo (a bool or 1.5 included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ConfigurationError(f"{name} must be an int >= {lo}, got {value!r}")
 
 
 @dataclass
@@ -194,23 +172,14 @@ def sample_skeleton(cfg: SkeletonConfig, seed: int, chunk: int = 0,
     return SkeletonPath(cfg.epsilon_k, d, dts, coords, signs)
 
 
-def elapsed_times(bk, d: int | None = None):
-    """(t_n, per-coordinate last-hit times, per-coordinate lags).
+def elapsed_times(bk: SkeletonPath):
+    """(t_n, per-coordinate last-hit times, per-coordinate lags) of one path.
 
-    bk is a SkeletonPath or a sequence of (delta_t, sign_vec) pairs, which
-    needs d.  t_n is the total elapsed time; for each coordinate lam the
-    last-hit time sums the increments up to its last step on lam, and the
-    lag is t_n minus that.  Empty history gives zeros everywhere.
+    t_n is the total elapsed time; for each coordinate lam the last-hit
+    time sums the increments up to its last step on lam, and the lag is t_n
+    minus that.  Empty history gives zeros everywhere.
     """
-    if isinstance(bk, SkeletonPath):
-        dts, coords = bk.delta_t, bk.coords
-        d = bk.d if d is None else d
-    elif d is None:
-        raise ConfigurationError("d required for raw (delta_t, sign_vec) input")
-    else:
-        pairs = list(bk)
-        dts = np.array([p[0] for p in pairs], dtype=float)
-        coords = np.array([aleph(p[1])[0] for p in pairs], dtype=np.int64)
+    dts, coords, d = bk.delta_t, bk.coords, bk.d
     cum = np.concatenate([[0.0], np.cumsum(dts)])
     t_n = float(cum[-1])
     t_lam = np.zeros(d)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ResourceCapError
 from .kernel import DiscretizedKernel, discretize_kernel
-from .skeleton import SkeletonPath, _sign_vec
+from .skeleton import SkeletonPath, _count
 from .structures import payoff_of
 
 __all__ = [
@@ -101,10 +101,7 @@ class SolveConfig:
             raise ConfigurationError(f"action_grid must be finite and strictly "
                                      f"increasing, got {self.action_grid.tolist()}")
         for name, lo in (("depth", 0), ("Q", 1), ("node_cap", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < lo:
-                raise ConfigurationError(f"{name} must be an int >= {lo}, got {value!r}")
+            _count(name, getattr(self, name), lo)
         positive = {"epsilon_total": self.epsilon_total,
                     "state_bin_width": self.state_bin_width}
         if self.time_bin_width is not None:
@@ -170,10 +167,6 @@ class Tree:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def sign_vec(self, atom_idx: int) -> np.ndarray:
-        return _sign_vec(int(self.atoms.coords[atom_idx]),
-                         int(self.atoms.signs[atom_idx]), int(self.atoms.coords.max()))
 
 
 def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
@@ -599,10 +592,10 @@ def _backward_full(tree: Tree) -> SolveResult:
     values = [np.empty(fan**n) for n in range(cfg.depth + 1)]
     policy = [np.empty(fan**n) for n in range(cfg.depth)]
     per_step = max(1, _BLOCK // fan)
-    # the children (ai, m) of one node, in child order
-    acts = np.repeat(grid, n_m)
-    dts = np.tile(atoms.delta_t, n_a)
-    signs = np.tile(np.array([tree.sign_vec(m) for m in range(n_m)]), (n_a, 1))
+    # the step arguments (action, delta_t, coord, sign) of the children
+    # (ai, m) of one node, in child order
+    steps = [np.repeat(grid, n_m)] + [np.tile(x, n_a)
+                                      for x in (atoms.delta_t, atoms.coords, atoms.signs)]
 
     def solve(depth, i0, block):
         """Values (and actions) of the nodes [i0, i0 + len(block)) of a depth."""
@@ -617,8 +610,7 @@ def _backward_full(tree: Tree) -> SolveResult:
             parents = block.rows(slice(p0, p0 + per_step))
             k = len(parents)
             c0 = (i0 + p0) * fan
-            solve(depth + 1, c0, structure.step(parents, np.tile(acts, k),
-                                                np.tile(dts, k), np.tile(signs, (k, 1))))
+            solve(depth + 1, c0, structure.step(parents, *(np.tile(x, k) for x in steps)))
             child = values[depth + 1][c0:c0 + k * fan].reshape(k, n_a, n_m)
             acc = 0.0
             for m in range(n_m):

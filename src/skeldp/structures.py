@@ -36,6 +36,7 @@ that lands beyond T never enters the payoff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -44,7 +45,6 @@ from numpy.polynomial.legendre import leggauss
 
 from . import density, fbm
 from .errors import ConfigurationError, EvaluationError
-from .skeleton import aleph
 
 _GX, _GW = leggauss(64)
 
@@ -116,14 +116,16 @@ class StateStructure:
     def init(self):
         raise NotImplementedError
 
-    def step(self, state, action, delta_t, sign_vec):
+    def step(self, state, action, delta_t, coord, sign):
         """One event step of a block of P states to a block of N rows.
 
-        action and delta_t are scalars or one value per output row;
-        sign_vec is a unit sign vector (d,) or one per row (N, d).  N is the
-        length of the per-row arguments (P if all are scalars) and a
-        multiple of P: input row i fans out to output rows [i K, (i + 1) K),
-        K = N / P, as a full-tree node fans out to its children.
+        A step is a skeleton step under the action: the waiting time delta_t,
+        then the move of the 1-based coordinate coord (1..d) by sign (+-1)
+        times epsilon.  Each argument is a scalar or one value per output
+        row.  N is the length of the per-row arguments (P if all are
+        scalars) and a multiple of P: input row i fans out to output rows
+        [i K, (i + 1) K), K = N / P, as a full-tree node fans out to its
+        children.
         """
         raise NotImplementedError
 
@@ -148,12 +150,14 @@ def payoff_of(structure, payoff, state) -> np.ndarray:
     return values
 
 
-def _fan_out(n_rows: int, action, delta_t, sign_vec):
-    """A step's arguments per output row: the input row it steps from,
-    the action, delta_t, the active coordinate (1-based) and its sign."""
-    j, sgn = aleph(sign_vec)
+def _fan_out(n_rows: int, d: int, action, delta_t, coord, sign):
+    """A step's arguments per output row: the input row it steps from, the
+    action, delta_t, the coordinate (refused outside 1..d) and its sign (+-1)."""
     args = [np.asarray(action, dtype=float), np.asarray(delta_t, dtype=float),
-            np.asarray(j), np.asarray(sgn)]
+            np.asarray(coord), np.asarray(sign)]
+    if np.any((args[2] < 1) | (args[2] > d) | (np.abs(args[3]) != 1)):
+        raise ConfigurationError(f"a step moves a coordinate in 1..{d} by a sign +-1, "
+                                 f"got {np.unique(args[2])}, {np.unique(args[3])}")
     n = max([n_rows] + [x.size for x in args if x.ndim])
     if n % n_rows or any(x.ndim > 1 or x.size not in (1, n) for x in args):
         raise ConfigurationError(f"step arguments of shapes {[x.shape for x in args]} "
@@ -233,7 +237,7 @@ class CaseAStructure(StateStructure):
         return CaseAState(np.empty((1, 0)), self.spec.x0[None, None, :].copy(),
                           np.empty((1, 0)), np.zeros((1, self.spec.d), dtype=np.int64))
 
-    def step(self, state, action, delta_t, sign_vec):
+    def step(self, state, action, delta_t, coord, sign):
         """One Euler step on the event partition.
 
         Drift uses the current time/path/action; the diffusion column of the
@@ -245,7 +249,7 @@ class CaseAStructure(StateStructure):
         diffusion once per such run and active coordinate.
         """
         spec = self.spec
-        src, a, dt, j_star, sgn = _fan_out(len(state), action, delta_t, sign_vec)
+        src, a, dt, j_star, sgn = _fan_out(len(state), spec.d, action, delta_t, coord, sign)
         q = state.times.shape[1] + 1
         n = state.values.shape[2]
         clock = np.column_stack([np.zeros(len(state)), state.times])   # t_0..t_{q-1}
@@ -326,13 +330,12 @@ class FbmStructure(StateStructure):
         return FbmState(np.empty((1, 0)), np.full((1, 1, 1), float(self.spec.x0)),
                         np.empty((1, 0)), np.zeros(1))
 
-    def step(self, state, action, delta_t, sign_vec):
+    def step(self, state, action, delta_t, coord, sign):
         """Euler drift step with the diffusion replaced by sigma * dW^k_H;
-        the drift time is clamped at the horizon."""
+        the drift time is clamped at the horizon.  The structure is
+        one-dimensional: coord must be 1."""
         spec = self.spec
-        src, a, dt, j_star, sgn = _fan_out(len(state), action, delta_t, sign_vec)
-        if np.any(j_star != 1):
-            raise ConfigurationError("fBm structure is one-dimensional")
+        src, a, dt, _, sgn = _fan_out(len(state), 1, action, delta_t, coord, sign)
         q = state.times.shape[1] + 1
         t_prev = state.times[src, -1] if q > 1 else np.zeros(len(src))
         times = np.column_stack([state.times[src], t_prev + dt])
@@ -426,10 +429,9 @@ class PortfolioStructure(StateStructure):
         return PortfolioState(np.empty((1, 0)), np.full((1, 1), lw), np.zeros(1),
                               np.full(1, lw))
 
-    def step(self, state, action, delta_t, sign_vec):
-        src, a, dt, j, sgn = _fan_out(len(state), action, delta_t, sign_vec)
-        if np.any(j != 1):
-            raise ConfigurationError("portfolio structure is one-dimensional")
+    def step(self, state, action, delta_t, coord, sign):
+        """One wealth step; the structure is one-dimensional: coord must be 1."""
+        src, a, dt, _, sgn = _fan_out(len(state), 1, action, delta_t, coord, sign)
         outside = np.abs(a) > self.spec.a_bar + 1e-12
         if outside.any():
             raise ConfigurationError(f"action {a[outside][0]} outside "
@@ -685,33 +687,34 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
     """Build (structure, payoff) from a problem-config dictionary.
 
     cfg has kind "pd_sde" | "fbm" | "portfolio" plus kind-specific fields;
-    unknown keys are rejected.
+    unknown keys, missing fields and values of the wrong type are refused.
     """
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"problem must be an object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "portfolio":
         allowed = {"kind", "r", "alpha", "sigma", "gamma_util", "x0", "a_bar"}
         _reject_unknown(cfg, allowed)
-        spec = PortfolioSpec(r=float(cfg["r"]), alpha_k=float(cfg["alpha"]),
-                             sigma_k=float(cfg["sigma"]),
-                             gamma_util=float(cfg["gamma_util"]),
-                             x0=float(cfg["x0"]), horizon_T=horizon_T,
-                             a_bar=float(cfg.get("a_bar", 1.0)))
+        r, alpha, sigma, gamma_util, x0 = (_real(cfg, key, None, "problem") for key
+                                           in ("r", "alpha", "sigma", "gamma_util", "x0"))
+        spec = PortfolioSpec(r, alpha, sigma, gamma_util, x0, horizon_T,
+                             _real(cfg, "a_bar", 1.0, "problem"))
         return PortfolioStructure(spec, epsilon_k), power_utility_payoff(spec)
     if kind == "pd_sde":
         allowed = {"kind", "drift", "diffusion", "x0", "d", "payoff"}
         _reject_unknown(cfg, allowed)
         spec = PdSdeSpec(
-            drift=_from_registry(drift_registry, cfg["drift"]),
-            diffusion=_from_registry(diffusion_registry, cfg["diffusion"]),
-            x0=np.asarray(cfg["x0"], dtype=float), d=int(cfg.get("d", 1)))
+            drift=_from_registry(drift_registry, cfg, "drift"),
+            diffusion=_from_registry(diffusion_registry, cfg, "diffusion"),
+            x0=_reals(cfg, "x0", None, "problem"), d=_int(cfg, "d", 1, "problem"))
         payoff = _payoff_from_config(cfg.get("payoff", {"name": "terminal_tanh"}), horizon_T)
         return CaseAStructure(spec, epsilon_k, horizon_T), payoff
     if kind == "fbm":
         allowed = {"kind", "H", "sigma", "drift", "x0", "d_H", "payoff"}
         _reject_unknown(cfg, allowed)
-        spec = FbmSpec(H=float(cfg["H"]), sigma=float(cfg["sigma"]),
-                       drift=_from_registry(drift_registry, cfg["drift"]),
-                       x0=float(cfg["x0"]), d_H=float(cfg.get("d_H", 1.0)))
+        H, sigma, x0 = (_real(cfg, key, None, "problem") for key in ("H", "sigma", "x0"))
+        spec = FbmSpec(H, sigma, _from_registry(drift_registry, cfg, "drift"), x0,
+                       _real(cfg, "d_H", 1.0, "problem"))
         payoff = _payoff_from_config(cfg.get("payoff", {"name": "terminal_tanh"}), horizon_T)
         return FbmStructure(spec, epsilon_k, horizon_T), payoff
     raise ConfigurationError(f"unknown problem kind {kind!r}")
@@ -723,26 +726,69 @@ def _reject_unknown(cfg: dict, allowed: set):
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _from_registry(registry: dict, entry):
-    if isinstance(entry, str):
-        entry = {"name": entry}
+def _value(section: dict, key: str, default, where: str):
+    """section[key], or default if absent; a default of None makes it required."""
+    if key not in section and default is None:
+        raise ConfigurationError(f"{where}.{key} missing")
+    return section.get(key, default)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(section: dict, key: str, default, where: str) -> float:
+    """section[key] (default if absent), refused unless it is a number:
+    float() would also read "0.5" and True."""
+    value = _value(section, key, default, where)
+    if not _is_real(value):
+        raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(section: dict, key: str, default, where: str):
+    """section[key] (default if absent), refused unless numbers: one or a list."""
+    value = _value(section, key, default, where)
+    if not all(map(_is_real, value if isinstance(value, list) else [value])):
+        raise ConfigurationError(f"{where}.{key} must be numbers, got {value!r}")
+    return value
+
+
+def _int(section: dict, key: str, default, where: str) -> int:
+    """section[key] (default if absent), refused unless it is an integer:
+    int() would truncate 2.5 to 2 and run."""
+    value = _value(section, key, default, where)
+    if not (_is_real(value) and isinstance(value, numbers.Integral)):
+        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _named(entry, where: str) -> dict:
+    """A functional's entry: a name, or an object of a name and numbers."""
+    entry = {"name": entry} if isinstance(entry, str) else entry
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where} must be a name or an object, got {entry!r}")
+    for key in sorted(entry.keys() - {"name"}):
+        _real(entry, key, None, where)
+    return entry
+
+
+def _from_registry(registry: dict, cfg: dict, key: str):
+    entry = _named(_value(cfg, key, None, "problem"), f"problem.{key}")
     name = entry.get("name")
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise ConfigurationError(f"unknown coefficient functional {name!r}")
-    params = {k: v for k, v in entry.items() if k != "name"}
-    return registry[name](params)
+    return registry[name]({k: v for k, v in entry.items() if k != "name"})
 
 
 def _payoff_from_config(entry, horizon_T: float):
     """Bounded Hoelder payoffs selectable by name, one value per path of a
     PathView block."""
-    if isinstance(entry, str):
-        entry = {"name": entry}
+    entry = _named(entry, "problem.payoff")
     name = entry.get("name")
+    scale = float(entry.get("scale", 1.0))
     if name == "terminal_tanh":
-        scale = float(entry.get("scale", 1.0))
         return lambda path: scale * _math_rows(math.tanh, path(horizon_T)[:, 0])
     if name == "running_max_tanh":
-        scale = float(entry.get("scale", 1.0))
         return lambda path: scale * _math_rows(math.tanh, path.running_max()[:, 0])
     raise ConfigurationError(f"unknown payoff {name!r}")

@@ -365,6 +365,56 @@ def test_non_integer_counts_exit_1(tmp_path, capsys, command, where, value):
     assert "Traceback" not in err
 
 
+PD_CFG = {
+    "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
+    "problem": {"kind": "pd_sde", "drift": {"name": "linear", "scale": 0.2},
+                "diffusion": "constant", "x0": [1.0]},
+    "solve": {"action_grid": [0.0], "depth": 2, "Q": 2},
+}
+FBM_CFG = {
+    "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
+    "problem": {"kind": "fbm", "H": 0.75, "sigma": 0.5, "drift": "action_linear",
+                "x0": 0.0},
+    "solve": {"action_grid": [0.0], "depth": 2, "Q": 2},
+}
+DELETE = object()
+
+
+@pytest.mark.parametrize("command, base, where, value", [
+    ("solve", MERTON_CFG, ("problem", "r"), DELETE),
+    ("solve", FBM_CFG, ("problem", "H"), DELETE),
+    ("solve", PD_CFG, ("problem", "drift"), DELETE),
+    ("solve", MERTON_CFG, ("skeleton",), DELETE),
+    ("solve", MERTON_CFG, ("solve", "depth"), DELETE),
+    ("solve", MERTON_CFG, ("skeleton", "epsilon_k"), "a third"),
+    ("solve", MERTON_CFG, ("problem", "r"), "three percent"),
+    ("solve", MERTON_CFG, ("problem", "x0"), "one"),
+    ("solve", PD_CFG, ("problem", "drift", "scale"), "small"),
+    ("solve", MERTON_CFG, ("solve", "action_grid", "lo"), "minus one"),
+    ("solve", MERTON_CFG, ("problem",), [MERTON_CFG["problem"]]),
+    ("kernel", MERTON_CFG, ("kernel", "lags"), ["none"]),
+    ("sweep", MERTON_CFG, ("sweep", "eps_list"), ["a half"]),
+], ids=["missing-r", "missing-H", "missing-drift", "missing-skeleton", "missing-depth",
+        "string-epsilon", "string-r", "string-x0", "string-drift-scale",
+        "string-grid-lo", "list-problem", "string-kernel-lag", "string-sweep-eps"])
+def test_malformed_config_exit_1(tmp_path, capsys, command, base, where, value):
+    cfg = json.loads(json.dumps(base))
+    section = cfg
+    for key in where[:-1]:
+        section = section.setdefault(key, {})
+    if value is DELETE:
+        del section[where[-1]]
+    else:
+        section[where[-1]] = value
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and ".".join(where) in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
 def test_nonpositive_a_bar_exit_1(tmp_path, capsys):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["problem"]["a_bar"] = -1.0

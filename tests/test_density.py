@@ -154,6 +154,11 @@ def test_domain_errors():
         density.f_tau(np.nan)
     with pytest.raises(ConfigurationError):
         density.truncation_bound(np.nan, 4)
+    for fn in (density.cdf_tau, density.survival_tau):
+        with pytest.raises(ConfigurationError, match="not NaN"):
+            fn(np.nan)
+        with pytest.raises(ConfigurationError, match="not NaN"):
+            fn(np.array([0.5, np.nan, -1.0]))
     with pytest.raises(ConfigurationError):
         density.inverse_cdf_tau(np.nan)
     with pytest.raises(ConfigurationError):

@@ -134,8 +134,8 @@ def test_enumerate_depth_one_by_hand():
     for a in grid:
         acc = 0.0
         for m in range(tree.n_atoms):
-            st = struct.step(struct.init(), float(a),
-                             float(tree.atoms.delta_t[m]), tree.sign_vec(m))
+            st = struct.step(struct.init(), float(a), float(tree.atoms.delta_t[m]),
+                             tree.atoms.coords[m], tree.atoms.signs[m])
             acc += tree.atoms.weights[m] * payoff(struct.payoff_input(st))[0]
         best = max(best, acc)
     assert val == pytest.approx(best, rel=1e-14)
@@ -345,7 +345,8 @@ def test_oracle_triangle_no_noise():
                 return payoff(struct.payoff_input(state))[0]
             return sum(tree.atoms.weights[m]
                        * fold(struct.step(state, a, float(tree.atoms.delta_t[m]),
-                                          tree.sign_vec(m)), depth + 1)
+                                          tree.atoms.coords[m], tree.atoms.signs[m]),
+                              depth + 1)
                        for m in range(tree.n_atoms))
         return fold(struct.init(), 0)
     const = max(const_val(float(a)) for a in cfg.action_grid)

@@ -14,7 +14,8 @@ from skeldp.structures import FbmSpec, FbmStructure
 
 
 def unit(s):
-    return np.array([s], dtype=np.int64)
+    """The (coord, sign) of a one-dimensional step."""
+    return 1, s
 
 
 # SHA-256 of FbmTable(0.75)._phi.tobytes(), recorded on the cumulative
@@ -314,7 +315,7 @@ def test_fbm_structure_reductions():
     dts = [0.2, 0.3, 0.15]
     signs = [1, -1, 1]
     for dt, s in zip(dts, signs):
-        state = struct.step(state, 0.0, dt, unit(s))
+        state = struct.step(state, 0.0, dt, *unit(s))
     times = np.cumsum(dts)
     w = fbm.fbm_from_skeleton(times, np.array(signs, float), eps, H,
                               [times[-1]])[0]
@@ -324,7 +325,7 @@ def test_fbm_structure_reductions():
     struct0 = FbmStructure(spec0, eps, horizon_T=10.0)
     state0 = struct0.init()
     for dt, s in zip(dts, signs):
-        state0 = struct0.step(state0, 0.0, dt, unit(s))
+        state0 = struct0.step(state0, 0.0, dt, *unit(s))
     assert state0.values[0, -1, 0] == pytest.approx(2.0 + 0.7 * times[-1], rel=1e-12)
 
 
@@ -339,7 +340,7 @@ def test_fbm_structure_step_is_one_table_call(monkeypatch):
     def fan(state):              # four children per row
         n = 4 * len(state)
         return struct.step(state, rng.uniform(-1, 1, n), rng.uniform(0.01, 0.2, n),
-                           rng.choice([-1, 1], (n, 1)))
+                           1, rng.choice([-1, 1], n))
 
     state = fan(fan(fan(struct.init())))
     calls = []
@@ -376,6 +377,6 @@ def test_mean_reversion_reduces_variance():
             sgn = np.where(u[:, 1] < 0.5, 1, -1)
             state = struct.init()
             for dt, s in zip(dts, sgn):
-                state = struct.step(state, 0.0, float(dt), unit(int(s)))
+                state = struct.step(state, 0.0, float(dt), *unit(int(s)))
             terminals[name].append(state.values[0, -1, 0])
     assert np.var(terminals["revert"]) < np.var(terminals["free"])

@@ -9,7 +9,7 @@ from scipy import stats
 
 from skeldp import density, skeleton
 from skeldp.errors import ConfigurationError, NumericalError
-from skeldp.skeleton import (SkeletonConfig, aleph, brownian_fine_path,
+from skeldp.skeleton import (SkeletonConfig, SkeletonPath, brownian_fine_path,
                              crossing_sample_skeleton, elapsed_times,
                              path_from_csv, path_to_csv, sample_skeleton)
 
@@ -24,17 +24,11 @@ def test_config_defaults_and_validation():
         SkeletonConfig(epsilon_k=1.0, d=0)
     with pytest.raises(ConfigurationError):
         SkeletonConfig(epsilon_k=1.0, n_steps=0)
-
-
-def test_aleph():
-    assert aleph((0, 1, 0)) == (2, 1)
-    assert aleph((-1, 0)) == (1, -1)
-    with pytest.raises(ConfigurationError):
-        aleph((0, 0))
-    with pytest.raises(ConfigurationError):
-        aleph((1, 1))
-    with pytest.raises(ConfigurationError):
-        aleph((0, 2))
+    # counts must be ints: 1.5 would run with n_steps 6.0, True as d = 1
+    for bad in ({"d": 1.5}, {"d": True}, {"d": 2.0}, {"n_steps": 4.0},
+                {"n_steps": True}, {"n_steps": "4"}):
+        with pytest.raises(ConfigurationError, match="must be an int >= 1"):
+            SkeletonConfig(0.5, **bad)
 
 
 def test_reproducibility():
@@ -98,31 +92,33 @@ def test_coordinates_balanced(monkeypatch):
     assert stats.ks_2samp(plain.cum_times[:, -1], block.cum_times[:, -1]).pvalue > 1e-3
 
 
+def steps_path(d, steps):
+    """The SkeletonPath of a list of (delta_t, coord, sign) steps."""
+    dts, coords, signs = zip(*steps) if steps else ((), (), ())
+    return SkeletonPath(0.5, d, dts, coords, signs)
+
+
 def test_last_hit_indices():
     # the last-hit time of a coordinate sums the steps up to its last hit
-    assert np.all(elapsed_times([], d=1)[1] == 0.0)
-    d1 = [(0.1, (1,)), (0.2, (-1,)), (0.4, (1,))]
-    assert elapsed_times(d1, d=1)[1] == pytest.approx([0.7])
+    assert np.all(elapsed_times(steps_path(1, []))[1] == 0.0)
+    d1 = [(0.1, 1, 1), (0.2, 1, -1), (0.4, 1, 1)]
+    assert elapsed_times(steps_path(1, d1))[1] == pytest.approx([0.7])
     # coords (1, 2, 1): coordinate 2 last hit at step 2, coordinate 1 at step 3
-    d2 = [(0.1, (1, 0)), (0.2, (0, -1)), (0.4, (-1, 0))]
-    t_n, t_lam, lags = elapsed_times(d2, d=2)
+    d2 = [(0.1, 1, 1), (0.2, 2, -1), (0.4, 1, -1)]
+    t_n, t_lam, lags = elapsed_times(steps_path(2, d2))
     assert t_lam == pytest.approx([0.7, 0.3])
     assert lags == pytest.approx([0.0, 0.4])
-    path = skeleton.SkeletonPath(0.5, 2, [0.1, 0.2, 0.4], [1, 2, 1], [1, -1, -1])
-    assert np.array_equal(elapsed_times(path)[1], t_lam)
 
 
 def test_elapsed_times_examples():
-    t_n, t_lam, lags = elapsed_times([], d=2)
+    t_n, t_lam, lags = elapsed_times(steps_path(2, []))
     assert t_n == 0.0 and np.all(t_lam == 0) and np.all(lags == 0)
     # d=1: two steps
-    bk = [(0.3, (1,)), (0.2, (1,))]
-    t_n, t_lam, lags = elapsed_times(bk, d=1)
+    t_n, t_lam, lags = elapsed_times(steps_path(1, [(0.3, 1, 1), (0.2, 1, 1)]))
     assert t_n == pytest.approx(0.5)
     assert lags[0] == 0.0
     # d=2: 0.3 on coord 1, then 0.2 on coord 2
-    bk = [(0.3, (1, 0)), (0.2, (0, 1))]
-    t_n, t_lam, lags = elapsed_times(bk, d=2)
+    t_n, t_lam, lags = elapsed_times(steps_path(2, [(0.3, 1, 1), (0.2, 2, 1)]))
     assert t_n == pytest.approx(0.5)
     assert lags[0] == pytest.approx(0.2)   # coord 1 last hit at 0.3
     assert lags[1] == pytest.approx(0.0)   # coord 2 just fired
@@ -258,10 +254,7 @@ def test_sample_invariants(seed, d, n_steps):
                           st.sampled_from([-1, 1])), max_size=30))
 def test_elapsed_consistency(steps):
     d = 3
-    bk = [(s, tuple(1 if (j + 1) == c and sgn > 0 else (-1 if (j + 1) == c else 0)
-                    for j in range(d)))
-          for s, c, sgn in steps]
-    t_n, t_lam, lags = elapsed_times(bk, d=d)
+    t_n, t_lam, lags = elapsed_times(steps_path(d, steps))
     assert t_n == pytest.approx(sum(s for s, _, _ in steps), rel=1e-12)
     assert np.all(lags >= 0)
     for lam in range(1, d + 1):

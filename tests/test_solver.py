@@ -331,8 +331,8 @@ def test_dp_dominates_any_fixed_action_sequence(seed):
             return payoff(struct.payoff_input(state))[0]
         acc = 0.0
         for m in range(tree.n_atoms):
-            child = struct.step(state, float(seq[depth]),
-                                float(tree.atoms.delta_t[m]), tree.sign_vec(m))
+            child = struct.step(state, float(seq[depth]), float(tree.atoms.delta_t[m]),
+                                tree.atoms.coords[m], tree.atoms.signs[m])
             acc += tree.atoms.weights[m] * fold(child, depth + 1)
         return acc
 
@@ -751,7 +751,7 @@ def _history_walk(struct, payoff, tree, path, memo=None):
             acc = 0.0
             for m in range(tree.n_atoms):
                 child = struct.step(state, float(a), float(atoms.delta_t[m]),
-                                    tree.sign_vec(m))
+                                    tree.atoms.coords[m], tree.atoms.signs[m])
                 acc += atoms.weights[m] * fold(child, n + 1, history + ((float(a), m),))[0]
             if acc > best_v:
                 best_v, best_a = acc, float(a)
@@ -765,7 +765,7 @@ def _history_walk(struct, payoff, tree, path, memo=None):
                 if atoms.coords[m] == path.coords[n] and atoms.signs[m] == path.signs[n]]
         m = min(same, key=lambda m: abs(atoms.delta_t[m] - path.delta_t[n]))
         state = struct.step(state, actions[-1], float(atoms.delta_t[m]),
-                            tree.sign_vec(m))
+                            tree.atoms.coords[m], tree.atoms.signs[m])
         history += ((actions[-1], m),)
     return actions
 
@@ -826,7 +826,8 @@ def _node_values(struct, payoff, tree):
                 acc = 0.0
                 for m in range(tree.n_atoms):
                     acc += atoms.weights[m] * fold(struct.step(
-                        state, float(a), float(atoms.delta_t[m]), tree.sign_vec(m)), n + 1)
+                        state, float(a), float(atoms.delta_t[m]), atoms.coords[m],
+                        atoms.signs[m]), n + 1)
                 if acc > best:
                     best = acc
         layers[n].append(best)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,18 +10,17 @@ from numpy.polynomial.legendre import leggauss
 from skeldp import density, structures
 from skeldp.errors import ConfigurationError, EvaluationError
 from skeldp.skeleton import SkeletonConfig, sample_skeleton
-from skeldp.structures import (CaseAStructure, PdSdeSpec, PortfolioSpec,
-                               PortfolioStructure, power_utility_payoff,
+from skeldp.structures import (CaseAStructure, FbmSpec, FbmStructure, PdSdeSpec,
+                               PortfolioSpec, PortfolioStructure, power_utility_payoff,
                                stage_g, stage_truncation_gap,
                                structure_from_config)
 
 GX, GW = leggauss(64)
 
 
-def unit(c, s, d=1):
-    v = np.zeros(d, dtype=np.int64)
-    v[c - 1] = s
-    return v
+def unit(c, s):
+    """The (coord, sign) of a step."""
+    return c, s
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def test_case_a_degenerate_ode():
     struct = CaseAStructure(spec, epsilon_k=0.3, horizon_T=10.0)
     state = struct.init()
     for dt in [0.1, 0.4, 0.25]:
-        state = struct.step(state, 0.0, dt, unit(1, 1))
+        state = struct.step(state, 0.0, dt, *unit(1, 1))
     assert state.values[0, -1, 0] == pytest.approx(2.0 + c * 0.75, rel=1e-14)
 
 
@@ -48,7 +48,7 @@ def test_case_a_pure_noise():
     state = struct.init()
     signs = [1, -1, -1, 1, 1]
     for s in signs:
-        state = struct.step(state, 0.0, 0.2, unit(1, s))
+        state = struct.step(state, 0.0, 0.2, *unit(1, s))
     assert state.values[0, -1, 0] == pytest.approx(1.0 + eps * sum(signs), rel=1e-14)
 
 
@@ -65,7 +65,7 @@ def test_case_a_growth_bound():
         dt = float(rng.uniform(0.01, 0.3))
         a = float(rng.uniform(-1, 1))
         s = int(rng.choice([-1, 1]))
-        new = struct.step(state, a, dt, unit(1, s))
+        new = struct.step(state, a, dt, *unit(1, s))
         dx = abs(new.values[0, -1, 0] - state.values[0, -1, 0])
         assert dx <= 2.0 * dt + 1.0 * eps + 1e-12
         state = new
@@ -85,9 +85,9 @@ def test_case_a_diffusion_frozen_at_last_hit():
                      x0=np.array([0.0]), d=2)
     struct = CaseAStructure(spec, eps, horizon_T=10.0)
     state = struct.init()
-    state = struct.step(state, 10.0, 0.3, unit(1, 1, 2))   # coord 1 fires
-    state = struct.step(state, 20.0, 0.2, unit(2, 1, 2))   # coord 2 fires
-    state = struct.step(state, 30.0, 0.4, unit(1, -1, 2))  # coord 1 again
+    state = struct.step(state, 10.0, 0.3, *unit(1, 1))   # coord 1 fires
+    state = struct.step(state, 20.0, 0.2, *unit(2, 1))   # coord 2 fires
+    state = struct.step(state, 30.0, 0.4, *unit(1, -1))  # coord 1 again
     # third call: coord 1 last hit at step 1 (time 0.3), action chosen there
     # is a_1 = 20.0 (the action supplied at that step's end is a_1);
     # the frozen path value is the state after step 1
@@ -103,7 +103,7 @@ def test_case_a_nan_raises_with_step():
                      x0=np.array([0.0]))
     struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
     with pytest.raises(EvaluationError) as err:
-        struct.step(struct.init(), 0.0, 0.1, unit(1, 1))
+        struct.step(struct.init(), 0.0, 0.1, *unit(1, 1))
     assert err.value.step == 1
 
 
@@ -114,44 +114,69 @@ def test_case_a_refuses_a_drift_of_one_value_per_row():
                      x0=np.array([0.5]))
     struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
     with pytest.raises(ConfigurationError, match=r"drift returned shape \(3,\)"):
-        struct.step(struct.init(), np.array([-1.0, 0.0, 1.0]), 0.1, unit(1, 1))
+        struct.step(struct.init(), np.array([-1.0, 0.0, 1.0]), 0.1, *unit(1, 1))
 
 
 def test_payoff_must_return_one_value_per_path():
     struct = PortfolioStructure(pspec(), 0.5)
-    block = struct.step(struct.init(), np.array([0.0, 0.5]), 0.1, unit(1, 1))
+    block = struct.step(struct.init(), np.array([0.0, 0.5]), 0.1, *unit(1, 1))
     payoff = power_utility_payoff(struct.spec)
     assert structures.payoff_of(struct, payoff, block).shape == (2,)
     with pytest.raises(ConfigurationError, match=r"payoff returned shape \(2, 1\)"):
         structures.payoff_of(struct, lambda path: path(1.0), block)
 
 
-def test_block_step_equals_row_steps():
-    """A block steps each row as a 1-row block would, fanning out rows."""
+def _case_a_d2():
     spec = PdSdeSpec(
         drift=lambda t, p, a: 0.3 * a - 0.2 * p(t) + np.sin(t),
         diffusion=lambda t, p, a: np.concatenate(
             [1 + 0.1 * a * p.running_max(), 0.5 + np.cos(t) * p(t)], axis=1)[:, None, :],
         x0=np.array([0.2]), d=2)
-    struct = CaseAStructure(spec, 0.5, horizon_T=1.0)
+    return CaseAStructure(spec, 0.5, horizon_T=1.0), 2
+
+
+def _fbm():
+    spec = FbmSpec(H=0.75, sigma=0.8, drift=lambda t, p, a: a - 0.5 * p(t), x0=0.1)
+    return FbmStructure(spec, 0.5, horizon_T=1.0), 1
+
+
+def _portfolio():
+    return PortfolioStructure(pspec(), 0.5), 1
+
+
+STRUCTURES = {"case_a": _case_a_d2, "fbm": _fbm, "portfolio": _portfolio}
+
+
+@pytest.mark.parametrize("make", STRUCTURES.values(), ids=STRUCTURES.keys())
+def test_block_step_equals_row_steps(make):
+    """A block steps each row as a 1-row block would, fanning out rows."""
+    struct, d = make()
     rng = np.random.default_rng(7)
     steps = []
     for n_rows in (6, 6, 6):
-        coords = rng.integers(1, 3, size=n_rows)
-        signs = rng.choice([-1, 1], size=n_rows)
-        sign_vecs = np.zeros((n_rows, 2), dtype=np.int64)
-        sign_vecs[np.arange(n_rows), coords - 1] = signs
         steps.append((rng.choice([-1.0, 0.0, 1.0], size=n_rows),
-                      rng.uniform(0.05, 0.4, size=n_rows), sign_vecs))
+                      rng.uniform(0.05, 0.4, size=n_rows),
+                      rng.integers(1, d + 1, size=n_rows), rng.choice([-1, 1], size=n_rows)))
     block = struct.init()
-    for acts, dts, sign_vecs in steps:
-        block = struct.step(block, acts, dts, sign_vecs)
+    for acts, dts, coords, signs in steps:
+        block = struct.step(block, acts, dts, coords, signs)
     for i in range(6):
         row = struct.init()
-        for acts, dts, sign_vecs in steps:
-            row = struct.step(row, acts[i], dts[i], sign_vecs[i])
-        for name in ("times", "values", "actions", "last_hit"):
-            assert np.array_equal(getattr(row, name)[0], getattr(block, name)[i]), name
+        for acts, dts, coords, signs in steps:
+            row = struct.step(row, acts[i], dts[i], coords[i], signs[i])
+        for f in dataclasses.fields(row):
+            assert np.array_equal(getattr(row, f.name)[0], getattr(block, f.name)[i]), f.name
+
+
+@pytest.mark.parametrize("make", STRUCTURES.values(), ids=STRUCTURES.keys())
+@pytest.mark.parametrize("bad", ["coord-0", "coord-d+1", "sign-0"])
+def test_step_refuses_a_bad_coord_or_sign(make, bad):
+    struct, d = make()
+    coord, sign = {"coord-0": (0, 1), "coord-d+1": (d + 1, 1), "sign-0": (1, 0)}[bad]
+    with pytest.raises(ConfigurationError, match="a step moves a coordinate"):
+        struct.step(struct.init(), 0.0, 0.1, coord, sign)
+    with pytest.raises(ConfigurationError, match="a step moves a coordinate"):
+        struct.step(struct.init(), np.zeros(2), 0.1, np.array([1, coord]), np.array([1, sign]))
 
 
 def coupled_linear_error(eps, n_paths=60, seed0=0):
@@ -171,7 +196,7 @@ def coupled_linear_error(eps, n_paths=60, seed0=0):
         sup = 0.0
         for n in range(len(path)):
             state = struct.step(state, 0.0, float(path.delta_t[n]),
-                                unit(1, int(path.signs[n])))
+                                *unit(1, int(path.signs[n])))
             tn = state.times[0, -1]
             idx = min(int(round(tn / dt)), len(t_grid) - 1)
             exact = x0 * math.exp((a_c - 0.5 * b_c**2) * tn + b_c * bm[0, idx])
@@ -200,7 +225,7 @@ def test_portfolio_zero_control_risk_free():
     struct = PortfolioStructure(spec, 0.5)
     state = struct.init()
     for dt in [0.2, 0.3, 0.1]:
-        state = struct.step(state, 0.0, dt, unit(1, 1))
+        state = struct.step(state, 0.0, dt, *unit(1, 1))
     assert math.exp(state.log_payoff_wealth[0]) == pytest.approx(
         math.exp(0.03 * 0.6), rel=1e-14)
 
@@ -209,7 +234,7 @@ def terminal_wealth(spec, eps, actions, dts, signs):
     struct = PortfolioStructure(spec, eps)
     state = struct.init()
     for a, dt, s in zip(actions, dts, signs):
-        state = struct.step(state, a, dt, unit(1, s))
+        state = struct.step(state, a, dt, *unit(1, s))
     return math.exp(state.log_wealth[0, -1])
 
 
@@ -239,7 +264,7 @@ def test_portfolio_positivity():
         for n in range(len(path)):
             a = float(rng.uniform(-1, 1))
             state = struct.step(state, a, float(path.delta_t[n]),
-                                unit(1, int(path.signs[n])))
+                                *unit(1, int(path.signs[n])))
             assert math.exp(state.log_wealth[0, -1]) > 0
 
 
@@ -247,14 +272,14 @@ def test_portfolio_horizon_clipping():
     spec = pspec()
     struct = PortfolioStructure(spec, 0.5)
     state = struct.init()
-    state = struct.step(state, 0.5, 0.7, unit(1, 1))
+    state = struct.step(state, 0.5, 0.7, *unit(1, 1))
     lw_before = state.log_payoff_wealth[0]
     # this step straddles T = 1: the payoff keeps the pre-step wealth
-    state = struct.step(state, 1.0, 0.8, unit(1, 1))
+    state = struct.step(state, 1.0, 0.8, *unit(1, 1))
     assert state.log_payoff_wealth[0] == lw_before
     assert state.t_clip[0] == spec.horizon_T
     # absorbed afterwards
-    state2 = struct.step(state, -1.0, 0.3, unit(1, -1))
+    state2 = struct.step(state, -1.0, 0.3, *unit(1, -1))
     assert state2.log_payoff_wealth[0] == lw_before
     payoff = power_utility_payoff(spec)
     assert payoff(struct.payoff_input(state2))[0] == pytest.approx(
@@ -274,7 +299,7 @@ def test_collapse_ops_match_scalar_steps():
         dt = float(rng.uniform(0.05, 0.4))
         s = int(rng.choice([-1, 1]))
         stats = ops.step_stats(stats, a, dt, s)
-        state = struct.step(state, a, dt, unit(1, s))
+        state = struct.step(state, a, dt, *unit(1, s))
         assert stats[0, 0] == state.t_clip[0]
         assert stats[0, 1] == state.log_payoff_wealth[0]
 
@@ -438,8 +463,8 @@ def test_non_anticipativity(seed):
         sa = struct.init()
         sb = struct.init()
         for n in range(cut):
-            sa = struct.step(sa, float(acts_a[n]), float(dts[n]), unit(1, int(signs[n])))
-            sb = struct.step(sb, float(acts_b[n]), float(dts[n]), unit(1, int(signs[n])))
+            sa = struct.step(sa, float(acts_a[n]), float(dts[n]), *unit(1, int(signs[n])))
+            sb = struct.step(sb, float(acts_b[n]), float(dts[n]), *unit(1, int(signs[n])))
         assert np.array_equal(struct.payoff_input(sa)(100.0), struct.payoff_input(sb)(100.0))
 
 
