@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, density, evaluate, kernel, skeleton, solver, structures
 from .errors import (ConfigurationError, EvaluationError, NumericalError,
                      ResourceCapError)
-from .structures import _int, _real, _reals, _value
+from .structures import _int, _real, _reals, _reject_unknown, _value
 
 
 def _fmt(x) -> str:
@@ -52,16 +52,10 @@ def _require_top(cfg: dict, *required: str):
     """Refuse unknown or missing sections and any that is not an object."""
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"a config must be a JSON object, got {cfg!r}")
-    _require_keys(cfg, _TOP_SECTIONS, "top level")
+    _reject_unknown(cfg, _TOP_SECTIONS, "top level")
     for name in [*required, *cfg]:
         if not isinstance(section := _value(cfg, name, None, "config"), dict):
             raise ConfigurationError(f"{name} must be an object, got {section!r}")
-
-
-def _require_keys(cfg: dict, allowed: set, where: str):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _write_manifest(out_dir: str, args, cfg: dict | None):
@@ -102,7 +96,7 @@ def _say(args, msg: str):
 # ---------------------------------------------------------------------------
 
 def _skeleton_cfg(section: dict, eps_override: float | None) -> skeleton.SkeletonConfig:
-    _require_keys(section, {"epsilon_k", "d", "horizon_T", "n_steps"}, "skeleton")
+    _reject_unknown(section, {"epsilon_k", "d", "horizon_T", "n_steps"}, "skeleton")
     eps = (eps_override if eps_override is not None
            else _real(section, "epsilon_k", None, "skeleton"))
     n_steps = section.get("n_steps")
@@ -114,11 +108,11 @@ def _skeleton_cfg(section: dict, eps_override: float | None) -> skeleton.Skeleto
 
 def _solve_cfg(section: dict) -> solver.SolveConfig:
     allowed = {f.name for f in dataclasses.fields(solver.SolveConfig)}
-    _require_keys(section, allowed, "solve")
+    _reject_unknown(section, allowed, "solve")
     _value(section, "depth", None, "solve")        # the one field without a default
     grid_spec = _value(section, "action_grid", None, "solve")
     if isinstance(grid_spec, dict):
-        _require_keys(grid_spec, {"lo", "hi", "n"}, "solve.action_grid")
+        _reject_unknown(grid_spec, {"lo", "hi", "n"}, "solve.action_grid")
         grid = np.linspace(_real(grid_spec, "lo", None, "solve.action_grid"),
                            _real(grid_spec, "hi", None, "solve.action_grid"),
                            _int(grid_spec, "n", None, "solve.action_grid"))
@@ -153,8 +147,12 @@ def _solve_setup(args):
 
 def cmd_density(args) -> int:
     out = _out_dir(args)
-    xs = (np.asarray([float(v) for v in args.x.split(",")])
-          if args.x else np.geomspace(0.05, 10.0, 60))
+    try:
+        xs = (np.asarray([float(v) for v in args.x.split(",")])
+              if args.x else np.geomspace(0.05, 10.0, 60))
+    except ValueError as exc:
+        raise ConfigurationError(f"--x must be comma-separated numbers, "
+                                 f"got {args.x!r}") from exc
     n = args.terms
     rows = [["x", "f", "bound", "cdf"]]
     for x in xs:
@@ -196,7 +194,7 @@ def cmd_kernel(args) -> int:
     _require_top(cfg, "skeleton")
     skel = _skeleton_cfg(cfg["skeleton"], args.epsilon)
     ksec = cfg.get("kernel", {})
-    _require_keys(ksec, {"lags", "Q"}, "kernel")
+    _reject_unknown(ksec, {"lags", "Q"}, "kernel")
     lags = np.atleast_1d(_reals(ksec, "lags", [0.0] * skel.d, "kernel")).astype(float)
     if len(lags) != skel.d:
         raise ConfigurationError(
@@ -223,15 +221,17 @@ def cmd_kernel(args) -> int:
 def _dump_tables(out: str, res: solver.SolveResult, tree: solver.Tree):
     """value_policy.csv: one row per node, in node order.
 
-    node_key is the packed bin in collapse mode, and in full mode the repr
-    of the node's history of (action index, atom index) pairs: node order
-    is lexicographic history order, as itertools.product yields it.
+    node_key is, in collapse mode, the node's bin indices in statistic
+    order, separated by single spaces (node order is lexicographic bin
+    order), and in full mode the repr of the node's history of (action
+    index, atom index) pairs (node order is lexicographic history order,
+    as itertools.product yields it).
     """
     pairs = [(ai, m) for ai in range(len(tree.cfg.action_grid))
              for m in range(tree.n_atoms)]
     rows = [["depth", "node_key", "value", "action"]]
     for depth, values in enumerate(res.values.layers):
-        keys = (solver._pack(tree.layers[depth].bins).tolist()
+        keys = (map(" ".join, tree.layers[depth].bins.astype(str).tolist())
                 if tree.cfg.collapse
                 else map(repr, itertools.product(pairs, repeat=depth)))
         actions = (res.policy.layers[depth]
@@ -266,12 +266,14 @@ def _policy_from_csv(path: str, structure, payoff, eps_k: float,
     """Rebuild a collapse tree and its policy/value table from a solve CSV
     dump; the tree gets build_tree's checks, atoms and widths.
 
-    Refuses, by line: a depth below 0, a non-finite value, and below the
+    Refuses, by line: a depth below 0, a node_key that is not k int64 bin
+    indices separated by single spaces, a non-finite value, and below the
     last depth an action that is blank, not finite or outside the spec's
     [-a_bar, a_bar].
     """
     if not os.path.exists(path):
         raise ConfigurationError(f"policy CSV not found: {path}")
+    k = solver._collapse_ops(structure, payoff).n_stats
     per_depth: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -281,12 +283,16 @@ def _policy_from_csv(path: str, structure, payoff, eps_k: float,
         try:
             depth_s, key_s, value_s, action_s = row
             depth, value = int(depth_s), float(value_s)
-            entry = (int(key_s), value, float(action_s) if action_s else math.nan, line)
-        except ValueError as exc:
+            key = tuple(np.array(key_s.split(" ")).astype(np.int64).tolist())
+            entry = (key, value, float(action_s) if action_s else math.nan, line)
+        except (ValueError, OverflowError) as exc:
             raise ConfigurationError(f"bad policy CSV line {line}: {row!r} ({exc})") from exc
         if depth < 0 or not math.isfinite(value):
             raise ConfigurationError(f"bad policy CSV line {line}: {row!r} "
                                      f"(depth below 0 or value not finite)")
+        if len(key) != k:
+            raise ConfigurationError(f"bad policy CSV line {line}: node_key "
+                                     f"{key_s!r} is not {k} bin indices")
         per_depth.setdefault(depth, []).append(entry)
     if not per_depth:
         raise ConfigurationError(f"policy CSV has no node rows: {path}")
@@ -295,8 +301,8 @@ def _policy_from_csv(path: str, structure, payoff, eps_k: float,
         raise ConfigurationError(
             f"policy CSV depth {depth_max} != solve.depth {scfg.depth}")
     layers = [sorted(per_depth.get(depth, [])) for depth in range(depth_max + 1)]
-    keys = [np.array([e[0] for e in es], dtype=np.int64) for es in layers]
-    tree = solver._setup_tree(structure, payoff, eps_k, scfg, keys)
+    bins = [np.array([e[0] for e in es], dtype=np.int64).reshape(-1, k) for es in layers]
+    tree = solver._setup_tree(structure, payoff, eps_k, scfg, bins)
     a_bar = getattr(getattr(structure, "spec", None), "a_bar", None)
     for _, _, action, line in itertools.chain(*layers[:-1]):
         if not math.isfinite(action):
@@ -314,8 +320,12 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     cfg, skel, structure, payoff, scfg = _solve_setup(args)
     esec = cfg.get("evaluate", {})
-    _require_keys(esec, {"n_paths", "antithetic", "policy_csv"}, "evaluate")
+    _reject_unknown(esec, {"n_paths", "antithetic", "policy_csv"}, "evaluate")
     n_paths = _n_paths(esec)
+    antithetic = _value(esec, "antithetic", False, "evaluate")
+    if not isinstance(antithetic, bool):
+        raise ConfigurationError(f"evaluate.antithetic must be true or false, "
+                                 f"got {antithetic!r}")
     if esec.get("policy_csv"):
         if not scfg.collapse:
             raise ConfigurationError("policy_csv evaluation needs collapse mode")
@@ -328,7 +338,7 @@ def cmd_evaluate(args) -> int:
         structure, payoff, res, tree,
         skeleton.SkeletonConfig(skel.epsilon_k, skel.d, skel.horizon_T, scfg.depth),
         n_paths, args.seed, threads=args.threads,
-        antithetic=bool(esec.get("antithetic", False)))
+        antithetic=antithetic)
     payload = {
         "mc_mean": mc.mean, "mc_se": mc.se, "mc_ci_half": mc.ci_half,
         "n_paths": mc.n, "root_value": res.report.root_value,
@@ -346,7 +356,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _require_top(cfg, "skeleton", "problem", "solve", "sweep")
     ssec = cfg["sweep"]
-    _require_keys(ssec, {"eps_list"}, "sweep")
+    _reject_unknown(ssec, {"eps_list"}, "sweep")
     eps_list = [float(e) for e in np.atleast_1d(_reals(ssec, "eps_list", None, "sweep"))]
     base_skel = cfg["skeleton"]
 
@@ -387,7 +397,7 @@ def cmd_portfolio(args) -> int:
         raise ConfigurationError("portfolio rollouts need solve.collapse: true")
     esec = cfg.get("evaluate", {})
     # the vectorized rollouts have no antithetic path, so the key is refused
-    _require_keys(esec, {"n_paths", "g_terms"}, "evaluate")
+    _reject_unknown(esec, {"n_paths", "g_terms"}, "evaluate")
     n_paths = _n_paths(esec)
     n_g = _int(esec, "g_terms", 8, "evaluate")
 
@@ -421,7 +431,7 @@ def cmd_portfolio(args) -> int:
         "mc_mean": mc_mean, "mc_se": mc_se, "n_paths": n_paths,
         "stage_argmax_policy": g_actions,
     })
-    _dump_tables(out, res, tree)        # first: the node_key codec may refuse
+    _dump_tables(out, res, tree)
     _write_json(os.path.join(out, "portfolio_summary.json"), payload)
     _write_manifest(out, args, cfg)
     _say(args, f"root {res.report.root_value:.6f}, fraction "

@@ -38,7 +38,7 @@ from .structures import (PortfolioSpec, PortfolioStructure, payoff_of,
 __all__ = [
     "RolloutResult", "MCResult", "rollout", "mc_value", "policy_mc_value",
     "enumerate_oracle", "merton_oracle", "convergence_sweep",
-    "portfolio_policy_rollouts", "q_slack",
+    "portfolio_policy_rollouts",
 ]
 
 _CHUNK = 4096          # fixed chunk size keeps reductions thread-count-free
@@ -257,14 +257,6 @@ def merton_oracle(spec: PortfolioSpec, eps_k: float | None = None,
             if res.report.root_value > best_v:
                 best_v, best_a = res.report.root_value, float(a)
     return MertonRef(frac, best_v, best_a)
-
-
-def q_slack(structure, payoff, eps_k: float, cfg: SolveConfig) -> float:
-    """Kernel-discretization slack: |root(Q) - root(2Q)| on the same problem."""
-    res_q = backward_dp(build_tree(structure, payoff, eps_k, cfg))
-    cfg2 = replace(cfg, Q=2 * cfg.Q)
-    res_2q = backward_dp(build_tree(structure, payoff, eps_k, cfg2))
-    return abs(res_q.report.root_value - res_2q.report.root_value)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ _REFINE_ITERS = 16      # golden-section steps of a refinement
 # children per structure step of a full-tree solve: bounds the states alive
 # per depth (a depth-5, 248,832-leaf layer of states would take ~35 MB)
 _BLOCK = 4096
+# box cells, and children, a collapse layer may take per node_cap node
+_BOX_CELLS = 40
 
 
 @dataclass
@@ -102,6 +104,10 @@ class SolveConfig:
                                      f"increasing, got {self.action_grid.tolist()}")
         for name, lo in (("depth", 0), ("Q", 1), ("node_cap", 1)):
             _count(name, getattr(self, name), lo)
+        for name in ("collapse", "refine"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(f"{name} must be true or false, "
+                                         f"got {getattr(self, name)!r}")
         positive = {"epsilon_total": self.epsilon_total,
                     "state_bin_width": self.state_bin_width}
         if self.time_bin_width is not None:
@@ -178,14 +184,15 @@ def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
 
 
 def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
-                node_keys=None) -> Tree:
+                node_bins=None) -> Tree:
     """Tree handle with its checks, fresh-start kernel atoms, and for
     collapse its statistic ops and bin widths.
 
     Refuses a grid outside the spec's [-a_bar, a_bar], a full tree over
     cfg.node_cap nodes and a payoff the collapse statistic does not
-    compute.  node_keys, per depth the packed bins of a value_policy.csv
-    dump, give a collapse tree its layers without a forward pass.
+    compute.  node_bins, per depth the (n, k) bins of a value_policy.csv
+    dump in lexicographic order, give a collapse tree its layers without a
+    forward pass.
     """
     spec = getattr(structure, "spec", None)
     a_bar = getattr(spec, "a_bar", None)
@@ -208,7 +215,7 @@ def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
     widths = np.empty(ops.n_stats)
     widths[0] = cfg.time_bin_width if cfg.time_bin_width is not None else eps_k**2 / 4.0
     widths[1:] = cfg.state_bin_width
-    layers = [Lattice.over(_unpack(keys, ops.n_stats)) for keys in node_keys or []]
+    layers = [Lattice.over(bins, cfg.node_cap) for bins in node_bins or []]
     return Tree(structure, payoff, atoms, cfg, eps_k, ops, widths, layers)
 
 
@@ -232,41 +239,6 @@ def _collapse_ops(structure, payoff):
 # collapse machinery
 # ---------------------------------------------------------------------------
 
-_PACK_BITS = {1: (62,), 2: (31, 31), 3: (21, 21, 20)}
-
-
-def _pack(bins: np.ndarray) -> np.ndarray:
-    """Lexicographic int64 encoding of small integer bin vectors (the node
-    key of the value/policy CSV)."""
-    k = bins.shape[1]
-    if k not in _PACK_BITS:
-        raise ConfigurationError(f"collapse supports at most 3 statistic components, got {k}")
-    bits = _PACK_BITS[k]
-    out = np.zeros(len(bins), dtype=np.int64)
-    shift = 64 - 1
-    for c, b in enumerate(bits):
-        col = bins[:, c]
-        half = np.int64(1) << (b - 1)
-        if np.any((col < -half) | (col >= half)):
-            raise ResourceCapError(f"bin index overflow in component {c}")
-        shift -= b
-        out |= (col.astype(np.int64) + half) << shift
-    return out
-
-
-def _unpack(packed: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of _pack: recover the (N, k) bin-index matrix."""
-    bits = _PACK_BITS[k]
-    out = np.empty((len(packed), k), dtype=np.int64)
-    shift = 64 - 1
-    for c, b in enumerate(bits):
-        shift -= b
-        half = np.int64(1) << (b - 1)
-        mask = (np.int64(1) << b) - 1
-        out[:, c] = ((packed >> shift) & mask) - half
-    return out
-
-
 def _quantize(stats: np.ndarray, widths: np.ndarray) -> np.ndarray:
     scaled = stats / widths
     return np.floor(scaled, out=scaled).astype(np.int64)
@@ -274,6 +246,16 @@ def _quantize(stats: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 def _reps(bins: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return (bins + 0.5) * widths
+
+
+def _box_shape(lo, hi, node_cap: int) -> tuple:
+    """Extent of the bin box with corners lo and hi, refused past
+    _BOX_CELLS * node_cap cells before anything is allocated."""
+    shape = tuple(int(top) - int(bottom) + 1 for bottom, top in zip(lo, hi))
+    if math.prod(shape) > _BOX_CELLS * node_cap:
+        raise ResourceCapError("collapse layer bin box too large",
+                               estimate=math.prod(shape))
+    return shape
 
 
 def _cells(bins: np.ndarray, origin: np.ndarray, shape: tuple) -> np.ndarray:
@@ -286,8 +268,8 @@ def _cells(bins: np.ndarray, origin: np.ndarray, shape: tuple) -> np.ndarray:
 class Lattice:
     """One collapse layer: a dense row-major box over its distinct bins.
 
-    Row-major box order is the packed-key order, so the layer's node i is
-    its i-th populated cell.
+    Row-major box order is lexicographic bin order, so the layer's node i
+    is its i-th populated cell.
     """
 
     origin: np.ndarray          # (k,) lowest bin index per component
@@ -297,14 +279,16 @@ class Lattice:
     cells: np.ndarray           # (n,) box cell of each node, increasing
 
     @classmethod
-    def over(cls, bins: np.ndarray) -> "Lattice":
+    def over(cls, bins: np.ndarray, node_cap: int) -> "Lattice":
+        """The layer of (n, k) bins, refused if its box is past the cap."""
         if len(bins) == 0:
             raise ConfigurationError("a collapse layer needs at least one bin")
         origin = bins.min(axis=0)
-        shape = tuple(int(e) for e in bins.max(axis=0) - origin + 1)
+        shape = _box_shape(origin, bins.max(axis=0), node_cap)
         cells = _cells(bins, origin, shape)
         if np.any(np.diff(cells) <= 0):
-            raise ConfigurationError("layer bins must be distinct and in packed order")
+            raise ConfigurationError("layer bins must be distinct and in "
+                                     "lexicographic order")
         rank = np.full(math.prod(shape), -1, dtype=np.int64)
         rank[cells] = np.arange(len(bins))
         return cls(origin, shape, bins, rank, cells)
@@ -433,30 +417,21 @@ def _forward_layers(tree: Tree):
 
     Each (action, atom) rectangle of a layer ORs its populated cells,
     shifted, into the next layer's occupancy box; the populated cells in
-    row-major order are the next layer.  Box corners that the node_key
-    codec cannot encode are refused here, before any backward work.
+    row-major order are the next layer.
     """
     cfg = tree.cfg
     widths = tree.bin_widths
-    max_cells = 40 * cfg.node_cap
-    root = _quantize(tree.ops.stat0()[None, :], widths)
-    _pack(root)
-    lattice = Lattice.over(root)
+    lattice = Lattice.over(_quantize(tree.ops.stat0()[None, :], widths), cfg.node_cap)
     tree.layers, tree.blocks = [lattice], []
     for depth in range(cfg.depth):
-        n = len(lattice.bins)
-        if n * len(cfg.action_grid) * tree.n_atoms > max_cells:
-            raise ResourceCapError(
-                f"collapse layer {depth} expansion too large",
-                estimate=n * len(cfg.action_grid) * tree.n_atoms)
+        children = len(lattice.bins) * len(cfg.action_grid) * tree.n_atoms
+        if children > _BOX_CELLS * cfg.node_cap:
+            raise ResourceCapError(f"collapse layer {depth} expansion too large",
+                                   estimate=children)
         rects, starts = _layer_blocks(tree, lattice)
         first, stop = _targets(rects)
         lo = lattice.origin + first.min(axis=0)
-        shape = tuple(int(e) for e in lattice.origin + stop.max(axis=0) - lo)
-        _pack(np.array([lo, lo + shape - 1]))
-        if math.prod(shape) > max_cells:
-            raise ResourceCapError("collapse layer bin box too large",
-                                   estimate=math.prod(shape))
+        shape = _box_shape(lo, lattice.origin + stop.max(axis=0) - 1, cfg.node_cap)
         source = lattice.occupied
         occupied = np.zeros(shape, dtype=bool)
         di, dj = (lattice.origin - lo).tolist()
@@ -467,7 +442,8 @@ def _forward_layers(tree: Tree):
         if len(cells) > cfg.node_cap:
             raise ResourceCapError(f"collapse layer {depth + 1} exceeds node cap",
                                    estimate=len(cells))
-        lattice = Lattice.over(np.column_stack(np.unravel_index(cells, shape)) + lo)
+        lattice = Lattice.over(np.column_stack(np.unravel_index(cells, shape)) + lo,
+                               cfg.node_cap)
         tree.layers.append(lattice)
         tree.blocks.append((rects, starts))
 

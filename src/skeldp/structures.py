@@ -35,6 +35,7 @@ that lands beyond T never enters the payoff.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -628,46 +629,39 @@ def stage_truncation_gap(a: float, t_elapsed: float, spec: PortfolioSpec,
 # Named coefficient functionals for JSON problem configs
 # ---------------------------------------------------------------------------
 
-def _drift_zero(params):
+def _drift_zero():
     return lambda t, path, a: np.zeros_like(path.terminal())
 
 
-def _drift_constant(params):
-    c = float(params.get("value", 0.0))
-    return lambda t, path, a: c * np.ones_like(path.terminal())
+def _drift_constant(value=0.0):
+    return lambda t, path, a: value * np.ones_like(path.terminal())
 
 
-def _drift_linear(params):
-    scale = float(params.get("scale", 1.0))
+def _drift_linear(scale=1.0):
     return lambda t, path, a: scale * path(t)
 
 
-def _drift_mean_revert(params):
-    rate = float(params.get("rate", 1.0))
-    target = float(params.get("target", 0.0))
+def _drift_mean_revert(rate=1.0, target=0.0):
     return lambda t, path, a: rate * (target - path(t))
 
 
-def _drift_action_linear(params):
-    scale = float(params.get("scale", 1.0))
+def _drift_action_linear(scale=1.0):
     return lambda t, path, a: scale * a
 
 
-def _drift_running_max(params):
-    scale = float(params.get("scale", 1.0))
+def _drift_running_max(scale=1.0):
     return lambda t, path, a: scale * path.running_max()
 
 
-def _diff_constant(params):
-    c = float(params.get("value", 1.0))
-    return lambda t, path, a: np.full((1, 1, 1), c)
+def _diff_constant(value=1.0):
+    return lambda t, path, a: np.full((1, 1, 1), value)
 
 
-def _diff_linear(params):
-    scale = float(params.get("scale", 1.0))
+def _diff_linear(scale=1.0):
     return lambda t, path, a: scale * path(t)[:, :, None]
 
 
+# each factory's keyword arguments are the parameters its config entry takes
 drift_registry = {
     "zero": _drift_zero,
     "constant": _drift_constant,
@@ -694,7 +688,7 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
     kind = cfg.get("kind")
     if kind == "portfolio":
         allowed = {"kind", "r", "alpha", "sigma", "gamma_util", "x0", "a_bar"}
-        _reject_unknown(cfg, allowed)
+        _reject_unknown(cfg, allowed, "problem")
         r, alpha, sigma, gamma_util, x0 = (_real(cfg, key, None, "problem") for key
                                            in ("r", "alpha", "sigma", "gamma_util", "x0"))
         spec = PortfolioSpec(r, alpha, sigma, gamma_util, x0, horizon_T,
@@ -702,7 +696,7 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
         return PortfolioStructure(spec, epsilon_k), power_utility_payoff(spec)
     if kind == "pd_sde":
         allowed = {"kind", "drift", "diffusion", "x0", "d", "payoff"}
-        _reject_unknown(cfg, allowed)
+        _reject_unknown(cfg, allowed, "problem")
         spec = PdSdeSpec(
             drift=_from_registry(drift_registry, cfg, "drift"),
             diffusion=_from_registry(diffusion_registry, cfg, "diffusion"),
@@ -711,7 +705,7 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
         return CaseAStructure(spec, epsilon_k, horizon_T), payoff
     if kind == "fbm":
         allowed = {"kind", "H", "sigma", "drift", "x0", "d_H", "payoff"}
-        _reject_unknown(cfg, allowed)
+        _reject_unknown(cfg, allowed, "problem")
         H, sigma, x0 = (_real(cfg, key, None, "problem") for key in ("H", "sigma", "x0"))
         spec = FbmSpec(H, sigma, _from_registry(drift_registry, cfg, "drift"), x0,
                        _real(cfg, "d_H", 1.0, "problem"))
@@ -720,10 +714,11 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
     raise ConfigurationError(f"unknown problem kind {kind!r}")
 
 
-def _reject_unknown(cfg: dict, allowed: set):
+def _reject_unknown(cfg: dict, allowed: set, where: str):
+    """Refuse any key of a config object outside the allowed names."""
     unknown = set(cfg) - allowed
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _value(section: dict, key: str, default, where: str):
@@ -774,17 +769,23 @@ def _named(entry, where: str) -> dict:
 
 
 def _from_registry(registry: dict, cfg: dict, key: str):
-    entry = _named(_value(cfg, key, None, "problem"), f"problem.{key}")
+    """problem[key]'s functional: its registry factory called with the
+    entry's parameters, which must be the factory's keyword arguments."""
+    where = f"problem.{key}"
+    entry = _named(_value(cfg, key, None, "problem"), where)
     name = entry.get("name")
     if not isinstance(name, str) or name not in registry:
         raise ConfigurationError(f"unknown coefficient functional {name!r}")
-    return registry[name]({k: v for k, v in entry.items() if k != "name"})
+    factory = registry[name]
+    _reject_unknown(entry, {"name", *inspect.signature(factory).parameters}, where)
+    return factory(**{k: float(v) for k, v in entry.items() if k != "name"})
 
 
 def _payoff_from_config(entry, horizon_T: float):
     """Bounded Hoelder payoffs selectable by name, one value per path of a
     PathView block."""
     entry = _named(entry, "problem.payoff")
+    _reject_unknown(entry, {"name", "scale"}, "problem.payoff")
     name = entry.get("name")
     scale = float(entry.get("scale", 1.0))
     if name == "terminal_tanh":

@@ -54,6 +54,15 @@ def test_density_subcommand(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_density_non_number_x_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    assert main(["density", "--out-dir", out, "--x", "0.5,abc", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --x must be comma-separated numbers")
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "nope.json"),
                "--out-dir", str(tmp_path / "o")])
@@ -61,19 +70,27 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, section, key, value", [
-    ("solve", "solve", "surprise", 1),
-    ("solve", "solve", "refine_iters", -1),
-    ("kernel", "kernel", "rule", "gauss"),
-], ids=["solve-surprise", "solve-refine_iters", "kernel-rule"])
-def test_unknown_key_exit_1(tmp_path, capsys, command, section, key, value):
-    cfg = json.loads(json.dumps(MERTON_CFG))
-    cfg.setdefault(section, {})[key] = value
+@pytest.mark.parametrize("command, base, where, key, value", [
+    ("solve", "merton", ("solve",), "surprise", 1),
+    ("solve", "merton", ("solve",), "refine_iters", -1),
+    ("kernel", "merton", ("kernel",), "rule", "gauss"),
+    ("solve", "merton", ("problem",), "surprise", 1),
+    ("solve", "pdsde", ("problem", "drift"), "scael", 5.0),
+    ("solve", "pdsde", ("problem", "payoff"), "sacle", 3),
+], ids=["solve-surprise", "solve-refine_iters", "kernel-rule", "problem-surprise",
+        "drift-parameter", "payoff-parameter"])
+def test_unknown_key_exit_1(tmp_path, capsys, command, base, where, key, value):
+    cfg = json.loads(json.dumps({"merton": MERTON_CFG, "pdsde": PDSDE_CFG}[base]))
+    section = cfg
+    for name in where:
+        section = section.setdefault(name, {})
+    section[key] = value
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: unknown keys") and key in err
+    assert err.startswith(f"configuration error: unknown keys in {'.'.join(where)}: "
+                          f"['{key}']")
     assert "Traceback" not in err
 
 
@@ -225,22 +242,27 @@ def test_evaluate_too_few_paths_exit_1(tmp_path, capsys, monkeypatch, n_paths):
 
 
 @pytest.mark.parametrize("command", ["solve", "portfolio"])
-def test_node_key_overflow_exit_3_without_outputs(tmp_path, capsys, monkeypatch,
-                                                   command):
-    def refuse(*args, **kwargs):
-        pytest.fail("node_key range must be refused before the backward pass")
-
-    monkeypatch.setattr(solver, "backward_dp", refuse)
-    monkeypatch.setattr(evaluate, "backward_dp", refuse)
-    # time bins past 2^30 fit the lattice but not the CSV's node_key
+def test_node_key_overflow_exit_3_without_outputs(tmp_path, command):
+    """Time bins past 2^30 (any int64 bin) go through value_policy.csv:
+    evaluating the dumped CSV gives the metrics of solving in process."""
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update(action_grid=[0.0], depth=2, Q=1, time_bin_width=1e-11)
-    cfg["evaluate"]["n_paths"] = 2
+    cfg["evaluate"]["n_paths"] = 40
     out = str(tmp_path / "o")
     assert main([command, "--config", write_cfg(tmp_path, cfg),
-                 "--out-dir", out, "--quiet"]) == 3
-    assert "bin index overflow" in capsys.readouterr().err
-    assert os.listdir(out) == []
+                 "--out-dir", out, "--quiet"]) == 0
+    policy = os.path.join(out, "value_policy.csv")
+    with open(policy) as fh:
+        times = [int(row[1].split(" ")[0]) for row in list(csv.reader(fh))[1:]]
+    assert max(times) >= 2**30
+    metrics = {}
+    for name, esec in [("csv", {"policy_csv": policy}), ("solve", {})]:
+        ecfg = {**cfg, "evaluate": {"n_paths": 40, **esec}}
+        eout = str(tmp_path / name)
+        assert main(["evaluate", "--config", write_cfg(tmp_path, ecfg, name + ".json"),
+                     "--out-dir", eout, "--seed", "3", "--quiet"]) == 0
+        metrics[name] = read_all(eout)["evaluate_metrics.json"]
+    assert metrics["csv"] == metrics["solve"]
 
 
 @pytest.mark.parametrize("collapse", [False, True])
@@ -277,7 +299,7 @@ def test_policy_csv_evaluation_gets_build_tree_checks(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-_ROOT_KEY = "4611686016279904256"       # the packed root bin of MERTON_CFG
+_ROOT_KEY = "0 0"       # the root bin of MERTON_CFG
 # one node per layer down to MERTON_CFG's depth 4; rows are lines 2-6
 _ONE_NODE_CSV = "depth,node_key,value,action\n" + "".join(
     f"{d},{_ROOT_KEY},2.0,{'0.5' if d < 4 else ''}\n" for d in range(5))
@@ -286,16 +308,23 @@ _ONE_NODE_CSV = "depth,node_key,value,action\n" + "".join(
 @pytest.mark.parametrize("text, where", [
     ("", "header"),
     ("depth,node_key,value,action\n", "no node rows"),
-    ("depth,node_key,value,action\n0,4611686016279904256,2.0\n", "line 2"),
-    ("depth,node_key,value,action\nzero,4611686016279904256,2.0,0.5\n", "line 2"),
+    ("depth,node_key,value,action\n0,0 0,2.0\n", "line 2"),
+    ("depth,node_key,value,action\nzero,0 0,2.0,0.5\n", "line 2"),
     (_ONE_NODE_CSV.replace(f"1,{_ROOT_KEY},2.0,0.5", f"1,{_ROOT_KEY},2.0,"), "line 3"),
     (_ONE_NODE_CSV.replace(f"1,{_ROOT_KEY},2.0,0.5", f"1,{_ROOT_KEY},2.0,nan"), "line 3"),
     (_ONE_NODE_CSV.replace(f"1,{_ROOT_KEY},2.0,0.5", f"1,{_ROOT_KEY},2.0,7.5"),
      "line 3: action 7.5 leaves [-1.0, 1.0]"),
     (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},2.0,0.5", f"2,{_ROOT_KEY},inf,0.5"), "line 4"),
     (_ONE_NODE_CSV + f"-1,{_ROOT_KEY},2.0,0.5\n", "line 7"),
+    (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},", "2,4611686020574871552,"),
+     "line 4: node_key '4611686020574871552' is not 2 bin indices"),
+    (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},", "2,0 0 0,"), "line 4: node_key"),
+    (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},", "2,0  0,"), "line 4"),
+    (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},", "2,0 1e3,"), "line 4"),
+    (_ONE_NODE_CSV.replace(f"2,{_ROOT_KEY},", f"2,0 {2**63},"), "line 4"),
 ], ids=["empty", "header-only", "three-columns", "non-integer-depth", "blank-action",
-        "nan-action", "action-outside-a-bar", "infinite-value", "negative-depth"])
+        "nan-action", "action-outside-a-bar", "infinite-value", "negative-depth",
+        "packed-key", "three-bins", "double-space", "float-bin", "bin-past-int64"])
 def test_malformed_policy_csv_exit_1(tmp_path, capsys, text, where):
     policy = tmp_path / "value_policy.csv"
     policy.write_text(text)
@@ -307,6 +336,25 @@ def test_malformed_policy_csv_exit_1(tmp_path, capsys, text, where):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and where in err
     assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def test_policy_csv_huge_bin_box_exit_3(tmp_path, capsys):
+    # a 2^31 x 2^31-cell depth-1 box, refused before anything is allocated
+    # (numpy refuses an array that size itself, so no run of this test
+    # can allocate it)
+    policy = tmp_path / "value_policy.csv"
+    policy.write_text("depth,node_key,value,action\n0,0 0,2.0,0.5\n"
+                      f"1,{-2**30} {-2**30},2.0,\n1,{2**30 - 1} {2**30 - 1},2.0,\n")
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"]["depth"] = 1
+    cfg["evaluate"]["policy_csv"] = str(policy)
+    out = str(tmp_path / "e")
+    assert main(["evaluate", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: collapse layer bin box too large "
+                          f"(estimate {2**62})")
     assert os.listdir(out) == []
 
 
@@ -324,9 +372,12 @@ def test_malformed_policy_csv_exit_1(tmp_path, capsys, text, where):
     {"node_cap": 0},
     {"action_grid": {"lo": 1, "hi": -1, "n": 5}},
     {"action_grid": [0.0, float("nan")]},
+    {"collapse": "false"},
+    {"refine": 1},
 ], ids=["negative-state-width", "negative-time-width", "zero-widths", "nan-state-width",
         "infinite-time-width", "fractional-depth", "bool-depth", "negative-depth", "zero-Q",
-        "float-Q", "zero-node-cap", "descending-grid", "nan-grid"])
+        "float-Q", "zero-node-cap", "descending-grid", "nan-grid", "string-collapse",
+        "int-refine"])
 def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update({"depth": 2, **solve})
@@ -394,9 +445,11 @@ DELETE = object()
     ("solve", MERTON_CFG, ("problem",), [MERTON_CFG["problem"]]),
     ("kernel", MERTON_CFG, ("kernel", "lags"), ["none"]),
     ("sweep", MERTON_CFG, ("sweep", "eps_list"), ["a half"]),
+    ("evaluate", MERTON_CFG, ("evaluate", "antithetic"), "false"),
 ], ids=["missing-r", "missing-H", "missing-drift", "missing-skeleton", "missing-depth",
         "string-epsilon", "string-r", "string-x0", "string-drift-scale",
-        "string-grid-lo", "list-problem", "string-kernel-lag", "string-sweep-eps"])
+        "string-grid-lo", "list-problem", "string-kernel-lag", "string-sweep-eps",
+        "string-antithetic"])
 def test_malformed_config_exit_1(tmp_path, capsys, command, base, where, value):
     cfg = json.loads(json.dumps(base))
     section = cfg
@@ -584,18 +637,25 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
     assert main(["evaluate", "--config", write_cfg(tmp_path, cfg, "ev.json"),
                  "--out-dir", out_eval, "--seed", "5", "--quiet"]) == 0
     solved, evaluated = read_all(out_solve), read_all(out_eval)
+    rows = list(csv.reader(solved["value_policy.csv"].decode().splitlines()))
+    assert rows[1][:2] == ["0", "0 0"]               # the root bin (0, 0)
+    without_keys = "".join(",".join([r[0]] + r[2:]) + "\n" for r in rows).encode()
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in [
         ("value_policy.csv", solved["value_policy.csv"]),
+        ("value_policy.csv without node_key", without_keys),
         ("summary.json", solved["summary.json"]),
         ("evaluate_metrics.json", evaluated["evaluate_metrics.json"])]}
-    # the CSV recorded on the solver that still stored packed keys per
-    # layer, the summary re-recorded when the certificate fields were
-    # deleted; the evaluation re-recorded when each Monte Carlo chunk became
-    # one sample_skeleton block (mc_mean 2.0120629016557356, mc_se
-    # 2.2667496725837155e-3)
+    # the CSV re-recorded when node_key became the space-separated bins
+    # (a5818cbd... with packed keys); without its node_key column it is the
+    # packed-key CSV's, byte for byte.  The summary re-recorded when the
+    # certificate fields were deleted; the evaluation re-recorded when each
+    # Monte Carlo chunk became one sample_skeleton block (mc_mean
+    # 2.0120629016557356, mc_se 2.2667496725837155e-3)
     assert digests == {
         "value_policy.csv":
-            "a5818cbd989236d917d42e5c662c9c905a3208c124e2221b99b5da04f0eba7f7",
+            "6d2be5d406d8c486fc90f71baaf9e854a97697764940f4b2de2023f914f4822a",
+        "value_policy.csv without node_key":
+            "17734c387d7661ff3bb06e7f4355ac933d14ac59dcc98d9542a1fa5195e6fa87",
         "summary.json":
             "3112fe302778048179c71a9b3a17508c024b3fc1b30eb6795b435a47107cafc2",
         "evaluate_metrics.json":
@@ -657,7 +717,7 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
 def test_drift_of_wrong_shape_exit_1(tmp_path, capsys, monkeypatch):
     # one value per row, (N,), where the batched contract asks for (N, n)
     monkeypatch.setitem(structures.drift_registry, "per_row",
-                        lambda params: lambda t, path, a: path(t)[:, 0])
+                        lambda: lambda t, path, a: path(t)[:, 0])
     cfg = json.loads(json.dumps(PDSDE_CFG))
     cfg["problem"]["drift"] = {"name": "per_row"}
     assert main(["solve", "--config", write_cfg(tmp_path, cfg),

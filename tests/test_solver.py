@@ -350,18 +350,20 @@ def test_collapse_depth3_merton_pinned():
     assert res.report.node_counts == [1, 476, 6332, 15970]
     digest = hashlib.sha256()
     for depth in range(cfg.depth + 1):
-        digest.update(solver._pack(tree.layers[depth].bins).tobytes())
+        digest.update(tree.layers[depth].bins.tobytes())
         digest.update(res.values.layers[depth].tobytes())
         if depth < cfg.depth:
             digest.update(res.policy.layers[depth].tobytes())
-    # recorded from the packed-key solver this lattice replaced
+    # recorded over the bins on the last solver that also packed them into
+    # node keys, which hashed the same solve as the packed-key solver this
+    # lattice replaced
     assert digest.hexdigest() == (
-        "f584b30ef7a2b781b33de23195aeded4db812666cc17d1315b012d0fd4e46891")
+        "b0aa3444e8843957a142b1659ddba59f00d831c517416a6a8aaf652b673468aa")
 
 
 def _refined_solve_digest(spec, n_actions, depth):
     """Refined depth-`depth` collapse solve (eps 1/3, Q 8): its report and a
-    sha256 over every layer's packed bins, values and policies plus
+    sha256 over every layer's bins, values and policies plus
     refined_gain_max."""
     struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
     cfg = SolveConfig(action_grid=np.linspace(-1, 1, n_actions), depth=depth,
@@ -370,7 +372,7 @@ def _refined_solve_digest(spec, n_actions, depth):
     res = backward_dp(tree)
     digest = hashlib.sha256()
     for d in range(depth + 1):
-        digest.update(solver._pack(tree.layers[d].bins).tobytes())
+        digest.update(tree.layers[d].bins.tobytes())
         digest.update(res.values.layers[d].tobytes())
         if d < depth:
             digest.update(res.policy.layers[d].tobytes())
@@ -380,9 +382,9 @@ def _refined_solve_digest(spec, n_actions, depth):
 
 @pytest.mark.parametrize("time_dependent, n_actions, depth, root, gain, expected", [
     (False, 41, 9, 2.0312575810199482, 0.00017815190302794548,
-     "e056492ba347f8d436f3421928aa595f31f577c0526fb63e60faf0c2c8408508"),
+     "e37eb6a2cc9eafe8293181f29dd9922ccef5f01a821695b9053bbc9b164dd2bf"),
     (True, 41, 5, 2.024138124409933, 0.00010861985679389008,
-     "052e811122fa8ae211bf3a7919fd19aaa0777b63484fe741d25154670a0e613e"),
+     "210b17215f34b19c3f260ae1a16bbf1d04adf05aa7b5b7ed796e8d7df691848b"),
 ])
 def test_refined_collapse_solve_pinned(time_dependent, n_actions, depth, root,
                                        gain, expected):
@@ -392,7 +394,8 @@ def test_refined_collapse_solve_pinned(time_dependent, n_actions, depth, root,
     report, digest = _refined_solve_digest(spec, n_actions, depth)
     assert report.root_value == root
     assert report.refined_gain_max == gain
-    # recorded from the solver whose probes stepped log_increment per atom
+    # recorded over the bins on the last solver that also packed them into
+    # node keys (same solve bits as the per-atom log_increment probes)
     assert digest == expected
 
 
@@ -414,16 +417,14 @@ def test_lattice_miss_rule_by_row_then_state():
     # and an empty row 3 equidistant from rows 2 and 4
     bins = np.array([[0, 0], [0, 1], [1, -3], [1, 1], [2, -5], [4, 2]],
                     dtype=np.int64)
-    packed, lattice = solver._pack(bins), solver.Lattice.over(bins)
-    assert np.all(np.diff(packed) > 0)
+    lattice = solver.Lattice.over(bins, 2_000_000)
     states = list(range(-6, 6)) + [-2**30, 2**30 - 1]
     queries = np.array([[t, s] for t in range(-1, 6) for s in states],
                        dtype=np.int64)
     located = lattice.locate(queries)
     nearest = solver.nearest_bin_index(lattice, queries)
     for q, hit, near in zip(queries, located, nearest):
-        key = solver._pack(q[None, :])[0]
-        on_layer = np.flatnonzero(packed == key)
+        on_layer = np.flatnonzero(np.all(bins == q, axis=1))
         assert hit == (on_layer[0] if len(on_layer) else -1)
         assert near == _brute_nearest(bins, q), q
     # left of the box in row 1 goes to row 1's first bin, right of it in
@@ -433,10 +434,9 @@ def test_lattice_miss_rule_by_row_then_state():
         [[1, -6], [0, 5], [1, -1], [1, 2**30 - 1], [3, 2], [-7, 9], [9, -9]]))
     assert [tuple(bins[i]) for i in picks] == [(1, -3), (0, 1), (1, -3), (1, 1),
                                                (2, -5), (0, 1), (4, 2)]
-    # a layer rebuilt from its keys carries the same lattice
-    lattice2 = solver.Lattice.over(solver._unpack(packed, 2))
-    assert np.array_equal(lattice2.bins, bins)
-    assert np.array_equal(lattice2.rank, lattice.rank)
+    # node order is lexicographic bin order, and bins out of it are refused
+    with pytest.raises(ConfigurationError, match="lexicographic"):
+        solver.Lattice.over(bins[::-1], 2_000_000)
 
 
 def _nearest_queries(rng, bins):
@@ -473,7 +473,7 @@ def test_nearest_bin_index_matches_brute_force_rule():
     for bins in layers:
         queries = _nearest_queries(rng, bins)
         queries = np.concatenate([queries, [[-2, 0], [6, -3], [6, 20]]])
-        got = solver.nearest_bin_index(solver.Lattice.over(bins), queries)
+        got = solver.nearest_bin_index(solver.Lattice.over(bins, 2_000_000), queries)
         assert got.shape == (len(queries),)
         rows = np.unique(bins[:, 0])
         for q, i in zip(queries, got):
@@ -527,9 +527,10 @@ def test_solver_probe_misses_land_on_populated_rows(time_dependent, monkeypatch)
 def _per_node_reference(struct, eps, cfg):
     """Collapse DP with every child from a per-node step_stats + _quantize.
 
-    Layers are the distinct child bins in packed order; children are found
-    by packed key, and refinement probes that miss fall back to
-    _brute_nearest.  Returns per-depth (keys, values, policy).
+    Layers are the distinct child bins in lexicographic order (np.unique);
+    children are found by a joint np.unique with the layer, and refinement
+    probes that miss fall back to _brute_nearest.  Returns per-depth
+    (bins, values, policy).
     """
     ops = struct.collapse_ops()
     widths = np.array([eps**2 / 4.0, cfg.state_bin_width])
@@ -540,12 +541,19 @@ def _per_node_reference(struct, eps, cfg):
         return solver._quantize(ops.step_stats(reps, a, float(atoms.delta_t[m]),
                                                int(atoms.signs[m])), widths)
 
+    def find(layer, child):
+        """Index of each child bin in the layer, -1 where it is absent: numpy
+        orders complex numbers by real then imaginary part, which is the
+        lexicographic order of (time bin, wealth bin)."""
+        keys, key = layer @ [1, 1j], child @ [1, 1j]
+        idx = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[idx] == key, idx, -1)
+
     bins = [solver._quantize(ops.stat0()[None, :], widths)]
     for _ in range(cfg.depth):
         reps = solver._reps(bins[-1], widths)
         kids = [children(reps, float(a), m) for a in grid for m in range(len(atoms))]
         bins.append(np.unique(np.concatenate(kids), axis=0))
-    keys = [solver._pack(b) for b in bins]
     values = [None] * (cfg.depth + 1)
     policy = [None] * cfg.depth
     values[-1] = ops.payoff_stats(solver._reps(bins[-1], widths))
@@ -556,9 +564,8 @@ def _per_node_reference(struct, eps, cfg):
             acc = np.zeros(len(reps))
             for m in range(len(atoms)):
                 child = children(reps, a, m)
-                key = solver._pack(child)
-                idx = np.clip(np.searchsorted(keys[d + 1], key), 0, len(keys[d + 1]) - 1)
-                miss = keys[d + 1][idx] != key
+                idx = find(bins[d + 1], child)
+                miss = idx < 0
                 assert not (grid_action and miss.any())
                 idx[miss] = [_brute_nearest(bins[d + 1], q) for q in child[miss]]
                 acc += atoms.weights[m] * values[d + 1][idx]
@@ -575,7 +582,7 @@ def _per_node_reference(struct, eps, cfg):
             val, act = (np.where(ref_val > val, ref_val, val),
                         np.where(ref_val > val, ref_act, act))
         values[d], policy[d] = val, act
-    return keys, values, policy
+    return bins, values, policy
 
 
 def test_collapse_matches_per_node_reference_time_dependent(monkeypatch):
@@ -587,9 +594,9 @@ def test_collapse_matches_per_node_reference_time_dependent(monkeypatch):
                       collapse=True, refine=True)
     tree = build_tree(struct, payoff, 1.0 / 3, cfg)
     res = backward_dp(tree)
-    keys, values, policy = _per_node_reference(struct, 1.0 / 3, cfg)
+    bins, values, policy = _per_node_reference(struct, 1.0 / 3, cfg)
     for d in range(cfg.depth + 1):
-        assert np.array_equal(solver._pack(tree.layers[d].bins), keys[d])
+        assert np.array_equal(tree.layers[d].bins, bins[d])
         assert np.array_equal(res.values.layers[d], values[d])
         if d < cfg.depth:
             assert np.array_equal(res.policy.layers[d], policy[d])
@@ -633,7 +640,7 @@ def test_corrupted_next_layer_raises_on_grid_action(drop):
     bins = tree.layers[2].bins
     # an interior node leaves a hole in the box; the last one shrinks it
     gone = len(bins) // 2 if drop == "interior" else len(bins) - 1
-    tree.layers[2] = solver.Lattice.over(np.delete(bins, gone, axis=0))
+    tree.layers[2] = solver.Lattice.over(np.delete(bins, gone, axis=0), cfg.node_cap)
     with pytest.raises(NumericalError, match="mismatch"):
         backward_dp(tree)
 
@@ -647,7 +654,7 @@ def test_node_probe_refuses_child_rows_off_the_next_box(cut):
     res = backward_dp(tree)
     bins = tree.layers[2].bins
     edge = bins[:, 0].min() if cut == "first" else bins[:, 0].max()
-    tree.layers[2] = solver.Lattice.over(bins[bins[:, 0] != edge])
+    tree.layers[2] = solver.Lattice.over(bins[bins[:, 0] != edge], cfg.node_cap)
     with pytest.raises(NumericalError, match="off the next layer"):
         solver._node_probe(tree, 1)
     with pytest.raises(NumericalError, match="off the next layer"):
@@ -704,24 +711,6 @@ def test_collapse_keys_are_node_indices():
                     acc += tree.atoms.weights[m] * res.values.layers[d + 1][j]
                 want = (acc - res.values.layers[d][i]) / tree.eps_k**2
                 assert us[ai][i] == want
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_node_key_codec_round_trips(k):
-    rng = np.random.default_rng(k)
-    half = [1 << (b - 1) for b in solver._PACK_BITS[k]]
-    bins = np.column_stack([rng.integers(-h, h, 200) for h in half])
-    bins = np.concatenate([bins, [[-h for h in half]], [[h - 1 for h in half]]])
-    assert np.array_equal(solver._unpack(solver._pack(bins), k), bins)
-    # packed order is lexicographic bin order
-    order = np.lexsort(bins.T[::-1])
-    assert np.all(np.diff(solver._pack(bins[order])) > 0)
-
-
-@pytest.mark.parametrize("bad", [[0, 1 << 30], [-(1 << 30) - 1, 0]])
-def test_node_key_codec_refuses_bins_past_31_bits(bad):
-    with pytest.raises(ResourceCapError, match="overflow"):
-        solver._pack(np.array([bad], dtype=np.int64))
 
 
 def _steering(d):
