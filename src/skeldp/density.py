@@ -30,12 +30,18 @@ The hitting-time increments of an epsilon-skeleton are eps^2 * tau in law;
 Quantile.  `inverse_cdf_tau` starts each u from the cubic Hermite
 interpolant of a (u, x, dx/du) table, dx/du = 1 / f_tau(x): 512 geometric
 nodes in each tail (u < 0.02 and u > 0.98), where the quantile bends
-hardest, and 1,600 on the body between.  One Newton pass on the CDF from
-that start leaves a residual |F(x) - u| of at most ~1e-15 over 1e6 uniform
-draws; a value whose residual still exceeds _INV_TOL = 1e-12 (only in the
-extreme tails) is bisected.  A draw costs 2 `cdf_tau` and 1 `f_tau`
-evaluations.  The start is plain numpy: `scipy.interpolate` costs ~0.2 s
-to import.
+hardest, and 1,600 on the body between.  The table cell holding u is found
+in O(1): u * 4096 names a bucket narrower than the body's node spacing,
+the cell of the bucket's lower edge plus at most one step up is u's cell,
+and only a u in a tail bucket holding two or more nodes (0.4 % of uniform
+draws) is binary-searched.  One Newton pass on the CDF from that start
+leaves a residual |F(x) - u| of at most ~1e-15 over 1e6 uniform draws; a
+value whose residual still exceeds _INV_TOL = 1e-12 (only in the extreme
+tails) is bisected.  The pass evaluates the CDF and the density in one
+sweep over the branches, the large branch's density reusing the CDF's
+exponentials, so a draw costs that fused pass and 1 `cdf_tau` evaluation
+(the residual check).  The start is plain numpy: `scipy.interpolate` costs
+~0.2 s to import.
 """
 
 from __future__ import annotations
@@ -106,6 +112,44 @@ def _partial_sum(terms: np.ndarray, n_terms: int) -> np.ndarray:
     return np.sum(terms, axis=1)
 
 
+# Branch kernels over (values, 1) columns x, shared by the public series
+# functions and the Newton pass of inverse_cdf_tau.
+
+def _f_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
+    """Small-branch density series."""
+    ell = _series_index(n_terms)
+    odd = 2 * ell + 1
+    expo = -odd**2 / (2.0 * xs)
+    # leading term below 1e-300 -> the density has underflowed; return 0
+    lead = np.log(2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3)) + expo[:, 0]
+    terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
+    val = 2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3) * _partial_sum(
+        (-1.0) ** ell * odd * terms, n_terms
+    )
+    return np.where(lead < np.log(1e-300), 0.0, val)
+
+
+def _cdf_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
+    """Small-branch CDF series, 2 sum (-1)^n erfc((2n+1)/sqrt(2x))."""
+    ell = _series_index(n_terms)
+    return 2.0 * _partial_sum((-1.0) ** ell * erfc((2 * ell + 1) / np.sqrt(2.0 * xs)),
+                              n_terms)
+
+
+def _large_exps(xl: np.ndarray, n_terms: int) -> np.ndarray:
+    """exp(-pi^2 (2n+1)^2 x / 8) of the large-branch CDF and survival
+    series; 0 where it underflows."""
+    odd = 2 * _series_index(n_terms) + 1
+    expo = -np.pi**2 * odd**2 * xl / 8.0
+    return np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
+
+
+def _tail_sum(exps: np.ndarray, n_terms: int) -> np.ndarray:
+    """P(tau > x) on the large branch from its `_large_exps`."""
+    ell = _series_index(n_terms)
+    return (4.0 / np.pi) * _partial_sum((-1.0) ** ell / (2 * ell + 1) * exps, n_terms)
+
+
 def f_tau(x, n_terms: int = 60):
     """Density of tau at x > 0 as the n_terms-partial alternating sum."""
     if n_terms < 1:
@@ -119,15 +163,7 @@ def f_tau(x, n_terms: int = 60):
 
     small = arr < CROSSOVER
     if small.any():
-        xs = arr[small][..., None]
-        expo = -odd**2 / (2.0 * xs)
-        # leading term below 1e-300 -> the density has underflowed; return 0
-        lead = np.log(2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3)) + expo[:, 0]
-        terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        val = 2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3) * _partial_sum(
-            (-1.0) ** ell * odd * terms, n_terms
-        )
-        out[small] = np.where(lead < np.log(1e-300), 0.0, val)
+        out[small] = _f_small(arr[small][..., None], n_terms)
     large = ~small
     if large.any():
         xl = arr[large][..., None]
@@ -175,19 +211,13 @@ def cdf_tau(x, n_terms: int = 64):
     """
     arr, scalar = _as_array(x, "cdf_tau")
     out = np.zeros_like(arr)
-    ell = _series_index(n_terms)
-    odd = 2 * ell + 1
     pos = arr > 0
     small = pos & (arr < CROSSOVER)
     if small.any():
-        xs = arr[small][..., None]
-        out[small] = 2.0 * _partial_sum((-1.0) ** ell * erfc(odd / np.sqrt(2.0 * xs)), n_terms)
+        out[small] = _cdf_small(arr[small][..., None], n_terms)
     large = pos & ~small
     if large.any():
-        xl = arr[large][..., None]
-        expo = -np.pi**2 * odd**2 * xl / 8.0
-        terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        out[large] = 1.0 - (4.0 / np.pi) * _partial_sum((-1.0) ** ell / odd * terms, n_terms)
+        out[large] = 1.0 - _tail_sum(_large_exps(arr[large][..., None], n_terms), n_terms)
     return float(out) if scalar else np.clip(out, 0.0, 1.0)
 
 
@@ -195,17 +225,12 @@ def survival_tau(x, n_terms: int = 64):
     """P(tau > x); uses the large-branch series directly when it applies."""
     arr, scalar = _as_array(x, "survival_tau")
     out = np.ones_like(arr)
-    ell = _series_index(n_terms)
-    odd = 2 * ell + 1
     small = (arr > 0) & (arr < CROSSOVER)
     if small.any():
         out[small] = 1.0 - cdf_tau(arr[small], n_terms)
     large = arr >= CROSSOVER
     if large.any():
-        xl = arr[large][..., None]
-        expo = -np.pi**2 * odd**2 * xl / 8.0
-        terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        out[large] = (4.0 / np.pi) * _partial_sum((-1.0) ** ell / odd * terms, n_terms)
+        out[large] = _tail_sum(_large_exps(arr[large][..., None], n_terms), n_terms)
     return float(out) if scalar else np.clip(out, 0.0, 1.0)
 
 
@@ -220,11 +245,26 @@ _INV_TABLE: list = []
 # one pass; 8,192-value passes and one pass timed no faster
 _INV_BLOCK = 4096
 _INV_TOL = 1e-12        # CDF residual past which a Newton quantile is bisected
+# u buckets of `_table_cell`, a power of two so that u * _BUCKETS is exact;
+# narrower than the body's node spacing, so a body bucket holds <= 1 node
+_BUCKETS = 4096
+
+
+def _searched_cells(t_u: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the table cell [t_u[i], t_u[i + 1]) holding each u, clipped
+    to the table's cells."""
+    return np.clip(np.searchsorted(t_u, u, side="right") - 1, 0, len(t_u) - 2)
 
 
 def _inverse_table():
     """Monotone (u, x, dx/du) table of `_hermite_start` (layout in the
     module docstring); built once per process."""
+    return _inverse_lookup()[0]
+
+
+def _inverse_lookup():
+    """The inverse table and, per u bucket [k, k + 1) / _BUCKETS, the cell
+    holding the bucket's lower edge; built once per process."""
     if not _INV_TABLE:
         us = np.concatenate([np.geomspace(1e-12, 0.02, 512),
                              np.linspace(0.02, 0.98, 1600),
@@ -238,8 +278,24 @@ def _inverse_table():
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         xs = 0.5 * (lo + hi)
-        _INV_TABLE.append((us, xs, 1.0 / f_tau(xs, 12)))
+        first = _searched_cells(us, np.arange(_BUCKETS) / _BUCKETS)
+        _INV_TABLE.append(((us, xs, 1.0 / f_tau(xs, 12)), first))
     return _INV_TABLE[0]
+
+
+def _table_cell(u: np.ndarray) -> np.ndarray:
+    """`_searched_cells` of the inverse table at u in (0, 1), in O(1) per
+    value: the cell of u's bucket edge and one step up reach u's cell
+    unless the bucket holds two or more nodes (the geometric tails), and
+    only the values not then inside their cell are searched."""
+    (t_u, _, _), first = _inverse_lookup()
+    i = first[(u * _BUCKETS).astype(np.intp)]
+    # the last bucket holds many nodes, so i + 1 stays a node
+    i += u >= t_u[i + 1]
+    miss = (u < t_u[i]) | (u >= t_u[i + 1])
+    if miss.any():
+        i[miss] = _searched_cells(t_u, u[miss])
+    return i
 
 
 def _hermite_start(u: np.ndarray) -> np.ndarray:
@@ -247,12 +303,42 @@ def _hermite_start(u: np.ndarray) -> np.ndarray:
     each u, from the end nodes' x and dx/du = 1 / f_tau.  A table u returns
     its x exactly; a u beyond the table returns the end node's x."""
     t_u, t_x, t_dx = _inverse_table()
-    i = np.clip(np.searchsorted(t_u, u, side="right") - 1, 0, len(t_u) - 2)
+    i = _table_cell(u)
     h = t_u[i + 1] - t_u[i]
     s = np.clip((u - t_u[i]) / h, 0.0, 1.0)
     r = 1.0 - s
     return ((1.0 + 2.0 * s) * r * r * t_x[i] + s * s * (3.0 - 2.0 * s) * t_x[i + 1]
             + h * s * r * (r * t_dx[i] - s * t_dx[i + 1]))
+
+
+def _cdf_and_density(x: np.ndarray, n_terms: int):
+    """cdf_tau(x, n_terms) bit for bit and the density at x > 0, in one
+    pass over the branches.  On the large branch the density is summed
+    from the CDF's exponentials, whose exponent is rounded in another
+    order than f_tau's, so it may differ from f_tau by an ulp."""
+    cdf, dens = np.empty_like(x), np.empty_like(x)
+    small = x < CROSSOVER
+    if small.any():
+        xs = x[small][..., None]
+        cdf[small] = _cdf_small(xs, n_terms)
+        dens[small] = _f_small(xs, n_terms)
+    large = ~small
+    if large.any():
+        exps = _large_exps(x[large][..., None], n_terms)
+        ell = _series_index(n_terms)
+        cdf[large] = 1.0 - _tail_sum(exps, n_terms)
+        dens[large] = (np.pi / 2.0) * _partial_sum((-1.0) ** ell * (2 * ell + 1) * exps,
+                                                   n_terms)
+    return np.clip(cdf, 0.0, 1.0), dens
+
+
+def _newton_pass(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One Newton step on cdf_tau(x) = u from x, clipped to [5e-4, 120]."""
+    # 12 series terms: truncation < 1e-20 everywhere on the bracket; being
+    # >= 8, they cost 4 kept terms (module docstring)
+    cdf, dens = _cdf_and_density(x, 12)
+    step = np.where(dens > 0, (cdf - u) / np.maximum(dens, 1e-300), 0.0)
+    return np.clip(x - step, 5e-4, 120.0)
 
 
 def inverse_cdf_tau(u):
@@ -274,16 +360,11 @@ def inverse_cdf_tau(u):
 
 
 def _inverse_block(arr: np.ndarray) -> np.ndarray:
-    """Quantiles of one block: `_hermite_start`, one Newton pass, then the
-    residual check.  Per value that is 2 `cdf_tau` and 1 `f_tau` call,
-    plus 100 bisection steps for a value the pass leaves above _INV_TOL."""
-    x = _hermite_start(arr)
-    # 12 series terms: truncation < 1e-20 everywhere on the bracket; being
-    # >= 8, they cost 4 kept terms (module docstring)
-    fx = cdf_tau(x, 12) - arr
-    dfx = f_tau(x, 12)
-    step = np.where(dfx > 0, fx / np.maximum(dfx, 1e-300), 0.0)
-    x = np.clip(x - step, 5e-4, 120.0)
+    """Quantiles of one block: `_hermite_start`, `_newton_pass`, then the
+    residual check.  Per value that is one fused CDF and density pass and
+    one `cdf_tau` call, plus 100 bisection steps for a value the pass
+    leaves above _INV_TOL."""
+    x = _newton_pass(_hermite_start(arr), arr)
     resid = np.abs(cdf_tau(x, 12) - arr)
     if np.any(resid > _INV_TOL):
         # Newton can stall in the extreme tails; bisect the stragglers

@@ -154,7 +154,9 @@ def _mc_value(values, skel_cfg: SkeletonConfig, N: int, seed: int, threads: int,
 
     Each chunk's block is one `sample_skeleton` draw keyed by (seed, chunk
     index), so the result is bit-identical for any thread count.  With
-    antithetic, the same block with its signs negated is valued too.
+    antithetic, the same block with its signs negated is valued too.  The
+    variance merges each chunk's centred sum of squares in chunk order
+    (Chan, Golub and LeVeque 1979), so a constant payoff has se 0.
     """
     if N < 2:
         raise ConfigurationError("mc_value needs N >= 2")
@@ -164,19 +166,21 @@ def _mc_value(values, skel_cfg: SkeletonConfig, N: int, seed: int, threads: int,
         vals = values(paths)
         if antithetic:
             vals = 0.5 * (vals + values(replace(paths, signs=-paths.signs)))
-        s = s2 = 0.0
-        for v in vals.tolist():
-            s += v
-            s2 += v * v
-        return s, s2
+        # the path-order sum decides the mean's bits; the squares are
+        # centred on the mean taken about the first value, which is that
+        # value exactly for a constant payoff
+        centre = vals[0] + np.mean(vals - vals[0])
+        return size, float(np.cumsum(vals)[-1]), centre, float(np.sum((vals - centre) ** 2))
 
-    total = total2 = 0.0
-    for s, s2 in _run_chunks(N, threads, run_chunk):     # chunk order
+    n = 0
+    total = mean = m2 = 0.0
+    for size, s, centre, sq in _run_chunks(N, threads, run_chunk):     # chunk order
         total += s
-        total2 += s2
-    mean = total / N
-    var = max(total2 / N - mean * mean, 0.0) * N / (N - 1)
-    return MCResult(mean, math.sqrt(var / N), N)
+        delta = centre - mean
+        m2 += sq + delta * delta * (n * size / (n + size))
+        n += size
+        mean += delta * (size / n)
+    return MCResult(total / N, math.sqrt(m2 / (N - 1) / N), N)
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,7 @@ class FbmTable:
         out = np.where(x >= 1.0, 0.0, out)
         small = x < self._x[0]
         if np.any(small):
-            out = np.where(small,
-                           self._phi[0] * (x / self._x[0]) ** (0.5 - self.H), out)
+            out[small] = self._phi[0] * (x[small] / self._x[0]) ** (0.5 - self.H)
         return out
 
     def omega(self, x):
@@ -179,8 +178,7 @@ class FbmTable:
         out = np.where(x >= 1.0, self._omega_ip(1.0) + self._omega0, inner)
         small = x < self._x[0]
         if np.any(small):
-            out = np.where(small,
-                           self._head_c * np.maximum(x, 0.0) ** (1.5 - self.H), out)
+            out[small] = self._head_c * np.maximum(x[small], 0.0) ** (1.5 - self.H)
         return out
 
     def variance_at_one(self) -> float:

@@ -650,7 +650,8 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
     # packed-key CSV's, byte for byte.  The summary re-recorded when the
     # certificate fields were deleted; the evaluation re-recorded when each
     # Monte Carlo chunk became one sample_skeleton block (mc_mean
-    # 2.0120629016557356, mc_se 2.2667496725837155e-3)
+    # 2.0120629016557356, mc_se 2.2667496725837155e-3), then for the merged
+    # centred variance (mc_se 2.2667496725885476e-3, mc_mean unchanged)
     assert digests == {
         "value_policy.csv":
             "6d2be5d406d8c486fc90f71baaf9e854a97697764940f4b2de2023f914f4822a",
@@ -659,7 +660,7 @@ def test_collapse_solve_and_csv_evaluate_bytes_pinned(tmp_path):
         "summary.json":
             "3112fe302778048179c71a9b3a17508c024b3fc1b30eb6795b435a47107cafc2",
         "evaluate_metrics.json":
-            "c73998ffb5b8ac5c64f7b611606052e90e4f8d533b5f3b5442e5c1372792238e",
+            "dd69b3a0e3d75895927b474f2a47aeaf324318e52f7d385b67d2d71112b8e44f",
     }
 
 
@@ -694,7 +695,8 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     # tuples; the summaries re-recorded when the certificate fields were
     # deleted, the evaluation when each Monte Carlo chunk became one
     # sample_skeleton block (mc_mean 0.6601554984163842, mc_se
-    # 9.29462940367641e-3); the fBm solve re-recorded on the cumulative
+    # 9.29462940367641e-3), then for the merged centred variance (mc_se
+    # 9.294629403676202e-3); the fBm solve re-recorded on the cumulative
     # z-rule Phi table (root 0.43665681245151255 -> 0.43665681219695024)
     assert _digests(tmp_path, "solve", PDSDE_CFG, "pd") == {
         "value_policy.csv":
@@ -710,7 +712,7 @@ def test_full_solve_and_evaluate_bytes_pinned(tmp_path):
     }
     assert _digests(tmp_path, "evaluate", PDSDE_CFG, "pde") == {
         "evaluate_metrics.json":
-            "3f475a437e6a4bc78ac3a25bc71d88cf4a24af4385a0be68c4d64e0287e334cd",
+            "d28ed0c44b832845033752397b96a03e6b90ab08e2bff2ad20b67fe7cbf56bef",
     }
 
 
@@ -748,12 +750,13 @@ def test_evaluate_antithetic_takes_effect_in_both_modes(tmp_path):
     assert mc[True].mean != mc[False].mean
     # collapse mode: recorded when each Monte Carlo chunk became one
     # sample_skeleton block (mc_mean 2.0151394922960573, mc_se
-    # 1.484422771045604e-4)
+    # 1.484422771045604e-4), then for the merged centred variance (mc_se
+    # 1.4844227709653806e-4)
     col = json.loads(json.dumps(MERTON_CFG))
     col["evaluate"]["antithetic"] = True
     assert _digests(tmp_path, "evaluate", col, "col") == {
         "evaluate_metrics.json":
-            "70ad881b17d9808d6b30ebb794395c478c3eb9fc67742a12e8f2971a528e4098",
+            "5e70d828af2ce1de5a98a76f63c6620d7e42198e9df756a3c5925d25601bcd8c",
     }
 
 

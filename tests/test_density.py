@@ -239,9 +239,8 @@ def test_inverse_cdf_tau_bisects_where_newton_stalls(monkeypatch):
     u = np.concatenate([density._philox(7, 0).random(2_000),
                         [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16]])
     newton = density.inverse_cdf_tau(u)
-    # a zero density makes every Newton step zero, so from a constant start
-    # every value's pass stalls at x = 1
-    monkeypatch.setattr(density, "f_tau", lambda x, n_terms=60: np.zeros_like(x))
+    # without the Newton pass every value stays at a constant start x = 1
+    monkeypatch.setattr(density, "_newton_pass", lambda x, u: x)
     monkeypatch.setattr(density, "_hermite_start", lambda u: np.ones_like(u))
     start = np.ones_like(u)
     stalled = np.abs(density.cdf_tau(start, 12) - u) > 1e-12
@@ -263,6 +262,48 @@ def test_hermite_start_is_the_table_at_its_nodes():
     assert np.array_equal(beyond, t_x[[0, -1]])
 
 
+def test_table_cell_is_the_searched_cell(monkeypatch):
+    (t_u, _, _), _ = density._inverse_lookup()
+    buckets = density._BUCKETS
+    edges = np.arange(1, buckets) / buckets
+    u = np.concatenate([
+        t_u, np.nextafter(t_u, 0.0), np.nextafter(t_u, 1.0),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+        [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16],
+        density._philox(27, 0).random(1_000_000)])
+    searched = []
+    search = density._searched_cells
+
+    def recording_search(nodes, v):
+        searched.append(v)
+        return search(nodes, v)
+
+    monkeypatch.setattr(density, "_searched_cells", recording_search)
+    cells = density._table_cell(u)
+    want = np.clip(np.searchsorted(t_u, u, side="right") - 1, 0, len(t_u) - 2)
+    assert np.array_equal(cells, want)
+    # only a value whose bucket holds two or more nodes (in the geometric
+    # tails) is searched; the bucket's cell and one step find all others
+    nodes_in = np.bincount((t_u * buckets).astype(np.intp), minlength=buckets)
+    looked_up = np.concatenate(searched)
+    assert np.all(nodes_in[(looked_up * buckets).astype(np.intp)] >= 2)
+    assert np.all((looked_up < 0.02) | (looked_up > 0.98))
+
+
+def test_fused_cdf_and_density():
+    x = np.concatenate([np.geomspace(5e-4, 120.0, 400_000),
+                        [np.nextafter(CROSS, 0.0), CROSS, np.nextafter(CROSS, 1.0)],
+                        density._hermite_start(density._philox(27, 1).random(200_000))])
+    cdf, dens = density._cdf_and_density(x, 12)
+    assert np.array_equal(cdf, density.cdf_tau(x, 12))
+    f = density.f_tau(x, 12)
+    # the small branch is f_tau's own kernel; the large branch's exponents
+    # round in another order
+    assert np.array_equal(dens[x < CROSS], f[x < CROSS])
+    assert np.all(np.abs(dens - f) <= 4e-16 * f)
+
+
 def _max_body_residual():
     u = density._philox(0, 0).random(1_000_000)
     return np.max(np.abs(density.cdf_tau(density.inverse_cdf_tau(u), 12) - u))
@@ -276,9 +317,8 @@ def test_inverse_cdf_tau_residuals():
 
 
 def test_residual_test_fails_without_the_newton_pass(monkeypatch):
-    density._inverse_table()       # its slopes come from the real f_tau
-    # a zero density makes the Newton step zero: x stays at its start
-    monkeypatch.setattr(density, "f_tau", lambda x, n_terms=60: np.zeros_like(x))
+    # without the Newton pass x stays at its start
+    monkeypatch.setattr(density, "_newton_pass", lambda x, u: x)
     assert _max_body_residual() > 1e-15
 
 

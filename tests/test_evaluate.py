@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,35 @@ def test_mc_value_deterministic_payoff_zero_se():
     assert mc.mean == pytest.approx(math.tanh(0.7), rel=1e-12)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_value_constant_payoff_zero_se_over_uneven_chunks(monkeypatch, threads):
+    monkeypatch.setattr(evaluate, "_CHUNK", 7)      # 300 paths, the last chunk 6
+    cfg = SkeletonConfig(0.5, 1, 1.0, 4)
+    mc = evaluate._mc_value(lambda paths: np.full(len(paths.delta_t), 0.1), cfg,
+                            300, 0, threads)
+    assert mc.se == 0.0
+    assert mc.mean == pytest.approx(0.1, rel=1e-15)
+
+
+def test_mc_value_se_is_the_exact_sample_se(monkeypatch):
+    monkeypatch.setattr(evaluate, "_CHUNK", 7)      # 300 paths, the last chunk 6
+    cfg = SkeletonConfig(1.0 / 3, 1, 1.0, 4)
+    seen = []
+
+    def values(paths):
+        # a large mean over a small spread: a one-pass variance cancels
+        seen.append(1e8 + paths.delta_t.sum(axis=1))
+        return seen[-1]
+
+    mc = evaluate._mc_value(values, cfg, 300, 3, 1)
+    exact = [Fraction(v) for v in np.concatenate(seen).tolist()]
+    mean = sum(exact) / len(exact)
+    var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    # the chunk means near 1e8 round to ~1.5e-8, ~1e-7 of the spread; a
+    # one-pass variance there loses every digit
+    assert mc.se == pytest.approx(math.sqrt(var / len(exact)), rel=1e-6)
+
+
 def test_mc_ci_scaling():
     struct, payoff = pstruct()
     cfg = SkeletonConfig(1.0 / 3, 1, 1.0, 4)
@@ -89,8 +119,9 @@ def test_mc_antithetic_threads_bit_identical(monkeypatch):
     cfg = SkeletonConfig(1.0 / 3, 1, 1.0, 4)
     got = [mc_value(struct, payoff, 0.5, cfg, 300, seed=9, threads=t, antithetic=True)
            for t in (1, 2)]
-    # recorded when each chunk became one sample_skeleton block
-    want = (2.015159046828105, 0.00033380288606309194, 300)
+    # recorded when each chunk became one sample_skeleton block; the se
+    # re-recorded for the merged centred variance (was 3.3380288606309194e-4)
+    want = (2.015159046828105, 0.00033380288606669464, 300)
     assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
 
 
@@ -115,9 +146,11 @@ def test_policy_mc_value_threads_bit_identical_both_modes(monkeypatch):
     full = [policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 300, 7, threads=t)
             for t in (1, 2)]
     # recorded when each chunk became one sample_skeleton block; the
-    # collapse se re-recorded for the Hermite-start tau quantile
-    for got, want in ((col, (2.01128145873668, 0.004787719828125862, 300)),
-                      (full, (0.6485934590942638, 0.009433580586237621, 300))):
+    # collapse se re-recorded for the Hermite-start tau quantile, then both
+    # se for the merged centred variance (were 0.004787719828125862 and
+    # 0.009433580586237621)
+    for got, want in ((col, (2.01128145873668, 0.004787719828125719, 300)),
+                      (full, (0.6485934590942638, 0.009433580586237713, 300))):
         assert [(m.mean, m.se, m.n) for m in got] == [want] * 2
     with pytest.raises(ConfigurationError):
         policy_mc_value(sde, sde_payoff, fres, ftree, fskel, 1, 7)
@@ -284,7 +317,7 @@ def test_collapse_policy_mc_value_matches_scalar_reader(desk5, monkeypatch):
             ref = mc_value(struct, payoff, scalar_reader(res, tree), skel, 300, 8,
                            threads=threads, antithetic=antithetic)
             # the payoffs differ by a few ulps (exp(g * lw) / g against
-            # exp(lw)**g / g), and the se's one-pass variance amplifies that
+            # exp(lw)**g / g)
             assert abs(got.mean - ref.mean) <= 4 * np.spacing(ref.mean)
             assert got.se == pytest.approx(ref.se, rel=1e-9, abs=0)
             assert got.n == ref.n == 300
