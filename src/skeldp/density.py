@@ -119,14 +119,25 @@ def _f_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
     """Small-branch density series."""
     ell = _series_index(n_terms)
     odd = 2 * ell + 1
-    expo = -odd**2 / (2.0 * xs)
-    # leading term below 1e-300 -> the density has underflowed; return 0
-    lead = np.log(2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3)) + expo[:, 0]
+    expo = _small_exponents(odd, xs)
+    # 0.0 where the leading exponential underflows, and where the leading
+    # term is below 1e-300; x^3 may underflow in the first case, so those
+    # rows take x = 1 before it is formed
+    live = expo[:, 0] > _EXP_UNDERFLOW
+    x3 = np.where(live, xs[:, 0], 1.0) ** 3
+    lead = np.log(2.0 / np.sqrt(2.0 * np.pi * x3)) + expo[:, 0]
     terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-    val = 2.0 / np.sqrt(2.0 * np.pi * xs[:, 0] ** 3) * _partial_sum(
+    val = 2.0 / np.sqrt(2.0 * np.pi * x3) * _partial_sum(
         (-1.0) ** ell * odd * terms, n_terms
     )
-    return np.where(lead < np.log(1e-300), 0.0, val)
+    return np.where(~live | (lead < np.log(1e-300)), 0.0, val)
+
+
+def _small_exponents(odd, xs: np.ndarray) -> np.ndarray:
+    """-odd^2 / (2 x) of the small-branch series; -inf where 1 / x
+    overflows, at subnormal x."""
+    with np.errstate(over="ignore"):
+        return -odd**2 / (2.0 * xs)
 
 
 def _cdf_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
@@ -189,10 +200,12 @@ def truncation_bound(x, n: int):
     small = arr < CROSSOVER
     if small.any():
         xs = arr[small]
-        expo = -(odd**2) / (2.0 * xs)
-        out[small] = 2.0 * odd / np.sqrt(2.0 * np.pi * xs**3) * np.where(
-            expo > _EXP_UNDERFLOW, np.exp(expo), 0.0
-        )
+        expo = _small_exponents(odd, xs)
+        # 0.0 where the exponential underflows, where x^3 may underflow too
+        live = expo > _EXP_UNDERFLOW
+        xs = np.where(live, xs, 1.0)
+        out[small] = np.where(
+            live, 2.0 * odd / np.sqrt(2.0 * np.pi * xs**3) * np.exp(expo), 0.0)
     large = ~small
     if large.any():
         xl = arr[large]

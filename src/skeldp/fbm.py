@@ -214,9 +214,12 @@ def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
     if event_times.shape != event_signs.shape:
         raise ConfigurationError(f"{event_times.shape} event times against "
                                  f"{event_signs.shape} event signs")
+    t_grid = np.asarray(t_grid, dtype=float)
+    for name, times in (("event times", event_times), ("eval times", t_grid)):
+        if not np.all(np.isfinite(times)):
+            raise ConfigurationError(f"{name} must be finite")
     if np.any(np.diff(event_times) < 0):
         raise ConfigurationError("event times must be non-decreasing")
-    t_grid = np.asarray(t_grid, dtype=float)
     table = get_table(H, d_H)
     out = np.zeros_like(t_grid)
     # freeze: W(t) = B^k_H(T_m(t)) with T_m(t) the last event time <= t

@@ -57,9 +57,7 @@ class SkeletonConfig:
 
     def __post_init__(self):
         for name in ("epsilon_k", "horizon_T"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be finite and > 0, "
-                                         f"got {getattr(self, name)}")
+            _positive(name, getattr(self, name))
         _count("d", self.d)
         if self.n_steps is None:
             object.__setattr__(self, "n_steps", self.e_kT)
@@ -74,6 +72,13 @@ def _count(name: str, value, lo: int = 1):
     """Refuse a count that is not an int >= lo (a bool or 1.5 included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
         raise ConfigurationError(f"{name} must be an int >= {lo}, got {value!r}")
+
+
+def _positive(name: str, value):
+    """Refuse a value that is not a finite real > 0 (a bool or NaN included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -91,6 +96,7 @@ class SkeletonPath:
     signs: np.ndarray    # ints in {-1, +1}
 
     def __post_init__(self):
+        _positive("epsilon_k", self.epsilon_k)
         self.delta_t = np.asarray(self.delta_t, dtype=float)
         self.coords = np.asarray(self.coords, dtype=np.int64)
         self.signs = np.asarray(self.signs, dtype=np.int64)
@@ -203,6 +209,8 @@ def elapsed_times(bk: SkeletonPath):
 
 def brownian_fine_path(d: int, T: float, dt: float, seed: int, stream: int = 0):
     """(t_grid, B) with B of shape (d, len(t_grid)), B[:,0] = 0."""
+    _positive("T", T)
+    _positive("dt", dt)
     n = int(math.ceil(T / dt))
     incs = density._philox(seed, 10_000 + stream).standard_normal((d, n))
     incs *= math.sqrt(dt)
@@ -260,6 +268,7 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
     a skeleton step must take positive time: NumericalError names the
     instant and the coordinates.
     """
+    _positive("eps", eps)
     d = bm.shape[0]
     steps = len(t_grid) - 1
     window = _crossing_window(eps, (t_grid[-1] - t_grid[0]) / steps if steps else 0.0)
@@ -289,6 +298,8 @@ def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
     Streams the fine path in blocks (bounded memory) and returns
     (times, signs) of the +-eps level crossings detected on the grid.
     """
+    for name, value in (("eps", eps), ("dt", dt), ("t_total", t_total)):
+        _positive(name, value)
     gen = density._philox(seed, 20_000 + stream)
     n_total = int(math.ceil(t_total / dt))
     window = _crossing_window(eps, dt)

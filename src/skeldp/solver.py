@@ -24,9 +24,11 @@ its index in the layer, and value and policy layers are arrays in node order:
   a row-major box of time rows x state columns whose cells map to node
   indices.  A node's statistic is a function of its row and its column,
   and the structure's step splits into a per-row time step and a per-row
-  ln-wealth increment, so each grid (action, atom) child map is computed
-  once per row and once per (distinct increment, column), not per node,
-  and cut into rectangles of cells that share one (row, column) shift.
+  ln-wealth increment.  So a layer's grid-action child maps are computed
+  once per (atom, row) for time, once per (action, atom, row) for the
+  increment and once per (distinct increment, column) for the state
+  shift, not per node, and one array pass over all (action, atom) maps
+  cuts them into rectangles of cells that share one (row, column) shift.
   The forward pass ORs each rectangle's occupied cells, shifted, into the
   next layer's box; the backward pass adds the weighted, shifted block of
   the next layer's value box into a box accumulator, and the layer keeps
@@ -49,14 +51,13 @@ action, or at one off-grid action per node, for residual checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ResourceCapError
 from .kernel import DiscretizedKernel, discretize_kernel
-from .skeleton import SkeletonPath, _count
+from .skeleton import SkeletonPath, _count, _positive
 from .structures import payoff_of
 
 __all__ = [
@@ -113,9 +114,7 @@ class SolveConfig:
         if self.time_bin_width is not None:
             positive["time_bin_width"] = self.time_bin_width
         for name, value in positive.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 < value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+            _positive(name, value)
 
     @property
     def grid_spacing(self) -> float:
@@ -313,61 +312,21 @@ def _axis(lattice: Lattice, c: int, width: float):
     return idx, (idx + 0.5) * width
 
 
-def _time_children(tree: Tree, t_rows: np.ndarray) -> list:
-    """Per atom: child time bin of each time row, and whether its wealth moves."""
-    out = []
-    for dt in tree.atoms.delta_t:
-        t_new, moves = tree.ops.time_step(t_rows, float(dt))
-        out.append((_quantize(t_new, tree.bin_widths[0]), moves))
-    return out
+def _time_children(tree: Tree, t_rows: np.ndarray):
+    """(atom, time row) arrays: the child time bin, and whether wealth moves."""
+    t_new, moves = tree.ops.time_step(t_rows, tree.atoms.delta_t[:, None])
+    return _quantize(t_new, tree.bin_widths[0]), moves
 
 
-def _runs(*keys: np.ndarray):
-    """(start, stop) of the maximal runs along which every key is constant."""
-    change = np.zeros(len(keys[0]) - 1, dtype=bool)
-    for k in keys:
-        change |= k[1:] != k[:-1]
-    cut = (np.flatnonzero(change) + 1).tolist()
-    return list(zip([0] + cut, cut + [len(keys[0])]))
+# column shifts a collapse layer evaluates at a time: bounds its temporaries
+_SPAN_CELLS = 1 << 16
 
 
-def _trim(occupied: np.ndarray, i0: int, i1: int, j0: int, j1: int):
-    """Bounding box (i0, i1, j0, j1) of the populated cells of a block, or None."""
-    block = occupied[i0:i1, j0:j1]
-    rows = np.flatnonzero(block.any(axis=1))
-    if len(rows) == 0:
-        return None
-    cols = np.flatnonzero(block[rows[0]:rows[-1] + 1].any(axis=0))
-    return (i0 + int(rows[0]), i0 + int(rows[-1]) + 1,
-            j0 + int(cols[0]), j0 + int(cols[-1]) + 1)
-
-
-def _rectangles(occupied: np.ndarray, trimmed: dict, row_shift: np.ndarray,
-                row_class: np.ndarray, col_shifts: list) -> np.ndarray:
-    """Split a child map over the box into rectangles of one shift each.
-
-    Row i of the box moves by row_shift[i] bins and its columns by
-    col_shifts[row_class[i]]; every maximal run of rows sharing both,
-    crossed with every maximal run of columns sharing a shift, is one
-    rectangle, trimmed to the populated cells inside it (memoized in
-    trimmed, since most pairs of a layer cut the box alike).  Returns rows
-    (i0, i1, j0, j1, dr, dc): box cells [i0, i1) x [j0, j1) have their
-    children dr time bins and dc state bins away.
-    """
-    col_runs = {}
-    rects = []
-    for i0, i1 in _runs(row_shift, row_class):
-        cls = int(row_class[i0])
-        shift = col_shifts[cls]
-        if cls not in col_runs:
-            col_runs[cls] = _runs(shift)
-        for j0, j1 in col_runs[cls]:
-            key = (i0, i1, j0, j1)
-            if key not in trimmed:
-                trimmed[key] = _trim(occupied, *key)
-            if trimmed[key] is not None:
-                rects.append(trimmed[key] + (int(row_shift[i0]), int(shift[j0])))
-    return np.array(rects, dtype=np.int64).reshape(-1, 6)
+def _expand(first: np.ndarray, counts: np.ndarray):
+    """(owner, value) pairs of the ranges [first, first + counts), in order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts - first,
+                                                    counts)
 
 
 def _layer_blocks(tree: Tree, lattice: Lattice):
@@ -376,34 +335,116 @@ def _layer_blocks(tree: Tree, lattice: Lattice):
     Returns (rects, starts): the rectangles of (action ai, atom m) are
     rects[starts[p]:starts[p + 1]] with p = ai * n_atoms + m.
 
-    A node's statistic is a function of its time row and its state column,
-    so each (action, atom) step is evaluated once per row (the time step
-    and the ln-wealth increment) and once per (distinct increment, column),
-    with the same float expressions as a per-node step: the child bins are
-    those of the per-node step, and a map that is not a shift just yields
-    more, smaller rectangles.
+    A node's statistic is a function of its time row and its state column:
+    the time step of every (atom, row) is one broadcast, each (action,
+    atom) calls log_increment once over the rows with a Python-float
+    action, and `_cut_rectangles` evaluates the column shift once per
+    (distinct increment, column).  These are the float expressions of a
+    per-node step, so the child bins are those of the per-node step, and
+    a map that is not a shift just yields more, smaller rectangles.
     """
     widths = tree.bin_widths
-    occupied = lattice.occupied
     rows, t_rows = _axis(lattice, 0, widths[0])
     cols, lw_cols = _axis(lattice, 1, widths[1])
-    static = _quantize(lw_cols, widths[1]) - cols    # column shift of rows that do not move
-    blocks = [[None] * tree.n_atoms for _ in tree.cfg.action_grid]
-    trimmed = {}
-    for m, (child_rows, moves) in enumerate(_time_children(tree, t_rows)):
-        dt, sign = float(tree.atoms.delta_t[m]), int(tree.atoms.signs[m])
-        for ai, a in enumerate(tree.cfg.action_grid):
-            inc = tree.ops.log_increment(t_rows, float(a), dt, sign)
-            classes = np.where(moves, 0, -1)
-            if np.ndim(inc) == 0:                    # constant coefficients
-                values = [inc]
-            else:
-                values, classes[moves] = np.unique(inc[moves], return_inverse=True)
-            col_shifts = [_quantize(lw_cols + v, widths[1]) - cols for v in values]
-            blocks[ai][m] = _rectangles(occupied, trimmed, child_rows - rows,
-                                        classes, col_shifts + [static])
-    parts = [r for per_atom in blocks for r in per_atom]
-    return np.concatenate(parts), np.cumsum([0] + [len(r) for r in parts]).tolist()
+    child_rows, moves = _time_children(tree, t_rows)
+    grid, atoms = tree.cfg.action_grid, tree.atoms
+    steps = list(zip(atoms.delta_t.tolist(), atoms.signs.tolist()))
+    inc = np.empty((len(grid), len(steps), len(rows)))
+    for ai, a in enumerate(grid.tolist()):
+        for m, (dt, sign) in enumerate(steps):
+            inc[ai, m] = tree.ops.log_increment(t_rows, a, dt, sign)
+
+    def per_map(x):
+        """(action, atom, row) array as (map p, row)."""
+        return np.broadcast_to(x, inc.shape).reshape(-1, len(rows))
+
+    return _cut_rectangles(lattice.occupied, per_map(child_rows - rows), per_map(moves),
+                           per_map(inc),
+                           lambda v: _quantize(lw_cols + v, widths[1]) - cols)
+
+
+def _cut_rectangles(occupied: np.ndarray, row_shift: np.ndarray, moves: np.ndarray,
+                    inc: np.ndarray, col_shift):
+    """Split child maps over the box into rectangles of one shift each.
+
+    Map p moves row i of the box by row_shift[p, i] bins and its column j
+    by col_shift(v)[:, j] bins, with v = inc[p, i] where moves[p, i], else
+    0.0; col_shift takes a (k, 1) column of v and returns the (k, columns)
+    shifts.  Every maximal run of rows sharing (row shift, moves, v),
+    crossed with every maximal run of columns sharing a shift, is one
+    rectangle, trimmed to the populated cells inside it.  Returns (rects,
+    starts) as `_layer_blocks` does; a rect row (i0, i1, j0, j1, dr, dc)
+    says that box cells [i0, i1) x [j0, j1) have their children dr time
+    bins and dc state bins away.
+
+    One array pass serves every map: row runs start where a (maps, rows)
+    key differs from the row before; the column shift of each distinct v
+    is evaluated once, _SPAN_CELLS elements at a time, and kept only where
+    it changes; a run's column runs are those segments clipped to the
+    columns its rows populate; and each (row run, column run) candidate is
+    trimmed by reading, per row of its run, the next populated column at
+    or after its first column and the last one at or before its last.
+    """
+    n_maps, n_rows = row_shift.shape
+    n_cols = occupied.shape[1]
+    at = np.arange(n_cols)
+    after = np.minimum.accumulate(np.where(occupied, at, n_cols)[:, ::-1], axis=1)[:, ::-1]
+    before = np.maximum.accumulate(np.where(occupied, at, -1), axis=1)
+
+    # row runs, as the flat (map, row) index of their first and past-last
+    # rows and the span [lo, hi] of the columns they populate
+    inc = np.where(moves, inc, 0.0)
+    new = np.zeros(row_shift.shape, dtype=bool)
+    new[:, 0] = True
+    for key in (row_shift, moves, inc):
+        new[:, 1:] |= key[:, 1:] != key[:, :-1]
+    first = np.flatnonzero(new)
+    stop = np.append(first[1:], new.size)
+    lo = np.minimum.reduceat(np.tile(after[:, 0], n_maps), first)
+    hi = np.maximum.reduceat(np.tile(before[:, -1], n_maps), first)
+    keep = lo <= hi                                  # runs with a populated row
+    first, stop, lo, hi = first[keep], stop[keep], lo[keep], hi[keep]
+    maps, i0 = np.divmod(first, n_rows)
+    height = stop - first
+
+    # column segments of one shift per distinct v, keyed by the flat
+    # (class, column) index of their first column
+    values, cls = np.unique(inc.reshape(-1)[first], return_inverse=True)
+    per = max(1, _SPAN_CELLS // n_cols)
+    keys, shifts = [], []
+    for c0 in range(0, len(values), per):
+        shift = col_shift(values[c0:c0 + per, None])
+        cut = np.ones(shift.shape, dtype=bool)
+        np.not_equal(shift[:, 1:], shift[:, :-1], out=cut[:, 1:])
+        flat = np.flatnonzero(cut)
+        keys.append(flat + c0 * n_cols)
+        shifts.append(shift.reshape(-1)[flat])
+    keys, shifts = np.concatenate(keys), np.concatenate(shifts)
+
+    # each run's column runs are the segments of its class over [lo, hi]
+    base = cls * n_cols
+    s0 = np.searchsorted(keys, base + lo, side="right") - 1
+    count = np.searchsorted(keys, base + hi, side="right") - s0
+    run, seg = _expand(s0, count)
+    j0 = np.maximum(keys[seg] - base[run], lo[run])
+    j1 = np.append(j0[1:], 0)
+    j1[np.cumsum(count) - 1] = hi + 1
+
+    # trim each (row run x column run) candidate to its populated cells
+    cand, i = _expand(i0[run], height[run])
+    marks = np.cumsum(height[run]) - height[run]
+    a = after[i, j0[cand]]
+    hit = a < j1[cand]
+    t_i0 = np.minimum.reduceat(np.where(hit, i, n_rows), marks)
+    t_i1 = np.maximum.reduceat(np.where(hit, i, -1), marks) + 1
+    t_j0 = np.minimum.reduceat(a, marks)
+    t_j1 = np.maximum.reduceat(before[i, j1[cand] - 1], marks) + 1
+    found = t_j0 < j1
+    run = run[found]
+    rects = np.column_stack([t_i0[found], t_i1[found], t_j0[found], t_j1[found],
+                             row_shift.reshape(-1)[first[run]], shifts[seg[found]]])
+    counts = np.bincount(maps[run], minlength=n_maps)
+    return rects, np.concatenate([[0], np.cumsum(counts)]).tolist()
 
 
 def _targets(rects: np.ndarray):
@@ -508,7 +549,7 @@ def _node_probe(tree: Tree, depth: int):
     _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
     (o0, o1), (n0, n1) = nxt.origin.tolist(), nxt.shape
     atoms = []
-    for child_rows, moves in _time_children(tree, t_rows):
+    for child_rows, moves in zip(*_time_children(tree, t_rows)):
         tb = child_rows[rows]
         if np.any((tb < o0) | (tb >= o0 + n0)):
             raise NumericalError("forward/backward bin mismatch: a child time "

@@ -54,6 +54,16 @@ def test_density_subcommand(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_density_subcommand_tiny_x_rows_are_zero(tmp_path):
+    out = str(tmp_path / "d")
+    assert main(["density", "--out-dir", out, "--x", "1e-300,1e-120,0.5",
+                 "--quiet"]) == 0
+    with open(os.path.join(out, "density.csv")) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[float(v) for v in row[1:3]] for row in rows[:2]] == [[0.0, 0.0]] * 2
+    assert float(rows[2][1]) > 0
+
+
 def test_density_non_number_x_exit_1(tmp_path, capsys):
     out = str(tmp_path / "d")
     assert main(["density", "--out-dir", out, "--x", "0.5,abc", "--quiet"]) == 1

@@ -140,6 +140,17 @@ def test_near_zero_underflow_returns_zero():
     assert density.f_tau(3e-4) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 4, 12, 60])
+def test_density_and_bound_are_zero_where_x_cubed_underflows(n):
+    """x^3 underflows below ~5e-104 and 1 / x overflows at subnormal x;
+    both functions are 0.0 there, raising no floating-point warning (the
+    suite turns skeldp's warnings into errors)."""
+    xs = np.array([5e-324, 1e-300, 1e-120, 1e-104, 1e-100, 1e-4])
+    assert np.all(density.f_tau(xs, n) == 0.0)
+    assert np.all(density.truncation_bound(xs, n) == 0.0)
+    assert [density.f_tau(x, n) for x in xs] == [0.0] * len(xs)
+
+
 def test_domain_errors():
     with pytest.raises(ConfigurationError):
         density.f_tau(0.0)

@@ -249,6 +249,15 @@ def test_skeleton_w_rejects_decreasing_event_times():
         fbm.fbm_from_skeleton([0.7, 0.3], [1.0, -1.0], 0.5, 0.75, [0.5, 1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_skeleton_w_rejects_non_finite_times(bad):
+    # a NaN passes the non-decreasing check: np.diff(...) < 0 is False for it
+    with pytest.raises(ConfigurationError, match="event times must be finite"):
+        fbm.fbm_from_skeleton([0.1, bad], [1, 1], 0.1, 0.75, [0.5])
+    with pytest.raises(ConfigurationError, match="eval times must be finite"):
+        fbm.fbm_from_skeleton([0.1, 0.2], [1, 1], 0.1, 0.75, [0.5, bad])
+
+
 def test_fine_reference_rejects_mismatched_lengths():
     with pytest.raises(ConfigurationError, match="fine values"):
         fbm.fbm_ref_from_fine_path([0.0, 0.5, 1.0], [0.0, 1.0], 0.75, [1.0])

@@ -220,6 +220,41 @@ def test_crossing_event_stream_bits_pinned():
     assert digest == "0c28c558d9a46b8fa17834bbaea2bde60f4ff5a8fd442757a631095645a6a6da"
 
 
+BAD_POSITIVE = [0.0, -0.25, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_crossing_skeleton_refuses_eps_that_is_not_positive(bad):
+    t_grid, bm = brownian_fine_path(1, 1.0, 1e-3, seed=1)
+    with pytest.raises(ConfigurationError, match="eps must be finite and > 0"):
+        crossing_sample_skeleton(bad, t_grid, bm)
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+@pytest.mark.parametrize("name", ["eps", "dt", "t_total"])
+def test_crossing_event_stream_refuses_arguments_that_are_not_positive(name, bad):
+    args = {"eps": 0.5, "dt": 0.01, "t_total": 1.0} | {name: bad}
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite and > 0"):
+        skeleton.crossing_event_stream(seed=1, **args)
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+@pytest.mark.parametrize("name", ["T", "dt"])
+def test_brownian_fine_path_refuses_arguments_that_are_not_positive(name, bad):
+    args = {"T": 1.0, "dt": 0.01} | {name: bad}
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite and > 0"):
+        brownian_fine_path(1, seed=1, **args)
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE + [True])
+def test_skeleton_path_refuses_epsilon_that_is_not_positive(bad):
+    with pytest.raises(ConfigurationError, match="epsilon_k must be finite and > 0"):
+        SkeletonPath(bad, 1, [0.1], [1], [1])
+    text = path_to_csv(SkeletonPath(0.5, 1, [0.1], [1], [1]))
+    with pytest.raises(ConfigurationError, match="epsilon_k must be finite and > 0"):
+        path_from_csv(text, bad, 1)
+
+
 def test_csv_roundtrip():
     cfg = SkeletonConfig(epsilon_k=0.5, d=2, n_steps=17)
     path = sample_skeleton(cfg, seed=13)

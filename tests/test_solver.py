@@ -606,6 +606,25 @@ def test_collapse_matches_per_node_reference_time_dependent(monkeypatch):
     assert len(np.unique(incs[t_rows < 1.0])) > 1
 
 
+def _covered_children(occupied, rects):
+    """(row, column) box of the child cell of every populated cell the
+    rectangles cover, -1 elsewhere, asserting that each populated cell is
+    covered exactly once and that every rectangle edge row and column is
+    populated (the rectangles are trimmed)."""
+    count = np.zeros(occupied.shape, dtype=np.int64)
+    child = np.full((2,) + occupied.shape, -1)
+    grid = np.indices(occupied.shape)
+    for i0, i1, j0, j1, dr, dc in rects.tolist():
+        block = occupied[i0:i1, j0:j1]
+        assert block[0].any() and block[-1].any()
+        assert block[:, 0].any() and block[:, -1].any()
+        count[i0:i1, j0:j1] += block
+        for out, at, shift in zip(child, grid, (dr, dc)):
+            out[i0:i1, j0:j1][block] = at[i0:i1, j0:j1][block] + shift
+    assert np.array_equal(count, occupied)
+    return child
+
+
 def test_rectangles_cover_a_non_shift_map_exactly():
     rng = np.random.default_rng(3)
     occupied = rng.random((6, 9)) < 0.6
@@ -615,20 +634,46 @@ def test_rectangles_cover_a_non_shift_map_exactly():
     col_shifts = [np.array([0, 0, 1, 1, 1, -2, -2, 0, 0]),
                   np.array([3, 2, 1, 0, -1, -2, -3, -4, -5]),
                   np.zeros(9, dtype=np.int64)]
-    rects = solver._rectangles(occupied, {}, row_shift, row_class, col_shifts)
-    covered = {}
-    for i0, i1, j0, j1, dr, dc in rects.tolist():
-        block = occupied[i0:i1, j0:j1]
-        # trimmed: every edge row and column of a rectangle is populated
-        assert block[0].any() and block[-1].any()
-        assert block[:, 0].any() and block[:, -1].any()
-        for i, j in zip(*np.nonzero(block)):
-            cell = (i0 + i, j0 + j)
-            assert cell not in covered
-            covered[cell] = (cell[0] + dr, cell[1] + dc)
-    per_node = {(i, j): (i + row_shift[i], j + col_shifts[row_class[i]][j])
-                for i, j in zip(*np.nonzero(occupied))}
-    assert covered == per_node
+    # class c moves with increment c + 1; a frozen row (class -1) reads 0.0
+    table = np.array([col_shifts[-1]] + col_shifts[:2])
+    rects, starts = solver._cut_rectangles(
+        occupied, row_shift[None], (row_class >= 0)[None], row_class[None] + 1.0,
+        lambda v: table[v[:, 0].astype(np.int64)])
+    assert starts == [0, len(rects)]
+    i, j = np.nonzero(occupied)
+    per_node = [i + row_shift[i], j + np.array(col_shifts)[row_class[i], j]]
+    child = _covered_children(occupied, rects)
+    assert np.array_equal(child[:, i, j], per_node)
+    assert np.all(child[:, ~occupied] == -1)
+
+
+@pytest.mark.parametrize("layer", ["desk", "singleton", "time-dependent"])
+def test_layer_rectangles_are_the_per_node_children(layer):
+    """Every (action, atom) map of a real layer covers each populated cell
+    once, with the shift of the per-node child bin of step_stats."""
+    depth, grid = 4, np.linspace(-1, 1, 41)
+    spec = _time_dependent_spec() if layer == "time-dependent" else PortfolioSpec(
+        r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5, x0=1.0, horizon_T=1.0)
+    if layer == "singleton":
+        grid = np.array([0.35])
+    if layer == "time-dependent":
+        depth, grid = 3, np.linspace(-1, 1, 9)
+    eps = 1.0 / 3
+    struct, payoff = PortfolioStructure(spec, eps), power_utility_payoff(spec)
+    cfg = SolveConfig(action_grid=grid, depth=depth, Q=8, collapse=True)
+    tree = build_tree(struct, payoff, eps, cfg)
+    lattice = tree.layers[depth]
+    rects, starts = solver._layer_blocks(tree, lattice)
+    reps = solver._reps(lattice.bins, tree.bin_widths)
+    i, j = (lattice.bins - lattice.origin).T
+    for ai, a in enumerate(grid):
+        for m in range(tree.n_atoms):
+            p = ai * tree.n_atoms + m
+            child = _covered_children(lattice.occupied, rects[starts[p]:starts[p + 1]])
+            per_node = solver._quantize(tree.ops.step_stats(
+                reps, float(a), float(tree.atoms.delta_t[m]), int(tree.atoms.signs[m])),
+                tree.bin_widths) - lattice.origin
+            assert np.array_equal(child[:, i, j].T, per_node), (a, m)
 
 
 @pytest.mark.parametrize("drop", ["interior", "edge"])
