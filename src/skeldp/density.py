@@ -149,9 +149,11 @@ def _cdf_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
 
 def _large_exps(xl: np.ndarray, n_terms: int) -> np.ndarray:
     """exp(-pi^2 (2n+1)^2 x / 8) of the large-branch CDF and survival
-    series; 0 where it underflows."""
+    series; 0 where it underflows, also where the exponent overflows to
+    -inf (x >= ~1e307)."""
     odd = 2 * _series_index(n_terms) + 1
-    expo = -np.pi**2 * odd**2 * xl / 8.0
+    with np.errstate(over="ignore"):
+        expo = -np.pi**2 * odd**2 * xl / 8.0
     return np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
 
 
@@ -178,7 +180,8 @@ def f_tau(x, n_terms: int = 60):
     large = ~small
     if large.any():
         xl = arr[large][..., None]
-        expo = -np.pi**2 * xl * odd**2 / 8.0
+        with np.errstate(over="ignore"):            # -inf, read as 0.0 below
+            expo = -np.pi**2 * xl * odd**2 / 8.0
         terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
         out[large] = (np.pi / 2.0) * _partial_sum((-1.0) ** ell * odd * terms, n_terms)
     return float(out) if scalar else out
@@ -209,7 +212,8 @@ def truncation_bound(x, n: int):
     large = ~small
     if large.any():
         xl = arr[large]
-        expo = -np.pi**2 * xl * odd**2 / 8.0
+        with np.errstate(over="ignore"):            # -inf, read as 0.0 below
+            expo = -np.pi**2 * xl * odd**2 / 8.0
         out[large] = (np.pi / 2.0) * odd * np.where(
             expo > _EXP_UNDERFLOW, np.exp(expo), 0.0
         )

@@ -30,17 +30,21 @@ its index in the layer, and value and policy layers are arrays in node order:
   shift, not per node, and one array pass over all (action, atom) maps
   cuts them into rectangles of cells that share one (row, column) shift.
   The forward pass ORs each rectangle's occupied cells, shifted, into the
-  next layer's box; the backward pass adds the weighted, shifted block of
-  the next layer's value box into a box accumulator, and the layer keeps
-  only each node's running best grid action.  Off-grid probes (golden
-  refinement, residual checks) step each node at its own action.  Time
-  does not depend on the action, so each node's child time row per atom,
-  as a flat cell of the next box, is computed once per layer, and the
-  action's ln-wealth `rates` once per probe; each atom is then one
-  quantize of the child's wealth, one clip to the box's columns and one
-  `rank` gather.  A child that lands on an empty cell or off the box's
-  columns goes to `nearest_bin_index`, the same nearest-populated-bin rule
-  that every policy lookup uses.
+  next layer's box.  The backward pass builds, once per layer, the next
+  layer's value box times each distinct atom weight (NaN on empty cells;
+  one box for the equal-weight quantile kernel), adds each rectangle's
+  shifted block of its atom's box into a box accumulator, and keeps only
+  each node's running best grid action.  Off-grid probes (golden
+  refinement, residual checks) step each node at its own action and read
+  the same boxes.  Time does not depend on the action, so each node's
+  child time row per atom, as a flat cell of the next box, is computed
+  once per layer, and the action's ln-wealth `rates` once per probe, the
+  increment up to its +-vol term once per (+, -) atom pair; each atom is
+  then one in-place quantize of the child's wealth and one gather from
+  its weighted box.  A child that lands on an empty cell or off the box's
+  columns, caught by a min/max of its wealth bins and a NaN-propagating
+  min of the gathered values, goes to `nearest_bin_index`, the same
+  nearest-populated-bin rule that every policy lookup uses.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -489,22 +493,33 @@ def _forward_layers(tree: Tree):
         tree.blocks.append((rects, starts))
 
 
-def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray):
+def _value_boxes(tree: Tree, depth: int, next_values: np.ndarray) -> list:
+    """Per atom, the flat value box of layer depth + 1 times the atom's
+    weight, NaN on empty cells; atoms of equal weight share one box."""
+    nxt = tree.layers[depth + 1]
+    v_box = np.full(nxt.rank.shape, np.nan)
+    v_box[nxt.cells] = next_values
+    weights = tree.atoms.weights.tolist()
+    *others, last = set(weights)
+    weighted = {w: w * v_box for w in others}
+    weighted[last] = np.multiply(v_box, last, out=v_box)    # no second box
+    return [weighted[w] for w in weights]
+
+
+def _grid_stage_values(tree: Tree, depth: int, boxes: list):
     """Best grid action of every node of a layer: (best_idx, best_val).
 
     sum_atoms w * V_{n+1}(child) of each grid action comes from the
-    layer's rectangles, each adding its weighted, shifted block of the next
-    layer's value box into a box accumulator, atom by atom.  Actions are
-    compared in grid order by a strict >, so ties go to the smallest
-    index, and only the running best is kept.  A rectangle that leaves the
-    next box, or a node whose child cell is empty (NaN in the value box),
-    is a forward/backward inconsistency.
+    layer's rectangles, each adding its shifted block of the atom's
+    weighted value box (`_value_boxes`) into a box accumulator, atom by
+    atom.  Actions are compared in grid order by a strict >, so ties go to
+    the smallest index, and only the running best is kept.  A rectangle
+    that leaves the next box, or a node whose child cell is empty (NaN in
+    the value box), is a forward/backward inconsistency.
     """
     lattice, nxt = tree.layers[depth], tree.layers[depth + 1]
     rects, starts = tree.blocks[depth]
-    v_box = np.full(nxt.rank.shape, np.nan)
-    v_box[nxt.cells] = next_values
-    v_box = v_box.reshape(nxt.shape)
+    boxes = [box.reshape(nxt.shape) for box in boxes]
     offset = lattice.origin - nxt.origin
     first, stop = _targets(rects)
     if np.any(first + offset < 0) or np.any(stop + offset > nxt.shape):
@@ -516,11 +531,11 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray):
     acc = np.empty(lattice.shape)
     for ai in range(len(tree.cfg.action_grid)):
         acc.fill(0.0)
-        for m, w in enumerate(tree.atoms.weights):
+        for m, box in enumerate(boxes):
             p = ai * tree.n_atoms + m
             for i0, i1, j0, j1, dr, dc in rows[starts[p]:starts[p + 1]]:
-                acc[i0:i1, j0:j1] += w * v_box[i0 + dr + di:i1 + dr + di,
-                                               j0 + dc + dj:j1 + dc + dj]
+                acc[i0:i1, j0:j1] += box[i0 + dr + di:i1 + dr + di,
+                                         j0 + dc + dj:j1 + dc + dj]
         stage = acc.reshape(-1)[cells]
         if np.isnan(stage.min()):                    # min propagates NaN
             raise NumericalError("forward/backward bin mismatch on a grid action")
@@ -533,11 +548,25 @@ def _grid_stage_values(tree: Tree, depth: int, next_values: np.ndarray):
     return best_idx, best_val
 
 
-def _node_probe(tree: Tree, depth: int):
+@dataclass(frozen=True)
+class _Probe:
+    """Per-node inputs shared by every probe of one layer (`_node_probe`)."""
+
+    nxt: Lattice                # the next layer
+    t: np.ndarray               # (n,) elapsed time of each node
+    lw: np.ndarray              # (n,) ln wealth of each node
+    rows: np.ndarray            # (n,) box row of each node
+    boxes: list                 # per atom, its weighted flat value box
+    atoms: list                 # per atom (delta_t, sign, child_rows, stay, base)
+
+
+def _node_probe(tree: Tree, depth: int, next_values: np.ndarray) -> _Probe:
     """Per-node inputs of probes at arbitrary actions, shared by every
     probe of the layer: the next layer, elapsed time, ln wealth, time row,
-    and per atom the time rows' child bins, each node's moves mask and the
-    flat next-box cell of its child's time row at wealth column 0.
+    the weighted value boxes of next_values (`_value_boxes`), and per atom
+    its delta_t and sign, the time rows' child bins, each node's stay mask
+    (None if every node moves) and the flat next-box cell of its child's
+    time row at wealth column 0.
 
     Time does not depend on the action, and every grid action's child rows
     are on the next layer, so a child row off the next box is a
@@ -549,43 +578,76 @@ def _node_probe(tree: Tree, depth: int):
     _, t_rows = _axis(lattice, 0, tree.bin_widths[0])
     (o0, o1), (n0, n1) = nxt.origin.tolist(), nxt.shape
     atoms = []
-    for child_rows, moves in zip(*_time_children(tree, t_rows)):
+    for child_rows, moves, dt, sign in zip(*_time_children(tree, t_rows),
+                                           tree.atoms.delta_t.tolist(),
+                                           tree.atoms.signs.tolist()):
         tb = child_rows[rows]
         if np.any((tb < o0) | (tb >= o0 + n0)):
             raise NumericalError("forward/backward bin mismatch: a child time "
                                  "row is off the next layer")
-        atoms.append((child_rows, moves[rows], (tb - o0) * n1 - o1))
-    return nxt, reps[:, 0], reps[:, 1], rows, atoms
+        stay = ~moves[rows]
+        atoms.append((dt, sign, child_rows, stay if stay.any() else None,
+                      (tb - o0) * n1 - o1))
+    return _Probe(nxt, reps[:, 0], reps[:, 1], rows,
+                  _value_boxes(tree, depth, next_values), atoms)
 
 
-def _probe_stage_values(tree: Tree, probe, action, next_values: np.ndarray,
+def _probe_stage_values(tree: Tree, probe: _Probe, action,
                         allow_miss: bool) -> np.ndarray:
     """sum_atoms w * V_{n+1}(child) for one action per node (or a scalar).
 
-    Each atom is one quantize, one clip of the wealth bin to the next
-    box's columns and one `rank` gather.  Off-grid probes (refinement,
-    residual checks at recorded actions) project children that miss the
-    next layer to the nearest populated bin; at a grid action a miss is
-    an internal inconsistency.
+    The ln-wealth increment drift dt - var dt + vol sign of `ops.increment`
+    is formed up to its vol term once per run of atoms with one delta_t,
+    the kernel's (+, -) pair, and each atom adds vol or subtracts it,
+    which is adding the exact product vol * sign.  Each atom then
+    quantizes its children's wealth in place and takes one gather from
+    its weighted value box.  One min and one max of the wealth
+    bins catch children off the box's columns, and one NaN-propagating
+    min of the gathered values catches empty cells; only then is the exact
+    miss set built.  Off-grid probes (refinement, residual checks at
+    recorded actions) read a miss at the nearest populated bin
+    (`nearest_bin_index`), the same product w * V_{n+1} as a hit; at a
+    grid action a miss is an internal inconsistency.
     """
-    lattice, t, lw, rows, atoms = probe
-    rates = tree.ops.rates(t, action)
-    o1, n1 = int(lattice.origin[1]), lattice.shape[1]
-    acc = np.zeros(len(t))
-    for m, (child_rows, moves, base) in enumerate(atoms):
-        inc = tree.ops.increment(rates, float(tree.atoms.delta_t[m]),
-                                 int(tree.atoms.signs[m]))
-        wb = _quantize(np.where(moves, lw + inc, lw), tree.bin_widths[1])
-        col = np.clip(wb, o1, o1 + n1 - 1)
-        idx = lattice.rank[base + col]
-        miss = (idx < 0) | (col != wb)
-        if miss.any():
-            if not allow_miss:
-                raise NumericalError(
-                    "forward/backward bin mismatch on a grid action")
-            idx[miss] = nearest_bin_index(lattice, np.column_stack(
-                [child_rows[rows[miss]], wb[miss]]))
-        acc += tree.atoms.weights[m] * next_values[idx]
+    nxt, lw, rows = probe.nxt, probe.lw, probe.rows
+    drift, var, vol = tree.ops.rates(probe.t, action)
+    o1, n1 = int(nxt.origin[1]), nxt.shape[1]
+    width = tree.bin_widths[1]
+    moved, buf, vals = (np.empty(len(lw)) for _ in range(3))
+    wb, cells = (np.empty(len(lw), dtype=np.int64) for _ in range(2))
+    acc = np.zeros(len(lw))
+    last_dt = None
+    for box, (dt, sign, child_rows, stay, base) in zip(probe.boxes, probe.atoms):
+        if dt != last_dt:
+            np.multiply(drift, dt, out=moved)
+            np.multiply(var, dt, out=buf)
+            np.subtract(moved, buf, out=moved)
+            last_dt = dt
+        (np.add if sign > 0 else np.subtract)(moved, vol, out=buf)
+        np.add(lw, buf, out=buf)
+        if stay is not None:
+            np.copyto(buf, lw, where=stay)
+        np.divide(buf, width, out=buf)                  # _quantize, in place
+        np.floor(buf, out=buf)
+        np.copyto(wb, buf, casting="unsafe")
+        col, off = wb, None
+        if wb.min() < o1 or wb.max() >= o1 + n1:
+            col = np.clip(wb, o1, o1 + n1 - 1)
+            off = col != wb
+        np.add(base, col, out=cells)
+        np.take(box, cells, out=vals, mode="clip")     # every cell is on the box
+        if off is not None or np.isnan(vals.min()):    # min propagates NaN
+            miss = nxt.rank[cells] < 0
+            if off is not None:
+                miss |= off
+            if miss.any():
+                if not allow_miss:
+                    raise NumericalError(
+                        "forward/backward bin mismatch on a grid action")
+                idx = nearest_bin_index(nxt, np.column_stack(
+                    [child_rows[rows[miss]], wb[miss]]))
+                vals[miss] = box[nxt.cells[idx]]
+        acc += vals
     return acc
 
 
@@ -650,19 +712,23 @@ def _backward_collapse(tree: Tree) -> SolveResult:
     policy_layers = [None] * cfg.depth
     value_layers[cfg.depth] = vals
     refined_gain_max = 0.0
+    refine = cfg.refine and len(grid) > 1
 
     for depth in range(cfg.depth - 1, -1, -1):
         next_values = value_layers[depth + 1]
-        best_idx, best_val = _grid_stage_values(tree, depth, next_values)
+        if refine:
+            probe = _node_probe(tree, depth, next_values)
+            boxes = probe.boxes
+        else:
+            boxes = _value_boxes(tree, depth, next_values)
+        best_idx, best_val = _grid_stage_values(tree, depth, boxes)
         best_act = grid[best_idx]
-        if cfg.refine and len(grid) > 1:
+        if refine:
             h = cfg.grid_spacing
             lo = np.maximum(best_act - h, grid[0])
             hi = np.minimum(best_act + h, grid[-1])
-            probe = _node_probe(tree, depth)
             ref_act, ref_val = _golden_refine(
-                lambda act: _probe_stage_values(tree, probe, act, next_values,
-                                                allow_miss=True),
+                lambda act: _probe_stage_values(tree, probe, act, allow_miss=True),
                 lo, hi)
             take = ref_val > best_val
             refined_gain_max = max(refined_gain_max,
@@ -743,9 +809,8 @@ def hamiltonian(tree: Tree, values: ValueTable, depth: int, action_idx: int,
     if not np.all((grid[0] <= np.asarray(a)) & (np.asarray(a) <= grid[-1])):
         raise ConfigurationError(f"action_value must be finite and in "
                                  f"[{grid[0]}, {grid[-1]}]")
-    stage = _probe_stage_values(tree, _node_probe(tree, depth), a,
-                                values.layers[depth + 1],
-                                allow_miss=action_value is not None)
+    stage = _probe_stage_values(tree, _node_probe(tree, depth, values.layers[depth + 1]),
+                                a, allow_miss=action_value is not None)
     return (stage - own) / tree.eps_k**2
 
 

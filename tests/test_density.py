@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ def test_density_and_bound_are_zero_where_x_cubed_underflows(n):
     assert np.all(density.f_tau(xs, n) == 0.0)
     assert np.all(density.truncation_bound(xs, n) == 0.0)
     assert [density.f_tau(x, n) for x in xs] == [0.0] * len(xs)
+
+
+@pytest.mark.parametrize("n", [4, 12, 60, 64])
+def test_large_branch_is_exact_where_the_exponent_overflows(n):
+    """-pi^2 x / 8 overflows to -inf from x ~ 1e307; every large-branch
+    function reads that as a zero exponential and raises no warning."""
+    xs = np.array([1e300, 1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in list(xs) + [xs]:
+            assert np.all(density.f_tau(x, n) == 0.0)
+            assert np.all(density.cdf_tau(x, n) == 1.0)
+            assert np.all(density.survival_tau(x, n) == 0.0)
+            assert np.all(density.truncation_bound(x, n) == 0.0)
 
 
 def test_domain_errors():

@@ -497,6 +497,93 @@ def _time_dependent_spec():
                          gamma_util=0.5, x0=1.0, horizon_T=1.0)
 
 
+@pytest.mark.parametrize("time_dependent, depth", [(False, 6), (True, 4)])
+def test_hamiltonian_vanishes_exactly_at_the_recorded_policy(time_dependent, depth):
+    """U V at each node's recorded action is 0.0 on every layer of a refined
+    solve: the grid pass, golden refinement and hamiltonian's probe form
+    the same sums bit for bit."""
+    spec = _time_dependent_spec() if time_dependent else PortfolioSpec(
+        r=0.03, alpha_k=0.05, sigma_k=0.3, gamma_util=0.5, x0=1.0, horizon_T=1.0)
+    struct, payoff = PortfolioStructure(spec, 1.0 / 3), power_utility_payoff(spec)
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 41), depth=depth, Q=8,
+                      collapse=True, refine=True, node_cap=3_000_000)
+    tree = build_tree(struct, payoff, 1.0 / 3, cfg)
+    res = backward_dp(tree)
+    assert res.report.refined_gain_max > 0.0
+    for d in range(depth):
+        policy = res.policy.layers[d]
+        u = hamiltonian(tree, res.values, d, 0, action_value=policy)
+        assert np.all(u == 0.0), d
+    # both the grid actions and the refined ones are recorded somewhere
+    on_grid = np.isin(np.concatenate(res.policy.layers), cfg.action_grid)
+    assert on_grid.any() and not on_grid.all()
+
+
+def _crafted_tree(struct, payoff, eps, cfg, real, rows, cols):
+    """The tree `real` with layer 2 replaced by the box rows x cols."""
+    bins = np.array([(r, c) for r in rows for c in cols])
+    return solver._setup_tree(struct, payoff, eps, cfg, node_bins=[
+        real.layers[0].bins, real.layers[1].bins, bins]), bins
+
+
+@pytest.mark.parametrize("layer", ["band", "holes"])
+def test_probe_misses_take_the_nearest_populated_bin(layer):
+    """Children on an empty cell, past the next box's last column and before
+    its first read the nearest populated bin's value, as a per-node
+    step_stats + _brute_nearest reference does, bit for bit.
+
+    Layer 2 keeps every time row with every third column empty, over the
+    middle third of its columns ("band") or over all of them and two more
+    on each side, so that only empty cells are missed ("holes")."""
+    struct, payoff = pstruct()
+    eps = 1.0 / 3
+    cfg = SolveConfig(action_grid=np.linspace(-1, 1, 5), depth=2, Q=2, collapse=True)
+    real = build_tree(struct, payoff, eps, cfg)
+    rows, cols = np.unique(real.layers[2].bins[:, 0]), real.layers[2].bins[:, 1]
+    third = (cols.max() - cols.min()) // 3
+    lo, hi = ((cols.min() + third, cols.max() - third) if layer == "band"
+              else (cols.min() - 2, cols.max() + 2))
+    band = [c for c in range(lo, hi + 1) if c % 3 != 1]
+    tree, crafted = _crafted_tree(struct, payoff, eps, cfg, real, rows, band)
+    rng = np.random.default_rng(29)
+    values = ValueTable([np.zeros(len(real.layers[0].bins)),
+                         np.zeros(len(real.layers[1].bins)),
+                         rng.normal(size=len(crafted))])
+    reps = solver._reps(tree.layers[1].bins, tree.bin_widths)
+    n = len(reps)
+    probe = solver._node_probe(tree, 1, values.layers[2])
+    kinds = dict.fromkeys(["hit", "empty cell", "past last", "before first"], 0)
+    for action in [np.linspace(-1, 1, n), rng.uniform(-1, 1, n), 0.95, -1.0]:
+        want = np.zeros(n)
+        for m in range(tree.n_atoms):
+            child = solver._quantize(tree.ops.step_stats(
+                reps, action, float(tree.atoms.delta_t[m]), int(tree.atoms.signs[m])),
+                tree.bin_widths)
+            idx = [_brute_nearest(crafted, q) for q in child]
+            want += tree.atoms.weights[m] * values.layers[2][idx]
+            col = child[:, 1]
+            kinds["hit"] += np.sum(tree.layers[2].locate(child) >= 0)
+            kinds["empty cell"] += np.sum((lo <= col) & (col <= hi) & (col % 3 == 1))
+            kinds["past last"] += np.sum(col > hi)
+            kinds["before first"] += np.sum(col < lo)
+        got = solver._probe_stage_values(tree, probe, action, allow_miss=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            hamiltonian(tree, values, 1, 0, action_value=action),
+            (want - values.layers[1]) / tree.eps_k**2)
+    off_box = kinds["past last"] + kinds["before first"]
+    assert kinds["hit"] > 0 and kinds["empty cell"] > 0, kinds
+    assert min(kinds.values()) > 0 if layer == "band" else off_box == 0, kinds
+    # a grid action's child off the box is a miss even where the clipped
+    # column is populated, as in the band without its empty columns
+    no_holes, _ = _crafted_tree(struct, payoff, eps, cfg, real, rows, range(lo, hi + 1))
+    for t in (tree, no_holes) if layer == "band" else (tree,):
+        grid_values = ValueTable(values.layers[:2] + [np.ones(len(t.layers[2].bins))])
+        for ai in (0, 4):
+            with pytest.raises(NumericalError, match="mismatch on a grid action"):
+                hamiltonian(t, grid_values, 1, ai)
+
+
 @pytest.mark.parametrize("time_dependent", [False, True])
 def test_solver_probe_misses_land_on_populated_rows(time_dependent, monkeypatch):
     """Refinement probes and off-grid hamiltonian probes never query a time
@@ -701,7 +788,7 @@ def test_node_probe_refuses_child_rows_off_the_next_box(cut):
     edge = bins[:, 0].min() if cut == "first" else bins[:, 0].max()
     tree.layers[2] = solver.Lattice.over(bins[bins[:, 0] != edge], cfg.node_cap)
     with pytest.raises(NumericalError, match="off the next layer"):
-        solver._node_probe(tree, 1)
+        solver._node_probe(tree, 1, res.values.layers[2])
     with pytest.raises(NumericalError, match="off the next layer"):
         hamiltonian(tree, res.values, 1, 0, action_value=0.37)
 
@@ -718,10 +805,10 @@ def test_grid_stage_values_is_the_first_argmax(equal):
     # random values on a coarse set of levels, so some actions tie
     nxt = np.full(n_next, 1.75) if equal else \
         np.random.default_rng(4).integers(0, 3, n_next) * 0.5
-    best_idx, best_val = solver._grid_stage_values(tree, 2, nxt)
-    probe = solver._node_probe(tree, 2)
-    table = np.array([solver._probe_stage_values(tree, probe, float(a), nxt,
-                                                 allow_miss=False) for a in grid])
+    probe = solver._node_probe(tree, 2, nxt)
+    best_idx, best_val = solver._grid_stage_values(tree, 2, probe.boxes)
+    table = np.array([solver._probe_stage_values(tree, probe, float(a), allow_miss=False)
+                      for a in grid])
     if equal:
         assert np.all(best_idx == 0)
     else:
