@@ -396,7 +396,7 @@ def cmd_portfolio(args) -> int:
     if not scfg.collapse:
         raise ConfigurationError("portfolio rollouts need solve.collapse: true")
     esec = cfg.get("evaluate", {})
-    # the vectorized rollouts have no antithetic path, so the key is refused
+    # the summary's mc figures are the plain estimator: antithetic is refused
     _reject_unknown(esec, {"n_paths", "g_terms"}, "evaluate")
     n_paths = _n_paths(esec)
     n_g = _int(esec, "g_terms", 8, "evaluate")
@@ -405,10 +405,10 @@ def cmd_portfolio(args) -> int:
     res = solver.backward_dp(tree)
 
     merton = evaluate.merton_oracle(spec, skel.epsilon_k, scfg)
-    payoffs = evaluate.portfolio_policy_rollouts(
-        spec, skel.epsilon_k, res, tree, n_paths, args.seed, threads=args.threads)
-    mc_mean = float(np.mean(payoffs))
-    mc_se = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
+    mc = evaluate.policy_mc_value(
+        structure, payoff, res, tree,
+        skeleton.SkeletonConfig(skel.epsilon_k, 1, spec.horizon_T, scfg.depth),
+        n_paths, args.seed, threads=args.threads)
 
     # per-depth stage-argmax policy from the truncated stage function
     g_actions = []
@@ -428,7 +428,7 @@ def cmd_portfolio(args) -> int:
         "const_grid_action": merton.const_grid_action,
         "extracted_fraction": res.report.root_action,
         "fraction_gap": abs(res.report.root_action - merton.fraction),
-        "mc_mean": mc_mean, "mc_se": mc_se, "n_paths": n_paths,
+        "mc_mean": mc.mean, "mc_se": mc.se, "n_paths": n_paths,
         "stage_argmax_policy": g_actions,
     })
     _dump_tables(out, res, tree)
@@ -436,7 +436,7 @@ def cmd_portfolio(args) -> int:
     _write_manifest(out, args, cfg)
     _say(args, f"root {res.report.root_value:.6f}, fraction "
                f"{res.report.root_action:.4f} (merton {merton.fraction:.4f}), "
-               f"mc {mc_mean:.6f} +- {1.96 * mc_se:.6f}")
+               f"mc {mc.mean:.6f} +- {mc.ci_half:.6f}")
     return 0
 
 

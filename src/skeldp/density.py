@@ -46,6 +46,7 @@ exponentials, so a draw costs that fused pass and 1 `cdf_tau` evaluation
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,7 +256,6 @@ def survival_tau(x, n_terms: int = 64):
 TAIL_CUTOFF = 8.0 / np.pi**2 * np.log(4.0 / (np.pi * 1e-12))
 
 
-_INV_TABLE: list = []
 # values per Newton pass of inverse_cdf_tau: bounds its (values, 4 kept
 # terms) temporaries.  For one 36,864-draw chunk (4,096 paths x 9 steps)
 # the tracemalloc peak is ~0.87 MB in 4,096-value passes and ~5.0 MB in
@@ -279,25 +279,24 @@ def _inverse_table():
     return _inverse_lookup()[0]
 
 
+@functools.cache
 def _inverse_lookup():
     """The inverse table and, per u bucket [k, k + 1) / _BUCKETS, the cell
     holding the bucket's lower edge; built once per process."""
-    if not _INV_TABLE:
-        us = np.concatenate([np.geomspace(1e-12, 0.02, 512),
-                             np.linspace(0.02, 0.98, 1600),
-                             1.0 - np.geomspace(1e-13, 0.02, 512)[::-1]])
-        us = np.unique(us)
-        lo = np.full_like(us, 5e-4)
-        hi = np.full_like(us, 80.0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = cdf_tau(mid) < us
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        xs = 0.5 * (lo + hi)
-        first = _searched_cells(us, np.arange(_BUCKETS) / _BUCKETS)
-        _INV_TABLE.append(((us, xs, 1.0 / f_tau(xs, 12)), first))
-    return _INV_TABLE[0]
+    us = np.concatenate([np.geomspace(1e-12, 0.02, 512),
+                         np.linspace(0.02, 0.98, 1600),
+                         1.0 - np.geomspace(1e-13, 0.02, 512)[::-1]])
+    us = np.unique(us)
+    lo = np.full_like(us, 5e-4)
+    hi = np.full_like(us, 80.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = cdf_tau(mid) < us
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    xs = 0.5 * (lo + hi)
+    first = _searched_cells(us, np.arange(_BUCKETS) / _BUCKETS)
+    return (us, xs, 1.0 / f_tau(xs, 12)), first
 
 
 def _table_cell(u: np.ndarray) -> np.ndarray:

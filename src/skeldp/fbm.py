@@ -43,6 +43,7 @@ sum for each eval time stays its own dot product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -192,14 +193,14 @@ class FbmTable:
         return float(half @ (phi**2 @ _VAR_GW) + head)
 
 
-_TABLE_CACHE: dict[tuple, FbmTable] = {}
-
-
 def get_table(H: float, d_H: float = 1.0) -> FbmTable:
-    key = (round(H, 12), round(d_H, 12))
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = FbmTable(H, d_H)
-    return _TABLE_CACHE[key]
+    """The table of (H, d_H), built once per exact pair (d_H 1 by default)."""
+    return _table(float(H), float(d_H))
+
+
+@functools.cache
+def _table(H: float, d_H: float) -> FbmTable:
+    return FbmTable(H, d_H)
 
 
 def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,

@@ -25,6 +25,7 @@ endpoints divided by eps^2), where the density is f_tau itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +185,13 @@ def first_fire_probability(lags, coord: int, eps_k: float) -> float:
     return _first_fire_factor(lags / eps_k**2, coord - 1)
 
 
-# one cached d=1 discretization per (eps, Q); the d=1 kernel is
-# history-free so a single table serves the whole run
-_D1_CACHE: dict[tuple, DiscretizedKernel] = {}
+@functools.cache
+def _d1_kernel(eps_k: float, Q: int) -> DiscretizedKernel:
+    """The d=1 discretization, built once per exact (eps, Q): it is history-free."""
+    quant = density.quantize_tau(Q)
+    return DiscretizedKernel(np.repeat(quant.nodes * eps_k**2, 2),
+                             np.ones(2 * Q, dtype=np.int64), np.tile([1, -1], Q),
+                             np.repeat(quant.weights / 2.0, 2))
 
 
 def discretize_kernel(lags, eps_k: float, Q: int) -> DiscretizedKernel:
@@ -201,15 +206,7 @@ def discretize_kernel(lags, eps_k: float, Q: int) -> DiscretizedKernel:
     lags = np.asarray(lags, dtype=float)
     d = len(lags)
     if d == 1:
-        key = (round(float(eps_k), 15), Q)
-        if key not in _D1_CACHE:
-            quant = density.quantize_tau(Q)
-            nodes = np.repeat(quant.nodes * eps_k**2, 2)
-            signs = np.tile([1, -1], Q)
-            coords = np.ones(2 * Q, dtype=np.int64)
-            weights = np.repeat(quant.weights / 2.0, 2)
-            _D1_CACHE[key] = DiscretizedKernel(nodes, coords, signs, weights)
-        return _D1_CACHE[key]
+        return _d1_kernel(float(eps_k), Q)
 
     lags_u = lags / eps_k**2
     pfirst = np.array([_first_fire_factor(lags_u, j) for j in range(d)])

@@ -31,20 +31,21 @@ its index in the layer, and value and policy layers are arrays in node order:
   cuts them into rectangles of cells that share one (row, column) shift.
   The forward pass ORs each rectangle's occupied cells, shifted, into the
   next layer's box.  The backward pass builds, once per layer, the next
-  layer's value box times each distinct atom weight (NaN on empty cells;
-  one box for the equal-weight quantile kernel), adds each rectangle's
-  shifted block of its atom's box into a box accumulator, and keeps only
-  each node's running best grid action.  Off-grid probes (golden
-  refinement, residual checks) step each node at its own action and read
-  the same boxes.  Time does not depend on the action, so each node's
-  child time row per atom, as a flat cell of the next box, is computed
-  once per layer, and the action's ln-wealth `rates` once per probe, the
-  increment up to its +-vol term once per (+, -) atom pair; each atom is
-  then one in-place quantize of the child's wealth and one gather from
-  its weighted box.  A child that lands on an empty cell or off the box's
-  columns, caught by a min/max of its wealth bins and a NaN-propagating
-  min of the gathered values, goes to `nearest_bin_index`, the same
-  nearest-populated-bin rule that every policy lookup uses.
+  layer's value box times the atom weight (NaN on empty cells; the
+  quantile kernel weighs every atom alike), adds each rectangle's shifted
+  block of it into a box accumulator, and keeps only each node's running
+  best grid action.  Off-grid probes (golden refinement, residual checks)
+  step each node at its own action and read the same box.  Time does not
+  depend on the action, so each node's child time row per atom, as a
+  flat cell of the next box, is computed once per layer, and the
+  action's ln-wealth `rates` once per probe, their sign-free increment
+  part once per (+, -) atom pair; each atom is then one in-place
+  quantize of the child's wealth and one gather from the weighted box.
+  The solver writes no wealth law: it calls the structure's ops for it.
+  A child that lands on an empty cell or off the box's columns, caught by
+  a min/max of its wealth bins and a NaN-propagating min of the gathered
+  values, goes to `nearest_bin_index`, the same nearest-populated-bin
+  rule that every policy lookup uses.
 
 The Hamiltonian-type operator U F(node, a) = sum_w (F_{n+1}(child) -
 F_n(node)) / eps^2 vanishes at the recorded maximizer by construction and is
@@ -113,6 +114,8 @@ class SolveConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigurationError(f"{name} must be true or false, "
                                          f"got {getattr(self, name)!r}")
+        if self.refine and not self.collapse:
+            raise ConfigurationError("refine needs collapse: full trees have grid actions")
         positive = {"epsilon_total": self.epsilon_total,
                     "state_bin_width": self.state_bin_width}
         if self.time_bin_width is not None:
@@ -340,23 +343,23 @@ def _layer_blocks(tree: Tree, lattice: Lattice):
     rects[starts[p]:starts[p + 1]] with p = ai * n_atoms + m.
 
     A node's statistic is a function of its time row and its state column:
-    the time step of every (atom, row) is one broadcast, each (action,
-    atom) calls log_increment once over the rows with a Python-float
-    action, and `_cut_rectangles` evaluates the column shift once per
-    (distinct increment, column).  These are the float expressions of a
-    per-node step, so the child bins are those of the per-node step, and
-    a map that is not a shift just yields more, smaller rectangles.
+    the time step of every (atom, row) and the ln-wealth increment of
+    every (action, atom, row) are one broadcast each (constant coefficients
+    give one increment per (action, atom)), and `_cut_rectangles` evaluates
+    the column shift once per (distinct increment, column).  These are the
+    float expressions of a per-node step, so the child bins are those of
+    the per-node step, and a map that is not a shift just yields more,
+    smaller rectangles.
     """
     widths = tree.bin_widths
     rows, t_rows = _axis(lattice, 0, widths[0])
     cols, lw_cols = _axis(lattice, 1, widths[1])
     child_rows, moves = _time_children(tree, t_rows)
     grid, atoms = tree.cfg.action_grid, tree.atoms
-    steps = list(zip(atoms.delta_t.tolist(), atoms.signs.tolist()))
-    inc = np.empty((len(grid), len(steps), len(rows)))
-    for ai, a in enumerate(grid.tolist()):
-        for m, (dt, sign) in enumerate(steps):
-            inc[ai, m] = tree.ops.log_increment(t_rows, a, dt, sign)
+    inc = np.broadcast_to(
+        tree.ops.log_increment(t_rows, grid[:, None, None], atoms.delta_t[:, None],
+                               atoms.signs[:, None]),
+        (len(grid), len(atoms), len(rows)))
 
     def per_map(x):
         """(action, atom, row) array as (map p, row)."""
@@ -493,33 +496,29 @@ def _forward_layers(tree: Tree):
         tree.blocks.append((rects, starts))
 
 
-def _value_boxes(tree: Tree, depth: int, next_values: np.ndarray) -> list:
-    """Per atom, the flat value box of layer depth + 1 times the atom's
-    weight, NaN on empty cells; atoms of equal weight share one box."""
+def _value_box(tree: Tree, depth: int, next_values: np.ndarray) -> np.ndarray:
+    """The flat value box of layer depth + 1, NaN on empty cells, times the
+    weight 1 / (2Q) of every atom of the d = 1 quantile rule."""
     nxt = tree.layers[depth + 1]
     v_box = np.full(nxt.rank.shape, np.nan)
     v_box[nxt.cells] = next_values
-    weights = tree.atoms.weights.tolist()
-    *others, last = set(weights)
-    weighted = {w: w * v_box for w in others}
-    weighted[last] = np.multiply(v_box, last, out=v_box)    # no second box
-    return [weighted[w] for w in weights]
+    return np.multiply(v_box, tree.atoms.weights[0], out=v_box)
 
 
-def _grid_stage_values(tree: Tree, depth: int, boxes: list):
+def _grid_stage_values(tree: Tree, depth: int, box: np.ndarray):
     """Best grid action of every node of a layer: (best_idx, best_val).
 
     sum_atoms w * V_{n+1}(child) of each grid action comes from the
-    layer's rectangles, each adding its shifted block of the atom's
-    weighted value box (`_value_boxes`) into a box accumulator, atom by
-    atom.  Actions are compared in grid order by a strict >, so ties go to
-    the smallest index, and only the running best is kept.  A rectangle
+    layer's rectangles, each adding its shifted block of the weighted
+    value box (`_value_box`) into a box accumulator, atom by atom.
+    Actions are compared in grid order by a strict >, so ties go to the
+    smallest index, and only the running best is kept.  A rectangle
     that leaves the next box, or a node whose child cell is empty (NaN in
     the value box), is a forward/backward inconsistency.
     """
     lattice, nxt = tree.layers[depth], tree.layers[depth + 1]
     rects, starts = tree.blocks[depth]
-    boxes = [box.reshape(nxt.shape) for box in boxes]
+    box = box.reshape(nxt.shape)
     offset = lattice.origin - nxt.origin
     first, stop = _targets(rects)
     if np.any(first + offset < 0) or np.any(stop + offset > nxt.shape):
@@ -531,11 +530,10 @@ def _grid_stage_values(tree: Tree, depth: int, boxes: list):
     acc = np.empty(lattice.shape)
     for ai in range(len(tree.cfg.action_grid)):
         acc.fill(0.0)
-        for m, box in enumerate(boxes):
-            p = ai * tree.n_atoms + m
-            for i0, i1, j0, j1, dr, dc in rows[starts[p]:starts[p + 1]]:
-                acc[i0:i1, j0:j1] += box[i0 + dr + di:i1 + dr + di,
-                                         j0 + dc + dj:j1 + dc + dj]
+        p = ai * tree.n_atoms                       # the action's atoms, in order
+        for i0, i1, j0, j1, dr, dc in rows[starts[p]:starts[p + tree.n_atoms]]:
+            acc[i0:i1, j0:j1] += box[i0 + dr + di:i1 + dr + di,
+                                     j0 + dc + dj:j1 + dc + dj]
         stage = acc.reshape(-1)[cells]
         if np.isnan(stage.min()):                    # min propagates NaN
             raise NumericalError("forward/backward bin mismatch on a grid action")
@@ -556,14 +554,14 @@ class _Probe:
     t: np.ndarray               # (n,) elapsed time of each node
     lw: np.ndarray              # (n,) ln wealth of each node
     rows: np.ndarray            # (n,) box row of each node
-    boxes: list                 # per atom, its weighted flat value box
+    box: np.ndarray             # the weighted flat value box (`_value_box`)
     atoms: list                 # per atom (delta_t, sign, child_rows, stay, base)
 
 
 def _node_probe(tree: Tree, depth: int, next_values: np.ndarray) -> _Probe:
     """Per-node inputs of probes at arbitrary actions, shared by every
     probe of the layer: the next layer, elapsed time, ln wealth, time row,
-    the weighted value boxes of next_values (`_value_boxes`), and per atom
+    the weighted value box of next_values (`_value_box`), and per atom
     its delta_t and sign, the time rows' child bins, each node's stay mask
     (None if every node moves) and the flat next-box cell of its child's
     time row at wealth column 0.
@@ -589,41 +587,38 @@ def _node_probe(tree: Tree, depth: int, next_values: np.ndarray) -> _Probe:
         atoms.append((dt, sign, child_rows, stay if stay.any() else None,
                       (tb - o0) * n1 - o1))
     return _Probe(nxt, reps[:, 0], reps[:, 1], rows,
-                  _value_boxes(tree, depth, next_values), atoms)
+                  _value_box(tree, depth, next_values), atoms)
 
 
 def _probe_stage_values(tree: Tree, probe: _Probe, action,
                         allow_miss: bool) -> np.ndarray:
     """sum_atoms w * V_{n+1}(child) for one action per node (or a scalar).
 
-    The ln-wealth increment drift dt - var dt + vol sign of `ops.increment`
-    is formed up to its vol term once per run of atoms with one delta_t,
-    the kernel's (+, -) pair, and each atom adds vol or subtracts it,
-    which is adding the exact product vol * sign.  Each atom then
-    quantizes its children's wealth in place and takes one gather from
-    its weighted value box.  One min and one max of the wealth
-    bins catch children off the box's columns, and one NaN-propagating
-    min of the gathered values catches empty cells; only then is the exact
-    miss set built.  Off-grid probes (refinement, residual checks at
-    recorded actions) read a miss at the nearest populated bin
-    (`nearest_bin_index`), the same product w * V_{n+1} as a hit; at a
-    grid action a miss is an internal inconsistency.
+    The ops' `rates` are formed once and their `increment_parts` once per
+    run of atoms with one delta_t, the kernel's (+, -) pair; each atom adds
+    or subtracts vol (the exact vol * sign of `ops.increment`), quantizes
+    its children's wealth in place and gathers from the weighted value
+    box.  One min and one max of the wealth bins catch children off the
+    box's columns, one NaN-propagating min of the gathered values catches
+    empty cells; only then is the exact miss set built.  Off-grid probes
+    (refinement, residual checks at recorded actions) read a miss at the
+    nearest populated bin (`nearest_bin_index`), the same product
+    w * V_{n+1} as a hit; at a grid action a miss is an internal
+    inconsistency.
     """
-    nxt, lw, rows = probe.nxt, probe.lw, probe.rows
-    drift, var, vol = tree.ops.rates(probe.t, action)
+    nxt, lw, rows, box = probe.nxt, probe.lw, probe.rows, probe.box
+    rates = tree.ops.rates(probe.t, action)
     o1, n1 = int(nxt.origin[1]), nxt.shape[1]
     width = tree.bin_widths[1]
-    moved, buf, vals = (np.empty(len(lw)) for _ in range(3))
+    buf, vals = np.empty(len(lw)), np.empty(len(lw))
     wb, cells = (np.empty(len(lw), dtype=np.int64) for _ in range(2))
     acc = np.zeros(len(lw))
     last_dt = None
-    for box, (dt, sign, child_rows, stay, base) in zip(probe.boxes, probe.atoms):
+    for dt, sign, child_rows, stay, base in probe.atoms:
         if dt != last_dt:
-            np.multiply(drift, dt, out=moved)
-            np.multiply(var, dt, out=buf)
-            np.subtract(moved, buf, out=moved)
+            part, vol = tree.ops.increment_parts(rates, dt)
             last_dt = dt
-        (np.add if sign > 0 else np.subtract)(moved, vol, out=buf)
+        (np.add if sign > 0 else np.subtract)(part, vol, out=buf)
         np.add(lw, buf, out=buf)
         if stay is not None:
             np.copyto(buf, lw, where=stay)
@@ -716,12 +711,9 @@ def _backward_collapse(tree: Tree) -> SolveResult:
 
     for depth in range(cfg.depth - 1, -1, -1):
         next_values = value_layers[depth + 1]
-        if refine:
-            probe = _node_probe(tree, depth, next_values)
-            boxes = probe.boxes
-        else:
-            boxes = _value_boxes(tree, depth, next_values)
-        best_idx, best_val = _grid_stage_values(tree, depth, boxes)
+        probe = _node_probe(tree, depth, next_values) if refine else None
+        box = probe.box if refine else _value_box(tree, depth, next_values)
+        best_idx, best_val = _grid_stage_values(tree, depth, box)
         best_act = grid[best_idx]
         if refine:
             h = cfg.grid_spacing

@@ -22,10 +22,11 @@ Monte Carlo a chunk of paths, both through the same `step`.  The portfolio
 also evolves its sufficient statistic (t clipped at T, ln payoff wealth)
 for the collapsed solver; its `step` and `step_stats` share the time rule
 `time_step` and the ln-wealth increment `log_increment` of the one
-`_PortfolioCollapse` the structure holds.  That increment is written in two
-halves, `increment(rates(t, a), delta_t, sign)`: `rates` holds the factors
-that do not depend on the step, so the solver's off-grid probes compute them
-once per action and reuse them for every kernel atom.
+`_PortfolioCollapse` the structure holds, the collapse solver's law too.
+That increment is `increment(rates(t, a), delta_t, sign)`: `rates` holds
+the factors that do not depend on the step, so the solver's off-grid probes
+compute them once per action, and a (+, -) atom pair shares the sign-free
+part of `increment_parts`.
 
 A structure is non-anticipative: the state after n steps depends on the
 control only through the actions already supplied.  Path values are step
@@ -457,7 +458,8 @@ class PortfolioStructure(StateStructure):
 
 
 class _PortfolioCollapse:
-    """Vectorized (t_clip, ln payoff wealth) evolution for the collapsed DP."""
+    """Vectorized (t_clip, ln payoff wealth) evolution for the collapsed DP,
+    and the one ln-wealth law of the step, the ops and the solver."""
 
     n_stats = 2
 
@@ -482,22 +484,30 @@ class _PortfolioCollapse:
     def rates(self, t, a):
         """(drift, variance, volatility) factors of the ln-wealth law at
         elapsed time t and action a; they do not depend on the step's
-        delta_t or sign.  Arguments are floats or arrays (one value per
-        row)."""
+        delta_t or sign.  Arguments are floats or arrays that broadcast;
+        a float gives the bits of the same value in an array."""
         # alpha/sigma must broadcast over arrays of elapsed times
         al = self.spec.alpha_k(t)
-        sg = self.spec.sigma_k(t)
-        return a * (al - self.spec.r) + self.spec.r, 0.5 * (a * sg) ** 2, a * sg * self.eps
+        v = a * self.spec.sigma_k(t)
+        return a * (al - self.spec.r) + self.spec.r, 0.5 * v * v, v * self.eps
 
     @staticmethod
-    def increment(rates, delta_t, sign):
-        """ln-wealth change of a moving step from its `rates`."""
+    def increment_parts(rates, delta_t):
+        """(sign-free part, vol) of a moving step's ln-wealth change
+        part + vol * sign, from its `rates`."""
         drift, var, vol = rates
-        return drift * delta_t - var * delta_t + vol * sign
+        return drift * delta_t - var * delta_t, vol
+
+    @classmethod
+    def increment(cls, rates, delta_t, sign):
+        """ln-wealth change of a moving step from its `rates`."""
+        part, vol = cls.increment_parts(rates, delta_t)
+        return part + vol * sign
 
     def log_increment(self, t, a, delta_t, sign):
         """ln-wealth change of a moving step, the one wealth law of the
-        structure's step and the statistic ops: `increment` of `rates`."""
+        structure's step, the statistic ops and the collapse solver:
+        `increment` of `rates`."""
         return self.increment(self.rates(t, a), delta_t, sign)
 
     def step_stats(self, stats: np.ndarray, action, delta_t, sign) -> np.ndarray:

@@ -202,6 +202,24 @@ def test_portfolio_summary_fields(tmp_path):
     assert len(summary["stage_argmax_policy"]) == 4
 
 
+def test_portfolio_and_evaluate_report_one_estimator(tmp_path):
+    """`portfolio` and `evaluate` value the solved policy on the same paths
+    through one Monte Carlo, so their mean and se agree to the bit."""
+    cfg = json.loads(json.dumps(MERTON_CFG))
+    cfg["solve"].update(action_grid={"lo": -1, "hi": 1, "n": 11}, depth=5, Q=4)
+    cfg_path = write_cfg(tmp_path, cfg)
+    got = {}
+    for command, name in (("portfolio", "portfolio_summary.json"),
+                          ("evaluate", "evaluate_metrics.json")):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg_path, "--out-dir", out,
+                     "--seed", "3", "--threads", "2", "--quiet"]) == 0
+        with open(os.path.join(out, name)) as fh:
+            summary = json.load(fh)
+        got[command] = (summary["mc_mean"], summary["mc_se"], summary["n_paths"])
+    assert got["portfolio"] == got["evaluate"]
+
+
 def test_budget_epsilon_flag_is_a_usage_error_exit_1(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, MERTON_CFG)
     out = str(tmp_path / "o")
@@ -384,10 +402,11 @@ def test_policy_csv_huge_bin_box_exit_3(tmp_path, capsys):
     {"action_grid": [0.0, float("nan")]},
     {"collapse": "false"},
     {"refine": 1},
+    {"collapse": False, "refine": True},
 ], ids=["negative-state-width", "negative-time-width", "zero-widths", "nan-state-width",
         "infinite-time-width", "fractional-depth", "bool-depth", "negative-depth", "zero-Q",
         "float-Q", "zero-node-cap", "descending-grid", "nan-grid", "string-collapse",
-        "int-refine"])
+        "int-refine", "refine-without-collapse"])
 def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update({"depth": 2, **solve})

@@ -71,6 +71,14 @@ def quad_phi(H, xs, d_H=1.0):
     return tails[np.searchsorted(pts, xs)]
 
 
+def test_table_cache_keys_by_exact_parameters():
+    """A neighbouring H gets its own table; the default d_H and an explicit
+    1.0 share one entry."""
+    assert fbm.get_table(0.75).H == 0.75
+    assert fbm.get_table(0.75 + 1e-13).H == 0.75 + 1e-13
+    assert fbm.get_table(0.75, 1.0) is fbm.get_table(0.75)
+
+
 @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
 def test_phi_table_matches_adaptive_quadrature(H):
     table = fbm.FbmTable(H, d_H=1.3)

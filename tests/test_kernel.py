@@ -117,6 +117,16 @@ def test_d1_discretization():
     assert discretize_kernel(np.array([0.0]), eps, 8) is dk2
 
 
+def test_d1_kernel_cache_keys_by_exact_eps():
+    """A neighbouring eps gets its own atoms, whatever ran before it."""
+    third = discretize_kernel(np.array([0.0]), 1.0 / 3, 2)
+    eps = float(np.nextafter(1.0 / 3, 1.0))
+    near = discretize_kernel(np.array([0.0]), eps, 2)
+    assert near is not third
+    assert np.array_equal(near.delta_t, np.repeat(density.quantize_tau(2).nodes * eps**2, 2))
+    assert not np.array_equal(near.delta_t, third.delta_t)
+
+
 def test_d2_discretization_mass_and_signs():
     eps = 0.7
     dk = discretize_kernel(np.array([0.0, 0.3 * eps**2]), eps, 4)

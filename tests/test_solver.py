@@ -806,7 +806,7 @@ def test_grid_stage_values_is_the_first_argmax(equal):
     nxt = np.full(n_next, 1.75) if equal else \
         np.random.default_rng(4).integers(0, 3, n_next) * 0.5
     probe = solver._node_probe(tree, 2, nxt)
-    best_idx, best_val = solver._grid_stage_values(tree, 2, probe.boxes)
+    best_idx, best_val = solver._grid_stage_values(tree, 2, probe.box)
     table = np.array([solver._probe_stage_values(tree, probe, float(a), allow_miss=False)
                       for a in grid])
     if equal:

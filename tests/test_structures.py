@@ -337,6 +337,30 @@ def test_increment_of_rates_is_the_one_wealth_law(time_dependent):
                               written_out(t, a, d, sign))
 
 
+def test_float_and_array_actions_take_one_float_path():
+    """A Python-float action and the same action in an array give the same
+    bits of the law's every part.  At this (a, sigma) a libm pow of the
+    float a * sigma and the array's square differ in the last bit."""
+    a, sg = 0.27526522344888527, 0.2739181973104141
+    spec = PortfolioSpec(r=0.03, alpha_k=0.05, sigma_k=sg, gamma_util=0.5, x0=1.0)
+    ops = PortfolioStructure(spec, 1.0 / 3).collapse_ops()
+    t, stats = np.array([0.5]), np.array([[0.5, 0.0]])
+
+    def same(x, y):
+        return np.array_equal(np.broadcast_to(x, np.shape(y)), y)
+
+    assert all(same(x, y) for x, y in zip(ops.rates(t, a), ops.rates(t, np.array([a]))))
+    for dt in (0.05, 0.18531964638744441):
+        for sign in (1, -1):
+            assert same(ops.log_increment(t, a, dt, sign),
+                        ops.log_increment(t, np.array([a]), dt, sign))
+            assert np.array_equal(ops.step_stats(stats, a, dt, sign),
+                                  ops.step_stats(stats, np.array([a]), dt, sign))
+        assert all(same(x, y) for x, y in zip(
+            ops.increment_parts(ops.rates(t, a), dt),
+            ops.increment_parts(ops.rates(t, np.array([a])), dt)))
+
+
 def test_argmax_invariant_under_x0():
     # stage ordering free of x0: the payoff factors as x0^gamma * rest
     eps = 1.0 / 3
