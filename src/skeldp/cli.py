@@ -386,6 +386,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# series terms of the truncated stage function g_n behind the portfolio
+# summary's stage_argmax_policy
+_G_TERMS = 8
+
+
 def cmd_portfolio(args) -> int:
     """End-to-end pipeline: solve, per-depth stage-argmax policy, references."""
     out = _out_dir(args)
@@ -397,9 +402,8 @@ def cmd_portfolio(args) -> int:
         raise ConfigurationError("portfolio rollouts need solve.collapse: true")
     esec = cfg.get("evaluate", {})
     # the summary's mc figures are the plain estimator: antithetic is refused
-    _reject_unknown(esec, {"n_paths", "g_terms"}, "evaluate")
+    _reject_unknown(esec, {"n_paths"}, "evaluate")
     n_paths = _n_paths(esec)
-    n_g = _int(esec, "g_terms", 8, "evaluate")
 
     tree = solver.build_tree(structure, payoff, skel.epsilon_k, scfg)
     res = solver.backward_dp(tree)
@@ -418,8 +422,8 @@ def cmd_portfolio(args) -> int:
         if t_rep >= spec.horizon_T:
             g_actions.append(g_actions[-1] if g_actions else 0.0)
             continue
-        vals = [structures.stage_g(float(a), t_rep, spec, skel.epsilon_k, n_terms=n_g)
-                for a in grid]
+        vals = [structures.stage_g(float(a), t_rep, spec, skel.epsilon_k,
+                                   n_terms=_G_TERMS) for a in grid]
         g_actions.append(float(grid[int(np.argmax(vals))]))
 
     payload = _summary_payload(res, extra={

@@ -273,28 +273,28 @@ def _searched_cells(t_u: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(t_u, u, side="right") - 1, 0, len(t_u) - 2)
 
 
-def _inverse_table():
-    """Monotone (u, x, dx/du) table of `_hermite_start` (layout in the
-    module docstring); built once per process."""
-    return _inverse_lookup()[0]
+def _bisect_cdf(u: np.ndarray, upper: float, steps: int) -> np.ndarray:
+    """x with cdf_tau(x) = u, by `steps` bisections of [5e-4, upper]."""
+    lo = np.full_like(u, 5e-4)
+    hi = np.full_like(u, upper)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = cdf_tau(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @functools.cache
 def _inverse_lookup():
-    """The inverse table and, per u bucket [k, k + 1) / _BUCKETS, the cell
+    """The monotone (u, x, dx/du) table of `_hermite_start` (layout in the
+    module docstring) and, per u bucket [k, k + 1) / _BUCKETS, the cell
     holding the bucket's lower edge; built once per process."""
     us = np.concatenate([np.geomspace(1e-12, 0.02, 512),
                          np.linspace(0.02, 0.98, 1600),
                          1.0 - np.geomspace(1e-13, 0.02, 512)[::-1]])
     us = np.unique(us)
-    lo = np.full_like(us, 5e-4)
-    hi = np.full_like(us, 80.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = cdf_tau(mid) < us
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    xs = 0.5 * (lo + hi)
+    xs = _bisect_cdf(us, 80.0, 60)
     first = _searched_cells(us, np.arange(_BUCKETS) / _BUCKETS)
     return (us, xs, 1.0 / f_tau(xs, 12)), first
 
@@ -318,7 +318,7 @@ def _hermite_start(u: np.ndarray) -> np.ndarray:
     """Cubic Hermite interpolant of the quantile on the table cell holding
     each u, from the end nodes' x and dx/du = 1 / f_tau.  A table u returns
     its x exactly; a u beyond the table returns the end node's x."""
-    t_u, t_x, t_dx = _inverse_table()
+    (t_u, t_x, t_dx), _ = _inverse_lookup()
     i = _table_cell(u)
     h = t_u[i + 1] - t_u[i]
     s = np.clip((u - t_u[i]) / h, 0.0, 1.0)
@@ -385,14 +385,7 @@ def _inverse_block(arr: np.ndarray) -> np.ndarray:
     if np.any(resid > _INV_TOL):
         # Newton can stall in the extreme tails; bisect the stragglers
         bad = resid > _INV_TOL
-        lo_b = np.full(int(bad.sum()), 5e-4)
-        hi_b = np.full(int(bad.sum()), 120.0)
-        for _ in range(100):
-            mid = 0.5 * (lo_b + hi_b)
-            below = cdf_tau(mid) < arr[bad]
-            lo_b = np.where(below, mid, lo_b)
-            hi_b = np.where(below, hi_b, mid)
-        x[bad] = 0.5 * (lo_b + hi_b)
+        x[bad] = _bisect_cdf(arr[bad], 120.0, 100)
     return x
 
 

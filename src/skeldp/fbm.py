@@ -6,10 +6,12 @@ Representation used throughout:
     rho_H(t,s) = d'_H [ (H-1/2) s^{-H-1/2} int_s^t u^{H-1/2}(u-s)^{H-3/2} du
                         - s^{-H-1/2} t^{H+1/2} (t-s)^{H-3/2} ],
 
-with d'_H = (H - 1/2) d_H and d_H a normalization constant exposed as a
-config parameter (default 1; every check shipped here compares the skeleton
-construction against the representation's own fine-grid limit, so the
-comparison is d_H-free).
+with d'_H = (H - 1/2) d_H and the normalization d_H = 1.  d_H only scales
+B_H, so a process's sigma carries it: Var B_H(1) (`FbmTable.variance_at_one`)
+is 0.874 at H = 0.75, and sigma times its inverse square root gives unit
+variance.  Every check shipped here compares the skeleton construction
+against the representation's own fine-grid limit, or divides that variance
+out, so none depends on the normalization.
 
 Numerics: rho_H is homogeneous, rho_H(ct, cs) = c^{H-3/2} rho_H(t, s), so
 
@@ -95,27 +97,25 @@ def inner_kernel_integral(t: float, s, H: float):
     return float(val) if val.ndim == 0 else val
 
 
-def rho_H(t: float, s: float, H: float, d_H: float = 1.0) -> float:
+def rho_H(t: float, s: float, H: float) -> float:
     """Pointwise kernel value; singular like (t-s)^{H-3/2} as s -> t."""
     _check_H(H)
     if not 0.0 < s < t:
         raise ConfigurationError("rho_H requires 0 < s < t")
-    dph = (H - 0.5) * d_H
-    return dph * ((H - 0.5) * s ** (-H - 0.5) * inner_kernel_integral(t, s, H)
-                  - s ** (-H - 0.5) * t ** (H + 0.5) * (t - s) ** (H - 1.5))
+    return (H - 0.5) * ((H - 0.5) * s ** (-H - 0.5) * inner_kernel_integral(t, s, H)
+                        - s ** (-H - 0.5) * t ** (H + 0.5) * (t - s) ** (H - 1.5))
 
 
-def _phi_on_grid(x: np.ndarray, H: float, d_H: float) -> np.ndarray:
+def _phi_on_grid(x: np.ndarray, H: float) -> np.ndarray:
     """Phi(x_i) = int_{x_i}^1 rho_H(1, w) dw on an increasing grid ending at 1.
 
     In z = (1-w)^{H-1/2}, w = 1 - z^q, the integrand is
-    g(z) = dph q w^{-H-1/2} [(H-1/2) inner(1, w) z^{q-1} - 1], with no
+    g(z) = d'_H q w^{-H-1/2} [(H-1/2) inner(1, w) z^{q-1} - 1], with no
     endpoint singularity left wherever x > 0.  One _CELL_GX rule on each
     grid cell, summed from x = 1 down, gives every Phi(x_i) at once.  z is
     carried as its complement v = 1 - z, so w = 1 - z^q keeps its relative
     precision at small x, where z lies within (H-1/2) x of 1.
     """
-    dph = (H - 0.5) * d_H
     q = 1.0 / (H - 0.5)
     with np.errstate(divide="ignore"):          # x = 1 gives v = 1
         v = -np.expm1((H - 0.5) * np.log1p(-x))
@@ -133,7 +133,7 @@ def _phi_on_grid(x: np.ndarray, H: float, d_H: float) -> np.ndarray:
         cells[blk] = half[blk] * (g @ _CELL_GW)
     phi = np.zeros(len(x))
     phi[:-1] = np.cumsum(cells[::-1])[::-1]
-    return dph * q * phi
+    return (H - 0.5) * q * phi
 
 
 @dataclass
@@ -147,7 +147,6 @@ class FbmTable:
     """
 
     H: float
-    d_H: float = 1.0
 
     def __post_init__(self):
         from scipy.interpolate import PchipInterpolator
@@ -155,7 +154,7 @@ class FbmTable:
         lo = np.geomspace(_X_MIN, 0.2, _N_GRID // 2)
         hi = 1.0 - np.geomspace(1e-8, 0.8, _N_GRID // 2)[::-1]
         self._x = np.unique(np.concatenate([lo, hi, [1.0]]))
-        self._phi = _phi_on_grid(self._x, self.H, self.d_H)
+        self._phi = _phi_on_grid(self._x, self.H)
         self._phi_ip = PchipInterpolator(self._x, self._phi, extrapolate=False)
         self._omega_ip = self._phi_ip.antiderivative()
         c_head = self._phi[0] * self._x[0] ** (self.H - 0.5)
@@ -193,18 +192,14 @@ class FbmTable:
         return float(half @ (phi**2 @ _VAR_GW) + head)
 
 
-def get_table(H: float, d_H: float = 1.0) -> FbmTable:
-    """The table of (H, d_H), built once per exact pair (d_H 1 by default)."""
-    return _table(float(H), float(d_H))
-
-
 @functools.cache
-def _table(H: float, d_H: float) -> FbmTable:
-    return FbmTable(H, d_H)
+def get_table(H: float) -> FbmTable:
+    """The table of H, built once per exact H."""
+    return FbmTable(float(H))
 
 
-def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
-                      d_H: float = 1.0) -> np.ndarray:
+def fbm_from_skeleton(event_times, event_signs, eps: float, H: float,
+                      t_grid) -> np.ndarray:
     """W^k_H on t_grid: B^k_H frozen at the skeleton's own event times.
 
     event_times and event_signs are a one-dimensional skeleton's cumulative
@@ -221,7 +216,7 @@ def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
             raise ConfigurationError(f"{name} must be finite")
     if np.any(np.diff(event_times) < 0):
         raise ConfigurationError("event times must be non-decreasing")
-    table = get_table(H, d_H)
+    table = get_table(H)
     out = np.zeros_like(t_grid)
     # freeze: W(t) = B^k_H(T_m(t)) with T_m(t) the last event time <= t
     idx = np.searchsorted(event_times, t_grid, side="right")
@@ -237,8 +232,7 @@ def fbm_from_skeleton(event_times, event_signs, eps: float, H: float, t_grid,
     return out
 
 
-def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times,
-                           d_H: float = 1.0) -> np.ndarray:
+def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times) -> np.ndarray:
     """B_H on eval_times from a piecewise-linear Brownian reconstruction.
 
     Integration by parts against the slope: B_H(t) = t^{H+1/2} *
@@ -255,7 +249,7 @@ def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times,
     if np.any(eval_times > t_fine[-1]):
         raise ConfigurationError(
             f"eval time {eval_times.max()} lies past the fine path's end {t_fine[-1]}")
-    table = get_table(H, d_H)
+    table = get_table(H)
     slopes = np.diff(b_fine) / np.diff(t_fine)
     out = np.zeros(len(eval_times))
     # the k cells below eval time t end at s_1, ..., s_{k-1} and t itself,

@@ -86,11 +86,6 @@ class DiscretizedKernel:
         return float(self.weights @ self.delta_t)
 
 
-def _tail(x):
-    return density.survival_tau(x)
-
-
-_FF_CACHE: dict[tuple, float] = {}
 _FF_REL_TOL = 1e-8      # relative change at which panel doubling stops
 
 
@@ -102,23 +97,21 @@ def _first_fire_factor(lags_u: np.ndarray, j0: int) -> float:
     doubles until the relative change is below _FF_REL_TOL (budget split
     between the two nested rules).  Interval- and sign-independent; the
     double integral depends only on the coordinate's own lag and the other
-    lags in order, so it is memoized on those, and coordinates with equal
-    lags share one quadrature.  The tail-mass product is divided out on every call.
+    lags in order, so it is memoized on those exact lags, and coordinates
+    with equal lags share one quadrature.  The tail-mass product is divided
+    out on every call.
     """
-    d = len(lags_u)
-    denom = float(np.prod(_tail(lags_u)))
+    denom = float(np.prod(density.survival_tau(lags_u)))
     if denom <= 0:
         raise NumericalError("all-coordinate tail mass underflowed")
-    others = [lam for lam in range(d) if lam != j0]
-    rounded = np.round(lags_u, 14)
-    cache_key = (rounded[j0], tuple(rounded[others]))
-    if cache_key not in _FF_CACHE:
-        _FF_CACHE[cache_key] = _first_fire_integral(lags_u[j0], lags_u[others])
-    return _FF_CACHE[cache_key] / denom
+    others = tuple(np.delete(lags_u, j0).tolist())
+    return _first_fire_integral(float(lags_u[j0]), others) / denom
 
 
-def _first_fire_integral(own_lag: float, other_lags: np.ndarray) -> float:
-    """The first-fire double integral, before division by the tail masses."""
+@functools.cache
+def _first_fire_integral(own_lag: float, other_lags: tuple) -> float:
+    """The first-fire double integral, before division by the tail masses,
+    built once per exact (own lag, other lags)."""
     X = density.TAIL_CUTOFF
 
     # Nested fixed rule with panel doubling, vectorized over both axes.
@@ -166,13 +159,13 @@ def kernel_prob(q: KernelQuery, eps_k: float) -> float:
     lags_u = q.lags / eps_k**2
     j0 = q.coord - 1
     dj = lags_u[j0]
-    tail_j = _tail(dj)
+    tail_j = density.survival_tau(dj)
     if tail_j <= 0:
         raise NumericalError(f"lag {q.lags[j0]} beyond density support")
     if np.isfinite(b_u):
         factor1 = float(density.cdf_tau(b_u + dj) - density.cdf_tau(a_u + dj)) / tail_j
     else:
-        factor1 = float(_tail(a_u + dj)) / tail_j
+        factor1 = float(density.survival_tau(a_u + dj)) / tail_j
     factor2 = _first_fire_factor(lags_u, j0)
     return 0.5 * factor1 * factor2
 
@@ -216,7 +209,7 @@ def discretize_kernel(lags, eps_k: float, Q: int) -> DiscretizedKernel:
         # the kernel's delta-t marginal: mixture of residual marginals
         out = 0.0
         for j in range(d):
-            tail_j = _tail(lags_u[j])
+            tail_j = density.survival_tau(lags_u[j])
             out += pfirst[j] * (density.cdf_tau(x_u + lags_u[j])
                                 - density.cdf_tau(lags_u[j])) / tail_j
         return out
@@ -241,7 +234,7 @@ def discretize_kernel(lags, eps_k: float, Q: int) -> DiscretizedKernel:
         # node at the conditional mean of the mixture on the slice
         num = 0.0
         for j in range(d):
-            tail_j = _tail(lags_u[j])
+            tail_j = density.survival_tau(lags_u[j])
             hi_u = b_u if np.isfinite(b_u) else density.TAIL_CUTOFF + 5.0
             xs = np.linspace(a_u, hi_u, 65)
             mids = 0.5 * (xs[1:] + xs[:-1])

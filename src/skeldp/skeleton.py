@@ -257,8 +257,8 @@ def _crossings(x: np.ndarray, lev: float, eps: float, window: int, start: int = 
     return np.array(idx, dtype=np.int64), np.array(sgn, dtype=np.int64), lev
 
 
-def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
-                             n_steps: int | None = None) -> SkeletonPath:
+def crossing_sample_skeleton(eps: float, t_grid: np.ndarray,
+                             bm: np.ndarray) -> SkeletonPath:
     """Extract the skeleton of a discretely observed Brownian path.
 
     Levels stay on the eps-lattice anchored at the last recorded level, so
@@ -279,8 +279,6 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray, bm: np.ndarray,
     s = np.concatenate([sgn for _, sgn, _ in per_coord])
     order = np.lexsort((c, k))
     k, c, s = k[order], c[order], s[order]
-    if n_steps is not None:
-        k, c, s = k[:n_steps], c[:n_steps], s[:n_steps]
     tied = np.flatnonzero(np.diff(k) == 0)
     if tied.size:
         at = k[tied[0]]

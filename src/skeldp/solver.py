@@ -18,8 +18,8 @@ its index in the layer, and value and policy layers are arrays in node order:
   layer), and the children's values, reshaped to (nodes, A, M) and summed
   atom by atom, give the block's values and first-index argmax actions.
 * collapse mode quantizes the structure's sufficient statistic into bins
-  (time component on an absolute grid of width eps^2/4, state components on
-  the structure's own scale, relative 1e-3 for wealth-like quantities) and
+  (time on an absolute grid of width eps^2/4, ln wealth on the statistic's
+  own scale, the ops' `bin_width`, ln(1 + 1e-3) for the portfolio) and
   runs the recursion over layers of bins.  Each layer is a dense lattice:
   a row-major box of time rows x state columns whose cells map to node
   indices.  A node's statistic is a function of its row and its column,
@@ -96,8 +96,6 @@ class SolveConfig:
     collapse: bool = False
     refine: bool = False
     node_cap: int = 2_000_000
-    time_bin_width: float | None = None     # default eps^2 / 4
-    state_bin_width: float = math.log(1.0 + 1e-3)
 
     def __post_init__(self):
         self.action_grid = np.asarray(self.action_grid, dtype=float)
@@ -116,12 +114,7 @@ class SolveConfig:
                                          f"got {getattr(self, name)!r}")
         if self.refine and not self.collapse:
             raise ConfigurationError("refine needs collapse: full trees have grid actions")
-        positive = {"epsilon_total": self.epsilon_total,
-                    "state_bin_width": self.state_bin_width}
-        if self.time_bin_width is not None:
-            positive["time_bin_width"] = self.time_bin_width
-        for name, value in positive.items():
-            _positive(name, value)
+        _positive("epsilon_total", self.epsilon_total)
 
     @property
     def grid_spacing(self) -> float:
@@ -192,7 +185,8 @@ def build_tree(structure, payoff, eps_k: float, cfg: SolveConfig) -> Tree:
 def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
                 node_bins=None) -> Tree:
     """Tree handle with its checks, fresh-start kernel atoms, and for
-    collapse its statistic ops and bin widths.
+    collapse its statistic ops and bin widths: eps^2 / 4 for time, the
+    ops' own `bin_width` for ln wealth.
 
     Refuses a grid outside the spec's [-a_bar, a_bar], a full tree over
     cfg.node_cap nodes and a payoff the collapse statistic does not
@@ -218,9 +212,7 @@ def _setup_tree(structure, payoff, eps_k: float, cfg: SolveConfig,
             level *= n_children
         return Tree(structure, payoff, atoms, cfg, eps_k)
     ops = _collapse_ops(structure, payoff)
-    widths = np.empty(ops.n_stats)
-    widths[0] = cfg.time_bin_width if cfg.time_bin_width is not None else eps_k**2 / 4.0
-    widths[1:] = cfg.state_bin_width
+    widths = np.array([eps_k**2 / 4.0, ops.bin_width])
     layers = [Lattice.over(bins, cfg.node_cap) for bins in node_bins or []]
     return Tree(structure, payoff, atoms, cfg, eps_k, ops, widths, layers)
 

@@ -307,7 +307,6 @@ class FbmSpec:
     sigma: float
     drift: Callable
     x0: float
-    d_H: float = 1.0
 
     def __post_init__(self):
         if not 0.5 < self.H < 1.0:
@@ -344,7 +343,7 @@ class FbmStructure(StateStructure):
         signs = np.column_stack([state.signs[src], sgn.astype(float)])
         # B^k_H at each row's newest event: one Phi table call for the block,
         # each row's sum its own dot product (the bits of fbm_from_skeleton)
-        phi = fbm.get_table(spec.H, spec.d_H).phi(times / times[:, -1:])
+        phi = fbm.get_table(spec.H).phi(times / times[:, -1:])
         w_new = np.array([self.eps * t ** (spec.H - 0.5) * float(signs[i] @ phi[i])
                           for i, t in enumerate(times[:, -1].tolist())])
         try:
@@ -462,6 +461,8 @@ class _PortfolioCollapse:
     and the one ln-wealth law of the step, the ops and the solver."""
 
     n_stats = 2
+    # the collapsed solver's ln-wealth bin: wealth to relative 1e-3
+    bin_width = math.log(1.0 + 1e-3)
 
     def __init__(self, spec: PortfolioSpec, eps: float):
         self.spec = spec
@@ -691,10 +692,12 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
     """Build (structure, payoff) from a problem-config dictionary.
 
     cfg has kind "pd_sde" | "fbm" | "portfolio" plus kind-specific fields;
-    unknown keys, missing fields and values of the wrong type are refused.
+    unknown keys, missing fields, values of the wrong type and non-finite
+    numbers are refused.
     """
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"problem must be an object, got {cfg!r}")
+    _refuse_non_finite(cfg, "problem")
     kind = cfg.get("kind")
     if kind == "portfolio":
         allowed = {"kind", "r", "alpha", "sigma", "gamma_util", "x0", "a_bar"}
@@ -714,11 +717,10 @@ def structure_from_config(cfg: dict, epsilon_k: float, horizon_T: float):
         payoff = _payoff_from_config(cfg.get("payoff", {"name": "terminal_tanh"}), horizon_T)
         return CaseAStructure(spec, epsilon_k, horizon_T), payoff
     if kind == "fbm":
-        allowed = {"kind", "H", "sigma", "drift", "x0", "d_H", "payoff"}
+        allowed = {"kind", "H", "sigma", "drift", "x0", "payoff"}
         _reject_unknown(cfg, allowed, "problem")
         H, sigma, x0 = (_real(cfg, key, None, "problem") for key in ("H", "sigma", "x0"))
-        spec = FbmSpec(H, sigma, _from_registry(drift_registry, cfg, "drift"), x0,
-                       _real(cfg, "d_H", 1.0, "problem"))
+        spec = FbmSpec(H, sigma, _from_registry(drift_registry, cfg, "drift"), x0)
         payoff = _payoff_from_config(cfg.get("payoff", {"name": "terminal_tanh"}), horizon_T)
         return FbmStructure(spec, epsilon_k, horizon_T), payoff
     raise ConfigurationError(f"unknown problem kind {kind!r}")
@@ -729,6 +731,24 @@ def _reject_unknown(cfg: dict, allowed: set, where: str):
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _refuse_non_finite(value, where: str):
+    """Refuse a NaN or infinite number anywhere in a config value, naming
+    its key: Python's json reads NaN and Infinity."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for item in value:
+            _refuse_non_finite(item, where)
+    elif _is_real(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:               # an integer past the float range
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"{where} must be finite, got {value!r}")
 
 
 def _value(section: dict, key: str, default, where: str):

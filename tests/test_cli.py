@@ -87,10 +87,16 @@ def test_missing_config_exit_1(tmp_path, capsys):
     ("solve", "merton", ("problem",), "surprise", 1),
     ("solve", "pdsde", ("problem", "drift"), "scael", 5.0),
     ("solve", "pdsde", ("problem", "payoff"), "sacle", 3),
+    ("solve", "merton", ("solve",), "time_bin_width", 0.01),
+    ("solve", "merton", ("solve",), "state_bin_width", 0.001),
+    ("solve", "fbm", ("problem",), "d_H", 1.0),
+    ("portfolio", "merton", ("evaluate",), "g_terms", 8),
 ], ids=["solve-surprise", "solve-refine_iters", "kernel-rule", "problem-surprise",
-        "drift-parameter", "payoff-parameter"])
+        "drift-parameter", "payoff-parameter", "solve-time_bin_width",
+        "solve-state_bin_width", "fbm-d_H", "portfolio-g_terms"])
 def test_unknown_key_exit_1(tmp_path, capsys, command, base, where, key, value):
-    cfg = json.loads(json.dumps({"merton": MERTON_CFG, "pdsde": PDSDE_CFG}[base]))
+    cfg = json.loads(json.dumps({"merton": MERTON_CFG, "pdsde": PDSDE_CFG,
+                                 "fbm": FBM_CFG}[base]))
     section = cfg
     for name in where:
         section = section.setdefault(name, {})
@@ -147,7 +153,7 @@ def test_fbm_solve_subcommand(tmp_path):
 
     cfg = {
         "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
-        "problem": {"kind": "fbm", "H": 0.75, "d_H": 1.0, "sigma": 0.5,
+        "problem": {"kind": "fbm", "H": 0.75, "sigma": 0.5,
                     "drift": {"name": "action_linear", "scale": 1.0}, "x0": 0.0},
         "solve": {"action_grid": [-1.0, 0.0, 1.0], "depth": 2, "Q": 2},
     }
@@ -270,19 +276,21 @@ def test_evaluate_too_few_paths_exit_1(tmp_path, capsys, monkeypatch, n_paths):
 
 
 @pytest.mark.parametrize("command", ["solve", "portfolio"])
-def test_node_key_overflow_exit_3_without_outputs(tmp_path, command):
-    """Time bins past 2^30 (any int64 bin) go through value_policy.csv:
-    evaluating the dumped CSV gives the metrics of solving in process."""
+def test_int64_bins_round_trip_through_policy_csv(tmp_path, monkeypatch, command):
+    """Wealth bins past 2^30 (any int64 bin) go through value_policy.csv:
+    evaluating the dumped CSV gives the metrics of solving in process.
+    Action 0 with Q 1 moves wealth by r delta_t alone: one cell a layer."""
+    monkeypatch.setattr(structures._PortfolioCollapse, "bin_width", 1e-12)
     cfg = json.loads(json.dumps(MERTON_CFG))
-    cfg["solve"].update(action_grid=[0.0], depth=2, Q=1, time_bin_width=1e-11)
+    cfg["solve"].update(action_grid=[0.0], depth=2, Q=1)
     cfg["evaluate"]["n_paths"] = 40
     out = str(tmp_path / "o")
     assert main([command, "--config", write_cfg(tmp_path, cfg),
                  "--out-dir", out, "--quiet"]) == 0
     policy = os.path.join(out, "value_policy.csv")
     with open(policy) as fh:
-        times = [int(row[1].split(" ")[0]) for row in list(csv.reader(fh))[1:]]
-    assert max(times) >= 2**30
+        wealth = [int(row[1].split(" ")[1]) for row in list(csv.reader(fh))[1:]]
+    assert len(wealth) == 3 and max(wealth) >= 2**30
     metrics = {}
     for name, esec in [("csv", {"policy_csv": policy}), ("solve", {})]:
         ecfg = {**cfg, "evaluate": {"n_paths": 40, **esec}}
@@ -387,11 +395,6 @@ def test_policy_csv_huge_bin_box_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solve", [
-    {"state_bin_width": -0.001},
-    {"time_bin_width": -0.01},
-    {"state_bin_width": 0.0, "time_bin_width": 0.0},
-    {"state_bin_width": float("nan")},
-    {"time_bin_width": float("inf")},
     {"depth": 1.5},
     {"depth": True},
     {"depth": -1},
@@ -403,10 +406,9 @@ def test_policy_csv_huge_bin_box_exit_3(tmp_path, capsys):
     {"collapse": "false"},
     {"refine": 1},
     {"collapse": False, "refine": True},
-], ids=["negative-state-width", "negative-time-width", "zero-widths", "nan-state-width",
-        "infinite-time-width", "fractional-depth", "bool-depth", "negative-depth", "zero-Q",
-        "float-Q", "zero-node-cap", "descending-grid", "nan-grid", "string-collapse",
-        "int-refine", "refine-without-collapse"])
+], ids=["fractional-depth", "bool-depth", "negative-depth", "zero-Q", "float-Q",
+        "zero-node-cap", "descending-grid", "nan-grid", "string-collapse", "int-refine",
+        "refine-without-collapse"])
 def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     cfg = json.loads(json.dumps(MERTON_CFG))
     cfg["solve"].update({"depth": 2, **solve})
@@ -427,10 +429,8 @@ def test_bad_solve_values_exit_1(tmp_path, capsys, solve):
     ("skeleton", ("skeleton", "n_steps"), 4.5),
     ("solve", ("solve", "action_grid", "n"), 9.5),
     ("kernel", ("kernel", "Q"), 2.5),
-    ("portfolio", ("evaluate", "g_terms"), 2.5),
 ], ids=["fractional-n-paths", "string-n-paths", "fractional-d", "bool-d",
-        "fractional-n-steps", "fractional-grid-n", "fractional-kernel-Q",
-        "fractional-g-terms"])
+        "fractional-n-steps", "fractional-grid-n", "fractional-kernel-Q"])
 def test_non_integer_counts_exit_1(tmp_path, capsys, command, where, value):
     cfg = json.loads(json.dumps(MERTON_CFG))
     section = cfg
@@ -582,6 +582,38 @@ def test_non_finite_skeleton_exit_1(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("collapse", [False, True], ids=["full", "collapse"])
+@pytest.mark.parametrize("base, where, value", [
+    ("merton", ("alpha",), float("nan")),
+    ("merton", ("r",), float("nan")),
+    ("merton", ("sigma",), float("inf")),
+    ("merton", ("x0",), float("nan")),
+    ("merton", ("alpha",), 10**400),
+    ("pdsde", ("diffusion", "value"), float("nan")),
+    ("pdsde", ("x0",), [float("-inf")]),
+    ("pdsde", ("payoff", "scale"), float("nan")),
+    ("fbm", ("sigma",), float("nan")),
+], ids=["nan-alpha", "nan-r", "infinite-sigma", "nan-x0", "huge-integer-alpha",
+        "nan-diffusion-value", "infinite-pd-x0", "nan-payoff-scale", "nan-fbm-sigma"])
+def test_non_finite_problem_exit_1(tmp_path, capsys, collapse, base, where, value):
+    """json reads NaN and Infinity: every problem number, functional
+    parameters included, is refused by its key before any solve."""
+    cfg = json.loads(json.dumps({"merton": MERTON_CFG, "pdsde": PDSDE_CFG,
+                                 "fbm": FBM_CFG}[base]))
+    cfg["solve"]["collapse"] = collapse
+    section = cfg["problem"]
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out-dir", out,
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: problem.{'.'.join(where)} must be finite")
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
 def test_skeleton_subcommand_roundtrip(tmp_path):
     cfg_path = write_cfg(tmp_path, MERTON_CFG)
     out = str(tmp_path / "sk")
@@ -704,7 +736,7 @@ PDSDE_CFG = {
 
 FBM_CFG = {
     "skeleton": {"epsilon_k": 0.5, "d": 1, "horizon_T": 1.0},
-    "problem": {"kind": "fbm", "H": 0.75, "d_H": 1.0, "sigma": 0.5,
+    "problem": {"kind": "fbm", "H": 0.75, "sigma": 0.5,
                 "drift": {"name": "action_linear", "scale": 1.0}, "x0": 0.0},
     "solve": {"action_grid": [-1.0, 0.0, 1.0], "depth": 2, "Q": 2},
 }

@@ -281,7 +281,7 @@ def test_inverse_cdf_tau_bisects_where_newton_stalls(monkeypatch):
 
 
 def test_hermite_start_is_the_table_at_its_nodes():
-    t_u, t_x, _ = density._inverse_table()
+    (t_u, t_x, _), _ = density._inverse_lookup()
     assert np.array_equal(density._hermite_start(t_u), t_x)
     # beyond the table the start is the end node's x, as np.interp gives
     beyond = density._hermite_start(np.array([1e-16, 1 - 1e-16]))

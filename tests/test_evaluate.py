@@ -422,8 +422,7 @@ def test_merton_oracle_keeps_every_other_field(monkeypatch):
     monkeypatch.setattr(evaluate, "build_tree", spy)
     struct, _ = pstruct(a_bar=0.5)
     cfg = SolveConfig(action_grid=np.linspace(-0.5, 0.5, 3), depth=2, Q=2,
-                      collapse=False, refine=False,
-                      state_bin_width=2e-3, time_bin_width=0.03)
+                      collapse=False, refine=False)
     ref = merton_oracle(struct.spec, 1.0 / 3, cfg)
     assert ref.const_grid_action in cfg.action_grid
     assert [c.action_grid.tolist() for c in seen] == [[a] for a in cfg.action_grid]

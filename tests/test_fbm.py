@@ -52,15 +52,15 @@ def test_phi_table_bits_pinned():
     assert hashlib.sha256(phi.tobytes()).hexdigest() == PHI_075_SHA256
 
 
-def quad_phi(H, xs, d_H=1.0):
+def quad_phi(H, xs):
     """Reference: Phi at increasing points xs by adaptive quad of rho_H, split
     at every x and at log-spaced points into both ends; the last piece takes
     the (1-w)^{H-3/2} term with quad's algebraic end-point weight."""
     pts = np.unique(np.concatenate([xs, np.geomspace(xs[0], 0.5, 22),
                                     1.0 - np.geomspace(1e-9, 0.5, 18), [1.0]]))
-    dph = (H - 0.5) * d_H
+    dph = H - 0.5
     opts = dict(epsabs=1e-15, epsrel=1e-10, limit=200)
-    pieces = [quad(lambda w: fbm.rho_H(1.0, w, H, d_H), a, b, **opts)[0]
+    pieces = [quad(lambda w: fbm.rho_H(1.0, w, H), a, b, **opts)[0]
               for a, b in zip(pts[:-2], pts[1:-1])]
     a = pts[-2]
     regular = quad(lambda w: dph * (H - 0.5) * w ** (-H - 0.5)
@@ -72,32 +72,30 @@ def quad_phi(H, xs, d_H=1.0):
 
 
 def test_table_cache_keys_by_exact_parameters():
-    """A neighbouring H gets its own table; the default d_H and an explicit
-    1.0 share one entry."""
+    """A neighbouring H gets its own table; one H is built once."""
     assert fbm.get_table(0.75).H == 0.75
     assert fbm.get_table(0.75 + 1e-13).H == 0.75 + 1e-13
-    assert fbm.get_table(0.75, 1.0) is fbm.get_table(0.75)
+    assert fbm.get_table(0.75) is fbm.get_table(0.75)
 
 
 @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
 def test_phi_table_matches_adaptive_quadrature(H):
-    table = fbm.FbmTable(H, d_H=1.3)
+    table = fbm.get_table(H)
     targets = [1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99,
                1 - 1e-4, 1 - 1e-6, 1 - 1e-8]
     idx = np.unique(np.minimum(np.searchsorted(table._x, targets), len(table._x) - 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # quad must converge on every piece
-        ref = quad_phi(H, table._x[idx], d_H=1.3)
+        ref = quad_phi(H, table._x[idx])
     np.testing.assert_allclose(table._phi[idx], ref, rtol=1e-7, atol=0.0)
 
 
-@pytest.mark.parametrize("d_H", [1.0, 1.3])
-def test_phi_head_constant(d_H):
-    """Phi(x) ~ -(d_H / 2) x^{1/2-H} as x -> 0, which the head below x_min uses."""
+def test_phi_head_constant():
+    """Phi(x) ~ -x^{1/2-H} / 2 as x -> 0, which the head below x_min uses."""
     H = 0.75
-    table = fbm.FbmTable(H, d_H=d_H)
+    table = fbm.get_table(H)
     head = table._phi[0] * table._x[0] ** (H - 0.5)
-    assert head == pytest.approx(-d_H / 2, abs=1e-4)
+    assert head == pytest.approx(-0.5, abs=1e-4)
 
 
 @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])

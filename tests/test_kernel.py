@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -79,30 +83,41 @@ def test_first_fire_matches_reduction_oracle():
         assert prod == pytest.approx(first_fire_oracle(lj, lo), abs=2e-7)
 
 
-def test_equal_lags_share_one_first_fire_quadrature(monkeypatch):
+def test_equal_lags_share_one_first_fire_quadrature():
     """Coordinates with equal lags run the same double integral: one
     quadrature serves both, and each value equals its own uncached one."""
-    runs = []
     integral = kernel._first_fire_integral
-
-    def counted(*args):
-        runs.append(args)
-        return integral(*args)
-
-    monkeypatch.setattr(kernel, "_first_fire_integral", counted)
-    monkeypatch.setattr(kernel, "_FF_CACHE", {})
+    integral.cache_clear()
     lags_u = np.array([0.37, 0.37])
     shared = [kernel._first_fire_factor(lags_u, j) for j in (0, 1)]
-    assert len(runs) == 1
+    assert integral.cache_info().misses == 1
     assert shared[0] == shared[1]
     for j in (0, 1):
-        monkeypatch.setattr(kernel, "_FF_CACHE", {})
+        integral.cache_clear()
         assert kernel._first_fire_factor(lags_u, j) == shared[j]
     # unequal lags are different integrals
-    monkeypatch.setattr(kernel, "_FF_CACHE", {})
-    runs.clear()
+    integral.cache_clear()
     apart = [kernel._first_fire_factor(np.array([0.37, 0.9]), j) for j in (0, 1)]
-    assert len(runs) == 2 and apart[0] + apart[1] == pytest.approx(1.0, abs=1e-7)
+    assert integral.cache_info().misses == 2
+    assert apart[0] + apart[1] == pytest.approx(1.0, abs=1e-7)
+
+
+def _fresh_process_repr(code: str) -> str:
+    """The stdout of code run in a new interpreter with kernel imported."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run(
+        [sys.executable, "-c", "import numpy as np\nfrom skeldp import kernel\n" + code],
+        env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_first_fire_cache_keys_by_exact_lags():
+    """A first-fire factor does not depend on what ran before it in the
+    process: lags 4e-15 apart get their own quadratures."""
+    near = "print(repr(kernel._first_fire_factor(np.array([0.3 + 4e-15, 0.7]), 0)))\n"
+    after = "kernel._first_fire_factor(np.array([0.3, 0.7]), 0)\n" + near
+    assert _fresh_process_repr(after) == _fresh_process_repr(near)
 
 
 def test_d1_discretization():

@@ -620,7 +620,7 @@ def _per_node_reference(struct, eps, cfg):
     (bins, values, policy).
     """
     ops = struct.collapse_ops()
-    widths = np.array([eps**2 / 4.0, cfg.state_bin_width])
+    widths = np.array([eps**2 / 4.0, ops.bin_width])
     atoms = discretize_kernel(np.zeros(1), eps, cfg.Q)
     grid = cfg.action_grid
 
