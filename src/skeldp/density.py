@@ -12,17 +12,19 @@ plain exponentials on the large branch), which gives the CDF, tail integrals
 and partial moments without quadrature.
 
 Terms kept.  `f_tau`, `cdf_tau` and `survival_tau` evaluate only the first
-4 terms of an n_terms >= 8 series and sum them as (t0 + t1) + (t2 + t3);
-the result equals the full n_terms sum bit for bit.  numpy sums a row of
-at least 8 values pairwise, ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7))
-and then the rest, each t_j first absorbing t_{j+8}, t_{j+16}, ...  Wherever
-t0 is a normal number, every term from t4 on is below 1e-26 |t0| on either
-branch (t4 / t0 <= 9 exp(-62.8) at the crossover, and the ratio falls
-away from it), and t_{j+8} is below 1e-16 |t_j|, so each of those additions
-is under half an ulp and returns its left operand; where t0 is subnormal
-or zero, every later term is zero.  Below 8 terms numpy adds the values
-one after another, so those partial sums (the truncation studies) keep
-the plain sum over every term.
+4 terms of an n_terms >= 8 series, each as a 1-d array, and sum them as
+(t0 + t1) + (t2 + t3), written (a0 - a1) + (a2 - a3) on the unsigned terms
+(a sign flip is exact and a + (-b) is a - b); the result equals the full
+n_terms sum bit for bit.  numpy sums a row of at least 8 values pairwise,
+((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) and then the rest, each
+t_j first absorbing t_{j+8}, t_{j+16}, ...  Wherever t0 is a normal
+number, every term from t4 on is below 1e-26 |t0| on either branch
+(t4 / t0 <= 9 exp(-62.8) at the crossover, and the ratio falls away from
+it), and t_{j+8} is below 1e-16 |t_j|, so each of those additions is under
+half an ulp and returns its left operand; where t0 is subnormal or zero,
+every later term is zero.  Below 8 terms numpy adds the values one after
+another, so those partial sums (the truncation studies) keep the plain sum
+over every term.
 
 The hitting-time increments of an epsilon-skeleton are eps^2 * tau in law;
 `skeleton.sample_skeleton` draws them through `inverse_cdf_tau`.
@@ -37,11 +39,19 @@ and only a u in a tail bucket holding two or more nodes (0.4 % of uniform
 draws) is binary-searched.  One Newton pass on the CDF from that start
 leaves a residual |F(x) - u| of at most ~1e-15 over 1e6 uniform draws; a
 value whose residual still exceeds _INV_TOL = 1e-12 (only in the extreme
-tails) is bisected.  The pass evaluates the CDF and the density in one
-sweep over the branches, the large branch's density reusing the CDF's
-exponentials, so a draw costs that fused pass and 1 `cdf_tau` evaluation
-(the residual check).  The start is plain numpy: `scipy.interpolate` costs
-~0.2 s to import.
+tails) is bisected.  The Newton pass and the residual check split the
+values by branch and call the same branch kernels as `f_tau` and
+`cdf_tau`: on the small branch 4 erfc for the CDF and 4 exp for the
+density, on the large branch 4 exp for both, the density reusing the CDF's
+exponentials.  The residual check skips `cdf_tau`'s NaN scan, masks and
+clip, none of which can act on a finite Newton result in [5e-4, 120], and
+the kernels skip their underflow guards there (the bounds above them).
+Each pass gathers and scatters a branch's values by index arrays, which
+costs far less than boolean masks.  So a draw costs 8 erfc or 8 exp plus
+the Hermite start: one 4,096-value block takes ~0.7 ms on a 2-vCPU Xeon
+host (~1.15 ms through boolean masks, `cdf_tau` and (values, 4) term
+broadcasts).  The start is plain numpy: `scipy.interpolate` costs ~0.2 s
+to import.
 """
 
 from __future__ import annotations
@@ -100,68 +110,127 @@ def _as_array(x, name: str):
 _PAIRWISE_MIN = 8
 
 
-def _series_index(n_terms: int) -> np.ndarray:
-    """Indices of the terms that decide an n_terms partial sum."""
-    return np.arange(4 if n_terms >= _PAIRWISE_MIN else n_terms)
+def _odd(n_terms: int) -> range:
+    """Odd factors 2n + 1 of the terms that decide an n_terms partial sum."""
+    return range(1, 8 if n_terms >= _PAIRWISE_MIN else 2 * n_terms, 2)
 
 
-def _partial_sum(terms: np.ndarray, n_terms: int) -> np.ndarray:
-    """Row sums of (values, _series_index(n_terms)) terms, equal bit for
-    bit to np.sum over all n_terms terms."""
+def _alternating_sum(terms: list, n_terms: int) -> np.ndarray:
+    """sum_n (-1)^n terms[n] over one series' kept terms (1-d arrays),
+    equal bit for bit to np.sum over all n_terms signed terms: a sign
+    flip is exact and a + (-b) is a - b."""
     if n_terms >= _PAIRWISE_MIN:
-        return (terms[:, 0] + terms[:, 1]) + (terms[:, 2] + terms[:, 3])
-    return np.sum(terms, axis=1)
+        return (terms[0] - terms[1]) + (terms[2] - terms[3])
+    return np.sum(np.stack([-t if n % 2 else t for n, t in enumerate(terms)], axis=1),
+                  axis=1)
 
 
-# Branch kernels over (values, 1) columns x, shared by the public series
-# functions and the Newton pass of inverse_cdf_tau.
-
-def _f_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
-    """Small-branch density series."""
-    ell = _series_index(n_terms)
-    odd = 2 * ell + 1
-    expo = _small_exponents(odd, xs)
-    # 0.0 where the leading exponential underflows, and where the leading
-    # term is below 1e-300; x^3 may underflow in the first case, so those
-    # rows take x = 1 before it is formed
-    live = expo[:, 0] > _EXP_UNDERFLOW
-    x3 = np.where(live, xs[:, 0], 1.0) ** 3
-    lead = np.log(2.0 / np.sqrt(2.0 * np.pi * x3)) + expo[:, 0]
-    terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-    val = 2.0 / np.sqrt(2.0 * np.pi * x3) * _partial_sum(
-        (-1.0) ** ell * odd * terms, n_terms
-    )
-    return np.where(~live | (lead < np.log(1e-300)), 0.0, val)
+def _exps(expo: list, guard: bool) -> list:
+    """exp of each exponent array; with guard, 0.0 where the exponent is
+    at or below _EXP_UNDERFLOW, where exp would still give a subnormal."""
+    if guard:
+        return [np.where(e > _EXP_UNDERFLOW, np.exp(e), 0.0) for e in expo]
+    return [np.exp(e) for e in expo]
 
 
-def _small_exponents(odd, xs: np.ndarray) -> np.ndarray:
-    """-odd^2 / (2 x) of the small-branch series; -inf where 1 / x
-    overflows, at subnormal x."""
-    with np.errstate(over="ignore"):
-        return -odd**2 / (2.0 * xs)
+# Branch kernels over 1-d arrays, one per series, shared by f_tau, cdf_tau,
+# survival_tau and the quantile's Newton pass and residual check.  The
+# underflow guards (0.0 for a term whose exponent is at or below -745, where
+# exp still returns a subnormal <= 5e-324) run only when some value lies
+# past a kernel's bound below.  Inside the bounds a guard could only act on
+# a later term while the leading term is at least exp(-83), so even times
+# its factor (<= 13) that subnormal is under half an ulp of every partial
+# sum it joins, and the leading term itself is never guarded.
+
+# at x >= this the small-branch density needs no guard: the leading term
+# exp(-1 / (2x)) >= exp(-500), ln(its product with the scale) >= -490,
+# and a later term nears exp(-745) only at x <= 13^2 / 1490
+_F_SMALL_EXACT = 1e-3
+# below this x the large-branch exponentials need none: the leading term
+# is above exp(-741), and a later term nears exp(-745) only at
+# x <= 603.8 / 3^2 = 67.1
+_LARGE_EXACT = 600.0
 
 
-def _cdf_small(xs: np.ndarray, n_terms: int) -> np.ndarray:
+def _f_small(x: np.ndarray, n_terms: int) -> np.ndarray:
+    """Small-branch density series at 0 < x < 2/pi; 0.0 where the leading
+    exponential underflows and where the leading term is below 1e-300
+    (guarded only if some x is below _F_SMALL_EXACT)."""
+    x2 = 2.0 * x
+    guard = x.min() < _F_SMALL_EXACT
+    with np.errstate(over="ignore"):        # -inf where 1 / x overflows, at subnormal x
+        expo = [-(k * k) / x2 for k in _odd(n_terms)]
+    if guard:
+        # x^3 may underflow where the leading exponential does, so those
+        # values take x = 1 before it is formed
+        live = expo[0] > _EXP_UNDERFLOW
+        x = np.where(live, x, 1.0)
+    scale = 2.0 / np.sqrt(2.0 * np.pi * x**3)
+    val = scale * _alternating_sum(
+        [k * t for k, t in zip(_odd(n_terms), _exps(expo, guard))], n_terms)
+    if guard:
+        lead = np.log(scale) + expo[0]
+        val = np.where(~live | (lead < np.log(1e-300)), 0.0, val)
+    return val
+
+
+def _cdf_small(x: np.ndarray, n_terms: int) -> np.ndarray:
     """Small-branch CDF series, 2 sum (-1)^n erfc((2n+1)/sqrt(2x))."""
-    ell = _series_index(n_terms)
-    return 2.0 * _partial_sum((-1.0) ** ell * erfc((2 * ell + 1) / np.sqrt(2.0 * xs)),
-                              n_terms)
+    r = np.sqrt(2.0 * x)
+    return 2.0 * _alternating_sum([erfc(k / r) for k in _odd(n_terms)], n_terms)
 
 
-def _large_exps(xl: np.ndarray, n_terms: int) -> np.ndarray:
-    """exp(-pi^2 (2n+1)^2 x / 8) of the large-branch CDF and survival
-    series; 0 where it underflows, also where the exponent overflows to
-    -inf (x >= ~1e307)."""
-    odd = 2 * _series_index(n_terms) + 1
+def _large_exps(x: np.ndarray, n_terms: int, x_first: bool = False) -> list:
+    """exp(-pi^2 (2n+1)^2 x / 8) of the kept large-branch terms, for the
+    large-branch sums; 0.0 where it underflows, also where the exponent
+    overflows to -inf (x >= ~1e307), unless every x is below _LARGE_EXACT.
+    The CDF and survival series round -pi^2 (2n+1)^2 first; f_tau rounds
+    -pi^2 x first, which may move its exponents by an ulp."""
+    guard = x.max() >= _LARGE_EXACT
     with np.errstate(over="ignore"):
-        expo = -np.pi**2 * odd**2 * xl / 8.0
-    return np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
+        if x_first:
+            scaled = -np.pi**2 * x
+            expo = [scaled * (k * k) / 8.0 for k in _odd(n_terms)]
+        else:
+            expo = [-np.pi**2 * (k * k) * x / 8.0 for k in _odd(n_terms)]
+    return _exps(expo, guard)
 
 
-def _tail_sum(exps: np.ndarray, n_terms: int) -> np.ndarray:
+def _f_large(exps: list, n_terms: int) -> np.ndarray:
+    """Large-branch density series from its `_large_exps`."""
+    return (np.pi / 2.0) * _alternating_sum(
+        [k * e for k, e in zip(_odd(n_terms), exps)], n_terms)
+
+
+def _tail_sum(exps: list, n_terms: int) -> np.ndarray:
     """P(tau > x) on the large branch from its `_large_exps`."""
-    ell = _series_index(n_terms)
-    return (4.0 / np.pi) * _partial_sum((-1.0) ** ell / (2 * ell + 1) * exps, n_terms)
+    return (4.0 / np.pi) * _alternating_sum(
+        [(1.0 / k) * e for k, e in zip(_odd(n_terms), exps)], n_terms)
+
+
+def _cdf_and_density(x: np.ndarray, n_terms: int, density: bool = True):
+    """The CDF series at x > 0, equal to cdf_tau(x, n_terms) bit for bit,
+    and with density the density series, in one pass over the branches.
+    Neither series leaves [0, 1], so cdf_tau's clip is left out.  On the
+    large branch the density is summed from the CDF's exponentials, whose
+    exponent rounds in another order than f_tau's, so it may differ from
+    f_tau by an ulp."""
+    cdf = np.empty_like(x)
+    dens = np.empty_like(x) if density else None
+    # index arrays: cheaper to gather and scatter by than boolean masks
+    below = x < CROSSOVER
+    small, large = np.flatnonzero(below), np.flatnonzero(~below)
+    if small.size:
+        xs = x[small]
+        cdf[small] = _cdf_small(xs, n_terms)
+        if density:
+            dens[small] = _f_small(xs, n_terms)
+    if large.size:
+        exps = _large_exps(x[large], n_terms)
+        cdf[large] = 1.0 - _tail_sum(exps, n_terms)
+        if density:
+            dens[large] = _f_large(exps, n_terms)
+    return cdf, dens
 
 
 def f_tau(x, n_terms: int = 60):
@@ -172,19 +241,12 @@ def f_tau(x, n_terms: int = 60):
     if not np.all(arr > 0):
         raise ConfigurationError("f_tau requires x > 0")
     out = np.zeros_like(arr)
-    ell = _series_index(n_terms)
-    odd = 2 * ell + 1
-
     small = arr < CROSSOVER
     if small.any():
-        out[small] = _f_small(arr[small][..., None], n_terms)
+        out[small] = _f_small(arr[small], n_terms)
     large = ~small
     if large.any():
-        xl = arr[large][..., None]
-        with np.errstate(over="ignore"):            # -inf, read as 0.0 below
-            expo = -np.pi**2 * xl * odd**2 / 8.0
-        terms = np.where(expo > _EXP_UNDERFLOW, np.exp(expo), 0.0)
-        out[large] = (np.pi / 2.0) * _partial_sum((-1.0) ** ell * odd * terms, n_terms)
+        out[large] = _f_large(_large_exps(arr[large], n_terms, x_first=True), n_terms)
     return float(out) if scalar else out
 
 
@@ -204,7 +266,8 @@ def truncation_bound(x, n: int):
     small = arr < CROSSOVER
     if small.any():
         xs = arr[small]
-        expo = _small_exponents(odd, xs)
+        with np.errstate(over="ignore"):    # -inf where 1 / x overflows, at subnormal x
+            expo = -odd**2 / (2.0 * xs)
         # 0.0 where the exponential underflows, where x^3 may underflow too
         live = expo > _EXP_UNDERFLOW
         xs = np.where(live, xs, 1.0)
@@ -230,12 +293,8 @@ def cdf_tau(x, n_terms: int = 64):
     arr, scalar = _as_array(x, "cdf_tau")
     out = np.zeros_like(arr)
     pos = arr > 0
-    small = pos & (arr < CROSSOVER)
-    if small.any():
-        out[small] = _cdf_small(arr[small][..., None], n_terms)
-    large = pos & ~small
-    if large.any():
-        out[large] = 1.0 - _tail_sum(_large_exps(arr[large][..., None], n_terms), n_terms)
+    if pos.any():
+        out[pos] = _cdf_and_density(arr[pos], n_terms, density=False)[0]
     return float(out) if scalar else np.clip(out, 0.0, 1.0)
 
 
@@ -248,7 +307,7 @@ def survival_tau(x, n_terms: int = 64):
         out[small] = 1.0 - cdf_tau(arr[small], n_terms)
     large = arr >= CROSSOVER
     if large.any():
-        out[large] = _tail_sum(_large_exps(arr[large][..., None], n_terms), n_terms)
+        out[large] = _tail_sum(_large_exps(arr[large], n_terms), n_terms)
     return float(out) if scalar else np.clip(out, 0.0, 1.0)
 
 
@@ -256,11 +315,15 @@ def survival_tau(x, n_terms: int = 64):
 TAIL_CUTOFF = 8.0 / np.pi**2 * np.log(4.0 / (np.pi * 1e-12))
 
 
-# values per Newton pass of inverse_cdf_tau: bounds its (values, 4 kept
-# terms) temporaries.  For one 36,864-draw chunk (4,096 paths x 9 steps)
-# the tracemalloc peak is ~0.87 MB in 4,096-value passes and ~5.0 MB in
-# one pass; 8,192-value passes and one pass timed no faster
+# values per Newton pass of inverse_cdf_tau: bounds its per-term
+# temporaries.  For one 36,864-draw chunk (4,096 paths x 9 steps) the
+# tracemalloc peak is ~0.66 MB in 4,096-value passes and ~3.5 MB in one
+# pass; one pass timed ~10% slower, 6,144- to 8,192-value passes at most
+# ~10% faster and not in every run
 _INV_BLOCK = 4096
+# series terms of the quantile's CDF and density: truncation < 1e-20
+# everywhere on the bracket; being >= 8, they cost 4 kept terms
+_QUANTILE_TERMS = 12
 _INV_TOL = 1e-12        # CDF residual past which a Newton quantile is bisected
 # u buckets of `_table_cell`, a power of two so that u * _BUCKETS is exact;
 # narrower than the body's node spacing, so a body bucket holds <= 1 node
@@ -327,32 +390,9 @@ def _hermite_start(u: np.ndarray) -> np.ndarray:
             + h * s * r * (r * t_dx[i] - s * t_dx[i + 1]))
 
 
-def _cdf_and_density(x: np.ndarray, n_terms: int):
-    """cdf_tau(x, n_terms) bit for bit and the density at x > 0, in one
-    pass over the branches.  On the large branch the density is summed
-    from the CDF's exponentials, whose exponent is rounded in another
-    order than f_tau's, so it may differ from f_tau by an ulp."""
-    cdf, dens = np.empty_like(x), np.empty_like(x)
-    small = x < CROSSOVER
-    if small.any():
-        xs = x[small][..., None]
-        cdf[small] = _cdf_small(xs, n_terms)
-        dens[small] = _f_small(xs, n_terms)
-    large = ~small
-    if large.any():
-        exps = _large_exps(x[large][..., None], n_terms)
-        ell = _series_index(n_terms)
-        cdf[large] = 1.0 - _tail_sum(exps, n_terms)
-        dens[large] = (np.pi / 2.0) * _partial_sum((-1.0) ** ell * (2 * ell + 1) * exps,
-                                                   n_terms)
-    return np.clip(cdf, 0.0, 1.0), dens
-
-
 def _newton_pass(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Newton step on cdf_tau(x) = u from x, clipped to [5e-4, 120]."""
-    # 12 series terms: truncation < 1e-20 everywhere on the bracket; being
-    # >= 8, they cost 4 kept terms (module docstring)
-    cdf, dens = _cdf_and_density(x, 12)
+    cdf, dens = _cdf_and_density(x, _QUANTILE_TERMS)
     step = np.where(dens > 0, (cdf - u) / np.maximum(dens, 1e-300), 0.0)
     return np.clip(x - step, 5e-4, 120.0)
 
@@ -362,8 +402,8 @@ def inverse_cdf_tau(u):
     one Newton pass, bisection of any value whose CDF residual still
     exceeds _INV_TOL.
 
-    Values are solved _INV_BLOCK at a time, which bounds the (values,
-    series terms) temporaries; no value's result depends on the others.
+    Values are solved _INV_BLOCK at a time, which bounds the per-term
+    temporaries; no value's result depends on the others.
     """
     arr, scalar = _as_array(u, "inverse_cdf_tau")
     if not np.all((arr > 0.0) & (arr < 1.0)):
@@ -377,11 +417,11 @@ def inverse_cdf_tau(u):
 
 def _inverse_block(arr: np.ndarray) -> np.ndarray:
     """Quantiles of one block: `_hermite_start`, `_newton_pass`, then the
-    residual check.  Per value that is one fused CDF and density pass and
-    one `cdf_tau` call, plus 100 bisection steps for a value the pass
-    leaves above _INV_TOL."""
+    residual check.  Per value that is one CDF and density pass and one
+    CDF pass through the branch kernels, plus 100 bisection steps for a
+    value the Newton pass leaves above _INV_TOL."""
     x = _newton_pass(_hermite_start(arr), arr)
-    resid = np.abs(cdf_tau(x, 12) - arr)
+    resid = np.abs(_cdf_and_density(x, _QUANTILE_TERMS, density=False)[0] - arr)
     if np.any(resid > _INV_TOL):
         # Newton can stall in the extreme tails; bisect the stragglers
         bad = resid > _INV_TOL
@@ -392,8 +432,9 @@ def _inverse_block(arr: np.ndarray) -> np.ndarray:
 def _philox(seed, stream: int) -> np.random.Generator:
     """The counter-based generator keyed (seed, stream): every sampler's
     random numbers come from one of these, each on its own stream."""
-    key = np.array([np.uint64(seed) & np.uint64(2**64 - 1), np.uint64(stream)],
-                   dtype=np.uint64)
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed!r}")
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -74,10 +74,20 @@ def _count(name: str, value, lo: int = 1):
         raise ConfigurationError(f"{name} must be an int >= {lo}, got {value!r}")
 
 
+def _in_float_range(value) -> bool:
+    """False for a number float() cannot hold: an integer past the float range."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _positive(name: str, value):
-    """Refuse a value that is not a finite real > 0 (a bool or NaN included)."""
+    """Refuse a value that is not a finite real > 0 (a bool, NaN or an
+    integer past the float range included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not 0 < value < math.inf:
+            or not _in_float_range(value) or not 0 < value < math.inf:
         raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
 
 

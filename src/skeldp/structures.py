@@ -47,6 +47,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import density, fbm
 from .errors import ConfigurationError, EvaluationError
+from .skeleton import _in_float_range
 
 _GX, _GW = leggauss(64)
 
@@ -742,13 +743,8 @@ def _refuse_non_finite(value, where: str):
     elif isinstance(value, list):
         for item in value:
             _refuse_non_finite(item, where)
-    elif _is_real(value):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:               # an integer past the float range
-            finite = False
-        if not finite:
-            raise ConfigurationError(f"{where} must be finite, got {value!r}")
+    elif _is_real(value) and not (_in_float_range(value) and math.isfinite(value)):
+        raise ConfigurationError(f"{where} must be finite, got {value!r}")
 
 
 def _value(section: dict, key: str, default, where: str):
@@ -768,14 +764,19 @@ def _real(section: dict, key: str, default, where: str) -> float:
     value = _value(section, key, default, where)
     if not _is_real(value):
         raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
+    if not _in_float_range(value):
+        raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
 
 
 def _reals(section: dict, key: str, default, where: str):
     """section[key] (default if absent), refused unless numbers: one or a list."""
     value = _value(section, key, default, where)
-    if not all(map(_is_real, value if isinstance(value, list) else [value])):
+    values = value if isinstance(value, list) else [value]
+    if not all(map(_is_real, values)):
         raise ConfigurationError(f"{where}.{key} must be numbers, got {value!r}")
+    if not all(map(_in_float_range, values)):
+        raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
     return value
 
 

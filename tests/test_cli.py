@@ -475,10 +475,15 @@ DELETE = object()
     ("kernel", MERTON_CFG, ("kernel", "lags"), ["none"]),
     ("sweep", MERTON_CFG, ("sweep", "eps_list"), ["a half"]),
     ("evaluate", MERTON_CFG, ("evaluate", "antithetic"), "false"),
+    ("skeleton", MERTON_CFG, ("skeleton", "epsilon_k"), 10**400),
+    ("solve", MERTON_CFG, ("solve", "action_grid", "lo"), -10**400),
+    ("kernel", MERTON_CFG, ("kernel", "lags"), [10**400]),
+    ("sweep", MERTON_CFG, ("sweep", "eps_list"), [0.5, 10**400]),
 ], ids=["missing-r", "missing-H", "missing-drift", "missing-skeleton", "missing-depth",
         "string-epsilon", "string-r", "string-x0", "string-drift-scale",
         "string-grid-lo", "list-problem", "string-kernel-lag", "string-sweep-eps",
-        "string-antithetic"])
+        "string-antithetic", "huge-integer-epsilon", "huge-integer-grid-lo",
+        "huge-integer-kernel-lag", "huge-integer-sweep-eps"])
 def test_malformed_config_exit_1(tmp_path, capsys, command, base, where, value):
     cfg = json.loads(json.dumps(base))
     section = cfg
@@ -495,6 +500,16 @@ def test_malformed_config_exit_1(tmp_path, capsys, command, base, where, value):
     assert err.startswith("configuration error: ") and ".".join(where) in err
     assert "Traceback" not in err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exit_1(tmp_path, capsys, seed):
+    out = str(tmp_path / "sk")
+    assert main(["skeleton", "--config", write_cfg(tmp_path, MERTON_CFG), "--out-dir", out,
+                 "--seed", seed, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: seed must be in [0, 2**64)")
+    assert "Traceback" not in err
 
 
 def test_nonpositive_a_bar_exit_1(tmp_path, capsys):

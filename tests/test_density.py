@@ -261,6 +261,33 @@ def test_inverse_cdf_tau_bits_pinned():
         "1035640604f4d7ee3c9c78d3178a1a8021ccad3a7b762d21e7221cfb9efe9eba")
 
 
+def _ulp_steps(centres, k):
+    """Each centre and its k float neighbours on either side."""
+    c = np.asarray(centres, dtype=float)[:, None]
+    return (c + np.arange(-k, k + 1) * np.spacing(c)).ravel()
+
+
+def test_inverse_cdf_tau_seam_bits_pinned():
+    # u at the quantile path's seams: 0.4198429066756933 is the least u
+    # whose Hermite start is 2/pi, and its neighbours put the start and
+    # the Newton result up to ~12 ulps either side of the crossover;
+    # geometric tails down to 1e-16; and the neighbours of the table's
+    # end nodes (1e-12, 1 - 1e-13) and of its tail-body seams
+    u = np.concatenate([
+        _ulp_steps([0.4198429066756933], 16),
+        np.geomspace(1e-16, 0.02, 2048), 1.0 - np.geomspace(1e-16, 0.02, 2048),
+        _ulp_steps([1e-12, 0.02, 0.98, 0.9999999999999], 4)])
+    x = density.inverse_cdf_tau(u)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "6c8d3c0cd2fcb233dac694a071c742a69524fe09c29a7228ab090e71a1a2abea")
+
+
+def test_skeleton_block_bits_pinned():
+    p = sample_skeleton(SkeletonConfig(1 / 3, 1, 1.0, 9), 707, 0, 4096)
+    assert hashlib.sha256(p.delta_t.tobytes() + p.signs.tobytes()).hexdigest() == (
+        "3f1d91960cebf836fe377c96c4b13dd4891c89c95ffb5ce0b8e67bc497f7dc93")
+
+
 def test_inverse_cdf_tau_bisects_where_newton_stalls(monkeypatch):
     u = np.concatenate([density._philox(7, 0).random(2_000),
                         [1e-16, 1e-12, 1 - 1e-12, 1 - 1e-16]])
@@ -318,16 +345,34 @@ def test_table_cell_is_the_searched_cell(monkeypatch):
 
 
 def test_fused_cdf_and_density():
+    # the Newton pass's starts and results, where the residual check reads
+    # the CDF without cdf_tau's masks and clip
     x = np.concatenate([np.geomspace(5e-4, 120.0, 400_000),
                         [np.nextafter(CROSS, 0.0), CROSS, np.nextafter(CROSS, 1.0)],
                         density._hermite_start(density._philox(27, 1).random(200_000))])
     cdf, dens = density._cdf_and_density(x, 12)
     assert np.array_equal(cdf, density.cdf_tau(x, 12))
+    resid_cdf, none = density._cdf_and_density(x, 12, density=False)
+    assert np.array_equal(resid_cdf, cdf) and none is None
     f = density.f_tau(x, 12)
     # the small branch is f_tau's own kernel; the large branch's exponents
     # round in another order
     assert np.array_equal(dens[x < CROSS], f[x < CROSS])
     assert np.all(np.abs(dens - f) <= 4e-16 * f)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_underflow_guards_move_no_bit_where_skipped(n):
+    # one value past a kernel's bound turns its guards on for every value
+    xs = np.geomspace(density._F_SMALL_EXACT, CROSS, 200_000, endpoint=False)
+    assert np.array_equal(density._f_small(xs, n),
+                          density._f_small(np.append(xs, 1e-5), n)[:-1])
+    xl = np.geomspace(CROSS, density._LARGE_EXACT, 200_000, endpoint=False)
+    for x_first in (False, True):
+        exps = density._large_exps(xl, n, x_first)
+        guarded = [e[:-1] for e in density._large_exps(np.append(xl, 700.0), n, x_first)]
+        assert np.array_equal(density._tail_sum(exps, n), density._tail_sum(guarded, n))
+        assert np.array_equal(density._f_large(exps, n), density._f_large(guarded, n))
 
 
 def _max_body_residual():

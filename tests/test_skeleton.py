@@ -18,8 +18,9 @@ def test_config_defaults_and_validation():
     cfg = SkeletonConfig(epsilon_k=0.5, d=2, horizon_T=1.0)
     assert cfg.e_kT == 2 * int(np.ceil(0.5**-2 * 1.0)) == 8
     assert cfg.n_steps == 8
-    with pytest.raises(ConfigurationError):
-        SkeletonConfig(epsilon_k=0.0)
+    for bad in (0.0, 10**400):
+        with pytest.raises(ConfigurationError, match="epsilon_k must be finite and > 0"):
+            SkeletonConfig(epsilon_k=bad)
     with pytest.raises(ConfigurationError):
         SkeletonConfig(epsilon_k=1.0, d=0)
     with pytest.raises(ConfigurationError):
@@ -29,6 +30,12 @@ def test_config_defaults_and_validation():
                 {"n_steps": True}, {"n_steps": "4"}):
         with pytest.raises(ConfigurationError, match="must be an int >= 1"):
             SkeletonConfig(0.5, **bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_refuses_seed_outside_philox_key(seed):
+    with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+        sample_skeleton(SkeletonConfig(0.5), seed)
 
 
 def test_reproducibility():
@@ -220,7 +227,8 @@ def test_crossing_event_stream_bits_pinned():
     assert digest == "0c28c558d9a46b8fa17834bbaea2bde60f4ff5a8fd442757a631095645a6a6da"
 
 
-BAD_POSITIVE = [0.0, -0.25, float("nan"), float("inf")]
+BAD_POSITIVE = [0.0, -0.25, float("nan"), float("inf"),
+                pytest.param(10**400, id="huge-int")]
 
 
 @pytest.mark.parametrize("bad", BAD_POSITIVE)

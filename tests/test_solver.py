@@ -239,8 +239,9 @@ def test_config_validation():
         SolveConfig(action_grid=np.array([]), depth=2)
     with pytest.raises(ConfigurationError):
         SolveConfig(action_grid=np.array([0.0]), depth=-1)
-    with pytest.raises(ConfigurationError):
-        SolveConfig(action_grid=np.array([0.0]), depth=2, epsilon_total=0.0)
+    for bad in (0.0, 10**400):
+        with pytest.raises(ConfigurationError, match="epsilon_total must be finite and > 0"):
+            SolveConfig(action_grid=np.array([0.0]), depth=2, epsilon_total=bad)
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan], [-np.inf, 0.0], [1.0, 0.0, -1.0],
