@@ -57,6 +57,7 @@ to import.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,7 +432,10 @@ def _inverse_block(arr: np.ndarray) -> np.ndarray:
 
 def _philox(seed, stream: int) -> np.random.Generator:
     """The counter-based generator keyed (seed, stream): every sampler's
-    random numbers come from one of these, each on its own stream."""
+    random numbers come from one of these, each on its own stream.  A
+    seed that is not an integer (1.5, True) is refused, not truncated."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must be in [0, 2**64), got {seed!r}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)

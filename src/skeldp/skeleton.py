@@ -209,16 +209,32 @@ def elapsed_times(bk: SkeletonPath):
 # ---------------------------------------------------------------------------
 # Crossing-detection oracle: simulate a fine Brownian path and read off the
 # skeleton from level crossings.  Equal in law to sample_skeleton up to the
-# fine-grid overshoot; kept as the theory-free reference sampler.  Crossings
-# are found one numpy window at a time.  The window is derived, never set:
-# twice eps^2 / dt grid steps, the mean gap between crossings (E tau = 1),
-# so most events cost one window pass wherever k puts the events.  The
-# first crossing in a scan does not depend on the window, so neither do
-# the events.
+# fine-grid overshoot; kept as the theory-free reference sampler.
+#
+# The float rule: a crossing is the first point x[k] with |x[k] - lev| >= eps,
+# after which the level moves one step, lev += sign * eps.  `_crossings`
+# reads the rule off fixed blocks of _BLOCK points.  Two passes over the
+# path take each block's max and min; everything after works on block-sized
+# and event-sized arrays.  The walk is first guessed in lattice cells of
+# eps around the start level: a block whose range, with the point before
+# it, spans no lattice point holds no crossing, and one that spans exactly
+# one point p ends at level p, so it holds one crossing iff the level before
+# it differs.  The guess is then checked with the float rule itself, on
+# levels summed as np.cumsum([lev, +-eps, ...]), which adds them in the
+# order `lev += sign * eps` does, bit for bit.  Every block must end inside
+# the band of its level after it, checked on its extrema alone since
+# x -> fl(x - L) is monotone; a block guessed to cross must also cross its
+# level before, and its crossing is found by one argmax over its points.
+# A block spanning two or more lattice points, or one the check refutes (a
+# jump over several cells, a point within ulps of a band edge), is stepped
+# through exactly, point by point.  After a refuted block the guess resumes
+# on a run at most twice as long as the refuted run got through, so the
+# checks thrown away are bounded by the work kept.
 # ---------------------------------------------------------------------------
 
 def brownian_fine_path(d: int, T: float, dt: float, seed: int, stream: int = 0):
     """(t_grid, B) with B of shape (d, len(t_grid)), B[:,0] = 0."""
+    _count("d", d)
     _positive("T", T)
     _positive("dt", dt)
     n = int(math.ceil(T / dt))
@@ -232,39 +248,132 @@ def brownian_fine_path(d: int, T: float, dt: float, seed: int, stream: int = 0):
     return t_grid, bm
 
 
-_MIN_WINDOW = 64
+# Points per block of the extrema pass.  numpy's max / min reduceat took
+# ~1.6x longer over 32-point blocks than over 33- to 36-point ones
+# (x86-64, numpy 2.4).
+_BLOCK = 34
+_COLS = np.arange(_BLOCK)
+_REGROW = 16                     # shortest run guessed after a refuted block
+_CHUNK = 1 << 16
 
 
-def _crossing_window(eps: float, dt: float) -> int:
-    """Scan window of `_crossings`: twice the mean gap eps^2 / dt between
-    crossings, in grid steps, and at least _MIN_WINDOW."""
-    return max(_MIN_WINDOW, math.ceil(2 * eps**2 / dt)) if dt > 0 else _MIN_WINDOW
+def _strictly_increasing(t: np.ndarray) -> bool:
+    """t[i] < t[i + 1] throughout, compared _CHUNK points at a time so that
+    no temporary is as long as t."""
+    for i in range(0, t.size - 1, _CHUNK):
+        w = t[i:i + _CHUNK + 1]
+        if not (w[1:] > w[:-1]).all():
+            return False
+    return True
 
 
-def _crossings(x: np.ndarray, lev: float, eps: float, window: int, start: int = 0):
+def _crossings(x: np.ndarray, lev: float, eps: float, start: int = 0):
     """Level crossings of one observed coordinate, scanned from x[start].
 
     Each crossing is the first index k with |x[k] - lev| >= eps; the level
-    then moves one eps step toward x[k].  x is scanned `window` points at a
-    time (no per-grid-point Python loop).  Returns the crossing indices,
-    their signs and the final level, so a path observed in pieces can carry
-    it on.
+    then moves one eps step toward x[k].  The events are read off block
+    extrema and checked exactly (see the comment above), so they equal a
+    point-by-point scan of that rule.  Returns the crossing indices, their
+    signs and the final level, so a path observed in pieces can carry it
+    on.
     """
+    x = x[start:]
+    n = len(x)
+    eps, level = float(eps), float(lev)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), level
+    starts = np.arange(0, n, _BLOCK)
+    blocks = len(starts)
+    # each block's max and min, widened by the point before it
+    ext = np.empty((2, blocks))
+    np.maximum.reduceat(x, starts, out=ext[0])
+    np.minimum.reduceat(x, starts, out=ext[1])
+    prev = x[_BLOCK - 1::_BLOCK][:blocks - 1]
+    np.maximum(ext[0, 1:], prev, out=ext[0, 1:])
+    np.minimum(ext[1, 1:], prev, out=ext[1, 1:])
+    if not np.isfinite(ext).all():       # a NaN or an infinity never crosses
+        raise ConfigurationError("path values must be finite")
+    # the lattice points, in cells of eps from lev, that each block spans:
+    # bot..top, so one point where top == bot and two or more where top > bot
+    cells = ext - level
+    cells /= eps
+    top, bot = np.floor(cells[0], out=cells[0]), np.ceil(cells[1], out=cells[1])
+    multi = (top > bot).nonzero()[0]
     idx, sgn = [], []
-    i = start
-    while i < len(x):
-        exc = np.abs(x[i:i + window] - lev) >= eps
-        j = int(exc.argmax())        # 0 when the window holds no crossing
-        if not exc[j]:
-            i += window
+    cell = 0.0                   # the level's lattice cell, as guessed
+    b, width = 0, blocks
+    while b < blocks:
+        m = multi.searchsorted(b)
+        end = min(b + width, multi[m] if m < multi.size else blocks)
+        f = b
+        if b < end:
+            f, level, cell = _guessed_run(x, ext, top, bot, b, end, level, cell, eps,
+                                          idx, sgn)
+        if f < end:                          # refuted: guess on a shorter run
+            width = 2 * (f + 1 - b) + _REGROW
+        elif f == blocks or top[f] <= bot[f]:   # held to the window's end
+            b, width = end, 2 * width + _REGROW
             continue
-        k = i + j
-        sign = 1 if x[k] > lev else -1
-        lev += sign * eps
-        idx.append(k)
-        sgn.append(sign)
-        i = k + 1
-    return np.array(idx, dtype=np.int64), np.array(sgn, dtype=np.int64), lev
+        i = f * _BLOCK
+        k, s, level = _exact_steps(x, i, i + _BLOCK, level, eps)
+        idx.append(np.array(k, dtype=np.int64))
+        sgn.append(np.array(s, dtype=float))
+        cell += sum(s)
+        b = f + 1
+    return np.concatenate(idx) + start, np.concatenate(sgn).astype(np.int64), level
+
+
+def _guessed_run(x, ext, top, bot, b, end, level, cell, eps, idx, sgn):
+    """Guess and check blocks b..end-1 from the true level and a cell.
+
+    Appends the checked events to idx / sgn and returns the first block
+    the check refutes (end if none) with the level and cell before it.
+    """
+    t = top[b:end]
+    ones = (t == bot[b:end]).nonzero()[0]      # blocks spanning one point
+    p = t[ones]
+    step = p - np.concatenate(([cell], p[:-1]))
+    moved = step.nonzero()[0]
+    ev = ones[moved]                           # blocks guessed to cross
+    s = np.sign(step[moved])
+    lev = np.concatenate(([level], s * eps)).cumsum()
+    # every block, its crossing included, ends inside the band of the level
+    # after it, so a block guessed to cross cannot cross its level before
+    # against the guessed sign: its crossing is its first point that does
+    # with the guessed sign, and there must be one
+    runs = np.concatenate(([0], ev, [end - b]))
+    at = np.repeat(lev, runs[1:] - runs[:-1])
+    dev = ext[:, b:end] - at
+    inside = np.abs(dev, out=dev) < eps
+    ok = inside[0] & inside[1]
+    pos = first = ev
+    if ev.size:
+        pos = (b + ev) * _BLOCK
+        xs = x.take(pos[:, None] + _COLS, mode="clip")
+        crossed = (xs - lev[:-1, None]) * s[:, None] >= eps
+        first = crossed.argmax(axis=1)
+        ok[ev] &= crossed.any(axis=1)
+    f = int(ok.argmin())
+    if ok[f]:
+        f = end - b
+    c = int(ev.searchsorted(f))
+    idx.append(pos[:c] + first[:c])
+    sgn.append(s[:c])
+    if c:
+        cell = float(p[moved[c - 1]])
+    return b + f, float(lev[c]), cell
+
+
+def _exact_steps(x, i, j, level, eps):
+    """The float rule itself over x[i:j], one point at a time."""
+    idx, sgn = [], []
+    for k, v in enumerate(x[i:j].tolist(), i):
+        if abs(v - level) >= eps:
+            sign = 1 if v > level else -1
+            level += sign * eps
+            idx.append(k)
+            sgn.append(sign)
+    return idx, sgn, level
 
 
 def crossing_sample_skeleton(eps: float, t_grid: np.ndarray,
@@ -276,27 +385,36 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray,
     detection time is bounded by the fine-grid increment scale.  For d >= 2,
     two coordinates crossing at the same grid instant cannot be ordered, and
     a skeleton step must take positive time: NumericalError names the
-    instant and the coordinates.
+    instant and the coordinates.  bm must have shape (d, len(t_grid)) with
+    d >= 1 and finite values, and t_grid must be finite and strictly
+    increasing: ConfigurationError otherwise.
     """
     _positive("eps", eps)
+    t_grid, bm = np.asarray(t_grid, dtype=float), np.asarray(bm, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size or bm.ndim != 2 or not bm.shape[0] \
+            or bm.shape[1] != t_grid.size:
+        raise ConfigurationError(f"bm must have shape (d, len(t_grid)) with d >= 1, "
+                                 f"got {bm.shape} for t_grid of shape {t_grid.shape}")
+    if not (math.isfinite(t_grid[0]) and math.isfinite(t_grid[-1])
+            and _strictly_increasing(t_grid)):
+        raise ConfigurationError("t_grid must be finite and strictly increasing")
+    if not np.isfinite(bm[:, 0]).all():   # _crossings checks the points it reads
+        raise ConfigurationError("path values must be finite")
     d = bm.shape[0]
-    steps = len(t_grid) - 1
-    window = _crossing_window(eps, (t_grid[-1] - t_grid[0]) / steps if steps else 0.0)
-    per_coord = [_crossings(bm[j], 0.0, eps, window, start=1) for j in range(d)]
+    per_coord = [_crossings(bm[j], 0.0, eps, start=1) for j in range(d)]
     k = np.concatenate([idx for idx, _, _ in per_coord])
-    c = np.concatenate([np.full(len(idx), j + 1, dtype=np.int64)
-                        for j, (idx, _, _) in enumerate(per_coord)])
-    s = np.concatenate([sgn for _, sgn, _ in per_coord])
-    order = np.lexsort((c, k))
-    k, c, s = k[order], c[order], s[order]
-    tied = np.flatnonzero(np.diff(k) == 0)
+    order = k.argsort(kind="stable")     # coordinates in order at a tie
+    c = np.repeat(np.arange(1, d + 1), [len(idx) for idx, _, _ in per_coord])[order]
+    s = np.concatenate([sgn for _, sgn, _ in per_coord])[order]
+    k = k[order]
+    tied = (k[1:] == k[:-1]).nonzero()[0]
     if tied.size:
         at = k[tied[0]]
         raise NumericalError(f"coordinates {c[k == at].tolist()} cross at the same "
                              f"grid instant t = {float(t_grid[at])!r} (index {at}); "
                              "refine the grid")
     t = t_grid[k]
-    return SkeletonPath(eps, d, np.diff(t, prepend=0.0), c, s)
+    return SkeletonPath(eps, d, t - np.concatenate(([0.0], t[:-1])), c, s)
 
 
 def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
@@ -308,9 +426,9 @@ def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
     """
     for name, value in (("eps", eps), ("dt", dt), ("t_total", t_total)):
         _positive(name, value)
+    _count("block", block)
     gen = density._philox(seed, 20_000 + stream)
     n_total = int(math.ceil(t_total / dt))
-    window = _crossing_window(eps, dt)
     out_t, out_s = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     lev = 0.0
     b_end = 0.0
@@ -318,7 +436,7 @@ def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,
     while done < n_total:
         m = min(block, n_total - done)
         seg = b_end + np.cumsum(gen.standard_normal(m) * math.sqrt(dt))
-        k, sgn, lev = _crossings(seg, lev, eps, window)
+        k, sgn, lev = _crossings(seg, lev, eps)
         out_t.append((done + k + 1) * dt)
         out_s.append(sgn)
         b_end = seg[-1]

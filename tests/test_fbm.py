@@ -235,8 +235,7 @@ def test_coupling_bits_pinned(seed):
     assert sha256(w_ref) == ref_digest
     for k, (crossing_digest, w_digest) in per_level.items():
         eps = 2.0**-k
-        window = skeleton._crossing_window(eps, dt)
-        idx, sgn, _ = skeleton._crossings(bm[0], 0.0, eps, window, start=1)
+        idx, sgn, _ = skeleton._crossings(bm[0], 0.0, eps, start=1)
         assert sha256(idx, sgn) == crossing_digest, k
         path = crossing_sample_skeleton(eps, t_grid, bm)
         assert np.array_equal(path.cum_times, t_grid[idx])

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -169,32 +170,97 @@ def test_crossing_matches_direct_law():
     assert means[1] < means[0]
 
 
-def test_crossings_independent_of_scan_window():
-    """The first crossing of a scan does not depend on the window, so every
-    window gives the same events, also for a path cut in two pieces with the
-    level carried over, as crossing_event_stream observes it."""
+def _float_rule(x, lev, eps, start=0):
+    """The crossing rule point by point: the reference `_crossings` keeps."""
+    idx, sgn = [], []
+    for k in range(start, len(x)):
+        if abs(float(x[k]) - lev) >= eps:
+            sign = 1 if x[k] > lev else -1
+            lev += sign * eps
+            idx.append(k)
+            sgn.append(sign)
+    return idx, sgn, lev
+
+
+def assert_same_crossings(got, want):
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert got[0].tolist() == list(want[0])
+    assert got[1].tolist() == list(want[1])
+    assert got[2] == want[2]
+
+
+BLOCK = skeleton._BLOCK
+
+
+@st.composite
+def crossing_inputs(draw):
+    """Paths `_crossings` must read like the point-by-point rule: Brownian
+    walks whose steps reach 1.5 eps (jumps over several cells), values on
+    the lattice (products k * eps, or sums of +-eps like the level's own),
+    non-dyadic eps, carried levels, start offsets and lengths around the
+    block size."""
+    eps = draw(st.sampled_from([0.1, 1 / 3, 0.35, 0.7, 2.0**-5]) | st.floats(0.01, 2.0))
+    n = draw(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+             | st.integers(0, 8 * BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "lattice", "lattice-sum"]))
+    if kind == "walk":
+        x = np.cumsum(rng.standard_normal(n) * eps * draw(st.sampled_from([0.05, 0.5, 1.5])))
+    elif kind == "lattice":
+        x = eps * np.cumsum(rng.integers(-2, 3, n)).astype(float)
+    else:
+        x = np.cumsum(rng.integers(-2, 3, n) * eps)
+    lev = draw(st.sampled_from([0.0, -0.375, eps, -2 * eps, 0.1 + 0.2]))
+    start = draw(st.integers(0, min(n, 3)))
+    return x, lev, eps, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_inputs())
+def test_crossings_equal_point_by_point_rule(case):
+    x, lev, eps, start = case
+    assert_same_crossings(skeleton._crossings(x, lev, eps, start=start),
+                          _float_rule(x, lev, eps, start))
+
+
+def test_crossings_dense_path_in_bounded_time():
+    """1e5 points with step sd 2 eps cross at most points, so nearly every
+    block is stepped through exactly; the guess only ever resumes on a
+    bounded run of blocks, so the scan stays near the point-by-point cost."""
+    eps = 0.1
+    x = np.cumsum(density._philox(5, 5).standard_normal(100_000) * 2 * eps)
+    t0 = time.time()
+    got = skeleton._crossings(x, 0.0, eps)
+    elapsed = time.time() - t0
+    want = _float_rule(x, 0.0, eps)
+    assert_same_crossings(got, want)
+    assert len(want[0]) > 50_000
+    assert elapsed < 30.0
+
+
+def test_crossings_independent_of_cuts_and_block_alignment():
+    """A path cut in two, its tail read from the head's final level, gives
+    the whole path's events, as crossing_event_stream observes it; every
+    cut and every start moves the block boundaries, so the events do not
+    depend on where the blocks fall."""
     eps, dt = 0.125, 0.125**2 / 400
     _, bm = brownian_fine_path(1, 1.0, dt, seed=4, stream=909)
     x = bm[0]
-    derived = skeleton._crossing_window(eps, dt)
-    assert derived == 800
-    cut = 12_345
-    runs = []
-    for window in (64, derived, 4096):
-        whole = skeleton._crossings(x, 0.0, eps, window, start=1)
-        head = skeleton._crossings(x[:cut], 0.0, eps, window, start=1)
-        tail = skeleton._crossings(x[cut:], head[2], eps, window)
+    whole = skeleton._crossings(x, 0.0, eps, start=1)
+    events = whole[0]
+    assert len(events) > 40
+    for cut in 12_345 + np.arange(BLOCK + 1):
+        head = skeleton._crossings(x[:cut], 0.0, eps, start=1)
+        tail = skeleton._crossings(x[cut:], head[2], eps)
         assert np.array_equal(whole[0], np.concatenate([head[0], cut + tail[0]]))
         assert np.array_equal(whole[1], np.concatenate([head[1], tail[1]]))
         assert whole[2] == tail[2]
-        runs.append((whole, skeleton._crossings(x, -0.375, eps, window, start=5000)))
-    events = runs[0][0][0]
-    assert len(events) > 40 and events[0] < cut < events[-1]
-    for whole, late in runs[1:]:
-        for got, want in zip((whole, late), runs[0]):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
+        shifted = skeleton._crossings(x, head[2], eps, start=cut)
+        assert np.array_equal(shifted[0], cut + tail[0])
+        assert np.array_equal(shifted[1], tail[1]) and shifted[2] == tail[2]
+    assert events[0] < 12_345 < events[-1]
+    assert_same_crossings(skeleton._crossings(x, -0.375, eps, start=5000),
+                          _float_rule(x, -0.375, eps, 5000))
 
 
 def test_crossing_skeleton_refuses_tied_coordinates():
@@ -212,9 +278,8 @@ def test_crossing_skeleton_refuses_tied_coordinates():
                 crossing_sample_skeleton(eps, t_grid, bm)
             continue
         path = crossing_sample_skeleton(eps, t_grid, bm)
-        window = skeleton._crossing_window(eps, dt)
         for j in (1, 2):
-            *_, level = skeleton._crossings(bm[j - 1], 0.0, eps, window, start=1)
+            *_, level = skeleton._crossings(bm[j - 1], 0.0, eps, start=1)
             assert eps * path.signs[path.coords == j].sum() == level, (seed, j)
 
 
@@ -252,6 +317,69 @@ def test_brownian_fine_path_refuses_arguments_that_are_not_positive(name, bad):
     args = {"T": 1.0, "dt": 0.01} | {name: bad}
     with pytest.raises(ConfigurationError, match=f"{name} must be finite and > 0"):
         brownian_fine_path(1, seed=1, **args)
+
+
+BAD_COUNT = [0, -3, 1.5, True]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNT)
+def test_brownian_fine_path_refuses_dimension_that_is_not_a_count(bad):
+    # d = 0 returned an empty (0, n + 1) path, d = 1.5 a TypeError
+    with pytest.raises(ConfigurationError, match="d must be an int >= 1"):
+        brownian_fine_path(bad, 1.0, 0.01, seed=1)
+
+
+@pytest.mark.parametrize("bad", BAD_COUNT)
+def test_crossing_event_stream_refuses_block_that_is_not_a_count(bad):
+    with pytest.raises(ConfigurationError, match="block must be an int >= 1"):
+        skeleton.crossing_event_stream(0.5, 0.01, 1.0, seed=1, block=bad)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, 1.0, "1"])
+def test_samplers_refuse_seed_that_is_not_an_integer(seed):
+    # 1.5 and True used to draw seed 1's stream bit for bit
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        sample_skeleton(SkeletonConfig(0.5, 1, 1.0, 5), seed)
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        brownian_fine_path(1, 1.0, 0.01, seed)
+
+
+def test_samplers_accept_numpy_integer_seed():
+    cfg = SkeletonConfig(0.5, 2, 1.0, 6)
+    a, b = sample_skeleton(cfg, np.int64(7)), sample_skeleton(cfg, 7)
+    assert np.array_equal(a.delta_t, b.delta_t) and np.array_equal(a.coords, b.coords)
+    assert np.array_equal(brownian_fine_path(1, 1.0, 0.1, np.uint32(7))[1],
+                          brownian_fine_path(1, 1.0, 0.1, 7)[1])
+
+
+def _unreadable_paths():
+    t_grid, bm = brownian_fine_path(2, 1.0, 1e-3, seed=1)
+    nan, inf, start = bm.copy(), bm.copy(), bm.copy()
+    nan[1, 500] = np.nan
+    inf[0, -1] = np.inf
+    start[1, 0] = -np.inf
+    repeated, t_nan, t_inf = t_grid.copy(), t_grid.copy(), t_grid.copy()
+    repeated[7] = repeated[6]
+    t_nan[300] = np.nan
+    t_inf[-1] = np.inf
+    long_t = np.arange(skeleton._CHUNK + 9, dtype=float)
+    long_t[skeleton._CHUNK] = long_t[skeleton._CHUNK - 1]   # across a chunk edge
+    shape = "bm must have shape"
+    return [(t_grid[:-1], bm, shape), (t_grid, bm[0], shape), (t_grid, bm[:0], shape),
+            (t_grid[:0], bm[:, :0], shape),
+            (t_grid, nan, "must be finite"), (t_grid, inf, "must be finite"),
+            (t_grid, start, "must be finite"),
+            (repeated, bm, "t_grid must be"), (t_nan, bm, "t_grid must be"),
+            (t_inf, bm, "t_grid must be"), (t_grid[::-1], bm, "t_grid must be"),
+            (long_t, np.zeros((1, long_t.size)), "t_grid must be")]
+
+
+@pytest.mark.parametrize("t_grid, bm, match", _unreadable_paths())
+def test_crossing_skeleton_refuses_paths_it_cannot_read(t_grid, bm, match):
+    """A short t_grid used to raise IndexError, a 1-D bm TypeError, and a
+    NaN in bm never crossed, so a path came back silently."""
+    with pytest.raises(ConfigurationError, match=match):
+        crossing_sample_skeleton(0.25, t_grid, bm)
 
 
 @pytest.mark.parametrize("bad", BAD_POSITIVE + [True])
