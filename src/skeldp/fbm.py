@@ -37,10 +37,12 @@ Against a piecewise-constant skeleton path A (jumps eps*sigma_n at T_n):
 
 and W^k_H freezes B^k_H at skeleton times.  Each call of fbm_from_skeleton
 evaluates the Phi table once, on the points T_n / T_m(t) of all its eval
-times together, and each call of fbm_ref_from_fine_path evaluates Omega
-once, on s_i / t of all its eval times together; the table is evaluated
-point by point, so the values are those of one call per eval time.  The
-sum for each eval time stays its own dot product.
+times together.  fbm_ref_from_fine_path evaluates Omega once per grid, on
+s_i / t of all its eval times together, and keeps the increments for the
+last (fine times, eval times, H) it saw, so a Monte Carlo of fine paths on
+one grid evaluates the table once.  The table is evaluated point by point,
+so the values are those of one call per eval time.  The sum for each eval
+time stays its own dot product.
 """
 
 from __future__ import annotations
@@ -232,28 +234,18 @@ def fbm_from_skeleton(event_times, event_signs, eps: float, H: float,
     return out
 
 
-def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times) -> np.ndarray:
-    """B_H on eval_times from a piecewise-linear Brownian reconstruction.
+@functools.lru_cache(maxsize=1)
+def _omega_weights(H: float, t_bytes: bytes, eval_bytes: bytes):
+    """The part of B_H^ref that depends on (t_fine, eval_times, H) alone.
 
-    Integration by parts against the slope: B_H(t) = t^{H+1/2} *
-    sum_cells slope_i [Omega(s_{i+1} ^ t / t) - Omega(s_i / t)].
+    The k cells below eval time t end at s_1, ..., s_{k-1} and t itself, so
+    Omega is needed at s_0/t, ..., s_{k-1}/t, 1: one table call for all t.
+    Returns the live eval indices and times, each one's cell count k and
+    offset into om, and om, the Omega increments over every live time's
+    cells, all read-only.  Keyed by the arrays' exact bytes, so an array
+    changed in place is a new key; one entry, the last grid.
     """
-    t_fine = np.asarray(t_fine, dtype=float)
-    b_fine = np.asarray(b_fine, dtype=float)
-    eval_times = np.asarray(eval_times, dtype=float)
-    if t_fine.shape != b_fine.shape:
-        raise ConfigurationError(f"{t_fine.shape} fine times against "
-                                 f"{b_fine.shape} fine values")
-    if np.any(np.diff(t_fine) <= 0):
-        raise ConfigurationError("fine times must be strictly increasing")
-    if np.any(eval_times > t_fine[-1]):
-        raise ConfigurationError(
-            f"eval time {eval_times.max()} lies past the fine path's end {t_fine[-1]}")
-    table = get_table(H)
-    slopes = np.diff(b_fine) / np.diff(t_fine)
-    out = np.zeros(len(eval_times))
-    # the k cells below eval time t end at s_1, ..., s_{k-1} and t itself,
-    # so Omega is needed at s_0/t, ..., s_{k-1}/t, 1: one table call for all t
+    t_fine, eval_times = np.frombuffer(t_bytes), np.frombuffer(eval_bytes)
     live = np.flatnonzero(eval_times > t_fine[0])
     t_live = eval_times[live]
     ks = np.searchsorted(t_fine, t_live, side="left")
@@ -261,8 +253,45 @@ def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times) -> np.ndarray:
     x = np.ones((ks + 1).sum())
     for t, k, lo in zip(t_live, ks, starts):
         np.divide(t_fine[:k], t, out=x[lo:lo + k])
-    o = table.omega(x)
-    om = o[1:] - o[:-1]
+    o = get_table(H).omega(x)
+    out = live, t_live, ks, starts, o[1:] - o[:-1]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def fbm_ref_from_fine_path(t_fine, b_fine, H: float, eval_times) -> np.ndarray:
+    """B_H on eval_times from a piecewise-linear Brownian reconstruction.
+
+    Integration by parts against the slope: B_H(t) = t^{H+1/2} *
+    sum_cells slope_i [Omega(s_{i+1} ^ t / t) - Omega(s_i / t)].
+    The Omega increments come from `_omega_weights`; only the slopes and
+    one dot product per eval time are computed per path.
+    """
+    t_fine = np.asarray(t_fine, dtype=float)
+    b_fine = np.asarray(b_fine, dtype=float)
+    eval_times = np.asarray(eval_times, dtype=float)
+    if t_fine.ndim != 1 or not t_fine.size or eval_times.ndim != 1:
+        raise ConfigurationError(f"fine times must be one non-empty row and eval "
+                                 f"times one row, got shapes {t_fine.shape} and "
+                                 f"{eval_times.shape}")
+    if t_fine.shape != b_fine.shape:
+        raise ConfigurationError(f"{t_fine.shape} fine times against "
+                                 f"{b_fine.shape} fine values")
+    for name, arr in (("fine times", t_fine), ("fine values", b_fine),
+                      ("eval times", eval_times)):
+        if not np.isfinite(arr).all():
+            raise ConfigurationError(f"{name} must be finite")
+    dt_fine = np.diff(t_fine)
+    if (dt_fine <= 0).any():
+        raise ConfigurationError("fine times must be strictly increasing")
+    if (eval_times > t_fine[-1]).any():
+        raise ConfigurationError(
+            f"eval time {eval_times.max()} lies past the fine path's end {t_fine[-1]}")
+    live, t_live, ks, starts, om = _omega_weights(float(H), t_fine.tobytes(),
+                                                  eval_times.tobytes())
+    slopes = np.diff(b_fine) / dt_fine
+    out = np.zeros(len(eval_times))
     for i, t, k, lo in zip(live, t_live, ks, starts):
         out[i] = t ** (H + 0.5) * float(slopes[:k] @ om[lo:lo + k])
     return out

@@ -101,7 +101,7 @@ class SkeletonPath:
 
     epsilon_k: float
     d: int
-    delta_t: np.ndarray  # (n,) or (paths, n) positive
+    delta_t: np.ndarray  # (n,) or (paths, n) finite and positive
     coords: np.ndarray   # ints in 1..d
     signs: np.ndarray    # ints in {-1, +1}
 
@@ -114,8 +114,8 @@ class SkeletonPath:
                 or self.delta_t.ndim not in (1, 2):
             raise ConfigurationError("delta_t, coords, signs must share one "
                                      "(n,) or (paths, n) shape")
-        if np.any(self.delta_t <= 0):
-            raise ConfigurationError("all delta_t must be > 0")
+        if not ((self.delta_t > 0) & (self.delta_t < math.inf)).all():
+            raise ConfigurationError("all delta_t must be finite and > 0")
         if np.any((self.coords < 1) | (self.coords > self.d)):
             raise ConfigurationError("coords must lie in 1..d")
         if np.any(np.abs(self.signs) != 1):
@@ -233,16 +233,27 @@ def elapsed_times(bk: SkeletonPath):
 # ---------------------------------------------------------------------------
 
 def brownian_fine_path(d: int, T: float, dt: float, seed: int, stream: int = 0):
-    """(t_grid, B) with B of shape (d, len(t_grid)), B[:,0] = 0."""
+    """(t_grid, B) with B of shape (d, len(t_grid)), B[:,0] = 0.
+
+    The increments are drawn, scaled and summed in B itself: at d = 1
+    B[:, 1:] is contiguous and the draw lands there directly; at d > 1 one
+    (d, n) draw is copied in.  Either way the Philox stream, the products
+    and the sequential sums are those of a separate increment array.
+    """
     _count("d", d)
     _positive("T", T)
     _positive("dt", dt)
     n = int(math.ceil(T / dt))
-    incs = density._philox(seed, 10_000 + stream).standard_normal((d, n))
-    incs *= math.sqrt(dt)
+    gen = density._philox(seed, 10_000 + stream)
     bm = np.empty((d, n + 1))
     bm[:, 0] = 0.0
-    np.cumsum(incs, axis=1, out=bm[:, 1:])
+    incs = bm[:, 1:]
+    if d == 1:
+        gen.standard_normal(out=incs)
+    else:
+        incs[...] = gen.standard_normal((d, n))
+    incs *= math.sqrt(dt)
+    np.cumsum(incs, axis=1, out=incs)
     t_grid = np.arange(n + 1, dtype=float)
     t_grid *= dt
     return t_grid, bm
@@ -380,14 +391,15 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray,
                              bm: np.ndarray) -> SkeletonPath:
     """Extract the skeleton of a discretely observed Brownian path.
 
-    Levels stay on the eps-lattice anchored at the last recorded level, so
-    the recorded level moves by exactly +-eps per event; the overshoot at
-    detection time is bounded by the fine-grid increment scale.  For d >= 2,
-    two coordinates crossing at the same grid instant cannot be ordered, and
-    a skeleton step must take positive time: NumericalError names the
-    instant and the coordinates.  bm must have shape (d, len(t_grid)) with
-    d >= 1 and finite values, and t_grid must be finite and strictly
-    increasing: ConfigurationError otherwise.
+    Coordinate j's levels start at bm[j, 0] and the first waiting time at
+    t_grid[0].  Levels stay on the eps-lattice anchored at the last recorded
+    level, so the recorded level moves by exactly +-eps per event; the
+    overshoot at detection time is bounded by the fine-grid increment
+    scale.  For d >= 2, two coordinates crossing at the same grid instant
+    cannot be ordered, and a skeleton step must take positive time:
+    NumericalError names the instant and the coordinates.  bm must have
+    shape (d, len(t_grid)) with d >= 1 and finite values, and t_grid must
+    be finite and strictly increasing: ConfigurationError otherwise.
     """
     _positive("eps", eps)
     t_grid, bm = np.asarray(t_grid, dtype=float), np.asarray(bm, dtype=float)
@@ -401,7 +413,7 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray,
     if not np.isfinite(bm[:, 0]).all():   # _crossings checks the points it reads
         raise ConfigurationError("path values must be finite")
     d = bm.shape[0]
-    per_coord = [_crossings(bm[j], 0.0, eps, start=1) for j in range(d)]
+    per_coord = [_crossings(bm[j], bm[j, 0], eps, start=1) for j in range(d)]
     k = np.concatenate([idx for idx, _, _ in per_coord])
     order = k.argsort(kind="stable")     # coordinates in order at a tie
     c = np.repeat(np.arange(1, d + 1), [len(idx) for idx, _, _ in per_coord])[order]
@@ -414,7 +426,7 @@ def crossing_sample_skeleton(eps: float, t_grid: np.ndarray,
                              f"grid instant t = {float(t_grid[at])!r} (index {at}); "
                              "refine the grid")
     t = t_grid[k]
-    return SkeletonPath(eps, d, t - np.concatenate(([0.0], t[:-1])), c, s)
+    return SkeletonPath(eps, d, t - np.concatenate((t_grid[:1], t[:-1])), c, s)
 
 
 def crossing_event_stream(eps: float, dt: float, t_total: float, seed: int,

@@ -268,10 +268,101 @@ def test_fine_reference_rejects_mismatched_lengths():
         fbm.fbm_ref_from_fine_path([0.0, 0.5, 1.0], [0.0, 1.0], 0.75, [1.0])
 
 
+@pytest.mark.parametrize("t_fine, eval_times", [([], [0.5]), ([[0.0, 1.0]], [0.5]),
+                                                ([0.0, 1.0], 0.5),
+                                                ([0.0, 1.0], [[0.5]])])
+def test_fine_reference_rejects_shapes_it_cannot_read(t_fine, eval_times):
+    # an empty path used to raise IndexError, a scalar eval time TypeError
+    with pytest.raises(ConfigurationError, match="one non-empty row"):
+        fbm.fbm_ref_from_fine_path(t_fine, t_fine, 0.75, eval_times)
+
+
 def test_fine_reference_rejects_repeated_node():
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         fbm.fbm_ref_from_fine_path([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 2.0],
                                    0.75, [1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("which, name", [(0, "fine times"), (1, "fine values"),
+                                         (2, "eval times")])
+def test_fine_reference_refuses_non_finite_input(which, name, bad):
+    """A NaN eval time used to give B_H = 0 there and a NaN fine time or
+    value a NaN: comparisons with NaN are False, so no check refused it.
+    The refusal comes before the Omega memo is read."""
+    args = [np.linspace(0.0, 1.0, 101), np.sin(np.linspace(0.0, 3.0, 101)),
+            np.array([0.5, 0.75])]
+    args[which][1] = bad
+    misses = fbm._omega_weights.cache_info().misses
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        fbm.fbm_ref_from_fine_path(args[0], args[1], 0.75, args[2])
+    assert fbm._omega_weights.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("H", [0.4, 0.5, 1.0, float("nan")])
+def test_fine_reference_refuses_H_outside_half_one(H):
+    fbm._omega_weights.cache_clear()
+    with pytest.raises(ConfigurationError, match="H must lie in"):
+        fbm.fbm_ref_from_fine_path(np.linspace(0.0, 1.0, 11), np.zeros(11), H, [0.5])
+    assert fbm._omega_weights.cache_info().currsize == 0
+
+
+def uncached_fbm_ref(t_fine, b_fine, H, eval_times):
+    """B_H^ref with the Omega increments computed afresh on every call."""
+    slopes = np.diff(b_fine) / np.diff(t_fine)
+    out = np.zeros(len(eval_times))
+    live = np.flatnonzero(eval_times > t_fine[0])
+    t_live = eval_times[live]
+    ks = np.searchsorted(t_fine, t_live, side="left")
+    starts = np.cumsum(ks + 1) - (ks + 1)
+    x = np.ones((ks + 1).sum())
+    for t, k, lo in zip(t_live, ks, starts):
+        np.divide(t_fine[:k], t, out=x[lo:lo + k])
+    o = fbm.get_table(H).omega(x)
+    om = o[1:] - o[:-1]
+    for i, t, k, lo in zip(live, t_live, ks, starts):
+        out[i] = t ** (H + 0.5) * float(slopes[:k] @ om[lo:lo + k])
+    return out
+
+
+def test_fine_reference_omega_memo_keeps_the_last_grid():
+    """Grids A, B, A, then A with a changed eval set: every answer is the
+    uncached one bit for bit, the memo holds one entry, and a repeated grid
+    reuses it."""
+    H = 0.75
+    t_a, b = brownian_fine_path(1, 1.0, 1e-4, seed=3, stream=909)
+    t_a, b_a = t_a[::8], b[0][::8]
+    t_b = np.sort(np.concatenate([[0.0], np.random.default_rng(1).uniform(0, 1.2, 800)]))
+    b_b = np.cumsum(np.random.default_rng(2).standard_normal(t_b.size)) * 0.03
+    ev_a, ev_b = np.linspace(0.05, 1.0, 16), np.array([0.0, 0.3, 0.9, 1.1])
+    fbm._omega_weights.cache_clear()
+    calls = [(t_a, b_a, ev_a), (t_b, b_b, ev_b), (t_a, b_a, ev_a), (t_a, b_a, ev_b[:-1]),
+             (t_a, -b_a, ev_b[:-1])]
+    for t, v, ev in calls:
+        assert fbm.fbm_ref_from_fine_path(t, v, H, ev).tobytes() == \
+            uncached_fbm_ref(t, v, H, ev).tobytes()
+    info = fbm._omega_weights.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 4, 1, 1)
+    # another H is another key
+    assert fbm.fbm_ref_from_fine_path(t_a, b_a, 0.6, ev_a).tobytes() == \
+        uncached_fbm_ref(t_a, b_a, 0.6, ev_a).tobytes()
+    assert fbm._omega_weights.cache_info().misses == 5
+
+
+def test_fine_reference_sees_arrays_changed_in_place():
+    H = 0.75
+    t_fine = np.linspace(0.0, 1.0, 401)
+    b_fine = np.sin(7.0 * t_fine)
+    ev = np.linspace(0.1, 1.0, 10)
+    first = fbm.fbm_ref_from_fine_path(t_fine, b_fine, H, ev)
+    t_fine[1:-1] **= 1.5                     # still increasing, same ends
+    second = fbm.fbm_ref_from_fine_path(t_fine, b_fine, H, ev)
+    assert second.tobytes() == uncached_fbm_ref(t_fine, b_fine, H, ev).tobytes()
+    assert not np.array_equal(first, second)
+    ev[3] = 0.0
+    third = fbm.fbm_ref_from_fine_path(t_fine, b_fine, H, ev)
+    assert third.tobytes() == uncached_fbm_ref(t_fine, b_fine, H, ev).tobytes()
+    assert third[3] == 0.0
 
 
 def test_w_starts_at_zero():

@@ -263,6 +263,30 @@ def test_crossings_independent_of_cuts_and_block_alignment():
                           _float_rule(x, -0.375, eps, 5000))
 
 
+def test_crossing_skeleton_reads_its_own_start():
+    """A path observed from t_grid[0] = 5 at levels bm[:, 0] off zero: each
+    coordinate's events are the point-by-point rule anchored at bm[j, 0]
+    and the first waiting time counts from t_grid[0], not from 0."""
+    eps, dt = 0.25, 0.25**2 / 400
+    t_grid, bm = brownian_fine_path(2, 1.0, dt, seed=6, stream=1)
+    t_grid = t_grid + 5.0
+    bm = bm + np.array([[0.3], [-1.7]])
+    path = crossing_sample_skeleton(eps, t_grid, bm)
+    k, c, s = [], [], []
+    for j in range(2):
+        idx, sgn, _ = _float_rule(bm[j], float(bm[j, 0]), eps, start=1)
+        k += idx
+        c += [j + 1] * len(idx)
+        s += sgn
+    order = np.argsort(k, kind="stable")
+    t = t_grid[np.array(k)[order]]
+    assert len(t) > 20
+    assert path.coords.tolist() == np.array(c)[order].tolist()
+    assert path.signs.tolist() == np.array(s)[order].tolist()
+    assert path.delta_t.tolist() == np.diff(t, prepend=t_grid[0]).tolist()
+    assert path.cum_times[0] < 1.0
+
+
 def test_crossing_skeleton_refuses_tied_coordinates():
     """Two coordinates crossing at one grid instant cannot be ordered.  Of 40
     d = 2 paths (eps 0.25, dt = eps^2 / 400, stream 0), seed 32 crosses both
@@ -352,6 +376,33 @@ def test_samplers_accept_numpy_integer_seed():
                           brownian_fine_path(1, 1.0, 0.1, 7)[1])
 
 
+# SHA-256 of t_grid and B of brownian_fine_path(d, T, dt, seed, stream),
+# recorded from a separately drawn, scaled and summed increment array
+FINE_PATH_SHA256 = {
+    (2, 1.0, 1e-4, 11, 909): "e3698fb94dabbfb912d284530e83ab5bf7582c6d8465f9773d8eb840fcd47546",
+    (3, 0.5, 1e-3, 2, 0): "91586edc7fcf295253302a53144fbb7b5cc1f56e15f7704c0d048104a9b7dd72",
+}
+
+
+@pytest.mark.parametrize("args", sorted(FINE_PATH_SHA256))
+def test_brownian_fine_path_bits_pinned(args):
+    t_grid, bm = brownian_fine_path(*args)
+    digest = hashlib.sha256(t_grid.tobytes() + bm.tobytes()).hexdigest()
+    assert digest == FINE_PATH_SHA256[args]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_brownian_fine_path_drawn_in_place_equals_separate_increments(d):
+    dt, n = 1e-3, 777
+    t_grid, bm = brownian_fine_path(d, n * dt, dt, seed=9, stream=4)
+    for a, shape in ((t_grid, (n + 1,)), (bm, (d, n + 1))):
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+    incs = density._philox(9, 10_004).standard_normal((d, n)) * np.sqrt(dt)
+    want = np.concatenate([np.zeros((d, 1)), np.cumsum(incs, axis=1)], axis=1)
+    assert want.tobytes() == bm.tobytes()
+    assert t_grid.tobytes() == (np.arange(n + 1) * dt).tobytes()
+
+
 def _unreadable_paths():
     t_grid, bm = brownian_fine_path(2, 1.0, 1e-3, seed=1)
     nan, inf, start = bm.copy(), bm.copy(), bm.copy()
@@ -389,6 +440,21 @@ def test_skeleton_path_refuses_epsilon_that_is_not_positive(bad):
     text = path_to_csv(SkeletonPath(0.5, 1, [0.1], [1], [1]))
     with pytest.raises(ConfigurationError, match="epsilon_k must be finite and > 0"):
         path_from_csv(text, bad, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_skeleton_path_refuses_non_finite_delta_t(bad):
+    """A NaN waiting time used to pass (NaN <= 0 is False) and made every
+    cumulative time NaN."""
+    with pytest.raises(ConfigurationError, match="delta_t must be finite and > 0"):
+        SkeletonPath(0.5, 1, [bad, 0.2], [1, 1], [1, -1])
+    with pytest.raises(ConfigurationError, match="delta_t must be finite and > 0"):
+        SkeletonPath(0.5, 1, [[0.1, 0.2], [0.3, bad]], [[1, 1]] * 2, [[1, -1]] * 2)
+    text = path_to_csv(SkeletonPath(0.5, 1, [0.1, 0.2], [1, 1], [1, -1]))
+    text = text.replace("0.20000000000000001", repr(bad))
+    assert repr(bad) in text
+    with pytest.raises(ConfigurationError, match="delta_t must be finite and > 0"):
+        path_from_csv(text, 0.5, 1)
 
 
 def test_csv_roundtrip():
