@@ -487,6 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

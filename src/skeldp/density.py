@@ -337,13 +337,15 @@ def _searched_cells(t_u: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(t_u, u, side="right") - 1, 0, len(t_u) - 2)
 
 
-def _bisect_cdf(u: np.ndarray, upper: float, steps: int) -> np.ndarray:
-    """x with cdf_tau(x) = u, by `steps` bisections of [5e-4, upper]."""
-    lo = np.full_like(u, 5e-4)
+def _bisect_cdf(u: np.ndarray, lower: float, upper: float, steps: int,
+                cdf=cdf_tau) -> np.ndarray:
+    """x with cdf(x) = u, by `steps` bisections of [lower, upper]; cdf is
+    nondecreasing and takes an array."""
+    lo = np.full_like(u, lower)
     hi = np.full_like(u, upper)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        below = cdf_tau(mid) < u
+        below = cdf(mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -358,7 +360,7 @@ def _inverse_lookup():
                          np.linspace(0.02, 0.98, 1600),
                          1.0 - np.geomspace(1e-13, 0.02, 512)[::-1]])
     us = np.unique(us)
-    xs = _bisect_cdf(us, 80.0, 60)
+    xs = _bisect_cdf(us, 5e-4, 80.0, 60)
     first = _searched_cells(us, np.arange(_BUCKETS) / _BUCKETS)
     return (us, xs, 1.0 / f_tau(xs, 12)), first
 
@@ -426,7 +428,7 @@ def _inverse_block(arr: np.ndarray) -> np.ndarray:
     if np.any(resid > _INV_TOL):
         # Newton can stall in the extreme tails; bisect the stragglers
         bad = resid > _INV_TOL
-        x[bad] = _bisect_cdf(arr[bad], 120.0, 100)
+        x[bad] = _bisect_cdf(arr[bad], 5e-4, 120.0, 100)
     return x
 
 

@@ -12,8 +12,14 @@ coordinate's own last hit) and reads, for target coordinate j:
           * [ (iint f_k(s+t+Dj) prod_{l != j} f_k(t+Dl) dt ds) / prod_l int_{Dl}^inf f_k ]
 
 where the double integral runs over s in (-inf, 0), t in (-s, inf).  The
-second factor is the probability that coordinate j fires first (an exact
-identity at d = 2).  The product form is implemented exactly as stated; its
+s-integral is closed form, F(t + Dj) - F(Dj) with F the CDF of tau, so the
+numerator is the one-dimensional
+
+    int_0^inf [F(t + Dj) - F(Dj)] prod_{l != j} f(t + Dl) dt,
+
+one Gauss-panel rule over (0, TAIL_CUTOFF).  The second factor is the
+probability that coordinate j fires first (an exact identity at d = 2).
+The product form is implemented exactly as stated; its
 agreement with simulation is checked numerically, and `time_resolved_report`
 exposes the comparison on time-binned cells, where the product form is an
 approximation of the simulated law (discrepancies are reported, never
@@ -29,7 +35,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import density
 from .errors import ConfigurationError, NumericalError
@@ -37,7 +42,13 @@ from .errors import ConfigurationError, NumericalError
 __all__ = ["KernelQuery", "DiscretizedKernel", "kernel_prob",
            "first_fire_probability", "discretize_kernel", "time_resolved_report"]
 
-_GX, _GW = leggauss(64)
+
+def _checked_lags(lags) -> np.ndarray:
+    """lags as a float array; a NaN, infinite or negative lag is refused."""
+    lags = np.asarray(lags, dtype=float)
+    if np.any(~np.isfinite(lags)) or np.any(lags < 0):
+        raise ConfigurationError("lags must be finite and >= 0")
+    return lags
 
 
 @dataclass(frozen=True)
@@ -50,13 +61,11 @@ class KernelQuery:
     interval: tuple[float, float]
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=float)
-        object.__setattr__(self, "lags", lags)
         a, b = self.interval
         if not (0 <= a < b):
             raise ConfigurationError(f"need 0 <= a < b, got {self.interval}")
-        if np.any(~np.isfinite(lags)) or np.any(lags < 0):
-            raise ConfigurationError("lags must be finite and >= 0")
+        lags = _checked_lags(self.lags)
+        object.__setattr__(self, "lags", lags)
         if not 1 <= self.coord <= len(lags):
             raise ConfigurationError(f"coord {self.coord} outside 1..{len(lags)}")
         if self.sign not in (-1, 1):
@@ -86,66 +95,43 @@ class DiscretizedKernel:
         return float(self.weights @ self.delta_t)
 
 
-_FF_REL_TOL = 1e-8      # relative change at which panel doubling stops
+# Gauss panels of the first-fire integral over (0, TAIL_CUTOFF)
+_FF_PANELS = 16
+# Gauss panels of each slice's conditional mean in the d > 1 discretization
+_SLICE_PANELS = 4
+
+
+def _residual_mass(a_u, b_u, lags_u):
+    """P{a_u < tau - lag <= b_u | tau > lag}, the marginal residual factor,
+    in unit-tau coordinates; broadcasts, and b_u may be inf."""
+    tail = density.survival_tau(lags_u)
+    if np.any(tail <= 0):
+        raise NumericalError(f"lag {lags_u} beyond density support")
+    return (density.survival_tau(a_u + lags_u) - density.survival_tau(b_u + lags_u)) / tail
 
 
 def _first_fire_factor(lags_u: np.ndarray, j0: int) -> float:
     """Second factor of the product formula, in unit-tau coordinates.
 
-    Evaluates the double integral over the bounded box (0, X)^2 obtained by
-    the substitution s -> -r, truncated at the tail cutoff X; panel count
-    doubles until the relative change is below _FF_REL_TOL (budget split
-    between the two nested rules).  Interval- and sign-independent; the
-    double integral depends only on the coordinate's own lag and the other
-    lags in order, so it is memoized on those exact lags, and coordinates
-    with equal lags share one quadrature.  The tail-mass product is divided
-    out on every call.
+    The s-integral of the double integral is F(t + Dj) - F(Dj), so the
+    factor is int_0^X [F(t + Dj) - F(Dj)] prod_{l != j} f(t + Dl) dt over
+    the tail cutoff X, by `_FF_PANELS` Gauss panels, divided by the tail
+    masses.  F(t + Dj) - F(Dj) is taken as S(Dj) - S(t + Dj) on the
+    survival function, which keeps its digits at large lags.  Interval-
+    and sign-independent.
     """
     denom = float(np.prod(density.survival_tau(lags_u)))
     if denom <= 0:
         raise NumericalError("all-coordinate tail mass underflowed")
-    others = tuple(np.delete(lags_u, j0).tolist())
-    return _first_fire_integral(float(lags_u[j0]), others) / denom
+    own, others = lags_u[j0], np.delete(lags_u, j0)
 
+    def integrand(t):
+        val = density.survival_tau(own) - density.survival_tau(t + own)
+        for lag in others:
+            val = val * density.f_tau(t + lag)
+        return val
 
-@functools.cache
-def _first_fire_integral(own_lag: float, other_lags: tuple) -> float:
-    """The first-fire double integral, before division by the tail masses,
-    built once per exact (own lag, other lags)."""
-    X = density.TAIL_CUTOFF
-
-    # Nested fixed rule with panel doubling, vectorized over both axes.
-    def evaluate(panels: int) -> float:
-        edges = np.linspace(0.0, X, panels + 1)
-        midr = 0.5 * (edges[1:] + edges[:-1])
-        halfr = 0.5 * (edges[1:] - edges[:-1])
-        rr = (midr[:, None] + halfr[:, None] * _GX).ravel()
-        wr = (halfr[:, None] * np.broadcast_to(_GW, (panels, 64))).ravel()
-        # inner integral over t in (r, r+X) with the same panel count
-        acc = np.zeros_like(rr)
-        for p in range(panels):
-            lo_f = p / panels
-            hi_f = (p + 1) / panels
-            t_mid = rr + (lo_f + hi_f) / 2.0 * X
-            t_half = (hi_f - lo_f) / 2.0 * X
-            tt = t_mid[:, None] + t_half * _GX
-            # 14 series terms keep truncation < 1e-15 on this domain
-            integ = density.f_tau((tt - rr[:, None]) + own_lag, 14)
-            for lag in other_lags:
-                integ = integ * density.f_tau(tt + lag, 14)
-            acc += t_half * (integ @ _GW)
-        return float(wr @ acc)
-
-    prev = evaluate(4)
-    for panels in (8, 16, 32):
-        cur = evaluate(panels)
-        if abs(cur - prev) <= _FF_REL_TOL * max(abs(cur), 1e-30):
-            return cur
-        prev = cur
-    raise NumericalError(
-        f"first-fire quadrature did not converge (last change "
-        f"{abs(cur - prev):.3e} at {panels} panels, own lag {own_lag}, "
-        f"other lags {other_lags})")
+    return density._gauss_panels(integrand, 0.0, density.TAIL_CUTOFF, _FF_PANELS) / denom
 
 
 def kernel_prob(q: KernelQuery, eps_k: float) -> float:
@@ -153,26 +139,16 @@ def kernel_prob(q: KernelQuery, eps_k: float) -> float:
     if eps_k <= 0:
         raise ConfigurationError(f"eps_k must be > 0, got {eps_k}")
     a_u, b_u = q.interval[0] / eps_k**2, q.interval[1] / eps_k**2
-    d = len(q.lags)
-    if d == 1:
+    if len(q.lags) == 1:
         return 0.5 * float(density.cdf_tau(b_u) - density.cdf_tau(a_u))
     lags_u = q.lags / eps_k**2
     j0 = q.coord - 1
-    dj = lags_u[j0]
-    tail_j = density.survival_tau(dj)
-    if tail_j <= 0:
-        raise NumericalError(f"lag {q.lags[j0]} beyond density support")
-    if np.isfinite(b_u):
-        factor1 = float(density.cdf_tau(b_u + dj) - density.cdf_tau(a_u + dj)) / tail_j
-    else:
-        factor1 = float(density.survival_tau(a_u + dj)) / tail_j
-    factor2 = _first_fire_factor(lags_u, j0)
-    return 0.5 * factor1 * factor2
+    return 0.5 * _residual_mass(a_u, b_u, lags_u[j0]) * _first_fire_factor(lags_u, j0)
 
 
 def first_fire_probability(lags, coord: int, eps_k: float) -> float:
     """P{next merged event is fired by `coord`} (both signs combined)."""
-    lags = np.asarray(lags, dtype=float)
+    lags = _checked_lags(lags)
     if len(lags) == 1:
         return 1.0
     return _first_fire_factor(lags / eps_k**2, coord - 1)
@@ -191,70 +167,35 @@ def discretize_kernel(lags, eps_k: float, Q: int) -> DiscretizedKernel:
     """Finite-support one-step kernel for the DP tree.
 
     Both use the quantile rule.  d=1: quantize tau, scale nodes by eps^2,
-    split each node into +-1 at half weight.  d>1: quantile nodes of the
-    mixture delta-t marginal, then per node the (coord, sign) weights come
-    from kernel_prob over the node's slice; weights renormalized to kill
-    residual quadrature drift.
+    split each node into +-1 at half weight.  d>1: Q equal-probability
+    slices of the delta-t marginal, the mixture of the residual marginals
+    by first-fire probability, each at its conditional mean; a slice's
+    (coord, sign) weights are kernel_prob's cell masses, renormalized to
+    kill residual quadrature drift.
     """
-    lags = np.asarray(lags, dtype=float)
+    lags = _checked_lags(lags)
     d = len(lags)
     if d == 1:
         return _d1_kernel(float(eps_k), Q)
 
     lags_u = lags / eps_k**2
     pfirst = np.array([_first_fire_factor(lags_u, j) for j in range(d)])
-    pfirst = pfirst / pfirst.sum()  # exact at d=2; renormalizes residue for d>2
+    mix = pfirst / pfirst.sum()  # exact at d=2; renormalizes residue for d>2
+    col = lags_u[:, None]
+    edges_u = np.concatenate([[0.0], density._bisect_cdf(
+        np.arange(1, Q) / Q, 0.0, density.TAIL_CUTOFF + lags_u.max(), 80,
+        lambda x: mix @ _residual_mass(0.0, x, col)), [np.inf]])
 
-    def mixture_cdf(x_u):
-        # the kernel's delta-t marginal: mixture of residual marginals
-        out = 0.0
-        for j in range(d):
-            tail_j = density.survival_tau(lags_u[j])
-            out += pfirst[j] * (density.cdf_tau(x_u + lags_u[j])
-                                - density.cdf_tau(lags_u[j])) / tail_j
-        return out
-
-    # quantile edges of the mixture by bisection
-    edges_u = [0.0]
-    for q in range(1, Q):
-        lo, hi = 1e-8, density.TAIL_CUTOFF + max(lags_u)
-        target = q / Q
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mixture_cdf(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        edges_u.append(0.5 * (lo + hi))
-    edges_u.append(np.inf)
-
-    nodes, coords, signs, weights = [], [], [], []
-    for i in range(Q):
-        a_u, b_u = edges_u[i], edges_u[i + 1]
-        # node at the conditional mean of the mixture on the slice
-        num = 0.0
-        for j in range(d):
-            tail_j = density.survival_tau(lags_u[j])
-            hi_u = b_u if np.isfinite(b_u) else density.TAIL_CUTOFF + 5.0
-            xs = np.linspace(a_u, hi_u, 65)
-            mids = 0.5 * (xs[1:] + xs[:-1])
-            fs = density.f_tau(np.maximum(mids + lags_u[j], 1e-12))
-            num += pfirst[j] * np.sum(mids * fs * np.diff(xs)) / tail_j
-        node_u = num * Q
-        for j in range(1, d + 1):
-            p_cell = kernel_prob(
-                KernelQuery(lags, j, 1, (a_u * eps_k**2,
-                                         b_u * eps_k**2 if np.isfinite(b_u) else np.inf)),
-                eps_k)
-            for s in (1, -1):
-                nodes.append(node_u * eps_k**2)
-                coords.append(j)
-                signs.append(s)
-                weights.append(p_cell)
-    weights = np.asarray(weights)
-    weights = weights / weights.sum()
-    return DiscretizedKernel(np.asarray(nodes), np.asarray(coords, dtype=np.int64),
-                             np.asarray(signs, dtype=np.int64), weights)
+    tails = density.survival_tau(col)
+    hi_u = np.minimum(edges_u[1:], density.TAIL_CUTOFF + 5.0)
+    node_u = Q * np.array([density._gauss_panels(
+        lambda x: x * (mix @ (density.f_tau(x + col) / tails)), a, b, _SLICE_PANELS)
+        for a, b in zip(edges_u[:-1], hi_u)])
+    cells = _residual_mass(edges_u[:-1, None], edges_u[1:, None], lags_u) * pfirst
+    weights = np.repeat(cells.ravel(), 2)
+    return DiscretizedKernel(np.repeat(node_u * eps_k**2, 2 * d),
+                             np.tile(np.repeat(np.arange(1, d + 1), 2), Q),
+                             np.tile([1, -1], d * Q), weights / weights.sum())
 
 
 def time_resolved_report(lags, eps_k: float, observed_cells: dict, n_draws: int) -> list[str]:

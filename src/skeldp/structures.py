@@ -554,26 +554,10 @@ _GAP_MAX_EXTRA = 80     # most series terms past n that stage_truncation_gap sum
 
 def _exp_weighted_integral(q: float, upper: float, n_terms: int | None) -> float:
     """int_0^upper exp(q u) f_tau(u) du with f exact or n_terms-truncated."""
-    if upper <= 0:
-        return 0.0
     trunc = 60 if n_terms is None else n_terms
-
-    def fn(u):
-        return np.exp(q * u) * density.f_tau(u, trunc)
-
-    pieces = []
-    if 5e-3 < min(upper, density.CROSSOVER):
-        pieces.append((5e-3, min(upper, density.CROSSOVER)))
-    if upper > density.CROSSOVER:
-        pieces.append((density.CROSSOVER, min(upper, density.TAIL_CUTOFF + 5.0)))
-    total = 0.0
-    for lo, hi in pieces:
-        edges = np.linspace(lo, hi, _STAGE_PANELS + 1)
-        for i in range(_STAGE_PANELS):
-            half = 0.5 * (edges[i + 1] - edges[i])
-            u = 0.5 * (edges[i + 1] + edges[i]) + half * _GX
-            total += half * float(np.sum(_GW * fn(u)))
-    return total
+    return density._branch_integral(lambda u: np.exp(q * u) * density.f_tau(u, trunc),
+                                    0.0, min(upper, density.TAIL_CUTOFF + 5.0),
+                                    _STAGE_PANELS)
 
 
 def stage_g(a: float, t_elapsed: float, spec: PortfolioSpec, eps: float,

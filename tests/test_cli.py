@@ -583,6 +583,32 @@ def test_kernel_subcommand_mass(tmp_path):
     assert mass["first_fire"]["2"] > 0.5
 
 
+@pytest.mark.parametrize("lags", [[float("nan")], [-0.5], [float("nan"), 0.0],
+                                  [float("inf"), 0.0]],
+                         ids=["nan-d1", "negative-d1", "nan-d2", "infinite-d2"])
+def test_bad_kernel_lags_exit_1(tmp_path, capsys, lags):
+    cfg = {"skeleton": {"epsilon_k": 0.5, "d": len(lags), "horizon_T": 1.0},
+           "kernel": {"lags": lags, "Q": 2}}
+    out = str(tmp_path / "k")
+    assert main(["kernel", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: lags must be finite and >= 0")
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_1(tmp_path, capsys, threads):
+    out = str(tmp_path / "e")
+    assert main(["evaluate", "--config", write_cfg(tmp_path, MERTON_CFG), "--out-dir", out,
+                 "--threads", threads, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --threads must be >= 1, got {threads}")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("key, value", [("epsilon_k", float("nan")),
                                         ("horizon_T", float("inf"))],
                          ids=["nan-epsilon", "infinite-horizon"])

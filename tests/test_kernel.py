@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from skeldp import density, kernel
+from skeldp import density
 from skeldp.errors import ConfigurationError
 from skeldp.kernel import (DiscretizedKernel, KernelQuery, discretize_kernel,
                            first_fire_probability, kernel_prob,
@@ -83,23 +83,43 @@ def test_first_fire_matches_reduction_oracle():
         assert prod == pytest.approx(first_fire_oracle(lj, lo), abs=2e-7)
 
 
-def test_equal_lags_share_one_first_fire_quadrature():
-    """Coordinates with equal lags run the same double integral: one
-    quadrature serves both, and each value equals its own uncached one."""
-    integral = kernel._first_fire_integral
-    integral.cache_clear()
-    lags_u = np.array([0.37, 0.37])
-    shared = [kernel._first_fire_factor(lags_u, j) for j in (0, 1)]
-    assert integral.cache_info().misses == 1
-    assert shared[0] == shared[1]
-    for j in (0, 1):
-        integral.cache_clear()
-        assert kernel._first_fire_factor(lags_u, j) == shared[j]
-    # unequal lags are different integrals
-    integral.cache_clear()
-    apart = [kernel._first_fire_factor(np.array([0.37, 0.9]), j) for j in (0, 1)]
-    assert integral.cache_info().misses == 2
-    assert apart[0] + apart[1] == pytest.approx(1.0, abs=1e-7)
+def first_fire_double_integral(lags_u, j):
+    """The first-fire factor as the module docstring's double integral, with
+    r = -s over (0, X) and t over (r, r + X) for the tail cutoff X, by
+    nested 16-panel Gauss rules; independent of the one-dimensional route."""
+    X, panels = density.TAIL_CUTOFF, 16
+    edges = np.linspace(0.0, X, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    r = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * GX).ravel()
+    wr = (half[:, None] * GW).ravel()
+    others = np.delete(lags_u, j)
+    total = 0.0
+    for p in range(panels):
+        t = r[:, None] + (p + 0.5 * (GX + 1.0)) / panels * X
+        integ = density.f_tau(t - r[:, None] + lags_u[j])
+        for lag in others:
+            integ = integ * density.f_tau(t + lag)
+        total += wr @ (integ @ GW) * (0.5 * X / panels)
+    return total / float(np.prod(density.survival_tau(lags_u)))
+
+
+def test_first_fire_matches_double_integral_at_d3():
+    for lags_u in ([0.1, 0.4, 0.9], [1.5, 0.2, 0.05]):
+        lags_u = np.array(lags_u)
+        for j in range(3):
+            assert first_fire_probability(lags_u, j + 1, 1.0) == pytest.approx(
+                first_fire_double_integral(lags_u, j), abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_zero_lag_nodes_are_quantize_tau_nodes(d):
+    """At zero lags every coordinate's residual is tau itself, so the
+    slices are tau's quantile slices and the nodes quantize_tau's."""
+    eps, Q = 0.5, 8
+    dk = discretize_kernel(np.zeros(d), eps, Q)
+    nodes = dk.delta_t[::2 * d] / eps**2
+    np.testing.assert_allclose(nodes, density.quantize_tau(Q).nodes, rtol=1e-10, atol=0)
+    assert dk.mean_delta_t == pytest.approx(eps**2, rel=1e-10)
 
 
 def _fresh_process_repr(code: str) -> str:
@@ -176,6 +196,9 @@ def test_query_validation():
         KernelQuery(np.array([-0.1]), 1, 1, (0.0, 1.0))
     with pytest.raises(ConfigurationError):
         KernelQuery(np.array([0.0]), 1, 0, (0.0, 1.0))
+    for lags in ([np.nan], [-0.5], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ConfigurationError, match="lags must be finite and >= 0"):
+            discretize_kernel(np.array(lags), 0.5, 4)
     with pytest.raises(ConfigurationError):
         kernel_prob(KernelQuery(np.array([0.0]), 1, 1, (0.0, 1.0)), 0.0)
     with pytest.raises(ConfigurationError):
